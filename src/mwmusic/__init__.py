@@ -29,7 +29,7 @@ from .forward import (
     save_matrix,
     scattering_matrix,
 )
-from .harness import ExperimentConfig, PRESETS, RunReport, load_config, render_pgm, run_experiment
+from .harness import ExperimentConfig, PRESETS, RunReport, load_config, run_experiment
 from .music import (
     DEFAULT_CEILING,
     EXACT_FIELD,

@@ -26,11 +26,7 @@ class TruncationError(MwMusicError):
 
 
 class NumericalError(MwMusicError):
-    """An iterative numerical procedure failed to converge."""
-
-    def __init__(self, message: str, residual: float = float("nan")):
-        super().__init__(message)
-        self.residual = residual
+    """A numerical procedure failed (e.g. a decomposition did not converge)."""
 
 
 class DegenerateDataError(MwMusicError):

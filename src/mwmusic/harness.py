@@ -418,6 +418,7 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
         if config.signal_dim is not None
         else mu.signal_subspace_dim(dec.singular_values, config.threshold_ratio)
     )
+    basis = dec.left_vectors[:, :m_used]
 
     written: list[Path] = []
     records: list[RatioRecord] = []
@@ -428,15 +429,7 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
                 scene.background, scene.omega, th.MismatchSpec(config.sweep_kind, ratio)
             )
             diags = validate_scene(scene, k_aw)
-            image = mu.imaging_map(
-                data,
-                k_aw,
-                scene.array,
-                grid,
-                variant=config.test_variant,
-                threshold_ratio=config.threshold_ratio,
-                signal_dim=config.signal_dim,
-            )
+            image = mu.imaging_map(basis, k_aw, scene.array, grid, variant=config.test_variant)
             n_peaks = max(len(scene.anomalies), 1)
             peaks = mu.extract_peaks(image, n_peaks)
             predicted = [
@@ -448,10 +441,10 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
             closed_form = None
             if single:
                 # the closed form corresponds to the one-direction projector,
-                # so the comparison map always uses signal_dim = 1
+                # so the comparison map always uses U[:, :1] alone
                 norm_image = image if m_used == 1 else mu.imaging_map(
-                    data, k_aw, scene.array, grid,
-                    variant=config.test_variant, signal_dim=1,
+                    dec.left_vectors[:, :1], k_aw, scene.array, grid,
+                    variant=config.test_variant,
                 )
                 ctx = th.TheoryContext(
                     k_bw=k_bw, k_aw=k_aw, r_star=scene.anomalies[0].center, array=scene.array
@@ -464,7 +457,7 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
             pgm_path = out_dir / f"map-{label}.pgm"
             mu.write_map_csv(image, map_path)
             mu.write_map_csv(image, norm_path, which="raw_norm")
-            render_pgm(image, pgm_path)
+            mu.write_map_pgm(image, pgm_path)
             written += [map_path, norm_path, pgm_path]
 
             elapsed = time.perf_counter() - t0
@@ -530,11 +523,6 @@ def _require_finite_record(record: RatioRecord) -> None:
         flat += list(record.closed_form.values())
     if not all(math.isfinite(v) for v in flat):
         raise MwMusicError("run produced a non-finite report value")
-
-
-def render_pgm(image: mu.ImageMap, path) -> None:
-    """Write the map as binary PGM (see music.write_map_pgm for the layout)."""
-    mu.write_map_pgm(image, path)
 
 
 def compare_saved_map(csv_path, config: ExperimentConfig) -> th.MapComparison:

@@ -1,18 +1,16 @@
 """Subspace imaging: decomposition of the data matrix, steering vectors,
 noise-space projection, and the reciprocal-projection map over a grid.
 
-The decomposition diagonalizes K K^H with cyclic complex Jacobi rotations.
-Only the left singular vectors and the singular values are needed by the
-imaging function, and at the array sizes used here (N <= 64) Jacobi sweeps
-are simple, accurate, and fast. The squaring costs half the digits for the
-smallest singular values, which is acceptable because only directions with
-tau_j above a fraction of tau_1 are ever retained.
+The decomposition is one LAPACK singular value decomposition of K itself.
+A sweep decomposes its data matrix once and images every trial wavenumber
+from the same retained signal basis U[:, :M]; only the steering vectors
+change between wavenumbers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -41,92 +39,22 @@ class SubspaceDecomposition:
 
     singular_values: np.ndarray
     left_vectors: np.ndarray
-    signal_dim: int | None = None
-
-    def with_signal_dim(self, m: int) -> "SubspaceDecomposition":
-        if not (1 <= m <= self.singular_values.size):
-            raise DomainError(f"signal_dim must lie in [1, {self.singular_values.size}]")
-        return replace(self, signal_dim=int(m))
 
 
-def _hermitian_jacobi(a: np.ndarray, tol_factor: float, max_sweeps: int):
-    """Cyclic Jacobi diagonalization of a Hermitian matrix.
-
-    Returns (eigenvalues desc, eigenvectors as columns). Convergence is
-    declared when the off-diagonal Frobenius norm falls below
-    tol_factor * ||A||_F.
-    """
-    n = a.shape[0]
-    a = a.astype(np.complex128).copy()
-    v = np.eye(n, dtype=np.complex128)
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return np.zeros(n), v
-
-    def off_norm() -> float:
-        off = a - np.diag(np.diagonal(a))
-        return float(np.linalg.norm(off))
-
-    for _ in range(max_sweeps):
-        if off_norm() <= tol_factor * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                phase = apq / abs(apq)
-                tau = (aqq - app) / (2.0 * abs(apq))
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                # columns: [p q] <- [p q] @ [[c, s], [-s conj(phase), c conj(phase)]]
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * col_p + c * np.conj(phase) * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * row_p + c * phase * row_q
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(phase) * vq
-                v[:, q] = s * vp + c * np.conj(phase) * vq
-    else:
-        resid = off_norm() / norm
-        if resid > tol_factor:
-            raise NumericalError(
-                f"Jacobi sweeps did not converge within {max_sweeps} sweeps "
-                f"(relative off-diagonal residual {resid:.3e})",
-                residual=resid,
-            )
-    eigvals = np.real(np.diagonal(a)).copy()
-    order = np.argsort(eigvals)[::-1]
-    return eigvals[order], v[:, order]
-
-
-def svd_leading(k_mat, tol_factor: float = 1e-14, max_sweeps: int = 50) -> SubspaceDecomposition:
+def svd_leading(k_mat) -> SubspaceDecomposition:
     """All singular values and left singular vectors of the data matrix.
 
-    Computed through the self-adjoint eigendecomposition of K K^H; accepts a
-    ScatteringMatrix or a plain complex square ndarray.
+    Accepts a ScatteringMatrix or a plain complex square ndarray.
     """
     entries = k_mat.entries if isinstance(k_mat, ScatteringMatrix) else np.asarray(k_mat)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise DomainError("a square matrix is required")
-    n = entries.shape[0]
-    if n < 3:
+    if entries.shape[0] < 3:
         raise DomainError("subspace decomposition needs at least a 3x3 matrix")
-    gram = entries @ entries.conj().T
-    gram = 0.5 * (gram + gram.conj().T)
-    eigvals, vecs = _hermitian_jacobi(gram, tol_factor, max_sweeps)
-    taus = np.sqrt(np.clip(eigvals, 0.0, None))
+    try:
+        vecs, taus, _ = np.linalg.svd(entries)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular value decomposition failed: {exc}") from exc
     taus.flags.writeable = False
     vecs.flags.writeable = False
     return SubspaceDecomposition(singular_values=taus, left_vectors=vecs)
@@ -185,16 +113,14 @@ def test_vector(
     return _steering_rows(k_aw, r[None, :], array, variant)[0]
 
 
-def projection_norm(dec: SubspaceDecomposition, w: np.ndarray) -> float:
-    """|w - sum_{j<=M} U_j <U_j, w>|, the distance to the signal subspace."""
-    if dec.signal_dim is None:
-        raise DomainError("decomposition has no signal_dim set")
+def projection_norm(basis: np.ndarray, w) -> np.ndarray:
+    """|w - U U^H w| for each row w, the distance to the span of the
+    orthonormal columns U of basis (N, M)."""
     w = np.asarray(w, dtype=np.complex128)
-    if w.shape != (dec.left_vectors.shape[0],):
-        raise DomainError("test vector length does not match the decomposition")
-    u = dec.left_vectors[:, : dec.signal_dim]
-    resid = w - u @ (u.conj().T @ w)
-    return float(np.linalg.norm(resid))
+    if w.shape[-1] != basis.shape[0]:
+        raise DomainError("test vector length does not match the signal basis")
+    resid = w - (w @ basis.conj()) @ basis.T
+    return np.linalg.norm(resid, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -290,35 +216,24 @@ class ImageMap:
 
 
 def imaging_map(
-    k_mat: ScatteringMatrix,
+    basis: np.ndarray,
     k_aw: Wavenumber,
     array: AntennaArray,
     grid: ImagingGrid,
     variant: str = EXACT_FIELD,
-    threshold_ratio: float = DEFAULT_THRESHOLD_RATIO,
-    signal_dim: int | None = None,
     ceiling: float = DEFAULT_CEILING,
 ) -> ImageMap:
-    """Reciprocal projection-norm map 1 / |P_noise W(r)| over unmasked cells.
+    """Reciprocal projection-norm map 1 / |P_noise W(r)| over unmasked cells,
+    with the noise projector defined by the signal basis U[:, :M] (N, M).
 
     Values are clipped at the ceiling where the norm underflows; the
     unclipped norms are retained in raw_norm for quantitative comparison.
     """
     if grid.resolution < 16:
         raise ConfigurationError("imaging grid resolution must be >= 16")
-    entries_n = k_mat.n if isinstance(k_mat, ScatteringMatrix) else np.asarray(k_mat).shape[0]
-    if array.count != entries_n:
-        raise DomainError("antenna count does not match the data matrix size")
-    dec = svd_leading(k_mat)
-    m = signal_dim if signal_dim is not None else signal_subspace_dim(
-        dec.singular_values, threshold_ratio
-    )
-    dec = dec.with_signal_dim(m)
-    u = dec.left_vectors[:, :m]
-
-    rows = _steering_rows(k_aw, grid.cell_centers, array, variant)
-    resid = rows - (rows @ u.conj()) @ u.T
-    norms = np.linalg.norm(resid, axis=1)
+    if array.count != basis.shape[0]:
+        raise DomainError("antenna count does not match the signal basis")
+    norms = projection_norm(basis, _steering_rows(k_aw, grid.cell_centers, array, variant))
 
     values = np.full((grid.resolution, grid.resolution), np.nan)
     raw = np.full_like(values, np.nan)

@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from mwmusic import music as mu
 from mwmusic import scene as sc
 
 # Reference simulation configuration used across the suite: 16 antennas on a
@@ -51,6 +52,14 @@ def make_scene(n_anomalies: int = 1, count: int = N_ANTENNAS) -> sc.Scene:
         anomalies=anomalies,
         frequency=FREQ,
     )
+
+
+def image_from_data(data, k_aw, array, grid, variant=mu.EXACT_FIELD, signal_dim=None):
+    """Decompose the data and image it from the leading signal_dim left
+    singular vectors (the threshold rule when signal_dim is None)."""
+    dec = mu.svd_leading(data)
+    m = mu.signal_subspace_dim(dec.singular_values) if signal_dim is None else signal_dim
+    return mu.imaging_map(dec.left_vectors[:, :m], k_aw, array, grid, variant=variant)
 
 
 @pytest.fixture

@@ -2,9 +2,9 @@
 
 These deliberately avoid every code path of the package under test:
 Bessel/Hankel values come from ascending power series summed in mpmath
-arbitrary precision, singular values from a one-sided Jacobi SVD acting on
-the matrix itself (the package eigendecomposes K K^H instead), and the
-plane-wave circle sum is evaluated directly from complex exponentials.
+arbitrary precision, singular values from a pure-Python one-sided Jacobi
+SVD (the package calls LAPACK), and the plane-wave circle sum is evaluated
+directly from complex exponentials.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from mwmusic import scene as sc
 from mwmusic import specfun
 from mwmusic import theory as th
 
-from conftest import make_scene
+from conftest import image_from_data, make_scene
 from oracles import onesided_jacobi_singular_values
 
 
@@ -40,7 +40,7 @@ def test_a1_matched_wavenumber_localization():
     scene = make_scene(1)
     k_bw = scene.background_wavenumber()
     grid = _grid()
-    image = mu.imaging_map(fw.scattering_matrix(scene, k_bw), k_bw, scene.array, grid)
+    image = image_from_data(fw.scattering_matrix(scene, k_bw), k_bw, scene.array, grid)
     err_cells = math.dist(image.argmax_point(), (0.01, 0.03)) / grid.cell_size
     elapsed = time.perf_counter() - t0
     _criterion(
@@ -56,7 +56,7 @@ def test_a2_two_anomaly_localization():
     scene = make_scene(2)
     k_bw = scene.background_wavenumber()
     grid = _grid()
-    image = mu.imaging_map(fw.scattering_matrix(scene, k_bw), k_bw, scene.array, grid)
+    image = image_from_data(fw.scattering_matrix(scene, k_bw), k_bw, scene.array, grid)
     peaks = mu.extract_peaks(image, 2)
     errs = [
         min(math.dist(pt, target) for pt, _ in peaks) / grid.cell_size
@@ -80,7 +80,7 @@ def test_a3_permeability_shift_law():
     errs = {}
     for ratio in (0.5, 2.0):
         k_aw = _mismatch(scene, "permeability", ratio)
-        image = mu.imaging_map(data, k_aw, scene.array, grid)
+        image = image_from_data(data, k_aw, scene.array, grid)
         pred = (0.01 / math.sqrt(ratio), 0.03 / math.sqrt(ratio))
         errs[ratio] = math.dist(image.argmax_point(), pred) / grid.cell_size
     elapsed = time.perf_counter() - t0
@@ -101,7 +101,7 @@ def test_a4_permittivity_shift_law():
     errs = {}
     for ratio in (0.5, 2.0):
         k_aw = _mismatch(scene, "permittivity", ratio)
-        image = mu.imaging_map(data, k_aw, scene.array, grid)
+        image = image_from_data(data, k_aw, scene.array, grid)
         pred = th.predicted_peak(k_bw, k_aw, (0.01, 0.03))
         errs[ratio] = math.dist(image.argmax_point(), pred) / grid.cell_size
     elapsed = time.perf_counter() - t0
@@ -120,12 +120,12 @@ def test_a5_conductivity_robustness(tmp_path):
     grid = _grid()
     data = fw.scattering_matrix(scene, k_bw)
     k_aw = _mismatch(scene, "conductivity", 0.1)
-    image = mu.imaging_map(data, k_aw, scene.array, grid)
+    image = image_from_data(data, k_aw, scene.array, grid)
     err = math.dist(image.argmax_point(), (0.01, 0.03)) / grid.cell_size
     # the large-conductivity maps are reproduced as artifacts only
     saved = []
     for ratio in (10.0, 20.0):
-        big = mu.imaging_map(data, _mismatch(scene, "conductivity", ratio), scene.array, grid)
+        big = image_from_data(data, _mismatch(scene, "conductivity", ratio), scene.array, grid)
         path = tmp_path / f"sigma-{ratio:g}.pgm"
         mu.write_map_pgm(big, path)
         saved.append(path.exists())
@@ -147,11 +147,11 @@ def test_a6_theorem_closed_form():
     # proof-matched path: far-field data, plane-wave steering, one retained
     # direction (the noise projector is defined from U_1 alone)
     asym = fw.scattering_matrix(scene, k_bw, fw.ASYMPTOTIC)
-    image_pw = mu.imaging_map(asym, k_bw, scene.array, grid, variant=mu.PLANE_WAVE, signal_dim=1)
+    image_pw = image_from_data(asym, k_bw, scene.array, grid, variant=mu.PLANE_WAVE, signal_dim=1)
     cmp_pw = th.compare_maps(image_pw, ctx, grid)
     # production path: full point-source data and exact-field steering
     full = fw.scattering_matrix(scene, k_bw, fw.FULL_HANKEL)
-    image_ex = mu.imaging_map(full, k_bw, scene.array, grid, variant=mu.EXACT_FIELD, signal_dim=1)
+    image_ex = image_from_data(full, k_bw, scene.array, grid, variant=mu.EXACT_FIELD, signal_dim=1)
     cmp_ex = th.compare_maps(image_ex, ctx, grid)
     elapsed = time.perf_counter() - t0
     _criterion(
@@ -259,7 +259,7 @@ def test_a10_origin_invariance():
     errs = {}
     for ratio in (0.5, 1.0, 2.0):
         k_aw = _mismatch(scene, "permeability", ratio)
-        image = mu.imaging_map(data, k_aw, scene.array, grid)
+        image = image_from_data(data, k_aw, scene.array, grid)
         errs[ratio] = math.hypot(*image.argmax_point()) / grid.cell_size
     elapsed = time.perf_counter() - t0
     _criterion(
@@ -288,10 +288,10 @@ def test_a11_determinism_and_scale_invariance(tmp_path):
     k_bw = scene.background_wavenumber()
     grid = _grid(64)
     data = fw.scattering_matrix(scene, k_bw)
-    base = mu.imaging_map(data, k_bw, scene.array, grid)
+    base = image_from_data(data, k_bw, scene.array, grid)
     rng = np.random.default_rng(7)
     c = complex(rng.standard_normal(), rng.standard_normal())
-    scaled = mu.imaging_map(
+    scaled = image_from_data(
         fw.ScatteringMatrix(n=data.n, entries=c * data.entries, mode=data.mode),
         k_bw,
         scene.array,

@@ -239,19 +239,24 @@ class TestRunExperiment:
         assert rec.closed_form is None
         assert rec.c_identity is None
 
+    @pytest.mark.parametrize("preset,calls", [("fig-mu-single", 2), ("fig-mu-double", 1)])
+    def test_decomposes_once_per_sweep(self, empty_config, tmp_path, monkeypatch, preset, calls):
+        # one anomaly: the data matrix plus the far-field matrix of the C
+        # identity; two anomalies: the data matrix only, however many ratios
+        seen = []
+        svd_leading = mu.svd_leading
 
-class TestRenderPgm:
-    def test_file_size(self, empty_config, tmp_path):
-        config = harness.load_config(empty_config, resolution=128, out_dir=tmp_path)
-        scene = config.scene
-        k = scene.background_wavenumber()
-        image = mu.imaging_map(
-            fw.scattering_matrix(scene, k), k, scene.array, mu.grid_for_roi(0.085, 128)
+        def counting(k_mat):
+            seen.append(k_mat)
+            return svd_leading(k_mat)
+
+        monkeypatch.setattr(mu, "svd_leading", counting)
+        config = harness.load_config(
+            empty_config, preset=preset, resolution=32, out_dir=tmp_path / "once"
         )
-        path = tmp_path / "img.pgm"
-        harness.render_pgm(image, path)
-        header = b"P5\n128 128\n255\n"
-        assert len(path.read_bytes()) == len(header) + 128 * 128
+        report = harness.run_experiment(config, log=lambda *_: None)
+        assert len(report.records) == 6
+        assert len(seen) == calls
 
 
 class TestCompareSavedMap:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -34,7 +35,9 @@ class TestBesselJ:
 
     @pytest.mark.parametrize("q,x", [(0, 1000.0), (1, 1000.0), (3, 9999.0), (128, 40.0), (128, 5.0)])
     def test_wide_range(self, q, x):
-        assert specfun.bessel_j(q, x) == pytest.approx(bessel_j_oracle(q, x), abs=1e-11)
+        # mpmath's own Bessel routine: the ascending series needs thousands of
+        # digits at x = 9999
+        assert specfun.bessel_j(q, x) == pytest.approx(float(mp.besselj(q, x)), abs=1e-11)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -10,7 +10,7 @@ from mwmusic import theory as th
 from mwmusic.errors import DegenerateDataError, DomainError
 from mwmusic.specfun import bessel_j
 
-from conftest import make_scene
+from conftest import image_from_data, make_scene
 from oracles import plane_wave_circle_mean
 
 
@@ -198,7 +198,7 @@ class TestCompareMaps:
         grid = mu.grid_for_roi(0.085, 128)
         k_bw = single_scene.background_wavenumber()
         mat = fw.scattering_matrix(single_scene, k_bw, fw.ASYMPTOTIC)
-        image = mu.imaging_map(
+        image = image_from_data(
             mat, k_bw, single_scene.array, grid, variant=mu.PLANE_WAVE, signal_dim=1
         )
         cmp = th.compare_maps(image, _ctx(single_scene), grid)
@@ -209,7 +209,7 @@ class TestCompareMaps:
         grid = mu.grid_for_roi(0.085, 128)
         k_bw = single_scene.background_wavenumber()
         mat = fw.scattering_matrix(single_scene, k_bw, fw.FULL_HANKEL)
-        image = mu.imaging_map(
+        image = image_from_data(
             mat, k_bw, single_scene.array, grid, variant=mu.EXACT_FIELD, signal_dim=1
         )
         cmp = th.compare_maps(image, _ctx(single_scene), grid)
@@ -229,7 +229,7 @@ class TestCompareMaps:
         grid = mu.grid_for_roi(0.085, 64)
         k_bw = single_scene.background_wavenumber()
         mat = fw.scattering_matrix(single_scene, k_bw)
-        image = mu.imaging_map(mat, k_bw, single_scene.array, grid)
+        image = image_from_data(mat, k_bw, single_scene.array, grid)
         stripped = mu.ImageMap(grid=grid, values=image.values, k_aw=image.k_aw)
         with pytest.raises(DomainError):
             th.compare_maps(stripped, _ctx(single_scene), grid)
