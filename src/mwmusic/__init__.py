@@ -3,8 +3,10 @@
 Generates first-order synthetic scattered-field S-parameter data for small
 disks inside a disk-shaped region, images them with a subspace projection
 map driven by a possibly wrong background wavenumber, and evaluates the
-closed-form Bessel-harmonic prediction of where and how the reconstructed
-peak shifts under permeability, permittivity, or conductivity mismatch.
+closed-form prediction of where and how the reconstructed peak shifts
+under permeability, permittivity, or conductivity mismatch. The closed
+form is summed directly over the antennas; the paper's Bessel-harmonic
+series is its Jacobi-Anger expansion.
 """
 
 from .errors import (
@@ -70,7 +72,6 @@ from .theory import (
     TheoryContext,
     c_identity_check,
     compare_maps,
-    error_series,
     mismatched_wavenumber,
     predicted_peak,
     closed_form_map,

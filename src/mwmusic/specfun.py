@@ -1,19 +1,19 @@
 """Integer-order Bessel functions and the zero-order Hankel function of the second kind.
 
-Everything here is evaluated from scratch (ascending series, Miller's
-backward recurrence, large-argument asymptotic expansions), so the rest of
-the package carries no external special-function dependency. Formulas are
-the classical ones:
+Everything here is evaluated from scratch, so the rest of the package
+carries no external special-function dependency. Formulas are the
+classical ones:
 
-  * ascending series for J_q and the log-coupled series for Y_0
-    (Abramowitz & Stegun 9.1.10 / 9.1.13),
-  * Hankel asymptotic expansion for H_nu^(2) (DLMF 10.17.6),
-  * Miller's normalized backward recurrence with the even-order sum rule
-    J_0 + 2*sum_m J_{2m} = 1 (A&S 9.1.46).
+  * Miller's normalized backward recurrence for J_q, with the even-order
+    sum rule J_0 + 2*sum_m J_{2m} = 1 (A&S 9.1.46), the one path for every
+    order table and for the scalar J_q,
+  * the log-coupled ascending series for H_0^(2) = J_0 - i Y_0
+    (Abramowitz & Stegun 9.1.12 / 9.1.13),
+  * Hankel asymptotic expansion for H_0^(2) (DLMF 10.17.6).
 
-Series-branch arithmetic runs in extended precision (80-bit long double on
-x86) to absorb the alternating-series cancellation; the crossover radius
-between series and asymptotic branches was calibrated against a
+Recurrence and series arithmetic run in extended precision (80-bit long
+double on x86) where cancellation calls for it; the crossover radius
+between the Hankel series and asymptotic branches was calibrated against a
 high-precision series oracle (see the test suite).
 """
 
@@ -54,34 +54,11 @@ def _require_real_in_range(x, name: str = "x") -> float:
     return x
 
 
-# ---------------------------------------------------------------------------
-# J_q, ascending series (small x) and recurrences (large x)
-# ---------------------------------------------------------------------------
+def _hankel_poincare(kind: int, z: np.ndarray) -> np.ndarray:
+    """H_0^(1 or 2)(z) via the Hankel expansion, for Re z >= 0.
 
-def _jq_series(q: int, x: float) -> float:
-    """J_q(x) by the ascending power series, summed in long double."""
-    xh = _LD(x) / 2
-    # leading term (x/2)^q / q!
-    term = _LD(1)
-    for i in range(1, q + 1):
-        term *= xh / i
-    total = term
-    x2 = xh * xh
-    m = 0
-    while True:
-        m += 1
-        term *= -x2 / (_LD(m) * (m + q))
-        total += term
-        if abs(term) <= _LD(1e-25) * (abs(total) + _LD(1e-30)) or m > 400:
-            break
-    return float(total)
-
-
-def _hankel_poincare(kind: int, nu: int, z: np.ndarray) -> np.ndarray:
-    """H_nu^(1 or 2)(z) via the Hankel expansion, for Re z >= 0.
-
-    Terms follow a_k(nu) = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k); the sum is
-    cut at the smallest term (superasymptotic truncation).
+    Terms follow a_k(0) = prod_{j<=k} (-(2j-1)^2) / (k! 8^k); the sum is cut
+    at the smallest term (superasymptotic truncation).
     """
     z = np.asarray(z, dtype=np.complex128)
     rot = 1j if kind == 1 else -1j
@@ -90,7 +67,7 @@ def _hankel_poincare(kind: int, nu: int, z: np.ndarray) -> np.ndarray:
     active = np.ones(z.shape, dtype=bool)
     last = np.abs(term)
     for k in range(1, 60):
-        term = term * rot * (4 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k * z)
+        term = term * rot * -((2 * k - 1) ** 2) / (8.0 * k * z)
         mag = np.abs(term)
         # freeze components whose terms started growing (optimal truncation)
         active &= mag < last
@@ -100,7 +77,7 @@ def _hankel_poincare(kind: int, nu: int, z: np.ndarray) -> np.ndarray:
         last = mag
         if np.max(mag[active]) < 1e-18:
             break
-    omega = z - (0.5 * nu + 0.25) * np.pi
+    omega = z - 0.25 * np.pi
     return np.sqrt(2.0 / (np.pi * z)) * np.exp(rot * omega) * total
 
 
@@ -117,14 +94,14 @@ def _h02_asymptotic(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     right = z.real >= 0.0
     if right.any():
-        out[right] = _hankel_poincare(2, 0, z[right])
+        out[right] = _hankel_poincare(2, z[right])
     upper_left = ~right & (z.imag >= 0.0)
     if upper_left.any():
         w = -z[upper_left]
-        out[upper_left] = 2.0 * _hankel_poincare(2, 0, w) + _hankel_poincare(1, 0, w)
+        out[upper_left] = 2.0 * _hankel_poincare(2, w) + _hankel_poincare(1, w)
     lower_left = ~right & (z.imag < 0.0)
     if lower_left.any():
-        out[lower_left] = -_hankel_poincare(1, 0, -z[lower_left])
+        out[lower_left] = -_hankel_poincare(1, -z[lower_left])
     return out
 
 
@@ -185,26 +162,6 @@ def hankel2_0(z):
     return out
 
 
-def _j0_j1_large(x: float) -> tuple[float, float]:
-    """J_0(x), J_1(x) for x > crossover, as real parts of H^(2)."""
-    arr = np.asarray([x], dtype=np.complex128)
-    j0 = float(_hankel_poincare(2, 0, arr)[0].real)
-    j1 = float(_hankel_poincare(2, 1, arr)[0].real)
-    return j0, j1
-
-
-def _jq_forward(q: int, x: float) -> float:
-    """Upward recurrence from J_0, J_1; stable in the oscillatory regime q <= x."""
-    j0, j1 = _j0_j1_large(x)
-    if q == 0:
-        return j0
-    jm, jc = _LD(j0), _LD(j1)
-    xl = _LD(x)
-    for m in range(1, q):
-        jm, jc = jc, (2 * m / xl) * jc - jm
-    return float(jc)
-
-
 def _miller_start(q_max: int, x: float) -> int:
     base = max(q_max, int(math.ceil(x)))
     return base + max(20, int(math.ceil(math.sqrt(160.0 * max(base, 1)))))
@@ -244,33 +201,8 @@ def _miller_rows(x: np.ndarray, q_max: int) -> np.ndarray:
     return rows / acc[:, None]
 
 
-def _jq_miller(q: int, x: float) -> float:
-    return float(_miller_rows(np.asarray([x]), q)[0, q])
-
-
-def bessel_j(q: int, x: float) -> float:
-    """Bessel function J_q(x) for integer order q, real x in [0, 1e4].
-
-    Negative orders use J_{-q}(x) = (-1)^q J_q(x). Absolute accuracy is
-    ~1e-13 for |q| <= Q_MAX, x <= 1e4.
-    """
-    q = int(q)
-    if abs(q) > Q_MAX:
-        raise DomainError(f"|q| <= {Q_MAX} required, got {q}")
-    x = _require_real_in_range(x)
-    sign = -1.0 if (q < 0 and q % 2 != 0) else 1.0
-    q = abs(q)
-    if x == 0.0:
-        return 1.0 if q == 0 else 0.0
-    if x <= _CROSSOVER:
-        return sign * _jq_series(q, x)
-    if q <= x:
-        return sign * _jq_forward(q, x)
-    return sign * _jq_miller(q, x)
-
-
 # ---------------------------------------------------------------------------
-# Vectorized order tables (used by the series evaluations over grids)
+# J_q order tables: one backward recurrence, vectorized across points
 # ---------------------------------------------------------------------------
 
 def bessel_j_grid(xs: np.ndarray, q_max: int) -> np.ndarray:
@@ -301,6 +233,24 @@ def bessel_j_grid(xs: np.ndarray, q_max: int) -> np.ndarray:
 def bessel_j_row(x: float, q_max: int) -> np.ndarray:
     """J_0(x)..J_{q_max}(x) at one point."""
     return bessel_j_grid(np.asarray([x], dtype=float), q_max)[0]
+
+
+def bessel_j(q: int, x: float) -> float:
+    """Bessel function J_q(x) for integer order q, real x in [0, 1e4].
+
+    One entry of the bessel_j_grid table. Negative orders use
+    J_{-q}(x) = (-1)^q J_q(x). Absolute accuracy is ~1e-13 for
+    |q| <= Q_MAX, x <= 1e4.
+    """
+    q = int(q)
+    if abs(q) > Q_MAX:
+        raise DomainError(f"|q| <= {Q_MAX} required, got {q}")
+    x = _require_real_in_range(x)
+    sign = -1.0 if (q < 0 and q % 2 != 0) else 1.0
+    q = abs(q)
+    if x == 0.0:
+        return 1.0 if q == 0 else 0.0
+    return sign * float(bessel_j_row(x, q)[q])
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@
 These deliberately avoid every code path of the package under test:
 Bessel/Hankel values come from ascending power series summed in mpmath
 arbitrary precision, singular values from a pure-Python one-sided Jacobi
-SVD (the package calls LAPACK), and the plane-wave circle sum is evaluated
-directly from complex exponentials.
+SVD (the package calls LAPACK), and the closed-form norm factor is summed
+as the Bessel-harmonic series of the theorem with mpmath's Bessel
+functions (the package sums over the antennas instead).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import mpmath as mp
@@ -66,11 +68,6 @@ def y0_oracle(x: float) -> float:
     return -hankel2_0_oracle(complex(x, 0.0)).imag
 
 
-def plane_wave_circle_mean(x: float, phi: float, thetas: np.ndarray) -> complex:
-    """(1/N) sum_n exp(i x cos(theta_n - phi)), evaluated directly."""
-    return complex(np.mean(np.exp(1j * x * np.cos(np.asarray(thetas) - phi))))
-
-
 def jacobi_anger_partial(x: float, theta: float, big_q: int) -> complex:
     """J_0(x) + sum_{0<|q|<=Q} i^q J_q(x) e^{iq theta}, with oracle J values."""
     total = complex(bessel_j_oracle(0, x))
@@ -79,6 +76,63 @@ def jacobi_anger_partial(x: float, theta: float, big_q: int) -> complex:
         total += (1j**q) * jq * cmath.exp(1j * q * theta)
         total += (1j**-q) * ((-1.0) ** q * jq) * cmath.exp(-1j * q * theta)
     return total
+
+
+@functools.lru_cache(maxsize=None)
+def _ring_average(angles: tuple, q: int):
+    """(1/N) sum_n e^{iq theta_n}, summed in mpmath."""
+    with mp.workdps(30):
+        return complex(mp.fsum(mp.expj(q * mp.mpf(a)) for a in angles) / len(angles))
+
+
+def bessel_series_terms(k_bw: complex, k_aw: complex, r_star, r, angles) -> tuple[complex, complex]:
+    """(J_0(rho), E(rho, phi)) of the Bessel-harmonic series of s^H w / N.
+
+    s_n = e^{i k_bw theta_n . r*}, w_n = e^{i k_aw theta_n . r}. With
+    z = k_aw r - conj(k_bw) r*, rho = sqrt(z . z) and
+    e^{i phi} = (z_x + i z_y) / rho, the Jacobi-Anger expansion gives
+
+        s^H w = N (J_0(rho) + E),  E = sum_{q != 0} i^q J_q(rho) e^{-iq phi} A_q,
+
+    A_q = (1/N) sum_n e^{iq theta_n}. E is exactly 0 when rho = 0. The
+    series is cut once |J_q(rho)| < 1e-20 past q = |rho|.
+    """
+    angles = tuple(float(a) for a in angles)
+    with mp.workdps(20):
+        kb, ka = mp.mpc(k_bw), mp.mpc(k_aw)
+        zx = ka * r[0] - mp.conj(kb) * r_star[0]
+        zy = ka * r[1] - mp.conj(kb) * r_star[1]
+        rho = mp.sqrt(zx * zx + zy * zy)
+        j0 = complex(mp.besselj(0, rho))
+        error = 0j
+        if rho != 0:
+            eiphi = complex((zx + 1j * zy) / rho)
+            q = 0
+            while True:
+                q += 1
+                jq = complex(mp.besselj(q, rho))
+                # J_{-q} = (-1)^q J_q and i^{-q} (-1)^q = i^q
+                error += (1j**q) * jq * (eiphi**-q * _ring_average(angles, q)
+                                         + eiphi**q * _ring_average(angles, -q))
+                if q > abs(rho) and abs(jq) < 1e-20:
+                    break
+    return j0, error
+
+
+def bessel_series_norm_factor(k_bw: complex, k_aw: complex, r_star, r, angles) -> float:
+    """g(r) = |s^H w| / (|s| |w|) from the Bessel-harmonic series.
+
+    s^H w / N = J_0(rho) + E is summed by `bessel_series_terms`; the moduli
+    |s| and |w| are summed directly.
+    """
+    angles = tuple(float(a) for a in angles)
+    j0, error = bessel_series_terms(k_bw, k_aw, r_star, r, angles)
+
+    def modulus2(k, p):
+        return math.fsum(math.exp(-2.0 * k.imag * (math.cos(a) * p[0] + math.sin(a) * p[1]))
+                         for a in angles)
+
+    return abs(j0 + error) * len(angles) / math.sqrt(modulus2(k_bw, r_star) * modulus2(k_aw, r))
 
 
 def onesided_jacobi_singular_values(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:

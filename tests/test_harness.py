@@ -4,7 +4,7 @@ import math
 import pytest
 
 from mwmusic import cli, forward as fw, harness, music as mu
-from mwmusic.errors import ConfigurationError, TruncationError
+from mwmusic.errors import ConfigurationError, DomainError
 
 from conftest import EPS0
 
@@ -187,15 +187,27 @@ class TestRunExperiment:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     def test_partial_artifacts_removed_on_failure(self, tmp_path):
-        # ratio 300 pushes the harmonic truncation past its ceiling, failing
-        # the sweep after the first ratio has written its files
+        # ratio 1e10 scales k_aw by 1e5, so the steering Hankel arguments
+        # leave the supported range and the sweep fails after the first
+        # ratio has written its files
         path = tmp_path / "fail.ini"
-        path.write_text("[sweep]\nkind = permeability\nratios = 1, 300\n")
+        path.write_text("[sweep]\nkind = permeability\nratios = 1, 1e10\n")
         config = harness.load_config(path, resolution=32, out_dir=tmp_path / "broken")
-        with pytest.raises(TruncationError):
+        with pytest.raises(DomainError):
             harness.run_experiment(config, log=lambda *_: None)
         leftover = [p.name for p in (tmp_path / "broken").glob("*") if p.suffix != ""]
         assert leftover == []
+
+    def test_large_ratio_has_closed_form(self, tmp_path):
+        # the direct-sum closed form has no truncation order to run out of
+        path = tmp_path / "large.ini"
+        path.write_text("[sweep]\nkind = permeability\nratios = 1, 300\n")
+        config = harness.load_config(path, resolution=32, out_dir=tmp_path / "large")
+        report = harness.run_experiment(config, log=lambda *_: None)
+        assert [r.ratio for r in report.records] == [1.0, 300.0]
+        for rec in report.records:
+            assert rec.closed_form is not None
+            assert all(math.isfinite(v) for v in rec.closed_form.values())
 
     def test_lossless_background_report_is_strict_json(self, tmp_path):
         # sigma_b = 0 makes the loss diagnostic unbounded; the report must
@@ -300,8 +312,10 @@ class TestCli:
         assert cli.main(["validate", str(bad)]) == 2
 
     def test_numerical_failure_exits_3(self, tmp_path):
-        bad = tmp_path / "trunc.ini"
-        bad.write_text("[sweep]\nkind = permeability\nratios = 300\n")
+        # an anomaly made of the background medium scatters nothing, so the
+        # data matrix is zero
+        bad = tmp_path / "void.ini"
+        bad.write_text("[anomaly:D1]\nrel_permittivity = 20\nconductivity_s_per_m = 0.2\n")
         assert (
             cli.main(["run", str(bad), "--out", str(tmp_path / "t"), "--resolution", "32"]) == 3
         )

@@ -50,11 +50,13 @@ class TestBesselJ:
             specfun.bessel_j(specfun.Q_MAX + 1, 1.0)
 
     def test_grid_matches_scalar(self):
+        # bessel_j reads its value from this table, so the table is checked
+        # against the series oracle directly
         xs = np.array([0.0, 1e-14, 0.3, 2.0, 9.0, 15.5, 28.0])
         table = specfun.bessel_j_grid(xs, 40)
         for i, x in enumerate(xs):
             for q in (0, 1, 2, 17, 40):
-                assert table[i, q] == pytest.approx(specfun.bessel_j(q, float(x)), abs=1e-12)
+                assert table[i, q] == pytest.approx(bessel_j_oracle(q, float(x)), abs=1e-12)
 
     def test_recurrence_residual(self):
         # |J_{q-1} + J_{q+1} - (2q/x) J_q| <= 1e-9

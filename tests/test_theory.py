@@ -9,10 +9,9 @@ from mwmusic import music as mu
 from mwmusic import scene as sc
 from mwmusic import theory as th
 from mwmusic.errors import DegenerateDataError, DomainError
-from mwmusic.specfun import bessel_j
 
 from conftest import D1_CENTER, image_from_data, make_scene
-from oracles import far_field_normalization, plane_wave_circle_mean
+from oracles import bessel_series_norm_factor, bessel_series_terms, far_field_normalization
 
 
 def _ctx(scene, kind=None, ratio=1.0, r_star=(0.01, 0.03)):
@@ -49,42 +48,53 @@ class TestMismatchedWavenumber:
 
 
 class TestErrorSeries:
+    # E is the harmonic error term of the theorem: s^H w / N = J_0(rho) + E
     def test_zero_at_matched_location(self, single_scene):
-        # k_aw = k_bw and r = r*: the difference argument vanishes
-        ctx = _ctx(single_scene)
-        assert th.error_series(ctx, (0.01, 0.03)) == 0
+        # lossless background, k_aw = k_bw and r = r*: the difference
+        # argument z vanishes, so E = 0 and J_0 = 1
+        bg = single_scene.background
+        lossless = sc.Medium(bg.permittivity, 0.0, bg.permeability)
+        k = sc.wavenumber(lossless, single_scene.omega)
+        assert k.value.imag == 0
+        r_star = (0.01, 0.03)
+        j0, error = bessel_series_terms(k.value, k.value, r_star, r_star, single_scene.array.angles)
+        assert error == 0
+        assert j0 == 1
+        ctx = th.TheoryContext(k_bw=k, k_aw=k, r_star=r_star, array=single_scene.array)
+        assert th._norm_factor(ctx, np.asarray([r_star]))[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_j0_plus_error_is_one_at_match(self, single_scene):
+        # k_aw = k_bw and r = r*: s and w are the same vector. For the lossy
+        # background z = 2i Im(k) r* is not zero, so J_0 + E is a nontrivial
+        # series that must still normalize to 1.
         ctx = _ctx(single_scene)
-        pts = np.asarray([[0.01, 0.03]])
-        x, _ = th._difference_polar(ctx, pts)
-        val = bessel_j(0, float(x[0])) + th.error_series(ctx, (0.01, 0.03))
-        assert abs(val) == pytest.approx(1.0, abs=1e-12)
+        k = ctx.k_bw.value
+        angles = single_scene.array.angles
+        j0, error = bessel_series_terms(k, k, ctx.r_star, ctx.r_star, angles)
+        assert error != 0
+        series = bessel_series_norm_factor(k, k, ctx.r_star, ctx.r_star, angles)
+        assert series == pytest.approx(1.0, abs=1e-12)
+        g = th._norm_factor(ctx, np.asarray([ctx.r_star]))
+        assert g[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_matches_plane_wave_sum_oracle(self, single_scene):
-        # cornerstone identity: the harmonic series reproduces the direct
-        # circle average of plane-wave phases at 200 random samples
+
+class TestNormFactor:
+    def test_matches_bessel_series_oracle(self, single_scene):
+        # cornerstone identity: the direct antenna sum equals the theorem's
+        # Bessel-harmonic series at 200 random samples
         rng = np.random.default_rng(17)
         kinds = ("permeability", "permittivity", "conductivity")
+        angles = single_scene.array.angles
         worst = 0.0
         for trial in range(200):
             ctx = _ctx(single_scene, kinds[trial % 3], float(rng.uniform(0.2, 5.0)))
             rad = 0.084 * math.sqrt(rng.uniform())
             ang = rng.uniform(0, 2 * math.pi)
             r = (rad * math.cos(ang), rad * math.sin(ang))
-            pts = np.asarray([r])
-            x, phi = th._difference_polar(ctx, pts)
-            lhs = plane_wave_circle_mean(float(x[0]), float(phi[0]), single_scene.array.angles)
-            rhs = bessel_j(0, float(x[0])) + th.error_series(ctx, r)
-            worst = max(worst, abs(lhs - rhs))
+            got = th._norm_factor(ctx, np.asarray([r]))[0]
+            want = bessel_series_norm_factor(ctx.k_bw.value, ctx.k_aw.value, ctx.r_star, r, angles)
+            worst = max(worst, abs(got - want))
         assert worst <= 1e-9
-
-    def test_truncation_ceiling_respected(self, single_scene):
-        k_bw = single_scene.background_wavenumber()
-        ctx = th.TheoryContext(k_bw=k_bw, k_aw=k_bw, r_star=(0.01, 0.03),
-                               array=single_scene.array, q_max=4)
-        with pytest.raises(DomainError):
-            th.error_series(ctx, (-0.07, 0.05))
 
 
 class TestClosedFormMap:
@@ -112,6 +122,13 @@ class TestClosedFormMap:
         image = th.closed_form_map(ctx, grid)
         pred = th.predicted_peak(ctx.k_bw, ctx.k_aw, (0.01, 0.03))
         assert math.dist(image.argmax_point(), pred) <= 2 * grid.cell_size
+
+    def test_finite_for_high_loss(self, single_scene):
+        # conductivity x1e6 gives Im(k_aw) ~ 2.8e4 /m, so e^{-Im(k) theta . r}
+        # alone would overflow across the region of interest
+        grid = mu.grid_for_roi(0.085, 32)
+        norm = th.closed_form_norm_map(_ctx(single_scene, "conductivity", 1e6), grid)
+        assert np.all(np.isfinite(norm[grid.mask]))
 
     def test_invariant_under_antenna_relabeling(self, single_scene):
         grid = mu.grid_for_roi(0.085, 32)
