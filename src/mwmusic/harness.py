@@ -56,6 +56,7 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -394,11 +395,11 @@ def _ratio_label(kind: str, ratio: float) -> str:
 def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
     """Execute the sweep and write artifacts into config.out_dir.
 
-    Raises with partial artifacts removed if any ratio fails.
+    Raises with partial artifacts removed if any ratio fails; a directory
+    the run created is removed with them.
     """
     scene = config.scene
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     k_bw = scene.background_wavenumber()
     data = fw.scattering_matrix(scene, k_bw, config.forward_mode)
     if config.snr_db != fw.NOISELESS:
@@ -420,6 +421,9 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
     )
     basis = dec.left_vectors[:, :m_used]
 
+    # the outermost directory this run creates, if any
+    created = next((p for p in (*reversed(out_dir.parents), out_dir) if not p.exists()), None)
+    out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     records: list[RatioRecord] = []
     try:
@@ -504,6 +508,8 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
         )
         return report
     except Exception:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
         for p in written:
             p.unlink(missing_ok=True)
         raise

@@ -262,14 +262,12 @@ def write_map_csv(image: ImageMap, path, which: str = "values") -> None:
         f"# k_aw,{float(k_re)!r},{float(k_im)!r}",
         "x,y,value",
     ]
-    ticks = grid.ticks
-    mask = grid.mask
-    for iy in range(grid.resolution):
-        for ix in range(grid.resolution):
-            if mask[iy, ix]:
-                lines.append(
-                    f"{float(ticks[ix])!r},{float(ticks[iy])!r},{float(data[iy, ix])!r}"
-                )
+    ticks = [repr(t) for t in grid.ticks.tolist()]
+    iy, ix = np.nonzero(grid.mask)
+    lines += [
+        f"{ticks[x]},{ticks[y]},{v!r}"
+        for y, x, v in zip(iy.tolist(), ix.tolist(), data[iy, ix].tolist())
+    ]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -5,7 +5,8 @@ Bessel/Hankel values come from ascending power series summed in mpmath
 arbitrary precision, singular values from a pure-Python one-sided Jacobi
 SVD (the package calls LAPACK), and the closed-form norm factor is summed
 as the Bessel-harmonic series of the theorem with mpmath's Bessel
-functions (the package sums over the antennas instead).
+functions (the package sums over the antennas instead). The map CSV
+reference formats one cell at a time with NumPy scalar indexing.
 """
 
 from __future__ import annotations
@@ -205,3 +206,27 @@ def far_field_normalization(angles, r_star, k: complex) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def map_csv_text(image, which: str = "values") -> str:
+    """The text of a map CSV, formatted cell by cell: the header, then one
+    repr(x),repr(y),repr(value) row per unmasked cell, y rows ascending and
+    x fastest."""
+    grid = image.grid
+    data = image.values if which == "values" else image.raw_norm
+    k_re, k_im = (image.k_aw.real, image.k_aw.imag) if image.k_aw is not None else (0.0, 0.0)
+    lines = [
+        f"# resolution,{grid.resolution}",
+        f"# bounds,{float(-grid.half_extent)!r},{float(grid.half_extent)!r}",
+        f"# k_aw,{float(k_re)!r},{float(k_im)!r}",
+        "x,y,value",
+    ]
+    ticks = grid.ticks
+    mask = grid.mask
+    for iy in range(grid.resolution):
+        for ix in range(grid.resolution):
+            if mask[iy, ix]:
+                lines.append(
+                    f"{float(ticks[ix])!r},{float(ticks[iy])!r},{float(data[iy, ix])!r}"
+                )
+    return "\n".join(lines) + "\n"

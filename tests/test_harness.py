@@ -198,6 +198,25 @@ class TestRunExperiment:
         leftover = [p.name for p in (tmp_path / "broken").glob("*") if p.suffix != ""]
         assert leftover == []
 
+    def test_failed_run_removes_directories_it_created(self, tmp_path):
+        path = tmp_path / "fail.ini"
+        path.write_text("[sweep]\nkind = permeability\nratios = 1, 1e10\n")
+        config = harness.load_config(path, resolution=32, out_dir=tmp_path / "new" / "out")
+        with pytest.raises(DomainError):
+            harness.run_experiment(config, log=lambda *_: None)
+        assert not (tmp_path / "new").exists()
+
+    def test_failed_run_keeps_existing_directory(self, tmp_path):
+        path = tmp_path / "fail.ini"
+        path.write_text("[sweep]\nkind = permeability\nratios = 1, 1e10\n")
+        out = tmp_path / "existing"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        config = harness.load_config(path, resolution=32, out_dir=out)
+        with pytest.raises(DomainError):
+            harness.run_experiment(config, log=lambda *_: None)
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
     def test_large_ratio_has_closed_form(self, tmp_path):
         # the direct-sum closed form has no truncation order to run out of
         path = tmp_path / "large.ini"
@@ -319,6 +338,17 @@ class TestCli:
         assert (
             cli.main(["run", str(bad), "--out", str(tmp_path / "t"), "--resolution", "32"]) == 3
         )
+        # the data fails before any artifact is written
+        assert not (tmp_path / "t").exists()
+
+    def test_failed_run_leaves_no_directory(self, tmp_path):
+        # a steering argument out of range fails the second ratio after the
+        # first has written its artifacts
+        bad = tmp_path / "range.ini"
+        bad.write_text("[sweep]\nratios = 1, 1e10\n")
+        out = tmp_path / "range-out"
+        assert cli.main(["run", str(bad), "--out", str(out), "--resolution", "32"]) in (2, 3)
+        assert not out.exists()
 
     def test_compare_cli(self, empty_config, tmp_path, capsys):
         assert (

@@ -14,7 +14,7 @@ from mwmusic.errors import (
 )
 
 from conftest import image_from_data, make_scene
-from oracles import onesided_jacobi_singular_values
+from oracles import map_csv_text, onesided_jacobi_singular_values
 
 
 def _grid(resolution=128):
@@ -371,6 +371,25 @@ class TestImageMapIO:
         back = mu.read_map_csv(path, roi_radius=0.085)
         mask = image.grid.mask
         assert np.array_equal(back.values[mask], image.raw_norm[mask])
+
+    def _clipped_image(self):
+        # a signal basis spanned by one cell's own steering vector drives that
+        # cell's projection norm to rounding level, past DEFAULT_CEILING
+        scn = make_scene(1)
+        k = scn.background_wavenumber()
+        grid = _grid(32)
+        w = mu.test_vector(k, grid.point_of(20, 12), scn.array)
+        return mu.imaging_map(w[:, None], k, scn.array, grid)
+
+    @pytest.mark.parametrize("which", ["values", "raw_norm"])
+    @pytest.mark.parametrize("clipped", [False, True], ids=["plain", "clipped"])
+    def test_csv_bytes_match_reference(self, tmp_path, which, clipped):
+        image = self._clipped_image() if clipped else self._image()
+        if clipped:
+            assert image.values[20, 12] == mu.DEFAULT_CEILING
+        path = tmp_path / "map.csv"
+        mu.write_map_csv(image, path, which=which)
+        assert path.read_bytes() == map_csv_text(image, which).encode("ascii")
 
     def test_pgm_layout(self, tmp_path):
         image = self._image(128)

@@ -1,12 +1,16 @@
+import functools
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from mwmusic import specfun
+from mwmusic import harness, music as mu
+from mwmusic import scene as sc
+from mwmusic import specfun, theory as th
 from mwmusic.errors import DomainError, SingularityError, TruncationError
 
+from conftest import ARRAY_RADIUS, ROI_RADIUS, make_scene
 from oracles import bessel_j_oracle, hankel2_0_oracle, jacobi_anger_partial
 
 
@@ -116,6 +120,99 @@ class TestHankel2:
             specfun.hankel2_0(2.0e6)
         with pytest.raises(DomainError):
             specfun.hankel2_0(complex(float("inf"), 0.0))
+
+
+def _preset_sweep(name):
+    kind, ratios, _ = harness.PRESETS[name]
+    return [(kind, r) for r in ratios]
+
+
+# (resolution, antenna count, swept parameter, ratio) of the steering tables
+# of the benchmark workloads (mu-single, sigma-double, array64, compare),
+# which between them cover every preset ratio; mu x300 is the largest ratio
+# the harness tests sweep
+_RAY_TABLES = (
+    [(112, 16, *kr) for kr in _preset_sweep("fig-mu-single") + [("permeability", 300.0)]]
+    + [(160, 16, *kr) for kr in _preset_sweep("fig-sigma-double")]
+    + [(48, 64, *kr) for kr in _preset_sweep("fig-eps-double")]
+    + [(144, 16, *kr) for kr in _preset_sweep("fig-mu-single")]
+)
+# worst measured over _RAY_TABLES: 1.9e-10 (eps x10, resolution 48, 64 antennas) at
+# |kd| = 15.0, the series/asymptotic crossover of hankel2_0, where hankel2_0
+# is 1.2e-10 and the interpolant 6.7e-11 off mpmath
+_RAY_VS_HANKEL_REL = 4e-10
+
+
+@functools.lru_cache(maxsize=None)
+def _distances(resolution, count):
+    points = mu.grid_for_roi(ROI_RADIUS, resolution).cell_centers
+    sources = sc.uniform_circular_array(count, ARRAY_RADIUS).positions
+    return np.hypot(
+        points[:, None, 0] - sources[None, :, 0], points[:, None, 1] - sources[None, :, 1]
+    )
+
+
+def _wavenumber(kind, ratio):
+    scene = make_scene(1)
+    return th.mismatched_wavenumber(
+        scene.background, scene.omega, th.MismatchSpec(kind, ratio)
+    ).value
+
+
+@pytest.mark.parametrize("resolution,count,kind,ratio", _RAY_TABLES)
+class TestHankel2Ray:
+    def test_sampled_entries_against_oracle(self, resolution, count, kind, ratio):
+        k = _wavenumber(kind, ratio)
+        d = _distances(resolution, count).ravel()
+        rng = np.random.default_rng(resolution + count)
+        picks = np.concatenate([[np.argmin(d), np.argmax(d)], rng.integers(0, d.size, 8)])
+        # the panels follow the whole table's range, so pick from the table
+        table = specfun.hankel2_0_ray(k, d)
+        for i, v in zip(picks, table[picks]):
+            ref = hankel2_0_oracle(complex(k * d[i]))
+            assert abs(v - ref) <= 1e-9 * abs(ref)
+
+    def test_whole_table_matches_hankel2_0(self, resolution, count, kind, ratio):
+        k = _wavenumber(kind, ratio)
+        d = _distances(resolution, count)
+        table = specfun.hankel2_0_ray(k, d)
+        ref = specfun.hankel2_0(k * d)
+        assert table.shape == d.shape
+        assert np.max(np.abs(table - ref) / np.abs(ref)) <= _RAY_VS_HANKEL_REL
+
+
+class TestHankel2RayEdges:
+    def test_all_equal_distances(self):
+        # every distance from the array centre is the ring radius
+        k = _wavenumber("permeability", 1.0)
+        d = np.full((3, 16), ARRAY_RADIUS)
+        table = specfun.hankel2_0_ray(k, d)
+        assert np.all(table == table[0, 0])
+        assert table[0, 0] == pytest.approx(specfun.hankel2_0(k * ARRAY_RADIUS), rel=1e-14)
+
+    def test_empty_table(self):
+        assert specfun.hankel2_0_ray(94.0 + 8.0j, np.empty((0, 16))).shape == (0, 16)
+
+    def test_out_of_range_argument(self):
+        # |k d| past 1e6 only at the far end of the table
+        with pytest.raises(DomainError):
+            specfun.hankel2_0_ray(100.0, np.array([0.01, 0.05, 1.001e4]))
+        # the permeability x1e10 wavenumber of the harness failure test
+        with pytest.raises(DomainError):
+            specfun.hankel2_0_ray(1.0e5 * (94.0 + 8.0j), np.array([0.05, 0.2]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_distance(self, bad):
+        with pytest.raises(DomainError):
+            specfun.hankel2_0_ray(94.0 + 8.0j, np.array([0.05, bad, 0.1]))
+
+    def test_non_finite_wavenumber(self):
+        with pytest.raises(DomainError):
+            specfun.hankel2_0_ray(complex(math.nan, 1.0), np.array([0.05, 0.1]))
+
+    def test_zero_distance(self):
+        with pytest.raises(SingularityError):
+            specfun.hankel2_0_ray(94.0 + 8.0j, np.array([0.0, 0.1]))
 
 
 class TestJacobiAngerTruncation:
