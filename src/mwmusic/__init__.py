@@ -24,11 +24,8 @@ from .forward import (
     NOISELESS,
     ScatteringMatrix,
     add_noise,
-    asymptotic_incident_field,
-    born_sparam,
-    incident_field,
-    load_matrix,
-    save_matrix,
+    asymptotic_field_matrix,
+    incident_field_matrix,
     scattering_matrix,
 )
 from .harness import ExperimentConfig, PRESETS, RunReport, load_config, run_experiment
@@ -46,7 +43,6 @@ from .music import (
     read_map_csv,
     signal_subspace_dim,
     svd_leading,
-    test_vector,
     write_map_csv,
     write_map_pgm,
 )
@@ -74,7 +70,6 @@ from .theory import (
     compare_maps,
     mismatched_wavenumber,
     predicted_peak,
-    closed_form_map,
 )
 
 __version__ = "0.1.0"

@@ -9,11 +9,16 @@ with u either the exact point-source field (i/4) H_0^(2)(k |r - r'|)
 ("full_hankel" mode) or its far-field plane-wave reduction ("asymptotic"
 mode). The N x N matrix of these values is symmetric with an identically
 zero diagonal (monostatic entries are not part of the data).
+
+Every field is one table over points x antennas. The data matrix takes
+its (anomalies x antennas) table from one exact `hankel2_0` call on the
+distance table, or from `asymptotic_field_matrix`; the exact-field
+steering table of the imaging step, `incident_field_matrix`, takes the
+same field from the Chebyshev interpolant `hankel2_0_ray`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -53,22 +58,8 @@ class ScatteringMatrix:
         object.__setattr__(self, "entries", e)
 
 
-def incident_field(k: Wavenumber, r, r_src) -> complex:
-    """Point-source field (i/4) H_0^(2)(k |r - r_src|); symmetric in its two points."""
-    d = math.dist(tuple(r), tuple(r_src))
-    if d == 0.0:
-        raise SingularityError("incident field evaluated at its source point")
-    return 0.25j * hankel2_0(k.value * d)
-
-
-def incident_field_matrix(k: Wavenumber, points: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Point-source field (i/4) H_0^(2)(k |r - r_src|) at every point for every
-    source, shape (len(points), len(sources)).
-
-    All arguments lie on the one ray k * d, so the table comes from the
-    piecewise Chebyshev interpolant `hankel2_0_ray` (within ~2e-10 of
-    `hankel2_0`, which `incident_field` calls directly).
-    """
+def _distances(points: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """|r - r_src| for every point and source, shape (len(points), len(sources))."""
     points = np.asarray(points, dtype=float)
     sources = np.asarray(sources, dtype=float)
     d = np.hypot(
@@ -77,75 +68,58 @@ def incident_field_matrix(k: Wavenumber, points: np.ndarray, sources: np.ndarray
     )
     if np.any(d == 0.0):
         raise SingularityError("incident field evaluated at a source point")
-    return 0.25j * hankel2_0_ray(k.value, d)
+    return d
 
 
-def asymptotic_incident_field(k: Wavenumber, antenna, r) -> complex:
-    """Far-field reduction of the point-source field at antenna position a:
+def incident_field_matrix(k: Wavenumber, points: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Point-source field (i/4) H_0^(2)(k |r - r_src|) at every point for every
+    source, shape (len(points), len(sources)).
+
+    All arguments lie on the one ray k * d, so the table comes from the
+    piecewise Chebyshev interpolant `hankel2_0_ray` (within ~2e-10 of
+    `hankel2_0`, which the data matrix calls directly).
+    """
+    return 0.25j * hankel2_0_ray(k.value, _distances(points, sources))
+
+
+def asymptotic_field_matrix(k: Wavenumber, points: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Far-field reduction of the point-source field at every point for every
+    source a, shape (len(points), len(sources)):
 
         (-1+i) e^{-ik|a|} / (4 sqrt(k pi |a|)) * e^{ik (a/|a|) . r}
 
     The wavenumber passed in drives both the amplitude and the plane-wave phase.
     """
-    ax, ay = float(antenna[0]), float(antenna[1])
-    big_r = math.hypot(ax, ay)
-    if big_r == 0.0:
+    points = np.asarray(points, dtype=float)
+    sources = np.asarray(sources, dtype=float)
+    big_r = np.hypot(sources[:, 0], sources[:, 1])
+    if np.any(big_r == 0.0):
         raise DomainError("antenna position must be nonzero")
-    rx, ry = float(r[0]), float(r[1])
-    phase = (ax * rx + ay * ry) / big_r
     kv = k.value
-    return (
-        (-1 + 1j)
-        * cmath.exp(-1j * kv * big_r)
-        / (4.0 * cmath.sqrt(kv * math.pi * big_r))
-        * cmath.exp(1j * kv * phase)
-    )
-
-
-def _antenna_field_vector(scene: Scene, k: Wavenumber, center, mode: str) -> np.ndarray:
-    """u(k, a_n, r*) over all antennas, per the requested mode."""
-    if mode == FULL_HANKEL:
-        return np.array([incident_field(k, pos, center) for pos in scene.array.positions])
-    if mode == ASYMPTOTIC:
-        return np.array(
-            [asymptotic_incident_field(k, pos, center) for pos in scene.array.positions]
-        )
-    raise DomainError(f"unknown mode {mode!r}")
-
-
-def _anomaly_terms(scene: Scene, k_bw: Wavenumber, mode: str):
-    """Per-anomaly (weight, field-vector) pairs of the first-order model."""
-    omega = scene.omega
-    mu = scene.background.permeability
-    for an in scene.anomalies:
-        weight = (
-            1j * an.radius**2 * k_bw.value**2 * math.pi / (4.0 * omega * mu)
-        ) * contrast(an, scene.background, omega)
-        yield weight, _antenna_field_vector(scene, k_bw, an.center, mode)
-
-
-def born_sparam(scene: Scene, k_bw: Wavenumber, m: int, n: int, mode: str = FULL_HANKEL) -> complex:
-    """Scattered-field S-parameter between antennas m and n (0-based indices)."""
-    if m == n:
-        raise DomainError("monostatic (m == n) entries are excluded from the data")
-    count = scene.array.count
-    if not (0 <= m < count and 0 <= n < count):
-        raise DomainError(f"antenna indices must lie in [0, {count})")
-    if not scene.anomalies:
-        raise DomainError("scene must contain at least one anomaly")
-    total = 0.0 + 0.0j
-    for weight, u in _anomaly_terms(scene, k_bw, mode):
-        total += weight * (u[m] * u[n])
-    return total
+    amplitude = (-1 + 1j) * np.exp(-1j * kv * big_r) / (4.0 * np.sqrt(kv * math.pi * big_r))
+    return amplitude * np.exp(1j * kv * ((points @ sources.T) / big_r))
 
 
 def scattering_matrix(scene: Scene, k_bw: Wavenumber, mode: str = FULL_HANKEL) -> ScatteringMatrix:
     """Assemble the full N x N data matrix; no anomalies gives the zero matrix."""
+    centers = np.array([an.center for an in scene.anomalies], dtype=float).reshape(-1, 2)
+    positions = scene.array.positions
+    if mode == FULL_HANKEL:
+        fields = 0.25j * hankel2_0(k_bw.value * _distances(centers, positions))
+    elif mode == ASYMPTOTIC:
+        fields = asymptotic_field_matrix(k_bw, centers, positions)
+    else:
+        raise DomainError(f"unknown mode {mode!r}")
+    omega = scene.omega
+    mu = scene.background.permeability
     count = scene.array.count
     entries = np.zeros((count, count), dtype=np.complex128)
     # fill the upper triangle and mirror it, so reciprocity holds bit for bit
     iu, ju = np.triu_indices(count, k=1)
-    for weight, u in _anomaly_terms(scene, k_bw, mode):
+    for an, u in zip(scene.anomalies, fields):
+        weight = (
+            1j * an.radius**2 * k_bw.value**2 * math.pi / (4.0 * omega * mu)
+        ) * contrast(an, scene.background, omega)
         entries[iu, ju] += weight * (u[iu] * u[ju])
     entries[ju, iu] = entries[iu, ju]
     return ScatteringMatrix(n=count, entries=entries, mode=mode)
@@ -177,39 +151,3 @@ def add_noise(k_mat: ScatteringMatrix, snr_db: float, seed: int) -> ScatteringMa
     noise[iu, ju] = draws
     noise[ju, iu] = draws
     return ScatteringMatrix(n=n, entries=k_mat.entries + noise, mode=k_mat.mode)
-
-
-# ---------------------------------------------------------------------------
-# Text serialization: count line, mode line, then N^2 "re,im" rows
-# (row-major), printed with 17 significant digits for lossless round-trips.
-# ---------------------------------------------------------------------------
-
-def save_matrix(k_mat: ScatteringMatrix, path) -> None:
-    lines = [str(k_mat.n), k_mat.mode]
-    for value in k_mat.entries.ravel():
-        lines.append(f"{value.real:.17g},{value.imag:.17g}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_matrix(path) -> ScatteringMatrix:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if len(lines) < 2:
-        raise DomainError(f"{path}: truncated scattering-matrix file")
-    try:
-        n = int(lines[0])
-    except ValueError as exc:
-        raise DomainError(f"{path}: bad count line {lines[0]!r}") from exc
-    mode = lines[1]
-    body = lines[2:]
-    if len(body) != n * n:
-        raise DomainError(f"{path}: expected {n * n} entries, found {len(body)}")
-    values = np.empty(n * n, dtype=np.complex128)
-    for i, row in enumerate(body):
-        try:
-            re_s, im_s = row.split(",")
-            values[i] = complex(float(re_s), float(im_s))
-        except ValueError as exc:
-            raise DomainError(f"{path}: bad entry {row!r} at row {i}") from exc
-    return ScatteringMatrix(n=n, entries=values.reshape(n, n), mode=mode)

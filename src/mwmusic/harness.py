@@ -65,7 +65,7 @@ from pathlib import Path
 from . import forward as fw
 from . import music as mu
 from . import theory as th
-from .errors import ConfigurationError, MwMusicError
+from .errors import ConfigurationError, MwMusicError, NumericalError
 from .scene import (
     BACKGROUND_PERMEABILITY,
     VACUUM_PERMITTIVITY,
@@ -246,51 +246,6 @@ def load_config(path, preset: str | None = None, **overrides) -> ExperimentConfi
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
-
-
-def write_config(config: ExperimentConfig, path) -> None:
-    """Serialize an ExperimentConfig back to the INI format read by load_config."""
-    scene = config.scene
-    parser = configparser.ConfigParser()
-    parser["scene"] = {
-        "frequency_hz": repr(scene.frequency),
-        "roi_radius_m": repr(scene.roi_radius),
-        "background_rel_permittivity": repr(scene.background.permittivity / VACUUM_PERMITTIVITY),
-        "background_conductivity_s_per_m": repr(scene.background.conductivity),
-        "background_permeability_h_per_m": repr(scene.background.permeability),
-    }
-    parser["array"] = {
-        "count": str(scene.array.count),
-        "radius_m": repr(scene.array.radius),
-    }
-    for i, an in enumerate(scene.anomalies, start=1):
-        parser[f"anomaly:{i}"] = {
-            "center_x_m": repr(an.center[0]),
-            "center_y_m": repr(an.center[1]),
-            "radius_m": repr(an.radius),
-            "rel_permittivity": repr(an.medium.permittivity / VACUUM_PERMITTIVITY),
-            "conductivity_s_per_m": repr(an.medium.conductivity),
-        }
-    parser["sweep"] = {
-        "kind": config.sweep_kind,
-        "ratios": ", ".join(f"{r:g}" for r in config.ratios),
-    }
-    imaging = {
-        "resolution": str(config.resolution),
-        "forward_mode": config.forward_mode,
-        "test_vector": config.test_variant,
-        "threshold_ratio": repr(config.threshold_ratio),
-    }
-    if config.signal_dim is not None:
-        imaging["signal_dim"] = str(config.signal_dim)
-    parser["imaging"] = imaging
-    parser["noise"] = {
-        "snr_db": "inf" if config.snr_db == fw.NOISELESS else repr(config.snr_db),
-        "seed": str(config.seed),
-    }
-    parser["output"] = {"directory": str(config.out_dir)}
-    with open(path, "w", encoding="ascii") as fh:
-        parser.write(fh)
 
 
 @dataclass(frozen=True)
@@ -528,7 +483,7 @@ def _require_finite_record(record: RatioRecord) -> None:
     if record.closed_form is not None:
         flat += list(record.closed_form.values())
     if not all(math.isfinite(v) for v in flat):
-        raise MwMusicError("run produced a non-finite report value")
+        raise NumericalError("run produced a non-finite report value")
 
 
 def compare_saved_map(csv_path, config: ExperimentConfig) -> th.MapComparison:

@@ -4,7 +4,10 @@ noise-space projection, and the reciprocal-projection map over a grid.
 The decomposition is one LAPACK singular value decomposition of K itself.
 A sweep decomposes its data matrix once and images every trial wavenumber
 from the same retained signal basis U[:, :M]; only the steering vectors
-change between wavenumbers.
+change between wavenumbers. The steering vectors of all grid cells form
+one (cells, N) table: the exact-field table comes from
+`forward.incident_field_matrix`, the plane-wave table from
+`_unit_phasors`, which the closed form in `theory` shares.
 """
 
 from __future__ import annotations
@@ -74,43 +77,33 @@ def signal_subspace_dim(singular_values, threshold_ratio: float = DEFAULT_THRESH
     return int(max(1, np.count_nonzero(taus >= threshold_ratio * taus[0])))
 
 
+def _unit_phasors(k: complex, points: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Rows e^{i k theta_n . r} for each point, scaled to unit length.
+
+    The largest modulus of each row is divided out before the exponential,
+    so a lossy k cannot overflow it; the scale cancels in the normalization.
+    """
+    phase = 1j * k * (points @ directions.T)
+    phase -= phase.real.max(axis=1, keepdims=True)
+    rows = np.exp(phase, out=phase)
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows
+
+
 def _steering_rows(
     k_aw: Wavenumber, points: np.ndarray, array: AntennaArray, variant: str
 ) -> np.ndarray:
-    """Unit steering vectors for each point, shape (npoints, N)."""
-    if variant == EXACT_FIELD:
-        rows = incident_field_matrix(k_aw, points, array.positions)
-    elif variant == PLANE_WAVE:
-        rows = np.exp(1j * k_aw.value * (points @ array.directions.T))
-    else:
-        raise DomainError(f"unknown test-vector variant {variant!r}")
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
-def test_vector(
-    k_aw: Wavenumber,
-    r,
-    array: AntennaArray,
-    variant: str = EXACT_FIELD,
-    roi_radius: float | None = None,
-) -> np.ndarray:
-    """Unit steering vector at location r.
+    """Unit steering vectors for each point, shape (npoints, N).
 
     exact_field uses the point-source field at each antenna; plane_wave uses
-    the far-field phases e^{i k (a_n/|a_n|) . r}. Both are normalized to unit
-    Euclidean length (for a real wavenumber the plane-wave normalization is
-    exactly 1/sqrt(N)).
+    the far-field phases e^{i k (a_n/|a_n|) . r}.
     """
-    r = np.asarray(r, dtype=float)
-    rad = math.hypot(r[0], r[1])
-    if roi_radius is not None and rad >= roi_radius:
-        raise DomainError(f"point {tuple(r)} is not strictly inside the region of interest")
-    if rad >= array.radius:
-        raise DomainError(f"point {tuple(r)} is not inside the antenna ring")
-    d = np.hypot(*(array.positions - r).T)
-    if np.any(d < 1e-12):
-        raise DomainError("test vector requested at an antenna position")
-    return _steering_rows(k_aw, r[None, :], array, variant)[0]
+    if variant == EXACT_FIELD:
+        rows = incident_field_matrix(k_aw, points, array.positions)
+        return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    if variant == PLANE_WAVE:
+        return _unit_phasors(k_aw.value, points, array.directions)
+    raise DomainError(f"unknown test-vector variant {variant!r}")
 
 
 def projection_norm(basis: np.ndarray, w) -> np.ndarray:
@@ -228,12 +221,19 @@ def imaging_map(
 
     Values are clipped at the ceiling where the norm underflows; the
     unclipped norms are retained in raw_norm for quantitative comparison.
+    Raises NumericalError when a norm is not finite (an exact-field steering
+    table overflows once Im(k_aw) times the distance passes ~709).
     """
     if grid.resolution < 16:
         raise ConfigurationError("imaging grid resolution must be >= 16")
     if array.count != basis.shape[0]:
         raise DomainError("antenna count does not match the signal basis")
     norms = projection_norm(basis, _steering_rows(k_aw, grid.cell_centers, array, variant))
+    if not np.all(np.isfinite(norms)):
+        raise NumericalError(
+            f"non-finite projection norm: the steering field at k_aw = {k_aw.value:.6g} "
+            "is not finite"
+        )
 
     values = np.full((grid.resolution, grid.resolution), np.nan)
     raw = np.full_like(values, np.nan)

@@ -10,8 +10,10 @@ projection norm is then
 
 so the reciprocal map peaks where g reaches 1, near Re(k_bw/k_aw) r*. This
 module evaluates g as that direct sum over the N antennas, exact for lossy
-wavenumbers too. The paper states the same quantity as a Bessel-harmonic
-series: with z = k_aw r - conj(k_bw) r*, rho = sqrt(z . z) and
+wavenumbers too, from the same overflow-safe unit rows
+(`music._unit_phasors`) that the plane-wave steering uses. The paper
+states the same quantity as a Bessel-harmonic series: with
+z = k_aw r - conj(k_bw) r*, rho = sqrt(z . z) and
 e^{i phi} = (z_x + i z_y) / rho, the Jacobi-Anger expansion (DLMF 10.12) of
 each term gives
 
@@ -34,7 +36,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, DomainError
 from .forward import ASYMPTOTIC, ScatteringMatrix
-from .music import DEFAULT_CEILING, ImageMap, ImagingGrid
+from .music import ImageMap, ImagingGrid, _unit_phasors
 from .scene import AntennaArray, Medium, Scene, Wavenumber, contrast, wavenumber
 # not used here: the traced benchmark wraps these two names in this module
 from .specfun import bessel_j_grid, jacobi_anger_truncation  # noqa: F401
@@ -92,19 +94,6 @@ class TheoryContext:
         return (n * n - 2 * n) / (n * n - 2 * n + 1)
 
 
-def _unit_phasors(k: complex, points: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Rows e^{i k theta_n . r} for each point, scaled to unit length.
-
-    The largest modulus of each row is divided out before the exponential,
-    so a lossy k cannot overflow it; the scale cancels in the normalization.
-    """
-    phase = 1j * k * (points @ directions.T)
-    phase -= phase.real.max(axis=1, keepdims=True)
-    rows = np.exp(phase, out=phase)
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    return rows
-
-
 def _norm_factor(ctx: TheoryContext, points: np.ndarray) -> np.ndarray:
     """g(r) = |s^H w(r)| / (|s| |w(r)|) per point, clamped into [0, 1]."""
     dirs = ctx.array.directions
@@ -119,18 +108,6 @@ def closed_form_norm_map(ctx: TheoryContext, grid: ImagingGrid) -> np.ndarray:
     out = np.full((grid.resolution, grid.resolution), np.nan)
     out[grid.mask] = ctx._norm_prefactor * np.sqrt(np.clip(1.0 - g * g, 0.0, None))
     return out
-
-
-def closed_form_map(ctx: TheoryContext, grid: ImagingGrid, ceiling: float = DEFAULT_CEILING) -> ImageMap:
-    """Closed-form counterpart of the reciprocal projection map."""
-    norm = closed_form_norm_map(ctx, grid)
-    values = np.full_like(norm, np.nan)
-    mask = grid.mask
-    with np.errstate(divide="ignore"):
-        values[mask] = np.minimum(
-            np.where(norm[mask] > 0, 1.0 / norm[mask], np.inf), ceiling
-        )
-    return ImageMap(grid=grid, values=values, raw_norm=norm, k_aw=ctx.k_aw.value)
 
 
 def predicted_peak(k_bw: Wavenumber, k_aw: Wavenumber, r_star) -> tuple[float, float]:

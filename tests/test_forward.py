@@ -7,8 +7,9 @@ import pytest
 from mwmusic import forward as fw
 from mwmusic import scene as sc
 from mwmusic.errors import DomainError, SingularityError
+from mwmusic.specfun import hankel2_0
 
-from conftest import MU_B, make_background, make_scene
+from conftest import MU_B, make_background
 from oracles import hankel2_0_oracle, onesided_jacobi_singular_values
 
 OMEGA = 2 * math.pi * 1.0e9
@@ -21,41 +22,43 @@ def _k_bw():
 class TestIncidentField:
     def test_source_receiver_symmetry(self):
         k = _k_bw()
-        a, b = (0.09, 0.0), (0.01, 0.03)
-        assert fw.incident_field(k, a, b) == fw.incident_field(k, b, a)
+        a, b = np.array([[0.09, 0.0]]), np.array([[0.01, 0.03]])
+        assert fw.incident_field_matrix(k, a, b) == fw.incident_field_matrix(k, b, a)
 
     def test_reference_distance_against_oracle(self):
         # real k = 93.74 at the array radius 0.09 -> argument 8.4366
         k = sc.Wavenumber(omega=OMEGA, value=93.74 + 0.0j)
-        val = fw.incident_field(k, (0.09, 0.0), (0.0, 0.0))
+        val = fw.incident_field_matrix(k, np.array([[0.09, 0.0]]), np.array([[0.0, 0.0]]))[0, 0]
         ref = 0.25j * hankel2_0_oracle(complex(93.74 * 0.09))
         assert abs(val - ref) <= 1e-9 * abs(ref)
 
     def test_depends_only_on_distance(self):
         k = _k_bw()
-        v1 = fw.incident_field(k, (0.05, 0.0), (0.0, 0.0))
-        v2 = fw.incident_field(k, (0.03, 0.04), (0.0, 0.0))
-        assert abs(v1) == pytest.approx(abs(v2), rel=1e-13)
+        v = fw.incident_field_matrix(k, np.array([[0.05, 0.0], [0.03, 0.04]]), np.zeros((1, 2)))
+        assert abs(v[0, 0]) == pytest.approx(abs(v[1, 0]), rel=1e-13)
 
     def test_coincident_points_rejected(self):
         with pytest.raises(SingularityError):
-            fw.incident_field(_k_bw(), (0.01, 0.01), (0.01, 0.01))
+            fw.incident_field_matrix(_k_bw(), np.array([[0.01, 0.01]]), np.array([[0.01, 0.01]]))
 
     def test_matrix_matches_scalar(self):
+        # the interpolated steering table against one scalar hankel2_0 call
+        # per entry
         k = _k_bw()
         pts = np.array([[0.0, 0.0], [0.01, 0.03], [-0.02, 0.04]])
         srcs = sc.uniform_circular_array(5, 0.09).positions
         mat = fw.incident_field_matrix(k, pts, srcs)
         for i, p in enumerate(pts):
             for j, s in enumerate(srcs):
-                assert mat[i, j] == pytest.approx(fw.incident_field(k, p, s), rel=1e-14)
+                ref = 0.25j * hankel2_0(k.value * math.dist(p, s))
+                assert mat[i, j] == pytest.approx(ref, rel=1e-14)
 
 
 class TestAsymptoticIncidentField:
     def test_value_at_origin(self):
         k = _k_bw()
-        a = (0.09, 0.0)
-        val = fw.asymptotic_incident_field(k, a, (0.0, 0.0))
+        a = np.array([[0.09, 0.0]])
+        val = fw.asymptotic_field_matrix(k, np.zeros((1, 2)), a)[0, 0]
         expected = (-1 + 1j) * cmath.exp(-1j * k.value * 0.09) / (
             4.0 * cmath.sqrt(k.value * math.pi * 0.09)
         )
@@ -68,8 +71,7 @@ class TestAsymptoticIncidentField:
         theta = a / 0.09
         r = np.array([0.01, -0.02])
         delta = 0.007
-        v1 = fw.asymptotic_incident_field(k, a, r)
-        v2 = fw.asymptotic_incident_field(k, a, r + delta * theta)
+        v1, v2 = fw.asymptotic_field_matrix(k, np.array([r, r + delta * theta]), a[None, :])[:, 0]
         assert v2 / v1 == pytest.approx(cmath.exp(1j * k.value * delta), rel=1e-12)
 
     def test_deviation_sweep_recorded_bound(self, single_scene):
@@ -82,17 +84,15 @@ class TestAsymptoticIncidentField:
         rad = 0.0425 * np.sqrt(rng.uniform(0, 1, 100))
         ang = rng.uniform(0, 2 * np.pi, 100)
         pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-        rels = [
-            abs(fw.asymptotic_incident_field(k, a, p) - fw.incident_field(k, a, p))
-            / abs(fw.incident_field(k, a, p))
-            for p in pts
-            for a in single_scene.array.positions
-        ]
-        assert max(rels) <= 0.90
+        positions = single_scene.array.positions
+        exact = fw.incident_field_matrix(k, pts, positions)
+        rels = np.abs(fw.asymptotic_field_matrix(k, pts, positions) - exact) / np.abs(exact)
+        assert rels.max() <= 0.90
         assert np.mean(rels) <= 0.35
 
 
 class TestBornSparam:
+    # single entries of the data matrix
     def test_zero_contrast_gives_zero(self):
         bg = make_background()
         neutral = sc.Anomaly((0.01, 0.03), 0.01, bg)
@@ -103,11 +103,11 @@ class TestBornSparam:
             anomalies=(neutral,),
             frequency=1e9,
         )
-        assert fw.born_sparam(scn, scn.background_wavenumber(), 0, 5) == 0
+        assert fw.scattering_matrix(scn, scn.background_wavenumber()).entries[0, 5] == 0
 
     def test_transmit_receive_swap(self, single_scene):
-        k = single_scene.background_wavenumber()
-        assert fw.born_sparam(single_scene, k, 3, 7) == fw.born_sparam(single_scene, k, 7, 3)
+        entries = fw.scattering_matrix(single_scene, single_scene.background_wavenumber()).entries
+        assert entries[3, 7] == entries[7, 3]
 
     def test_against_independent_formula_path(self, single_scene):
         # separately composed: series-oracle Hankel values into the prefactor
@@ -121,25 +121,32 @@ class TestBornSparam:
             d = math.dist(single_scene.array.positions[idx], an.center)
             us.append(0.25j * hankel2_0_oracle(k.value * d))
         ref = pref * o_val * us[0] * us[1]
-        got = fw.born_sparam(single_scene, k, 1, 2)
+        got = fw.scattering_matrix(single_scene, k).entries[1, 2]
         assert abs(got - ref) <= 1e-12 * abs(ref)
 
     def test_multi_anomaly_superposition(self, double_scene, single_scene):
         k = double_scene.background_wavenumber()
-        only_d2 = make_scene(2).__class__(
+        only_d2 = sc.Scene(
             background=double_scene.background,
             roi_radius=double_scene.roi_radius,
             array=double_scene.array,
             anomalies=double_scene.anomalies[1:],
             frequency=double_scene.frequency,
         )
-        total = fw.born_sparam(double_scene, k, 0, 4)
-        parts = fw.born_sparam(single_scene, k, 0, 4) + fw.born_sparam(only_d2, k, 0, 4)
+        total = fw.scattering_matrix(double_scene, k).entries[0, 4]
+        parts = (
+            fw.scattering_matrix(single_scene, k).entries[0, 4]
+            + fw.scattering_matrix(only_d2, k).entries[0, 4]
+        )
         assert total == pytest.approx(parts, rel=1e-14)
 
     def test_diagonal_rejected(self, single_scene):
+        # monostatic entries are not data: a nonzero diagonal is refused
+        mat = fw.scattering_matrix(single_scene, single_scene.background_wavenumber())
+        entries = mat.entries.copy()
+        entries[4, 4] = 1.0
         with pytest.raises(DomainError):
-            fw.born_sparam(single_scene, single_scene.background_wavenumber(), 4, 4)
+            fw.ScatteringMatrix(n=mat.n, entries=entries, mode=mat.mode)
 
 
 class TestScatteringMatrix:
@@ -162,13 +169,6 @@ class TestScatteringMatrix:
             assert np.all(np.diagonal(mat.entries) == 0)
             assert mat.mode == mode
 
-    def test_matches_born_sparam(self, double_scene):
-        k = double_scene.background_wavenumber()
-        mat = fw.scattering_matrix(double_scene, k)
-        for m, n in ((0, 1), (5, 11), (15, 2)):
-            ref = fw.born_sparam(double_scene, k, m, n)
-            assert mat.entries[m, n] == pytest.approx(ref, rel=1e-13)
-
     def test_rank_one_before_diagonal_removal(self, single_scene):
         # the far-field model without the zeroed diagonal is an exact outer
         # product, hence rank 1
@@ -178,12 +178,7 @@ class TestScatteringMatrix:
         pref = (
             1j * an.radius**2 * k.value**2 * math.pi / (4 * omega * MU_B)
         ) * sc.contrast(an, single_scene.background, omega)
-        u = np.array(
-            [
-                fw.asymptotic_incident_field(k, pos, an.center)
-                for pos in single_scene.array.positions
-            ]
-        )
+        u = fw.asymptotic_field_matrix(k, np.array([an.center]), single_scene.array.positions)[0]
         full = pref * np.outer(u, u)
         svals = onesided_jacobi_singular_values(full)
         assert svals[1] <= 1e-10 * svals[0]
@@ -284,20 +279,3 @@ class TestAddNoise:
         with pytest.raises(DomainError):
             fw.add_noise(mat, float("nan"), seed=0)
 
-
-class TestMatrixSerialization:
-    def test_round_trip_lossless(self, double_scene, tmp_path):
-        k = double_scene.background_wavenumber()
-        mat = fw.add_noise(fw.scattering_matrix(double_scene, k), 25.0, seed=9)
-        path = tmp_path / "k.txt"
-        fw.save_matrix(mat, path)
-        back = fw.load_matrix(path)
-        assert back.n == mat.n
-        assert back.mode == mat.mode
-        assert np.array_equal(back.entries, mat.entries)
-
-    def test_malformed_file(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("3\nfull_hankel\n1.0,2.0\n")
-        with pytest.raises(DomainError):
-            fw.load_matrix(path)

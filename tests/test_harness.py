@@ -125,20 +125,6 @@ directory = artifacts
         assert config.forward_mode == fw.ASYMPTOTIC
         assert config.seed == 3
 
-    def test_write_config_round_trip(self, empty_config, tmp_path):
-        original = harness.load_config(
-            empty_config, preset="fig-eps-double", resolution=64, seed=4
-        )
-        path = tmp_path / "echo.ini"
-        harness.write_config(original, path)
-        back = harness.load_config(path)
-        assert back.scene == original.scene
-        assert back.ratios == original.ratios
-        assert back.sweep_kind == original.sweep_kind
-        assert back.resolution == original.resolution
-        assert back.seed == original.seed
-        assert back.snr_db == original.snr_db
-
 
 class TestRunExperiment:
     def test_single_ratio_record(self, empty_config, tmp_path):
@@ -349,6 +335,40 @@ class TestCli:
         out = tmp_path / "range-out"
         assert cli.main(["run", str(bad), "--out", str(out), "--resolution", "32"]) in (2, 3)
         assert not out.exists()
+
+    @pytest.mark.parametrize("anomalies", [
+        "",
+        "[anomaly:D1]\ncenter_x_m = 0.01\ncenter_y_m = 0.03\n"
+        "[anomaly:D2]\ncenter_x_m = -0.04\ncenter_y_m = -0.02\n"
+        "rel_permittivity = 45\nconductivity_s_per_m = 1.0\n",
+    ], ids=["D1", "D1-D2"])
+    def test_overflowing_steering_exits_3(self, tmp_path, anomalies):
+        # conductivity x1e5 makes Im(k_aw) times the antenna distance pass
+        # ~709, so the exact-field steering overflows; the run must stop
+        # instead of imaging NaN norms
+        bad = tmp_path / "lossy.ini"
+        bad.write_text("[sweep]\nkind = conductivity\nratios = 1e5\n" + anomalies)
+        out = tmp_path / "lossy-out"
+        assert cli.main(["run", str(bad), "--out", str(out), "--resolution", "32"]) == 3
+        assert not out.exists()
+
+    def test_plane_wave_survives_high_loss(self, tmp_path):
+        # e^{i k theta . r} alone would overflow at conductivity x1e6; the
+        # plane-wave steering divides the row maximum out first
+        cfg = tmp_path / "lossy.ini"
+        cfg.write_text("[sweep]\nkind = conductivity\nratios = 1e6\n")
+        out = tmp_path / "plane-out"
+        argv = ["run", str(cfg), "--out", str(out), "--resolution", "32",
+                "--mode", "asymptotic", "--variant", "plane"]
+        assert cli.main(argv) == 0
+
+        def reject(token):
+            raise ValueError(f"non-finite value {token} in the report")
+
+        payload = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        record = payload["records"][0]
+        assert all(math.isfinite(v) for v in record["closed_form"].values())
+        assert all(math.isfinite(v) for p in record["peaks"] for v in p)
 
     def test_compare_cli(self, empty_config, tmp_path, capsys):
         assert (

@@ -108,22 +108,28 @@ class TestSignalSubspaceDim:
         assert taus_full[2] / taus_full[0] < 0.15
 
 
+def _disk_points(rng, radius, count):
+    pts = []
+    for _ in range(count):
+        rad = radius * math.sqrt(rng.uniform())
+        ang = rng.uniform(0, 2 * math.pi)
+        pts.append((rad * math.cos(ang), rad * math.sin(ang)))
+    return np.array(pts)
+
+
 class TestTestVector:
+    # the (points, N) steering table of the imaging map
     def test_plane_wave_at_origin(self, single_scene):
         k = single_scene.background_wavenumber()
-        w = mu.test_vector(k, (0.0, 0.0), single_scene.array, mu.PLANE_WAVE)
+        w = mu._steering_rows(k, np.zeros((1, 2)), single_scene.array, mu.PLANE_WAVE)
         assert np.allclose(w, 1.0 / 4.0, rtol=0, atol=0)
 
     @pytest.mark.parametrize("variant", [mu.EXACT_FIELD, mu.PLANE_WAVE])
     def test_unit_norm(self, single_scene, variant):
         k = single_scene.background_wavenumber()
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            rad = 0.084 * math.sqrt(rng.uniform())
-            ang = rng.uniform(0, 2 * math.pi)
-            r = (rad * math.cos(ang), rad * math.sin(ang))
-            w = mu.test_vector(k, r, single_scene.array, variant)
-            assert abs(np.linalg.norm(w) - 1.0) <= 1e-14
+        pts = _disk_points(np.random.default_rng(2), 0.084, 100)
+        w = mu._steering_rows(k, pts, single_scene.array, variant)
+        assert np.max(np.abs(np.linalg.norm(w, axis=1) - 1.0)) <= 1e-14
 
     def test_variants_agree_in_direction(self, single_scene):
         # |<W_exact, W_plane>| near unity over the inner half disk. At this
@@ -131,24 +137,16 @@ class TestTestVector:
         # is max 0.046 over this sample, 0.067 over 2000 points; recorded
         # bound 0.08.
         k = single_scene.background_wavenumber()
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            rad = 0.0425 * math.sqrt(rng.uniform())
-            ang = rng.uniform(0, 2 * math.pi)
-            r = (rad * math.cos(ang), rad * math.sin(ang))
-            we = mu.test_vector(k, r, single_scene.array, mu.EXACT_FIELD)
-            wp = mu.test_vector(k, r, single_scene.array, mu.PLANE_WAVE)
-            assert abs(1.0 - abs(np.vdot(we, wp))) <= 0.08
-
-    def test_outside_roi_rejected(self, single_scene):
-        k = single_scene.background_wavenumber()
-        with pytest.raises(DomainError):
-            mu.test_vector(k, (0.086, 0.0), single_scene.array, roi_radius=0.085)
+        pts = _disk_points(np.random.default_rng(3), 0.0425, 50)
+        we = mu._steering_rows(k, pts, single_scene.array, mu.EXACT_FIELD)
+        wp = mu._steering_rows(k, pts, single_scene.array, mu.PLANE_WAVE)
+        assert np.max(np.abs(1.0 - np.abs(np.sum(we.conj() * wp, axis=1)))) <= 0.08
 
     def test_at_antenna_rejected(self, single_scene):
         k = single_scene.background_wavenumber()
+        array = single_scene.array
         with pytest.raises(DomainError):
-            mu.test_vector(k, tuple(single_scene.array.positions[0]), single_scene.array)
+            mu._steering_rows(k, array.positions[:1], array, mu.EXACT_FIELD)
 
 
 class TestProjectionNorm:
@@ -286,6 +284,22 @@ class TestImagingMap:
         with pytest.raises(DomainError):
             mu.imaging_map(basis, k, single_scene.array, _grid(32))
 
+    def test_overflowing_steering_raises(self, single_scene):
+        # conductivity x1e5 gives Im(k_aw) ~ 8.9e3 /m, so the exact field
+        # overflows across the ring instead of yielding a NaN norm map
+        k = single_scene.background_wavenumber()
+        dec = mu.svd_leading(fw.scattering_matrix(single_scene, k))
+        k_aw = sc.wavenumber(
+            sc.Medium(
+                single_scene.background.permittivity,
+                1e5 * single_scene.background.conductivity,
+                single_scene.background.permeability,
+            ),
+            single_scene.omega,
+        )
+        with pytest.raises(NumericalError):
+            mu.imaging_map(dec.left_vectors[:, :1], k_aw, single_scene.array, _grid(16))
+
     def test_raw_norm_bounded(self, single_scene):
         k = single_scene.background_wavenumber()
         image = image_from_data(
@@ -378,8 +392,8 @@ class TestImageMapIO:
         scn = make_scene(1)
         k = scn.background_wavenumber()
         grid = _grid(32)
-        w = mu.test_vector(k, grid.point_of(20, 12), scn.array)
-        return mu.imaging_map(w[:, None], k, scn.array, grid)
+        w = mu._steering_rows(k, np.array([grid.point_of(20, 12)]), scn.array, mu.EXACT_FIELD)
+        return mu.imaging_map(w.T, k, scn.array, grid)
 
     @pytest.mark.parametrize("which", ["values", "raw_norm"])
     @pytest.mark.parametrize("clipped", [False, True], ids=["plain", "clipped"])

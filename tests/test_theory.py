@@ -97,31 +97,37 @@ class TestNormFactor:
         assert worst <= 1e-9
 
 
+def _argmin_point(norm, grid):
+    filled = np.where(grid.mask, norm, np.inf)
+    iy, ix = np.unravel_index(int(np.argmin(filled)), filled.shape)
+    return grid.point_of(int(iy), int(ix))
+
+
 class TestClosedFormMap:
+    # the argmax of the reciprocal map is the argmin of the norm map
+
     def test_prefactor_value(self, single_scene):
         ctx = _ctx(single_scene)
-        n = single_scene.array.count
-        assert (n * n - 2 * n + 1) / (n * n - 2 * n) == pytest.approx(225 / 224, rel=0)
+        assert ctx._norm_prefactor == pytest.approx(224 / 225, rel=0)
         grid = mu.grid_for_roi(0.085, 64)
-        image = th.closed_form_map(ctx, grid)
-        floor = (n * n - 2 * n + 1) / (n * n - 2 * n)
-        assert np.nanmin(image.values) >= floor - 1e-12
+        norm = th.closed_form_norm_map(ctx, grid)
+        assert np.nanmax(norm) <= ctx._norm_prefactor + 1e-12
 
     def test_argmax_follows_shift_law(self, single_scene):
         grid = mu.grid_for_roi(0.085, 128)
         ctx = _ctx(single_scene, "permeability", 2.0)
-        image = th.closed_form_map(ctx, grid)
+        norm = th.closed_form_norm_map(ctx, grid)
         pred = (0.01 / math.sqrt(2), 0.03 / math.sqrt(2))
-        assert math.dist(image.argmax_point(), pred) <= grid.cell_size
+        assert math.dist(_argmin_point(norm, grid), pred) <= grid.cell_size
 
     @pytest.mark.parametrize("kind", ["permeability", "permittivity"])
     @pytest.mark.parametrize("ratio", [0.2, 0.5, 2.0, 10.0])
     def test_argmax_law_across_ratios(self, single_scene, kind, ratio):
         grid = mu.grid_for_roi(0.085, 128)
         ctx = _ctx(single_scene, kind, ratio)
-        image = th.closed_form_map(ctx, grid)
+        norm = th.closed_form_norm_map(ctx, grid)
         pred = th.predicted_peak(ctx.k_bw, ctx.k_aw, (0.01, 0.03))
-        assert math.dist(image.argmax_point(), pred) <= 2 * grid.cell_size
+        assert math.dist(_argmin_point(norm, grid), pred) <= 2 * grid.cell_size
 
     def test_finite_for_high_loss(self, single_scene):
         # conductivity x1e6 gives Im(k_aw) ~ 2.8e4 /m, so e^{-Im(k) theta . r}
@@ -133,7 +139,7 @@ class TestClosedFormMap:
     def test_invariant_under_antenna_relabeling(self, single_scene):
         grid = mu.grid_for_roi(0.085, 32)
         ctx = _ctx(single_scene, "permittivity", 2.0)
-        base = th.closed_form_map(ctx, grid)
+        base = th.closed_form_norm_map(ctx, grid)
         rng = np.random.default_rng(8)
         perm = rng.permutation(single_scene.array.count)
         shuffled = sc.AntennaArray(
@@ -143,9 +149,9 @@ class TestClosedFormMap:
             angles=single_scene.array.angles[perm],
         )
         ctx2 = th.TheoryContext(k_bw=ctx.k_bw, k_aw=ctx.k_aw, r_star=(0.01, 0.03), array=shuffled)
-        other = th.closed_form_map(ctx2, grid)
+        other = th.closed_form_norm_map(ctx2, grid)
         mask = grid.mask
-        assert np.max(np.abs(base.values[mask] - other.values[mask])) <= 1e-12 * np.max(base.values[mask])
+        assert np.max(np.abs(base[mask] - other[mask])) <= 1e-12 * np.max(base[mask])
 
 
 class TestPredictedPeak:
