@@ -4,10 +4,17 @@ noise-space projection, and the reciprocal-projection map over a grid.
 The decomposition is one LAPACK singular value decomposition of K itself.
 A sweep decomposes its data matrix once and images every trial wavenumber
 from the same retained signal basis U[:, :M]; only the steering vectors
-change between wavenumbers. The steering vectors of all grid cells form
-one (cells, N) table: the exact-field table comes from
-`forward.incident_field_matrix`, the plane-wave table from
-`_unit_phasors`, which the closed form in `theory` shares.
+change between wavenumbers. The exact-field steering rows come from
+`forward.incident_field_matrix`, the plane-wave rows from `_unit_phasors`,
+which the closed form in `theory` shares.
+
+The centred grid and the circular array share a dihedral symmetry group G
+(`symmetry_plan`): a mirror or rotation g of a cell only permutes the
+antennas, w(g . r) = w(r)[pi_g]. A permutation is unitary, so the
+projection norm at g . r is that of w(r) against the basis with its rows
+permuted. The steering rows are therefore built on one fundamental domain,
+1/|G| of the cells, and projected once per group element; an array without
+symmetry images every cell through the same code with G = {identity}.
 """
 
 from __future__ import annotations
@@ -169,6 +176,108 @@ def grid_for_roi(roi_radius: float, resolution: int) -> ImagingGrid:
     return ImagingGrid(resolution=resolution, half_extent=roi_radius, roi_radius=roi_radius)
 
 
+# ---------------------------------------------------------------------------
+# Symmetry of grid and array: steering rows on one fundamental domain.
+# ---------------------------------------------------------------------------
+
+# generators tried: y -> -y, x -> -x and x <-> y, each as its matrix on
+# (x, y) and as the view op(a)[cell] = a[g . cell] of a raster a[iy, ix]
+_GENERATORS = (
+    (((1, 0), (0, -1)), lambda a: a[::-1, :]),
+    (((-1, 0), (0, 1)), lambda a: a[:, ::-1]),
+    (((0, 1), (1, 0)), lambda a: a.T),
+)
+# antenna positions match under a generator within this fraction of R
+_SYMMETRY_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class SymmetryPlan:
+    """One fundamental domain of the symmetry group G shared by an imaging
+    grid and an antenna array.
+
+    points holds the representative cell centres (reps, 2). For the j-th
+    element g of G (the identity first), cells[j] holds the mask-order
+    index of g . rep for every representative, and perms[j] the antenna
+    permutation pi_g with w(g . r) = w(r)[pi_g], for any steering or unit
+    row w built from distances to, or directions of, the antennas.
+    """
+
+    points: np.ndarray
+    cells: np.ndarray
+    perms: np.ndarray
+
+
+def _antenna_permutation(g: np.ndarray, array: AntennaArray) -> np.ndarray | None:
+    """pi with a_{pi[n]} = g^T a_n for every antenna, or None when g does not
+    map the antenna positions onto themselves."""
+    pos = array.positions
+    moved = pos @ g
+    dist = np.hypot(moved[:, None, 0] - pos[None, :, 0], moved[:, None, 1] - pos[None, :, 1])
+    perm = np.argmin(dist, axis=1)
+    if dist[np.arange(array.count), perm].max() > _SYMMETRY_TOL * array.radius:
+        return None
+    if np.unique(perm).size != array.count:
+        return None
+    return perm
+
+
+def symmetry_plan(grid: ImagingGrid, array: AntennaArray) -> SymmetryPlan:
+    """Fundamental domain, cell maps and antenna permutations of the group
+    generated by those of y -> -y, x -> -x and x <-> y that map both the
+    masked cells and the antenna positions onto themselves.
+
+    A uniform circular array gives |G| = 8 for N = 0 mod 4, 4 for
+    N = 2 mod 4 and 2 for odd N; an asymmetric array gives the identity
+    alone, and every cell is then its own representative, in mask order.
+    The representative of an orbit is its lowest mask-order cell.
+    """
+    mask = grid.mask
+    order = np.full(mask.shape, -1, dtype=np.intp)  # mask-order index per cell
+    order[mask] = np.arange(np.count_nonzero(mask))
+    kept = []
+    for matrix, op in _GENERATORS:
+        g = np.array(matrix)
+        perm = _antenna_permutation(g, array)
+        if perm is not None and np.array_equal(op(mask), mask):
+            kept.append((g, op, perm))
+    # closure, walking the list while it grows: element h carries the raster
+    # of order[h . cell] and pi_h; then order[h g . cell] = op_g(raster_h) and,
+    # as w(h g r) = w(g r)[pi_h] = w(r)[pi_g][pi_h], pi_hg = pi_g[pi_h]
+    group = [(np.eye(2, dtype=int), order, np.arange(array.count))]
+    seen = {group[0][0].tobytes()}
+    for h, raster, pi_h in group:
+        for g, op, pi_g in kept:
+            product = h @ g
+            if product.tobytes() not in seen:
+                seen.add(product.tobytes())
+                group.append((product, op(raster), pi_g[pi_h]))
+
+    canonical = order[mask]
+    for _, raster, _ in group[1:]:
+        np.minimum(canonical, raster[mask], out=canonical)
+    reps = np.flatnonzero(canonical == order[mask])
+    iy, ix = np.nonzero(mask)
+    iy, ix = iy[reps], ix[reps]
+    points = grid.cell_centers[reps]
+    cells = np.stack([raster[iy, ix] for _, raster, _ in group])
+    perms = np.stack([perm for _, _, perm in group])
+    for a in (points, cells, perms):
+        a.flags.writeable = False
+    return SymmetryPlan(points=points, cells=cells, perms=perms)
+
+
+def _pulled_back(vectors: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """v_g with v_g[pi_g] = v for every permutation, shape (|G|, *v.shape).
+
+    Pairing w(r) with v_g is pairing w(g . r) with v, and a unitary-invariant
+    function of the pair (a projection norm, |v^H w|) is unchanged.
+    """
+    out = np.empty((len(perms),) + vectors.shape, dtype=vectors.dtype)
+    out[np.arange(len(perms))[:, None], perms] = vectors
+    return out
+
+
 @dataclass(frozen=True)
 class ImageMap:
     """Scalar field over the grid; masked cells carry NaN.
@@ -219,6 +328,10 @@ def imaging_map(
     """Reciprocal projection-norm map 1 / |P_noise W(r)| over unmasked cells,
     with the noise projector defined by the signal basis U[:, :M] (N, M).
 
+    The steering rows are built on the representatives of `symmetry_plan`
+    only; the norms at the images g . r are |w(r) - U_g U_g^H w(r)|, with
+    U_g the basis rows scattered by pi_g, and land in their mask-order cells.
+
     Values are clipped at the ceiling where the norm underflows; the
     unclipped norms are retained in raw_norm for quantitative comparison.
     Raises NumericalError when a norm is not finite (an exact-field steering
@@ -228,7 +341,11 @@ def imaging_map(
         raise ConfigurationError("imaging grid resolution must be >= 16")
     if array.count != basis.shape[0]:
         raise DomainError("antenna count does not match the signal basis")
-    norms = projection_norm(basis, _steering_rows(k_aw, grid.cell_centers, array, variant))
+    plan = symmetry_plan(grid, array)
+    rows = _steering_rows(k_aw, plan.points, array, variant)
+    norms = np.empty(grid.cell_centers.shape[0])
+    for cells, moved in zip(plan.cells, _pulled_back(basis, plan.perms)):
+        norms[cells] = projection_norm(moved, rows)
     if not np.all(np.isfinite(norms)):
         raise NumericalError(
             f"non-finite projection norm: the steering field at k_aw = {k_aw.value:.6g} "

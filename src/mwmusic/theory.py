@@ -11,7 +11,10 @@ projection norm is then
 so the reciprocal map peaks where g reaches 1, near Re(k_bw/k_aw) r*. This
 module evaluates g as that direct sum over the N antennas, exact for lossy
 wavenumbers too, from the same overflow-safe unit rows
-(`music._unit_phasors`) that the plane-wave steering uses. The paper
+(`music._unit_phasors`) that the plane-wave steering uses. Over a grid the
+rows are built on the fundamental domain of `music.symmetry_plan` only:
+w(g . r) = w(r)[pi_g], so g at g . r is |w(r) . conj(s_g)| with s_g the
+signal row scattered by pi_g, one mat-vec per group element. The paper
 states the same quantity as a Bessel-harmonic series: with
 z = k_aw r - conj(k_bw) r*, rho = sqrt(z . z) and
 e^{i phi} = (z_x + i z_y) / rho, the Jacobi-Anger expansion (DLMF 10.12) of
@@ -36,7 +39,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, DomainError
 from .forward import ASYMPTOTIC, ScatteringMatrix
-from .music import ImageMap, ImagingGrid, _unit_phasors
+from .music import ImageMap, ImagingGrid, _pulled_back, _unit_phasors, symmetry_plan
 from .scene import AntennaArray, Medium, Scene, Wavenumber, contrast, wavenumber
 # not used here: the traced benchmark wraps these two names in this module
 from .specfun import bessel_j_grid, jacobi_anger_truncation  # noqa: F401
@@ -94,17 +97,30 @@ class TheoryContext:
         return (n * n - 2 * n) / (n * n - 2 * n + 1)
 
 
-def _norm_factor(ctx: TheoryContext, points: np.ndarray) -> np.ndarray:
-    """g(r) = |s^H w(r)| / (|s| |w(r)|) per point, clamped into [0, 1]."""
+def _norm_factor(ctx: TheoryContext, points: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """g(r) = |s^H w(r)| / (|s| |w(r)|), clamped into [0, 1], shape (|G|, points).
+
+    Row j holds g at the images g . r of the points under the j-th antenna
+    permutation pi_g of a symmetry plan (w(g . r) = w(r)[pi_g]), all from one
+    table of w(r); the identity permutation alone gives g at the points.
+    """
     dirs = ctx.array.directions
     s = _unit_phasors(ctx.k_bw.value, np.asarray([ctx.r_star]), dirs)[0]
     w = _unit_phasors(ctx.k_aw.value, points, dirs)
-    return np.minimum(np.abs(w @ s.conj()), 1.0)
+    return np.stack([np.minimum(np.abs(w @ s_g), 1.0) for s_g in _pulled_back(s.conj(), perms)])
 
 
 def closed_form_norm_map(ctx: TheoryContext, grid: ImagingGrid) -> np.ndarray:
-    """Predicted |P_noise W| over the grid (NaN at masked cells)."""
-    g = _norm_factor(ctx, grid.cell_centers)
+    """Predicted |P_noise W| over the grid (NaN at masked cells).
+
+    The unit rows w(r) are built on one fundamental domain of the symmetry
+    shared by grid and array (`music.symmetry_plan`) and paired with s
+    permuted once per group element.
+    """
+    plan = symmetry_plan(grid, ctx.array)
+    g = np.empty(grid.cell_centers.shape[0])
+    for cells, values in zip(plan.cells, _norm_factor(ctx, plan.points, plan.perms)):
+        g[cells] = values
     out = np.full((grid.resolution, grid.resolution), np.nan)
     out[grid.mask] = ctx._norm_prefactor * np.sqrt(np.clip(1.0 - g * g, 0.0, None))
     return out

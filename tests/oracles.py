@@ -6,7 +6,10 @@ arbitrary precision, singular values from a pure-Python one-sided Jacobi
 SVD (the package calls LAPACK), and the closed-form norm factor is summed
 as the Bessel-harmonic series of the theorem with mpmath's Bessel
 functions (the package sums over the antennas instead). The map CSV
-reference formats one cell at a time with NumPy scalar indexing.
+reference formats one cell at a time with NumPy scalar indexing. The
+direct full-grid maps reuse the package's row builders but evaluate every
+masked cell from one whole table, without the symmetry plan the package
+images through.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import math
 
 import mpmath as mp
 import numpy as np
+
+from mwmusic import music as mu
 
 
 def _dps_for(x: float) -> int:
@@ -230,3 +235,20 @@ def map_csv_text(image, which: str = "values") -> str:
                     f"{float(ticks[ix])!r},{float(ticks[iy])!r},{float(data[iy, ix])!r}"
                 )
     return "\n".join(lines) + "\n"
+
+
+def direct_norms(basis, k_aw, array, grid, variant) -> np.ndarray:
+    """Projection norm of every masked cell (mask order) from one steering
+    table over the whole grid."""
+    return mu.projection_norm(basis, mu._steering_rows(k_aw, grid.cell_centers, array, variant))
+
+
+def direct_closed_form_norm_map(ctx, grid) -> np.ndarray:
+    """The closed-form norm map from one table of unit rows over the whole grid."""
+    dirs = ctx.array.directions
+    s = mu._unit_phasors(ctx.k_bw.value, np.asarray([ctx.r_star]), dirs)[0]
+    w = mu._unit_phasors(ctx.k_aw.value, grid.cell_centers, dirs)
+    g = np.minimum(np.abs(w @ s.conj()), 1.0)
+    out = np.full((grid.resolution, grid.resolution), np.nan)
+    out[grid.mask] = ctx._norm_prefactor * np.sqrt(np.clip(1.0 - g * g, 0.0, None))
+    return out

@@ -1,29 +1,50 @@
-"""The traced benchmark wraps package functions by name; each name must exist.
+"""The benchmark's contract with the package, checked in-process in tier-1.
 
+The traced benchmark wraps package functions by name; each name must exist.
 `bench/spans.py` replaces attributes of package modules at run time, so a
 rename or removal under `src/` breaks every traced benchmark pass without
-failing anything else. This reads the wrap list and the span recorder and
-changes nothing under `bench/`.
+failing anything else. Every benchmark pass is also checked against the
+signal_dim and peak cells in `bench/reference.json`, so a change that moves
+a peak fails every pass of that workload. This reads the wrap list, the
+span recorder, the workloads and the reference, and changes nothing under
+`bench/`.
 """
 
+import dataclasses
 import functools
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from mwmusic import cli
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS_PATH = BENCH / "spans.py"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 @functools.lru_cache(maxsize=None)
 def _spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("bench_spans", SPANS_PATH)
+
+
+@functools.lru_cache(maxsize=None)
+def _bench_run():
+    # bench/run.py imports its sibling `spans` by plain name
+    if str(BENCH) not in sys.path:
+        sys.path.append(str(BENCH))
+    return _load("bench_run", BENCH / "run.py")
 
 
 @pytest.mark.parametrize("module_name,attr", [(m, a) for m, a, _, _ in _spans().WRAP_POINTS])
@@ -45,3 +66,16 @@ def test_traced_pass(tmp_path):
     times = spans.span_times(recorder.spans)
     assert times["forward.incident_field_matrix"]["calls"] > 0
     assert times["music.write_map_csv"]["calls"] > 0
+
+
+@pytest.mark.parametrize("workload", sorted(_bench_run().WORKLOADS))
+def test_workload_matches_reference(tmp_path, workload):
+    # the workload's run without noise, at its bench resolution, must give
+    # exactly the signal_dim and peak cells its benchmark passes are held to
+    bench = _bench_run()
+    wl = dataclasses.replace(bench.WORKLOADS[workload], snr_db=None)
+    ini, out = tmp_path / "workload.ini", tmp_path / "out"
+    bench.write_ini(wl, 0, out, ini)
+    assert cli.main(["run", str(ini), "--preset", wl.preset]) == 0
+    summary = bench.report_summary(bench.load_report(out / "report.json"))
+    assert summary == json.loads(bench.REFERENCE.read_text())[workload]

@@ -43,7 +43,8 @@ class TestIncidentField:
 
     def test_matrix_matches_scalar(self):
         # the interpolated steering table against one scalar hankel2_0 call
-        # per entry
+        # per entry, within the ray interpolant's pinned tolerance
+        # (test_specfun's _RAY_VS_HANKEL_REL; measured worst 5.3e-12 here)
         k = _k_bw()
         pts = np.array([[0.0, 0.0], [0.01, 0.03], [-0.02, 0.04]])
         srcs = sc.uniform_circular_array(5, 0.09).positions
@@ -51,7 +52,7 @@ class TestIncidentField:
         for i, p in enumerate(pts):
             for j, s in enumerate(srcs):
                 ref = 0.25j * hankel2_0(k.value * math.dist(p, s))
-                assert mat[i, j] == pytest.approx(ref, rel=1e-14)
+                assert mat[i, j] == pytest.approx(ref, rel=4e-10, abs=0)
 
 
 class TestAsymptoticIncidentField:
@@ -138,7 +139,7 @@ class TestBornSparam:
             fw.scattering_matrix(single_scene, k).entries[0, 4]
             + fw.scattering_matrix(only_d2, k).entries[0, 4]
         )
-        assert total == pytest.approx(parts, rel=1e-14)
+        assert total == pytest.approx(parts, rel=1e-14, abs=0)
 
     def test_diagonal_rejected(self, single_scene):
         # monostatic entries are not data: a nonzero diagonal is refused

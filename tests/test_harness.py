@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -382,3 +386,30 @@ class TestCli:
         )
         assert code == 0
         assert "rms:" in capsys.readouterr().out
+
+
+class TestMemory:
+    # Peak RSS of one default run (one anomaly, ratio 1, exact field) at 512²
+    # in a fresh interpreter, read with resource.getrusage: 103 MB measured,
+    # 191 MB while the steering table and the closed form covered every cell.
+    # The bound leaves 25% headroom over the measurement.
+    PEAK_RSS_MB = 130
+
+    def test_default_run_at_512(self, tmp_path, empty_config):
+        script = (
+            "import resource, sys\n"
+            "from mwmusic import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        argv = ["run", str(empty_config), "--resolution", "512", "--out", str(tmp_path / "out")]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, maxrss_kb = proc.stdout.split()[-2:]
+        assert code == "0"
+        assert int(maxrss_kb) / 1024 <= self.PEAK_RSS_MB

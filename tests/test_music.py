@@ -6,6 +6,7 @@ import pytest
 from mwmusic import forward as fw
 from mwmusic import music as mu
 from mwmusic import scene as sc
+from mwmusic import theory as th
 from mwmusic.errors import (
     ConfigurationError,
     DegenerateDataError,
@@ -14,7 +15,12 @@ from mwmusic.errors import (
 )
 
 from conftest import image_from_data, make_scene
-from oracles import map_csv_text, onesided_jacobi_singular_values
+from oracles import (
+    direct_closed_form_norm_map,
+    direct_norms,
+    map_csv_text,
+    onesided_jacobi_singular_values,
+)
 
 
 def _grid(resolution=128):
@@ -191,6 +197,132 @@ class TestImagingGrid:
 
     def test_cell_size(self):
         assert _grid(128).cell_size == pytest.approx(2 * 0.085 / 128, rel=0)
+
+
+# antenna counts with |G| = 8, 8, 2 and 4 on grids with an even and an odd
+# number of cells per side
+_SYMMETRY_CASES = [
+    (count, resolution) for count in (16, 64, 7, 10) for resolution in (48, 113)
+]
+_GROUP_ORDER = {16: 8, 64: 8, 7: 2, 10: 4}
+
+
+def _plan(count, resolution):
+    grid = _grid(resolution)
+    array = sc.uniform_circular_array(count, 0.09)
+    return grid, array, mu.symmetry_plan(grid, array)
+
+
+def _rebuilt(rows, plan, cells):
+    """Full-grid table from the representatives' rows: row g . r is row r
+    with its columns permuted by pi_g."""
+    out = np.empty((cells, rows.shape[1]), dtype=rows.dtype)
+    for idx, perm in zip(plan.cells, plan.perms):
+        out[idx] = rows[:, perm]
+    return out
+
+
+def _mismatched(scn, kind, ratio):
+    return th.mismatched_wavenumber(scn.background, scn.omega, th.MismatchSpec(kind, ratio))
+
+
+def _nudged_array(count=16):
+    """A uniform ring with one antenna moved by 1e-3 rad: no symmetry left."""
+    angles = sc.uniform_circular_array(count, 0.09).angles.copy()
+    angles[3] += 1e-3
+    positions = 0.09 * np.column_stack([np.cos(angles), np.sin(angles)])
+    return sc.AntennaArray(radius=0.09, count=count, positions=positions, angles=angles)
+
+
+class TestSymmetryPlan:
+    @pytest.mark.parametrize("count,resolution", _SYMMETRY_CASES)
+    def test_images_cover_every_cell(self, count, resolution):
+        grid, _, plan = _plan(count, resolution)
+        cells = grid.cell_centers.shape[0]
+        assert np.array_equal(np.unique(plan.cells), np.arange(cells))
+        assert np.array_equal(plan.points, grid.cell_centers[plan.cells[0]])
+        for idx in plan.cells:  # each group element is one-to-one on the domain
+            assert np.unique(idx).size == idx.size
+
+    @pytest.mark.parametrize("count,resolution", _SYMMETRY_CASES)
+    def test_group_order(self, count, resolution):
+        _, _, plan = _plan(count, resolution)
+        assert plan.cells.shape[0] == plan.perms.shape[0] == _GROUP_ORDER[count]
+        assert np.array_equal(plan.perms[0], np.arange(count))
+
+    @pytest.mark.parametrize("count,resolution", _SYMMETRY_CASES)
+    def test_exact_rows_rebuilt(self, count, resolution):
+        # the ray interpolant's panel layout follows the table's distance
+        # range, which the representatives reach only to the last bit, so
+        # agreement is the ray's own tolerance (measured worst 3.9e-11)
+        grid, array, plan = _plan(count, resolution)
+        k = make_scene(1).background_wavenumber()
+        for kv in (k, sc.Wavenumber(k.omega, 2.0 * k.value)):
+            full = mu._steering_rows(kv, grid.cell_centers, array, mu.EXACT_FIELD)
+            rows = mu._steering_rows(kv, plan.points, array, mu.EXACT_FIELD)
+            rebuilt = _rebuilt(rows, plan, full.shape[0])
+            assert np.max(np.abs(rebuilt - full) / np.abs(full)) <= 4e-10
+
+    @pytest.mark.parametrize("count,resolution", _SYMMETRY_CASES)
+    def test_plane_rows_rebuilt(self, count, resolution):
+        grid, array, plan = _plan(count, resolution)
+        k = make_scene(1).background_wavenumber()
+        full = mu._steering_rows(k, grid.cell_centers, array, mu.PLANE_WAVE)
+        rows = mu._steering_rows(k, plan.points, array, mu.PLANE_WAVE)
+        assert np.max(np.abs(_rebuilt(rows, plan, full.shape[0]) - full)) <= 1e-14
+
+    def test_asymmetric_array_has_trivial_group(self):
+        grid = _grid(48)
+        plan = mu.symmetry_plan(grid, _nudged_array())
+        assert plan.cells.shape[0] == 1
+        assert np.array_equal(plan.cells[0], np.arange(grid.cell_centers.shape[0]))
+
+    @pytest.mark.parametrize("variant", mu.VARIANTS)
+    @pytest.mark.parametrize("n_anomalies", [1, 2])
+    def test_asymmetric_array_images_bit_identically(self, variant, n_anomalies):
+        base = make_scene(n_anomalies)
+        scn = sc.Scene(
+            background=base.background,
+            roi_radius=base.roi_radius,
+            array=_nudged_array(),
+            anomalies=base.anomalies,
+            frequency=base.frequency,
+        )
+        k = scn.background_wavenumber()
+        dec = mu.svd_leading(fw.scattering_matrix(scn, k))
+        basis = dec.left_vectors[:, :n_anomalies]
+        grid = _grid(64)
+        image = mu.imaging_map(basis, k, scn.array, grid, variant=variant)
+        want = direct_norms(basis, k, scn.array, grid, variant)
+        assert np.array_equal(image.raw_norm[grid.mask], want)
+
+    def test_asymmetric_array_closed_form_bit_identical(self):
+        scn = make_scene(1)
+        k_bw = scn.background_wavenumber()
+        k_aw = _mismatched(scn, "permittivity", 2.0)
+        ctx = th.TheoryContext(k_bw=k_bw, k_aw=k_aw, r_star=(0.01, 0.03), array=_nudged_array())
+        grid = _grid(64)
+        got = th.closed_form_norm_map(ctx, grid)
+        assert np.array_equal(got, direct_closed_form_norm_map(ctx, grid), equal_nan=True)
+
+    # The norm is 1-Lipschitz in the unit row, so the exact field inherits the
+    # rows' 4e-10 (measured worst 5.5e-12 at N = 10); plane-wave rows and the
+    # closed form agree at rounding level (measured worst 1.8e-15 and 4.9e-15).
+    @pytest.mark.parametrize("count", [16, 7, 10])
+    def test_symmetric_maps_match_direct(self, count):
+        scn = make_scene(2, count=count)
+        k_bw = scn.background_wavenumber()
+        k_aw = _mismatched(scn, "permeability", 2.0)
+        basis = mu.svd_leading(fw.scattering_matrix(scn, k_bw)).left_vectors[:, :2]
+        grid = _grid(113)
+        for variant, bound in ((mu.EXACT_FIELD, 4e-10), (mu.PLANE_WAVE, 1e-13)):
+            image = mu.imaging_map(basis, k_aw, scn.array, grid, variant=variant)
+            want = direct_norms(basis, k_aw, scn.array, grid, variant)
+            assert np.max(np.abs(image.raw_norm[grid.mask] - want)) <= bound
+        ctx = th.TheoryContext(k_bw=k_bw, k_aw=k_aw, r_star=(0.01, 0.03), array=scn.array)
+        got = th.closed_form_norm_map(ctx, grid)[grid.mask]
+        want = direct_closed_form_norm_map(ctx, grid)[grid.mask]
+        assert np.max(np.abs(got - want)) <= 1e-13
 
 
 class TestImagingMap:
