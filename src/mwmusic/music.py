@@ -20,6 +20,7 @@ symmetry images every cell through the same code with G = {identity}.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,6 +31,7 @@ from .errors import (
     DegenerateDataError,
     DomainError,
     NumericalError,
+    SingularityError,
 )
 from .forward import ScatteringMatrix, incident_field_matrix
 from .scene import AntennaArray, Wavenumber
@@ -323,7 +325,6 @@ def imaging_map(
     array: AntennaArray,
     grid: ImagingGrid,
     variant: str = EXACT_FIELD,
-    ceiling: float = DEFAULT_CEILING,
 ) -> ImageMap:
     """Reciprocal projection-norm map 1 / |P_noise W(r)| over unmasked cells,
     with the noise projector defined by the signal basis U[:, :M] (N, M).
@@ -332,17 +333,23 @@ def imaging_map(
     only; the norms at the images g . r are |w(r) - U_g U_g^H w(r)|, with
     U_g the basis rows scattered by pi_g, and land in their mask-order cells.
 
-    Values are clipped at the ceiling where the norm underflows; the
+    Values are clipped at DEFAULT_CEILING where the norm underflows; the
     unclipped norms are retained in raw_norm for quantitative comparison.
-    Raises NumericalError when a norm is not finite (an exact-field steering
-    table overflows once Im(k_aw) times the distance passes ~709).
+    Raises NumericalError when the exact-field steering table leaves the
+    range of hankel2_0 (|k_aw| d > 1e6) or a norm is not finite (the table
+    overflows once Im(k_aw) times the distance passes ~709).
     """
     if grid.resolution < 16:
         raise ConfigurationError("imaging grid resolution must be >= 16")
     if array.count != basis.shape[0]:
         raise DomainError("antenna count does not match the signal basis")
     plan = symmetry_plan(grid, array)
-    rows = _steering_rows(k_aw, plan.points, array, variant)
+    try:
+        rows = _steering_rows(k_aw, plan.points, array, variant)
+    except DomainError as exc:
+        if variant != EXACT_FIELD or isinstance(exc, SingularityError):
+            raise
+        raise NumericalError(f"steering field at k_aw = {k_aw.value:.6g}: {exc}") from exc
     norms = np.empty(grid.cell_centers.shape[0])
     for cells, moved in zip(plan.cells, _pulled_back(basis, plan.perms)):
         norms[cells] = projection_norm(moved, rows)
@@ -355,7 +362,7 @@ def imaging_map(
     values = np.full((grid.resolution, grid.resolution), np.nan)
     raw = np.full_like(values, np.nan)
     with np.errstate(divide="ignore"):
-        values[grid.mask] = np.minimum(np.where(norms > 0, 1.0 / norms, np.inf), ceiling)
+        values[grid.mask] = np.minimum(np.where(norms > 0, 1.0 / norms, np.inf), DEFAULT_CEILING)
     raw[grid.mask] = norms
     return ImageMap(grid=grid, values=values, raw_norm=raw, k_aw=k_aw.value)
 
@@ -392,18 +399,23 @@ def write_map_csv(image: ImageMap, path, which: str = "values") -> None:
 def read_map_csv(path, roi_radius: float) -> ImageMap:
     """Rebuild an ImageMap (values layer only) written by write_map_csv."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    header = {}
-    body_start = 0
-    for i, line in enumerate(lines):
-        if line.startswith("#"):
-            key, *vals = line.lstrip("# ").split(",")
-            header[key] = vals
-        elif line == "x,y,value":
-            body_start = i + 1
-            break
-    else:
-        raise DomainError(f"{path}: missing x,y,value header row")
+        header = {}
+        for line in fh:
+            line = line.strip()
+            if line == "x,y,value":
+                break
+            if line.startswith("#"):
+                key, *vals = line.lstrip("# ").split(",")
+                header[key] = vals
+        else:
+            raise DomainError(f"{path}: missing x,y,value header row")
+        with warnings.catch_warnings():
+            # an empty body is reported below as uncovered cells
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:
+                raise DomainError(f"{path}: bad data row: {exc}") from exc
     try:
         resolution = int(header["resolution"][0])
         lo, hi = (float(v) for v in header["bounds"])
@@ -412,23 +424,20 @@ def read_map_csv(path, roi_radius: float) -> ImageMap:
         raise DomainError(f"{path}: malformed CSV header") from exc
     if not math.isclose(-lo, hi, rel_tol=1e-12):
         raise DomainError(f"{path}: bounds must be symmetric")
+    if rows.size and rows.shape[1] != 3:
+        raise DomainError(f"{path}: bad data row: {rows.shape[1]} fields, 3 expected")
+    rows = rows.reshape(-1, 3)
     grid = ImagingGrid(resolution=resolution, half_extent=hi, roi_radius=roi_radius)
+    # (iy, ix) of every row, from its (y, x)
+    cells = np.rint((rows[:, 1::-1] + grid.half_extent) / grid.cell_size - 0.5)
+    outside = np.flatnonzero(np.any((cells < 0) | (cells >= resolution), axis=1))
+    if outside.size:
+        point = tuple(rows[outside[0], :2].tolist())
+        raise DomainError(f"{path}: point {point} falls outside the grid")
     values = np.full((resolution, resolution), np.nan)
-    h = grid.cell_size
-    for line in lines[body_start:]:
-        try:
-            xs, ys, vs = line.split(",")
-            x, y, v = float(xs), float(ys), float(vs)
-        except ValueError as exc:
-            raise DomainError(f"{path}: bad data row {line!r}") from exc
-        ix = int(round((x + grid.half_extent) / h - 0.5))
-        iy = int(round((y + grid.half_extent) / h - 0.5))
-        if not (0 <= ix < resolution and 0 <= iy < resolution):
-            raise DomainError(f"{path}: point ({x}, {y}) falls outside the grid")
-        values[iy, ix] = v
-    filled = ~np.isnan(values)
-    if not np.array_equal(filled, grid.mask):
-        raise DomainError(f"{path}: rows do not cover exactly the unmasked cells")
+    values[tuple(cells.astype(np.intp).T)] = rows[:, 2]
+    if not np.array_equal(np.isfinite(values), grid.mask):
+        raise DomainError(f"{path}: rows do not cover exactly the unmasked cells with finite values")
     return ImageMap(grid=grid, values=values, k_aw=k_aw)
 
 

@@ -16,10 +16,10 @@ classical ones:
     nodes and evaluated by Clenshaw recurrence (Trefethen, Approximation
     Theory and Approximation Practice).
 
-Recurrence and series arithmetic run in extended precision (80-bit long
-double on x86) where cancellation calls for it; the crossover radius
-between the Hankel series and asymptotic branches was calibrated against a
-high-precision series oracle (see the test suite).
+H_0^(2) is evaluated on the closed first quadrant only, where its series
+runs in double precision; extended precision (80-bit long double on x86)
+remains only in the J_q recurrence. The series/asymptotic crossover radius
+was calibrated against a high-precision series oracle (see the test suite).
 """
 
 from __future__ import annotations
@@ -33,19 +33,15 @@ from .errors import DomainError, SingularityError, TruncationError
 # Truncation ceiling for Bessel orders used anywhere in the package.
 Q_MAX = 128
 
-# Series/asymptotic crossover radius. Calibrated: at |z| = 15 the extended
-# precision series still carries ~1e-14 absolute error while the asymptotic
-# tail bound e^(-2|z|) is already below 1e-12.
+# Series/asymptotic crossover radius. Calibrated: at |z| = 15 the double
+# precision series still carries ~2e-10 relative error on the first quadrant
+# while the asymptotic tail bound e^(-2|z|) is already below 1e-12.
 _CROSSOVER = 15.0
-# below this radius the alternating-series cancellation stays within ~50x
-# machine epsilon, so plain double precision suffices (and is much faster)
-_DOUBLE_SERIES_RADIUS = 7.0
 
-# Euler-Mascheroni constant, parsed at long-double precision.
-_EULER_GAMMA = np.longdouble("0.57721566490153286060651209008240243")
+# Euler-Mascheroni constant
+_EULER_GAMMA = 0.5772156649015329
 
 _LD = np.longdouble
-_CLD = np.clongdouble
 
 
 def _require_real_in_range(x, name: str = "x") -> float:
@@ -59,20 +55,18 @@ def _require_real_in_range(x, name: str = "x") -> float:
     return x
 
 
-def _hankel_poincare(kind: int, z: np.ndarray) -> np.ndarray:
-    """H_0^(1 or 2)(z) via the Hankel expansion, for Re z >= 0.
+def _hankel_expansion(z: np.ndarray) -> np.ndarray:
+    """H_0^(2)(z) via the Hankel expansion (DLMF 10.17.6), for Re z > 0.
 
     Terms follow a_k(0) = prod_{j<=k} (-(2j-1)^2) / (k! 8^k); the sum is cut
     at the smallest term (superasymptotic truncation).
     """
-    z = np.asarray(z, dtype=np.complex128)
-    rot = 1j if kind == 1 else -1j
     term = np.ones_like(z)
     total = term.copy()
     active = np.ones(z.shape, dtype=bool)
     last = np.abs(term)
     for k in range(1, 60):
-        term = term * rot * -((2 * k - 1) ** 2) / (8.0 * k * z)
+        term = term * -1j * -((2 * k - 1) ** 2) / (8.0 * k * z)
         mag = np.abs(term)
         # freeze components whose terms started growing (optimal truncation)
         active &= mag < last
@@ -82,54 +76,25 @@ def _hankel_poincare(kind: int, z: np.ndarray) -> np.ndarray:
         last = mag
         if np.max(mag[active]) < 1e-18:
             break
-    omega = z - 0.25 * np.pi
-    return np.sqrt(2.0 / (np.pi * z)) * np.exp(rot * omega) * total
+    return np.sqrt(2.0 / (np.pi * z)) * np.exp(-1j * (z - 0.25 * np.pi)) * total
 
 
-def _h02_asymptotic(z: np.ndarray) -> np.ndarray:
-    """H_0^(2)(z) for any principal-branch argument, |z| above the crossover.
-
-    The left half plane is reached through the continuation formulas
-    (A&S 9.1.36 applied to Y_0, principal branch):
-        H_0^(2)(w e^{i pi})  = 2 H_0^(2)(w) + H_0^(1)(w)
-        H_0^(2)(w e^{-i pi}) = -H_0^(1)(w)
-    so every expansion is evaluated with Re w >= 0 where it converges well.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    out = np.empty_like(z)
-    right = z.real >= 0.0
-    if right.any():
-        out[right] = _hankel_poincare(2, z[right])
-    upper_left = ~right & (z.imag >= 0.0)
-    if upper_left.any():
-        w = -z[upper_left]
-        out[upper_left] = 2.0 * _hankel_poincare(2, w) + _hankel_poincare(1, w)
-    lower_left = ~right & (z.imag < 0.0)
-    if lower_left.any():
-        out[lower_left] = -_hankel_poincare(1, -z[lower_left])
-    return out
-
-
-def _h02_series(z: np.ndarray, dtype=_CLD) -> np.ndarray:
+def _h02_series(z: np.ndarray) -> np.ndarray:
     """H_0^(2)(z) = J_0(z) - i Y_0(z) by the log-coupled ascending series."""
-    zl = np.asarray(z, dtype=dtype)
-    one = zl.real.dtype.type(1)
-    cutoff = 1e-28 if dtype == _CLD else 1e-19
-    w = (zl / 2) ** 2
-    term = np.ones_like(zl)
+    w = (z / 2) ** 2
+    term = np.ones_like(z)
     j0 = term.copy()
-    ysum = np.zeros_like(zl)
-    harmonic = zl.real.dtype.type(0)
+    ysum = np.zeros_like(z)
+    harmonic = 0.0
     for m in range(1, 120):
-        term = term * (-w) / (one * m * m)
-        harmonic = harmonic + one / m
+        term = term * (-w) / float(m * m)
+        harmonic += 1.0 / m
         j0 = j0 + term
         ysum = ysum - term * harmonic
-        if np.max(np.abs(term)) < cutoff * max(1.0, float(np.max(np.abs(j0)))):
+        if np.max(np.abs(term)) < 1e-19 * max(1.0, float(np.max(np.abs(j0)))):
             break
-    gamma = zl.real.dtype.type(_EULER_GAMMA)
-    y0 = (2 / np.pi) * ((np.log(zl / 2) + gamma) * j0 + ysum)
-    return np.asarray(j0 - 1j * y0, dtype=np.complex128)
+    y0 = (2 / np.pi) * ((np.log(z / 2) + _EULER_GAMMA) * j0 + ysum)
+    return j0 - 1j * y0
 
 
 def _hankel_arg_modulus(z_arr: np.ndarray) -> np.ndarray:
@@ -141,34 +106,27 @@ def _hankel_arg_modulus(z_arr: np.ndarray) -> np.ndarray:
         raise SingularityError("H_0^(2) is singular at z = 0")
     if np.any(mag > 1.0e6):
         raise DomainError("hankel2_0 supports |z| <= 1e6")
+    if np.any(z_arr.real <= 0.0) or np.any(z_arr.imag < 0.0):
+        raise DomainError("hankel2_0 requires Re z > 0 and Im z >= 0")
     return mag
 
 
 def hankel2_0(z):
     """Hankel function of the second kind, order zero, for complex argument.
 
-    Accepts a scalar or ndarray. Relative accuracy is ~1e-12 on
-    1e-3 <= |z| <= 1e4 with |Im z| moderate; arguments on or near the
-    negative real axis are outside the supported regime.
+    Accepts a scalar or ndarray in the closed first quadrant Re z > 0,
+    Im z >= 0 with |z| <= 1e6, where every argument k d of the package lies;
+    anything else raises DomainError. Relative accuracy is ~1e-12 on
+    1e-3 <= |z| <= 1e4 with Im z moderate, ~2e-10 near the crossover |z| = 15.
     """
     z_arr = np.asarray(z, dtype=np.complex128)
-    mag = _hankel_arg_modulus(z_arr)
+    series = _hankel_arg_modulus(z_arr) <= _CROSSOVER
     out = np.empty_like(z_arr)
-    series = mag <= _CROSSOVER
-    # |H_0^(2)| does not decay in the upper half plane, so the series
-    # cancellation stays relatively harmless there (<= ~2e-10 at the
-    # crossover); extended precision is only needed where the function is
-    # exponentially small against the series terms (Im z < 0, |z| large)
-    fast = series & ((mag <= _DOUBLE_SERIES_RADIUS) | (z_arr.imag >= 0.0))
-    slow = series & ~fast
-    if fast.any():
-        out[fast] = _h02_series(z_arr[fast], dtype=np.complex128)
-    if slow.any():
-        out[slow] = _h02_series(z_arr[slow], dtype=_CLD)
-    large = ~series
-    if large.any():
-        out[large] = _h02_asymptotic(z_arr[large])
-    if np.isscalar(z) or np.ndim(z) == 0:
+    if series.any():
+        out[series] = _h02_series(z_arr[series])
+    if not series.all():
+        out[~series] = _hankel_expansion(z_arr[~series])
+    if np.ndim(z) == 0:
         return complex(out[()])
     return out
 
@@ -210,8 +168,6 @@ def hankel2_0_ray(k, d) -> np.ndarray:
         return np.empty(d.shape, dtype=np.complex128)
     d_min, d_max = float(np.min(d)), float(np.max(d))
     _hankel_arg_modulus(np.array([k * d_min, k * d_max]))
-    if d_min < 0.0:
-        raise DomainError("hankel2_0_ray requires distances > 0")
     t_hi = math.log(d_max)
     t_lo = min(math.log(d_min), t_hi - _RAY_MIN_SPAN)
     width = (t_hi - t_lo) / _RAY_PANELS

@@ -237,6 +237,19 @@ def map_csv_text(image, which: str = "values") -> str:
     return "\n".join(lines) + "\n"
 
 
+def map_csv_values(text: str, grid) -> np.ndarray:
+    """The values raster of a map CSV body, row by row: each x,y,value row
+    lands in the cell whose centre is nearest, the rest stay NaN."""
+    values = np.full((grid.resolution, grid.resolution), np.nan)
+    body = text.split("x,y,value\n", 1)[1]
+    for line in body.splitlines():
+        x, y, v = (float(tok) for tok in line.split(","))
+        ix = int(round((x + grid.half_extent) / grid.cell_size - 0.5))
+        iy = int(round((y + grid.half_extent) / grid.cell_size - 0.5))
+        values[iy, ix] = v
+    return values
+
+
 def direct_norms(basis, k_aw, array, grid, variant) -> np.ndarray:
     """Projection norm of every masked cell (mask order) from one steering
     table over the whole grid."""

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from mwmusic import cli, forward as fw, harness, music as mu
-from mwmusic.errors import ConfigurationError, DomainError
+from mwmusic.errors import ConfigurationError, NumericalError
 
 from conftest import EPS0
 
@@ -178,12 +178,12 @@ class TestRunExperiment:
 
     def test_partial_artifacts_removed_on_failure(self, tmp_path):
         # ratio 1e10 scales k_aw by 1e5, so the steering Hankel arguments
-        # leave the supported range and the sweep fails after the first
-        # ratio has written its files
+        # leave the supported range (a NumericalError of the imaging) and the
+        # sweep fails after the first ratio has written its files
         path = tmp_path / "fail.ini"
         path.write_text("[sweep]\nkind = permeability\nratios = 1, 1e10\n")
         config = harness.load_config(path, resolution=32, out_dir=tmp_path / "broken")
-        with pytest.raises(DomainError):
+        with pytest.raises(NumericalError):
             harness.run_experiment(config, log=lambda *_: None)
         leftover = [p.name for p in (tmp_path / "broken").glob("*") if p.suffix != ""]
         assert leftover == []
@@ -192,7 +192,7 @@ class TestRunExperiment:
         path = tmp_path / "fail.ini"
         path.write_text("[sweep]\nkind = permeability\nratios = 1, 1e10\n")
         config = harness.load_config(path, resolution=32, out_dir=tmp_path / "new" / "out")
-        with pytest.raises(DomainError):
+        with pytest.raises(NumericalError):
             harness.run_experiment(config, log=lambda *_: None)
         assert not (tmp_path / "new").exists()
 
@@ -203,7 +203,7 @@ class TestRunExperiment:
         out.mkdir()
         (out / "notes.txt").write_text("kept\n")
         config = harness.load_config(path, resolution=32, out_dir=out)
-        with pytest.raises(DomainError):
+        with pytest.raises(NumericalError):
             harness.run_experiment(config, log=lambda *_: None)
         assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
@@ -337,7 +337,15 @@ class TestCli:
         bad = tmp_path / "range.ini"
         bad.write_text("[sweep]\nratios = 1, 1e10\n")
         out = tmp_path / "range-out"
-        assert cli.main(["run", str(bad), "--out", str(out), "--resolution", "32"]) in (2, 3)
+        assert cli.main(["run", str(bad), "--out", str(out), "--resolution", "32"]) == 3
+        assert not out.exists()
+
+    def test_zero_background_permittivity_exits_2(self, tmp_path):
+        # the contrast is undefined: a domain failure of the config, exit 2
+        bad = tmp_path / "vacuum.ini"
+        bad.write_text("[scene]\nbackground_rel_permittivity = 0\n")
+        out = tmp_path / "vacuum-out"
+        assert cli.main(["run", str(bad), "--out", str(out), "--resolution", "32"]) == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("anomalies", [
@@ -353,7 +361,9 @@ class TestCli:
         bad = tmp_path / "lossy.ini"
         bad.write_text("[sweep]\nkind = conductivity\nratios = 1e5\n" + anomalies)
         out = tmp_path / "lossy-out"
-        assert cli.main(["run", str(bad), "--out", str(out), "--resolution", "32"]) == 3
+        with pytest.warns(RuntimeWarning):
+            code = cli.main(["run", str(bad), "--out", str(out), "--resolution", "32"])
+        assert code == 3
         assert not out.exists()
 
     def test_plane_wave_survives_high_loss(self, tmp_path):

@@ -19,6 +19,7 @@ from oracles import (
     direct_closed_form_norm_map,
     direct_norms,
     map_csv_text,
+    map_csv_values,
     onesided_jacobi_singular_values,
 )
 
@@ -429,7 +430,7 @@ class TestImagingMap:
             ),
             single_scene.omega,
         )
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError), pytest.warns(RuntimeWarning):
             mu.imaging_map(dec.left_vectors[:, :1], k_aw, single_scene.array, _grid(16))
 
     def test_raw_norm_bounded(self, single_scene):
@@ -517,6 +518,55 @@ class TestImageMapIO:
         back = mu.read_map_csv(path, roi_radius=0.085)
         mask = image.grid.mask
         assert np.array_equal(back.values[mask], image.raw_norm[mask])
+
+    def test_csv_read_matches_row_loop(self, tmp_path):
+        # rows shuffled and moved off their cell centres by up to 0.45 cell
+        image = self._image()
+        path = tmp_path / "map.csv"
+        mu.write_map_csv(image, path)
+        lines = path.read_text().splitlines()
+        rng = np.random.default_rng(9)
+        rows = np.array([[float(t) for t in line.split(",")] for line in lines[4:]])
+        rows[:, :2] += rng.uniform(-0.45, 0.45, (len(rows), 2)) * image.grid.cell_size
+        rows = rows[rng.permutation(len(rows))]
+        text = "\n".join(lines[:4] + [",".join(repr(v) for v in row) for row in rows.tolist()]) + "\n"
+        path.write_text(text)
+        back = mu.read_map_csv(path, roi_radius=0.085)
+        assert np.array_equal(back.values, map_csv_values(text, image.grid), equal_nan=True)
+        assert np.array_equal(back.values, image.values, equal_nan=True)
+
+    # an edit of the written lines and the check of read_map_csv it must trip;
+    # lines 0-3 are the resolution, bounds and k_aw rows and x,y,value
+    _CSV_DEFECTS = {
+        "no-column-row": (lambda lines: lines[:3] + lines[4:], "missing x,y,value"),
+        "malformed-header": (lambda lines: ["# resolution,thirty-two"] + lines[1:],
+                             "malformed CSV header"),
+        "missing-header-key": (lambda lines: lines[1:], "malformed CSV header"),
+        "asymmetric-bounds": (lambda lines: [lines[0], "# bounds,-0.085,0.09"] + lines[2:],
+                              "bounds must be symmetric"),
+        "short-row": (lambda lines: lines[:9] + ["0.01,0.02"] + lines[10:], "bad data row"),
+        "non-numeric-row": (lambda lines: lines[:9] + ["0.01,zero,1.0"] + lines[10:],
+                            "bad data row"),
+        "extra-field": (lambda lines: lines[:4] + [line + ",0" for line in lines[4:]],
+                        "bad data row"),
+        "outside-grid": (lambda lines: lines + ["0.5,0.0,1.0"], "falls outside the grid"),
+        "incomplete": (lambda lines: lines[:-1], "do not cover exactly the unmasked cells"),
+        "empty-body": (lambda lines: lines[:4], "do not cover exactly the unmasked cells"),
+        "infinite-value": (lambda lines: lines[:9] + [lines[9].rsplit(",", 1)[0] + ",inf"]
+                           + lines[10:], "do not cover exactly the unmasked cells"),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(_CSV_DEFECTS))
+    def test_csv_read_rejects(self, tmp_path, defect):
+        edit, message = self._CSV_DEFECTS[defect]
+        path = tmp_path / "map.csv"
+        mu.write_map_csv(self._image(), path)
+        lines = path.read_text().splitlines()
+        assert lines[3] == "x,y,value"
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(DomainError, match=message) as err:
+            mu.read_map_csv(path, roi_radius=0.085)
+        assert str(path) in str(err.value)
 
     def _clipped_image(self):
         # a signal basis spanned by one cell's own steering vector drives that

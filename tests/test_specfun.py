@@ -96,19 +96,25 @@ class TestHankel2:
             assert specfun.hankel2_0(float(x)).imag < 0.0
 
     def test_against_series_oracle_random_complex(self):
+        # draws over the closed first quadrant, the domain of hankel2_0, plus
+        # draws with arg z near pi/2 and with |z| near the series/asymptotic
+        # crossover at 15
         rng = np.random.default_rng(42)
         mags = rng.uniform(0.01, 30.0, 500)
-        args = rng.uniform(-np.pi, np.pi, 500)
-        zs = mags * np.exp(1j * args)
-        zs = np.where(np.abs(zs.imag) > 5.0, zs.real + 1j * np.sign(zs.imag) * 5.0, zs)
+        args = rng.uniform(0.0, np.pi / 2, 500)
+        steep = rng.uniform(0.01, 5.0, 50) * np.exp(1j * (np.pi / 2 - rng.uniform(0, 0.05, 50)))
+        near_crossover = rng.uniform(14.5, 15.5, 50) * np.exp(1j * rng.uniform(0.0, 0.32, 50))
+        zs = np.concatenate([mags * np.exp(1j * args), steep, near_crossover])
+        zs = np.where(zs.imag > 5.0, zs.real + 5.0j, zs)
         zs = zs[np.abs(zs) >= 0.01]
+        assert np.all(zs.real > 0.0) and np.all(zs.imag >= 0.0)
         vals = specfun.hankel2_0(zs)
         for z, v in zip(zs, vals):
             ref = hankel2_0_oracle(complex(z))
             assert abs(v - ref) <= 1e-9 * abs(ref)
 
     def test_vector_and_scalar_agree(self):
-        zs = np.array([0.5 + 0.1j, 14.9 - 2.0j, 15.1 + 2.0j, 300.0 + 10.0j])
+        zs = np.array([0.5 + 0.1j, 14.9 + 2.0j, 15.1 + 2.0j, 300.0 + 10.0j])
         vec = specfun.hankel2_0(zs)
         for z, v in zip(zs, vec):
             assert specfun.hankel2_0(complex(z)) == v
@@ -120,6 +126,17 @@ class TestHankel2:
             specfun.hankel2_0(2.0e6)
         with pytest.raises(DomainError):
             specfun.hankel2_0(complex(float("inf"), 0.0))
+
+    @pytest.mark.parametrize("z", [
+        1.0 - 0.5j, 20.0 - 1e-9j,  # Im z < 0
+        -1.0, -20.0 + 0.5j,  # Re z < 0
+        2.0j, 20.0j,  # Re z = 0
+        np.array([1.0, 0.5 + 0.1j, 3.0 - 1e-3j]),
+    ], ids=["lower", "lower-asymptotic", "negative-real", "left", "imaginary-axis",
+            "imaginary-axis-asymptotic", "array"])
+    def test_outside_first_quadrant(self, z):
+        with pytest.raises(DomainError, match=r"Re z > 0 and Im z >= 0"):
+            specfun.hankel2_0(z)
 
 
 def _preset_sweep(name):
@@ -200,6 +217,13 @@ class TestHankel2RayEdges:
         # the permeability x1e10 wavenumber of the harness failure test
         with pytest.raises(DomainError):
             specfun.hankel2_0_ray(1.0e5 * (94.0 + 8.0j), np.array([0.05, 0.2]))
+
+    def test_outside_first_quadrant(self):
+        # a wavenumber below the real axis, and a negative distance
+        with pytest.raises(DomainError, match=r"Re z > 0 and Im z >= 0"):
+            specfun.hankel2_0_ray(94.0 - 8.0j, np.array([0.05, 0.1]))
+        with pytest.raises(DomainError, match=r"Re z > 0 and Im z >= 0"):
+            specfun.hankel2_0_ray(94.0 + 8.0j, np.array([-0.05, 0.1]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_distance(self, bad):
