@@ -14,7 +14,9 @@ Every field is one table over points x antennas. The data matrix takes
 its (anomalies x antennas) table from one exact `hankel2_0` call on the
 distance table, or from `asymptotic_field_matrix`; the exact-field
 steering table of the imaging step, `incident_field_matrix`, takes the
-same field from the Chebyshev interpolant `hankel2_0_ray`.
+same field from the Chebyshev interpolant of `specfun.ray_interpolant`,
+which the imaging step builds once per wavenumber over the distance range
+of the whole grid and evaluates chunk by chunk.
 """
 
 from __future__ import annotations
@@ -71,15 +73,20 @@ def _distances(points: np.ndarray, sources: np.ndarray) -> np.ndarray:
     return d
 
 
-def incident_field_matrix(k: Wavenumber, points: np.ndarray, sources: np.ndarray) -> np.ndarray:
+def incident_field_matrix(
+    k: Wavenumber, points: np.ndarray, sources: np.ndarray, ray=None
+) -> np.ndarray:
     """Point-source field (i/4) H_0^(2)(k |r - r_src|) at every point for every
     source, shape (len(points), len(sources)).
 
     All arguments lie on the one ray k * d, so the table comes from the
-    piecewise Chebyshev interpolant `hankel2_0_ray` (within ~2e-10 of
-    `hankel2_0`, which the data matrix calls directly).
+    piecewise Chebyshev interpolant of `specfun.ray_interpolant` (within
+    ~2e-10 of `hankel2_0`, which the data matrix calls directly): `ray`, an
+    interpolant for k built over a distance range that covers the table, or
+    by default one built over the table's own range.
     """
-    return 0.25j * hankel2_0_ray(k.value, _distances(points, sources))
+    d = _distances(points, sources)
+    return 0.25j * (hankel2_0_ray(k.value, d) if ray is None else ray(d))
 
 
 def asymptotic_field_matrix(k: Wavenumber, points: np.ndarray, sources: np.ndarray) -> np.ndarray:

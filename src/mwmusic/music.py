@@ -14,7 +14,10 @@ antennas, w(g . r) = w(r)[pi_g]. A permutation is unitary, so the
 projection norm at g . r is that of w(r) against the basis with its rows
 permuted. The steering rows are therefore built on one fundamental domain,
 1/|G| of the cells, and projected once per group element; an array without
-symmetry images every cell through the same code with G = {identity}.
+symmetry images every cell through the same code with G = {identity}. The
+domain is walked in chunks of _CHUNK_ENTRIES table entries, and the CSV
+writer streams one grid row at a time, so the transient memory of a map
+does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .errors import (
 )
 from .forward import ScatteringMatrix, incident_field_matrix
 from .scene import AntennaArray, Wavenumber
+from .specfun import ray_interpolant
 
 EXACT_FIELD = "exact_field"
 PLANE_WAVE = "plane_wave"
@@ -43,6 +47,10 @@ VARIANTS = (EXACT_FIELD, PLANE_WAVE)
 # reciprocal-map ceiling where the projection norm underflows
 DEFAULT_CEILING = 1.0e8
 DEFAULT_THRESHOLD_RATIO = 0.1
+
+# table entries (points x antennas) per chunk of a grid's fundamental domain,
+# so a map's transient memory does not grow with the grid
+_CHUNK_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -100,15 +108,16 @@ def _unit_phasors(k: complex, points: np.ndarray, directions: np.ndarray) -> np.
 
 
 def _steering_rows(
-    k_aw: Wavenumber, points: np.ndarray, array: AntennaArray, variant: str
+    k_aw: Wavenumber, points: np.ndarray, array: AntennaArray, variant: str, ray=None
 ) -> np.ndarray:
     """Unit steering vectors for each point, shape (npoints, N).
 
-    exact_field uses the point-source field at each antenna; plane_wave uses
-    the far-field phases e^{i k (a_n/|a_n|) . r}.
+    exact_field uses the point-source field at each antenna, from the ray
+    interpolant `ray` when given (see `incident_field_matrix`); plane_wave
+    uses the far-field phases e^{i k (a_n/|a_n|) . r}.
     """
     if variant == EXACT_FIELD:
-        rows = incident_field_matrix(k_aw, points, array.positions)
+        rows = incident_field_matrix(k_aw, points, array.positions, ray)
         return rows / np.linalg.norm(rows, axis=1, keepdims=True)
     if variant == PLANE_WAVE:
         return _unit_phasors(k_aw.value, points, array.directions)
@@ -156,16 +165,20 @@ class ImagingGrid:
     @cached_property
     def mask(self) -> np.ndarray:
         """True where the cell center lies inside the ROI disk; shape [iy, ix]."""
-        xx, yy = np.meshgrid(self.ticks, self.ticks)
-        m = np.hypot(xx, yy) <= self.roi_radius
+        t = self.ticks
+        m = np.hypot(t[None, :], t[:, None]) <= self.roi_radius
         m.flags.writeable = False
         return m
 
     @cached_property
     def cell_centers(self) -> np.ndarray:
         """Unmasked cell centers (n, 2), matching mask order (y rows, x fastest)."""
-        xx, yy = np.meshgrid(self.ticks, self.ticks)
-        pts = np.column_stack([xx[self.mask], yy[self.mask]])
+        t, mask = self.ticks, self.mask
+        # each coordinate gathered from a broadcast view of the ticks, so no
+        # (res, res) coordinate or index array is built
+        pts = np.empty((np.count_nonzero(mask), 2))
+        pts[:, 0] = np.broadcast_to(t[None, :], mask.shape)[mask]
+        pts[:, 1] = np.broadcast_to(t[:, None], mask.shape)[mask]
         pts.flags.writeable = False
         return pts
 
@@ -269,6 +282,33 @@ def symmetry_plan(grid: ImagingGrid, array: AntennaArray) -> SymmetryPlan:
     return SymmetryPlan(points=points, cells=cells, perms=perms)
 
 
+def _chunks(points: int, antennas: int):
+    """Slices of the representatives, _CHUNK_ENTRIES table entries at a time."""
+    step = max(1, _CHUNK_ENTRIES // antennas)
+    return [slice(start, start + step) for start in range(0, points, step)]
+
+
+def _distance_range(points: np.ndarray, array: AntennaArray, chunks) -> tuple[float, float]:
+    """Smallest and largest entry of the distance table of the points and the
+    antennas, one chunk of points at a time, without holding the table.
+
+    Squared distances, several times cheaper than np.hypot, pick the candidate
+    entries within 1e-9 of either extreme, far above the few ulps by which
+    the two forms differ; np.hypot, as in the table, decides among them.
+    """
+    pos = array.positions
+    lo, hi = math.inf, 0.0
+    for chunk in chunks:
+        dx = points[chunk, None, 0] - pos[None, :, 0]
+        dy = points[chunk, None, 1] - pos[None, :, 1]
+        sq = dx * dx + dy * dy
+        near = sq <= sq.min() * (1.0 + 1e-9)
+        far = sq >= sq.max() * (1.0 - 1e-9)
+        lo = min(lo, float(np.hypot(dx[near], dy[near]).min()))
+        hi = max(hi, float(np.hypot(dx[far], dy[far]).max()))
+    return lo, hi
+
+
 def _pulled_back(vectors: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """v_g with v_g[pi_g] = v for every permutation, shape (|G|, *v.shape).
 
@@ -330,8 +370,11 @@ def imaging_map(
     with the noise projector defined by the signal basis U[:, :M] (N, M).
 
     The steering rows are built on the representatives of `symmetry_plan`
-    only; the norms at the images g . r are |w(r) - U_g U_g^H w(r)|, with
-    U_g the basis rows scattered by pi_g, and land in their mask-order cells.
+    only, _CHUNK_ENTRIES table entries at a time; the norms at the images
+    g . r are |w(r) - U_g U_g^H w(r)|, with U_g the basis rows scattered by
+    pi_g, and land in their mask-order cells. The exact-field interpolant is
+    built once, over the distance range of all representatives, so a row
+    does not depend on the chunk it falls in.
 
     Values are clipped at DEFAULT_CEILING where the norm underflows; the
     unclipped norms are retained in raw_norm for quantitative comparison.
@@ -344,15 +387,22 @@ def imaging_map(
     if array.count != basis.shape[0]:
         raise DomainError("antenna count does not match the signal basis")
     plan = symmetry_plan(grid, array)
-    try:
-        rows = _steering_rows(k_aw, plan.points, array, variant)
-    except DomainError as exc:
-        if variant != EXACT_FIELD or isinstance(exc, SingularityError):
-            raise
-        raise NumericalError(f"steering field at k_aw = {k_aw.value:.6g}: {exc}") from exc
+    chunks = _chunks(len(plan.points), array.count)
+    ray = None
+    if variant == EXACT_FIELD:
+        d_min, d_max = _distance_range(plan.points, array, chunks)
+        try:
+            ray = ray_interpolant(k_aw.value, d_min, d_max)
+        except DomainError as exc:
+            if isinstance(exc, SingularityError):
+                raise
+            raise NumericalError(f"steering field at k_aw = {k_aw.value:.6g}: {exc}") from exc
     norms = np.empty(grid.cell_centers.shape[0])
-    for cells, moved in zip(plan.cells, _pulled_back(basis, plan.perms)):
-        norms[cells] = projection_norm(moved, rows)
+    moved = _pulled_back(basis, plan.perms)
+    for chunk in chunks:
+        rows = _steering_rows(k_aw, plan.points[chunk], array, variant, ray)
+        for cells, basis_g in zip(plan.cells[:, chunk], moved):
+            norms[cells] = projection_norm(basis_g, rows)
     if not np.all(np.isfinite(norms)):
         raise NumericalError(
             f"non-finite projection norm: the steering field at k_aw = {k_aw.value:.6g} "
@@ -374,26 +424,33 @@ def imaging_map(
 
 def write_map_csv(image: ImageMap, path, which: str = "values") -> None:
     """CSV with a resolution/bounds/k_aw header and one x,y,value row per
-    unmasked cell (y rows ascending, x fastest)."""
+    unmasked cell (y rows ascending, x fastest) of the layer `which`,
+    "values" or "raw_norm". The body is written one grid row at a time."""
+    if which not in ("values", "raw_norm"):
+        raise DomainError(f"unknown map layer {which!r}; expected 'values' or 'raw_norm'")
     grid = image.grid
-    data = image.values if which == "values" else image.raw_norm
+    data = getattr(image, which)
     if data is None:
         raise DomainError(f"image has no {which!r} layer")
     k_re, k_im = (image.k_aw.real, image.k_aw.imag) if image.k_aw is not None else (0.0, 0.0)
-    lines = [
-        f"# resolution,{grid.resolution}",
-        f"# bounds,{float(-grid.half_extent)!r},{float(grid.half_extent)!r}",
-        f"# k_aw,{float(k_re)!r},{float(k_im)!r}",
-        "x,y,value",
-    ]
+    header = (
+        f"# resolution,{grid.resolution}\n"
+        f"# bounds,{float(-grid.half_extent)!r},{float(grid.half_extent)!r}\n"
+        f"# k_aw,{float(k_re)!r},{float(k_im)!r}\n"
+        "x,y,value\n"
+    )
     ticks = [repr(t) for t in grid.ticks.tolist()]
-    iy, ix = np.nonzero(grid.mask)
-    lines += [
-        f"{ticks[x]},{ticks[y]},{v!r}"
-        for y, x, v in zip(iy.tolist(), ix.tolist(), data[iy, ix].tolist())
-    ]
+    # the unmasked cells of a row are one run of x: the ticks ascend, and the
+    # distance to the centre falls and then rises along a row
+    counts = np.count_nonzero(grid.mask, axis=1).tolist()
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header)
+        for y_str, inside, row, count in zip(ticks, grid.mask, data, counts):
+            lo = int(inside.argmax())
+            fh.write("".join([
+                f"{x},{y_str},{v!r}\n"
+                for x, v in zip(ticks[lo:lo + count], row[lo:lo + count].tolist())
+            ]))
 
 
 def read_map_csv(path, roi_radius: float) -> ImageMap:

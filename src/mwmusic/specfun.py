@@ -151,22 +151,19 @@ _RAY_TRANSFORM = (2.0 / (_RAY_DEGREE + 1)) * np.cos(
 _RAY_TRANSFORM[0] *= 0.5
 
 
-def hankel2_0_ray(k, d) -> np.ndarray:
-    """H_0^(2)(k d) for one complex k over an array of distances d > 0.
+def ray_interpolant(k, d_min: float, d_max: float):
+    """Evaluator d -> H_0^(2)(k d) for one complex k over distances in
+    [d_min, d_max], built once and applied to any number of tables.
 
     Every argument lies on the ray k * [d_min, d_max], so the smooth factor
-    g(d) = H_0^(2)(k d) e^{ikd} (DLMF 10.17.6) is interpolated once per call:
-    [log d_min, log d_max] is cut into _RAY_PANELS equal panels, each carrying
-    the degree-_RAY_DEGREE Chebyshev interpolant of g through hankel2_0 values
-    at its Chebyshev nodes. Each element is one Clenshaw recurrence times
-    e^{-ikd}. Agreement with hankel2_0 is within ~2e-10 relative, about
-    hankel2_0's own error near its series/asymptotic crossover.
+    g(d) = H_0^(2)(k d) e^{ikd} (DLMF 10.17.6) is interpolated: [log d_min,
+    log d_max] is cut into _RAY_PANELS equal panels, each carrying the
+    degree-_RAY_DEGREE Chebyshev interpolant of g through hankel2_0 values at
+    its Chebyshev nodes. Each element is one Clenshaw recurrence times
+    e^{-ikd}. The evaluator is meant for distances inside the range; the
+    panel layout, and so every value, depends on the range alone.
     """
     k = complex(k)
-    d = np.asarray(d, dtype=float)
-    if d.size == 0:
-        return np.empty(d.shape, dtype=np.complex128)
-    d_min, d_max = float(np.min(d)), float(np.max(d))
     _hankel_arg_modulus(np.array([k * d_min, k * d_max]))
     t_hi = math.log(d_max)
     t_lo = min(math.log(d_min), t_hi - _RAY_MIN_SPAN)
@@ -177,23 +174,40 @@ def hankel2_0_ray(k, d) -> np.ndarray:
     g_nodes = hankel2_0(z_nodes) * np.exp(1j * z_nodes)
     coefs = _RAY_TRANSFORM @ g_nodes  # row m: order-m coefficient of every panel
 
-    flat = d.ravel()
-    out = np.empty(flat.shape, dtype=np.complex128)
-    for start in range(0, flat.size, _RAY_BLOCK):
-        block = flat[start:start + _RAY_BLOCK]
-        u = (np.log(block) - t_lo) / width
-        panel = np.clip(u.astype(np.intp), 0, _RAY_PANELS - 1)
-        x2 = 4.0 * (u - panel) - 2.0  # twice the local Chebyshev variable
-        b1 = np.zeros(block.shape, dtype=np.complex128)
-        b2 = np.zeros_like(b1)
-        for m in range(_RAY_DEGREE, 0, -1):
-            b = np.take(coefs[m], panel)
-            b += x2 * b1
-            b -= b2
-            b1, b2 = b, b1
-        g = np.take(coefs[0], panel) + 0.5 * x2 * b1 - b2
-        out[start:start + _RAY_BLOCK] = g * np.exp(-1j * k * block)
-    return out.reshape(d.shape)
+    def evaluate(d) -> np.ndarray:
+        d = np.asarray(d, dtype=float)
+        flat = d.ravel()
+        out = np.empty(flat.shape, dtype=np.complex128)
+        for start in range(0, flat.size, _RAY_BLOCK):
+            block = flat[start:start + _RAY_BLOCK]
+            u = (np.log(block) - t_lo) / width
+            panel = np.clip(u.astype(np.intp), 0, _RAY_PANELS - 1)
+            x2 = 4.0 * (u - panel) - 2.0  # twice the local Chebyshev variable
+            b1 = np.zeros(block.shape, dtype=np.complex128)
+            b2 = np.zeros_like(b1)
+            for m in range(_RAY_DEGREE, 0, -1):
+                b = np.take(coefs[m], panel)
+                b += x2 * b1
+                b -= b2
+                b1, b2 = b, b1
+            g = np.take(coefs[0], panel) + 0.5 * x2 * b1 - b2
+            out[start:start + _RAY_BLOCK] = g * np.exp(-1j * k * block)
+        return out.reshape(d.shape)
+
+    return evaluate
+
+
+def hankel2_0_ray(k, d) -> np.ndarray:
+    """H_0^(2)(k d) for one complex k over an array of distances d > 0, from
+    the `ray_interpolant` over the array's own [min d, max d].
+
+    Agreement with hankel2_0 is within ~2e-10 relative, about hankel2_0's
+    own error near its series/asymptotic crossover.
+    """
+    d = np.asarray(d, dtype=float)
+    if d.size == 0:
+        return np.empty(d.shape, dtype=np.complex128)
+    return ray_interpolant(k, float(np.min(d)), float(np.max(d)))(d)
 
 
 def _miller_start(q_max: int, x: float) -> int:

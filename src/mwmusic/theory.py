@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, DomainError
 from .forward import ASYMPTOTIC, ScatteringMatrix
-from .music import ImageMap, ImagingGrid, _pulled_back, _unit_phasors, symmetry_plan
+from .music import ImageMap, ImagingGrid, _chunks, _pulled_back, _unit_phasors, symmetry_plan
 from .scene import AntennaArray, Medium, Scene, Wavenumber, contrast, wavenumber
 # not used here: the traced benchmark wraps these two names in this module
 from .specfun import bessel_j_grid, jacobi_anger_truncation  # noqa: F401
@@ -114,13 +114,16 @@ def closed_form_norm_map(ctx: TheoryContext, grid: ImagingGrid) -> np.ndarray:
     """Predicted |P_noise W| over the grid (NaN at masked cells).
 
     The unit rows w(r) are built on one fundamental domain of the symmetry
-    shared by grid and array (`music.symmetry_plan`) and paired with s
+    shared by grid and array (`music.symmetry_plan`), one chunk of
+    representatives at a time as in `music.imaging_map`, and paired with s
     permuted once per group element.
     """
     plan = symmetry_plan(grid, ctx.array)
     g = np.empty(grid.cell_centers.shape[0])
-    for cells, values in zip(plan.cells, _norm_factor(ctx, plan.points, plan.perms)):
-        g[cells] = values
+    for chunk in _chunks(len(plan.points), ctx.array.count):
+        factors = _norm_factor(ctx, plan.points[chunk], plan.perms)
+        for cells, values in zip(plan.cells[:, chunk], factors):
+            g[cells] = values
     out = np.full((grid.resolution, grid.resolution), np.nan)
     out[grid.mask] = ctx._norm_prefactor * np.sqrt(np.clip(1.0 - g * g, 0.0, None))
     return out

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from mwmusic import forward as fw
 from mwmusic import music as mu
 from mwmusic import scene as sc
+from mwmusic import specfun
 from mwmusic import theory as th
 from mwmusic.errors import (
     ConfigurationError,
@@ -187,10 +189,20 @@ class TestProjectionNorm:
 
 
 class TestImagingGrid:
+    # the mask and the centres come from the ticks without a meshgrid; they
+    # must equal the meshgrid form bit for bit
     def test_mask_matches_disk(self):
-        grid = _grid(64)
-        xx, yy = np.meshgrid(grid.ticks, grid.ticks)
-        assert np.array_equal(grid.mask, np.hypot(xx, yy) <= 0.085)
+        for resolution in (64, 113, 512):
+            grid = _grid(resolution)
+            xx, yy = np.meshgrid(grid.ticks, grid.ticks)
+            assert np.array_equal(grid.mask, np.hypot(xx, yy) <= 0.085)
+
+    def test_centers_match_meshgrid(self):
+        for resolution in (64, 113, 512):
+            grid = _grid(resolution)
+            xx, yy = np.meshgrid(grid.ticks, grid.ticks)
+            want = np.column_stack([xx[grid.mask], yy[grid.mask]])
+            assert np.array_equal(grid.cell_centers, want)
 
     def test_centers_strictly_inside_bounds(self):
         grid = _grid(32)
@@ -324,6 +336,90 @@ class TestSymmetryPlan:
         got = th.closed_form_norm_map(ctx, grid)[grid.mask]
         want = direct_closed_form_norm_map(ctx, grid)[grid.mask]
         assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def _scene_with(array, n_anomalies):
+    base = make_scene(n_anomalies)
+    return sc.Scene(
+        background=base.background,
+        roi_radius=base.roi_radius,
+        array=array,
+        anomalies=base.anomalies,
+        frequency=base.frequency,
+    )
+
+
+_CHUNK_ARRAYS = {
+    "ring16": lambda: sc.uniform_circular_array(16, 0.09),
+    "nudged16": _nudged_array,
+}
+
+
+class TestChunks:
+    # Three representatives per chunk (the last chunk shorter) against one
+    # chunk over the whole domain: every row and every norm comes from that
+    # row alone, and the exact-field interpolant spans the whole domain in
+    # both, so the maps must agree bit for bit.
+    @pytest.mark.parametrize("variant", mu.VARIANTS)
+    @pytest.mark.parametrize("n_anomalies", [1, 2])
+    @pytest.mark.parametrize("array_name", sorted(_CHUNK_ARRAYS))
+    def test_imaging_map_bit_identical(self, monkeypatch, variant, n_anomalies, array_name):
+        scn = _scene_with(_CHUNK_ARRAYS[array_name](), n_anomalies)
+        k_bw = scn.background_wavenumber()
+        k_aw = _mismatched(scn, "permeability", 2.0)
+        basis = mu.svd_leading(fw.scattering_matrix(scn, k_bw)).left_vectors[:, :n_anomalies]
+        grid = _grid(61)
+        maps = []
+        for entries in (10**9, 3 * scn.array.count):
+            monkeypatch.setattr(mu, "_CHUNK_ENTRIES", entries)
+            maps.append(mu.imaging_map(basis, k_aw, scn.array, grid, variant=variant))
+        whole, chunked = maps
+        assert np.array_equal(chunked.raw_norm, whole.raw_norm, equal_nan=True)
+        assert np.array_equal(chunked.values, whole.values, equal_nan=True)
+
+    @pytest.mark.parametrize("array_name", sorted(_CHUNK_ARRAYS))
+    def test_closed_form_bit_identical(self, monkeypatch, array_name):
+        array = _CHUNK_ARRAYS[array_name]()
+        scn = make_scene(1)
+        ctx = th.TheoryContext(
+            k_bw=scn.background_wavenumber(),
+            k_aw=_mismatched(scn, "permittivity", 2.0),
+            r_star=(0.01, 0.03),
+            array=array,
+        )
+        grid = _grid(61)
+        maps = []
+        for entries in (10**9, 3 * array.count):
+            monkeypatch.setattr(mu, "_CHUNK_ENTRIES", entries)
+            maps.append(th.closed_form_norm_map(ctx, grid))
+        assert np.array_equal(maps[1], maps[0], equal_nan=True)
+
+    # the squared-distance screen must find the extremes of the np.hypot table
+    # exactly: the interpolant's panel layout, and so every steering row,
+    # follows them
+    @pytest.mark.parametrize("count,resolution", _SYMMETRY_CASES)
+    @pytest.mark.parametrize("radius", [0.09, 0.0851])
+    def test_distance_range_exact(self, count, resolution, radius):
+        grid = _grid(resolution)
+        array = sc.uniform_circular_array(count, radius)
+        points = mu.symmetry_plan(grid, array).points
+        table = fw._distances(points, array.positions)
+        for chunks in (mu._chunks(len(points), count), [slice(None)]):
+            got = mu._distance_range(points, array, chunks)
+            assert got == (float(table.min()), float(table.max()))
+
+    def test_interpolant_built_once(self, monkeypatch):
+        # the ray interpolant's node values are the only hankel2_0 call of
+        # an exact-field map, however many chunks the domain takes
+        scn = make_scene(1)
+        k = scn.background_wavenumber()
+        basis = mu.svd_leading(fw.scattering_matrix(scn, k)).left_vectors[:, :1]
+        calls = []
+        hankel = specfun.hankel2_0
+        monkeypatch.setattr(specfun, "hankel2_0", lambda z: calls.append(1) or hankel(z))
+        monkeypatch.setattr(mu, "_CHUNK_ENTRIES", 3 * scn.array.count)
+        mu.imaging_map(basis, k, scn.array, _grid(61))
+        assert len(calls) == 1
 
 
 class TestImagingMap:
@@ -586,6 +682,28 @@ class TestImageMapIO:
         path = tmp_path / "map.csv"
         mu.write_map_csv(image, path, which=which)
         assert path.read_bytes() == map_csv_text(image, which).encode("ascii")
+
+    def test_csv_unknown_layer_rejected(self, tmp_path):
+        path = tmp_path / "map.csv"
+        with pytest.raises(DomainError, match="unknown map layer 'norm'"):
+            mu.write_map_csv(self._image(), path, which="norm")
+        assert not path.exists()
+
+    def test_csv_writer_memory(self, tmp_path):
+        # the body is written one grid row at a time: the traced peak at
+        # 1024^2 (824k rows, ~40 MB of text) stays within 1 MB; building the
+        # values caches the grid's ticks and mask before tracing starts
+        grid = _grid(1024)
+        rng = np.random.default_rng(3)
+        values = np.where(grid.mask, rng.uniform(0.0, 1.0, (1024, 1024)), np.nan)
+        image = mu.ImageMap(grid=grid, values=values, k_aw=94.0 + 8.0j)
+        tracemalloc.start()
+        try:
+            mu.write_map_csv(image, tmp_path / "map.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
     def test_pgm_layout(self, tmp_path):
         image = self._image(128)

@@ -172,8 +172,8 @@ class TestPredictedPeak:
             )
             got = th.predicted_peak(k_bw, k_aw, (0.01, 0.03))
             want = (0.01 / math.sqrt(c), 0.03 / math.sqrt(c))
-            assert got[0] == pytest.approx(want[0], rel=1e-12)
-            assert got[1] == pytest.approx(want[1], rel=1e-12)
+            assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0)
+            assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0)
 
     def test_permittivity_law_near_sqrt(self, single_scene):
         # Complex ratio against the lossless sqrt(eps_b/eps_a) approximation.
