@@ -36,6 +36,7 @@ from .music import (
     ImageMap,
     ImagingGrid,
     SubspaceDecomposition,
+    SymmetryPlan,
     extract_peaks,
     grid_for_roi,
     imaging_map,
@@ -43,6 +44,7 @@ from .music import (
     read_map_csv,
     signal_subspace_dim,
     svd_leading,
+    symmetry_plan,
     write_map_csv,
     write_map_pgm,
 )

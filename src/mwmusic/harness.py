@@ -360,6 +360,8 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
     if config.snr_db != fw.NOISELESS:
         data = fw.add_noise(data, config.snr_db, config.seed)
     grid = mu.grid_for_roi(scene.roi_radius, config.resolution)
+    # the geometry of every map of the sweep; only k_aw changes per ratio
+    plan = mu.symmetry_plan(grid, scene.array)
 
     single = len(scene.anomalies) == 1
     c_identity = None
@@ -388,7 +390,7 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
                 scene.background, scene.omega, th.MismatchSpec(config.sweep_kind, ratio)
             )
             diags = validate_scene(scene, k_aw)
-            image = mu.imaging_map(basis, k_aw, scene.array, grid, variant=config.test_variant)
+            image = mu.imaging_map(basis, k_aw, plan, variant=config.test_variant)
             n_peaks = max(len(scene.anomalies), 1)
             peaks = mu.extract_peaks(image, n_peaks)
             predicted = [
@@ -402,13 +404,12 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
                 # the closed form corresponds to the one-direction projector,
                 # so the comparison map always uses U[:, :1] alone
                 norm_image = image if m_used == 1 else mu.imaging_map(
-                    dec.left_vectors[:, :1], k_aw, scene.array, grid,
-                    variant=config.test_variant,
+                    dec.left_vectors[:, :1], k_aw, plan, variant=config.test_variant
                 )
                 ctx = th.TheoryContext(
                     k_bw=k_bw, k_aw=k_aw, r_star=scene.anomalies[0].center, array=scene.array
                 )
-                closed_form = th.compare_maps(norm_image, ctx, grid).as_dict()
+                closed_form = th.compare_maps(norm_image, ctx, plan).as_dict()
 
             label = _ratio_label(config.sweep_kind, ratio)
             map_path = out_dir / f"map-{label}.csv"
@@ -506,4 +507,4 @@ def compare_saved_map(csv_path, config: ExperimentConfig) -> th.MapComparison:
     empirical = mu.ImageMap(
         grid=loaded.grid, values=loaded.values, raw_norm=loaded.values, k_aw=loaded.k_aw
     )
-    return th.compare_maps(empirical, ctx, loaded.grid)
+    return th.compare_maps(empirical, ctx, mu.symmetry_plan(loaded.grid, scene.array))

@@ -18,6 +18,11 @@ symmetry images every cell through the same code with G = {identity}. The
 domain is walked in chunks of _CHUNK_ENTRIES table entries, and the CSV
 writer streams one grid row at a time, so the transient memory of a map
 does not grow with the grid.
+
+Everything that depends only on the grid and the array (the domain, its
+chunks and its distance range to the antennas) is one `SymmetryPlan`. A
+sweep builds it once and passes it to every map; per wavenumber only the
+exact-field interpolant and the steering rows are computed.
 """
 
 from __future__ import annotations
@@ -206,21 +211,35 @@ _GENERATORS = (
 _SYMMETRY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetryPlan:
-    """One fundamental domain of the symmetry group G shared by an imaging
-    grid and an antenna array.
+    """The geometry of a sweep: one fundamental domain of the symmetry group
+    G shared by an imaging grid and an antenna array, and what the maps over
+    it need that no wavenumber changes.
 
     points holds the representative cell centres (reps, 2). For the j-th
     element g of G (the identity first), cells[j] holds the mask-order
     index of g . rep for every representative, and perms[j] the antenna
     permutation pi_g with w(g . r) = w(r)[pi_g], for any steering or unit
-    row w built from distances to, or directions of, the antennas.
+    row w built from distances to, or directions of, the antennas. chunks
+    are the slices of the representatives a map walks, _CHUNK_ENTRIES
+    table entries each. Every array is read-only: one plan serves every map
+    of a sweep.
     """
 
+    grid: ImagingGrid
+    array: AntennaArray
     points: np.ndarray
     cells: np.ndarray
     perms: np.ndarray
+    chunks: tuple[slice, ...]
+
+    @cached_property
+    def distance_range(self) -> tuple[float, float]:
+        """Smallest and largest representative-to-antenna distance, found
+        when the first exact-field map asks for it; the closed form and
+        plane-wave maps never do."""
+        return _distance_range(self.points, self.array, self.chunks)
 
 
 def _antenna_permutation(g: np.ndarray, array: AntennaArray) -> np.ndarray | None:
@@ -240,7 +259,9 @@ def _antenna_permutation(g: np.ndarray, array: AntennaArray) -> np.ndarray | Non
 def symmetry_plan(grid: ImagingGrid, array: AntennaArray) -> SymmetryPlan:
     """Fundamental domain, cell maps and antenna permutations of the group
     generated by those of y -> -y, x -> -x and x <-> y that map both the
-    masked cells and the antenna positions onto themselves.
+    masked cells and the antenna positions onto themselves, with the
+    domain's chunks (and, on first use, its distance range); built once per
+    sweep.
 
     A uniform circular array gives |G| = 8 for N = 0 mod 4, 4 for
     N = 2 mod 4 and 2 for odd N; an asymmetric array gives the identity
@@ -274,18 +295,27 @@ def symmetry_plan(grid: ImagingGrid, array: AntennaArray) -> SymmetryPlan:
     reps = np.flatnonzero(canonical == order[mask])
     iy, ix = np.nonzero(mask)
     iy, ix = iy[reps], ix[reps]
-    points = grid.cell_centers[reps]
+    # the representatives' rows of grid.cell_centers, which is not built: a
+    # sweep would hold its (cells, 2) table to the end
+    points = np.column_stack([grid.ticks[ix], grid.ticks[iy]])
     cells = np.stack([raster[iy, ix] for _, raster, _ in group])
     perms = np.stack([perm for _, _, perm in group])
     for a in (points, cells, perms):
         a.flags.writeable = False
-    return SymmetryPlan(points=points, cells=cells, perms=perms)
+    return SymmetryPlan(
+        grid=grid,
+        array=array,
+        points=points,
+        cells=cells,
+        perms=perms,
+        chunks=_chunks(len(points), array.count),
+    )
 
 
-def _chunks(points: int, antennas: int):
+def _chunks(points: int, antennas: int) -> tuple[slice, ...]:
     """Slices of the representatives, _CHUNK_ENTRIES table entries at a time."""
     step = max(1, _CHUNK_ENTRIES // antennas)
-    return [slice(start, start + step) for start in range(0, points, step)]
+    return tuple(slice(start, start + step) for start in range(0, points, step))
 
 
 def _distance_range(points: np.ndarray, array: AntennaArray, chunks) -> tuple[float, float]:
@@ -362,19 +392,19 @@ class ImageMap:
 def imaging_map(
     basis: np.ndarray,
     k_aw: Wavenumber,
-    array: AntennaArray,
-    grid: ImagingGrid,
+    plan: SymmetryPlan,
     variant: str = EXACT_FIELD,
 ) -> ImageMap:
-    """Reciprocal projection-norm map 1 / |P_noise W(r)| over unmasked cells,
-    with the noise projector defined by the signal basis U[:, :M] (N, M).
+    """Reciprocal projection-norm map 1 / |P_noise W(r)| over the unmasked
+    cells of plan.grid, with the noise projector defined by the signal basis
+    U[:, :M] (N, M) and the steering rows from the antennas of plan.array.
 
-    The steering rows are built on the representatives of `symmetry_plan`
-    only, _CHUNK_ENTRIES table entries at a time; the norms at the images
-    g . r are |w(r) - U_g U_g^H w(r)|, with U_g the basis rows scattered by
-    pi_g, and land in their mask-order cells. The exact-field interpolant is
-    built once, over the distance range of all representatives, so a row
-    does not depend on the chunk it falls in.
+    The steering rows are built on the plan's representatives only, one of
+    its chunks at a time; the norms at the images g . r are
+    |w(r) - U_g U_g^H w(r)|, with U_g the basis rows scattered by pi_g, and
+    land in their mask-order cells. The exact-field interpolant is built
+    once, over the plan's distance range, so a row does not depend on the
+    chunk it falls in.
 
     Values are clipped at DEFAULT_CEILING where the norm underflows; the
     unclipped norms are retained in raw_norm for quantitative comparison.
@@ -382,24 +412,22 @@ def imaging_map(
     range of hankel2_0 (|k_aw| d > 1e6) or a norm is not finite (the table
     overflows once Im(k_aw) times the distance passes ~709).
     """
+    grid, array = plan.grid, plan.array
     if grid.resolution < 16:
         raise ConfigurationError("imaging grid resolution must be >= 16")
     if array.count != basis.shape[0]:
         raise DomainError("antenna count does not match the signal basis")
-    plan = symmetry_plan(grid, array)
-    chunks = _chunks(len(plan.points), array.count)
     ray = None
     if variant == EXACT_FIELD:
-        d_min, d_max = _distance_range(plan.points, array, chunks)
         try:
-            ray = ray_interpolant(k_aw.value, d_min, d_max)
+            ray = ray_interpolant(k_aw.value, *plan.distance_range)
         except DomainError as exc:
             if isinstance(exc, SingularityError):
                 raise
             raise NumericalError(f"steering field at k_aw = {k_aw.value:.6g}: {exc}") from exc
-    norms = np.empty(grid.cell_centers.shape[0])
+    norms = np.empty(np.count_nonzero(grid.mask))
     moved = _pulled_back(basis, plan.perms)
-    for chunk in chunks:
+    for chunk in plan.chunks:
         rows = _steering_rows(k_aw, plan.points[chunk], array, variant, ray)
         for cells, basis_g in zip(plan.cells[:, chunk], moved):
             norms[cells] = projection_norm(basis_g, rows)
@@ -528,25 +556,27 @@ def extract_peaks(image: ImageMap, count: int) -> list[tuple[tuple[float, float]
     """Greedy maxima with non-maximum suppression over a 4-cell radius.
 
     Ties break lexicographically by (row, column); at most `count` peaks are
-    returned, sorted by value descending.
+    returned, sorted by value descending. Each round takes the first argmax
+    (row-major) of the cells still open, then closes the disk of squared
+    cell distance <= 16 around it.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
     mask = image.grid.mask
     if not mask.any():
         raise DomainError("image has no unmasked cells")
-    iy, ix = np.nonzero(mask)
-    vals = image.values[iy, ix]
-    order = np.lexsort((ix, iy, -vals))
-    picked: list[tuple[int, int]] = []
+    open_values = np.where(mask, image.values, -np.inf)
+    res = image.grid.resolution
+    reach = 4  # the suppression radius, in cells
     out: list[tuple[tuple[float, float], float]] = []
-    suppress_sq = 4.0**2
-    for idx in order:
-        cy, cx = int(iy[idx]), int(ix[idx])
-        if any((cy - py) ** 2 + (cx - px) ** 2 <= suppress_sq for py, px in picked):
-            continue
-        picked.append((cy, cx))
-        out.append((image.grid.point_of(cy, cx), float(vals[idx])))
-        if len(out) == count:
+    for _ in range(count):
+        iy, ix = divmod(int(np.argmax(open_values)), res)
+        value = float(open_values[iy, ix])
+        if value == -np.inf:
             break
+        out.append((image.grid.point_of(iy, ix), value))
+        ys = np.arange(max(iy - reach, 0), min(iy + reach + 1, res))
+        xs = np.arange(max(ix - reach, 0), min(ix + reach + 1, res))
+        disk = (ys[:, None] - iy) ** 2 + (xs[None, :] - ix) ** 2 <= reach * reach
+        open_values[ys[0]:ys[-1] + 1, xs[0]:xs[-1] + 1][disk] = -np.inf
     return out

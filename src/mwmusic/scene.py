@@ -7,7 +7,8 @@ differ from the background in permittivity and conductivity only (the
 permeability is uniform).
 
 Every type here is immutable after construction and every operation is a
-pure function, so concurrent use needs no synchronization.
+pure function, so concurrent use needs no synchronization. A scene caches
+the one table its diagnostics need that no wavenumber changes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +32,8 @@ BACKGROUND_PERMEABILITY = 1.257e-6
 # configuration sits at ~5.6), the far-field hypothesis at a factor of 10.
 LOSS_FACTOR = 5.0
 FAR_FIELD_FACTOR = 10.0
+# cells per side of the coarse grid over which the far-field margin is checked
+DIAGNOSTIC_RESOLUTION = 33
 
 
 def _finite(value: float, name: str) -> float:
@@ -188,6 +192,22 @@ class Scene:
     def background_wavenumber(self) -> Wavenumber:
         return wavenumber(self.background, self.omega)
 
+    @cached_property
+    def interior_antenna_distances(self) -> np.ndarray:
+        """Distance to the nearest antenna of every point of the
+        DIAGNOSTIC_RESOLUTION^2 grid over [-roi, roi]^2 that lies in the
+        region of interest, in row-major order."""
+        ticks = np.linspace(-self.roi_radius, self.roi_radius, DIAGNOSTIC_RESOLUTION)
+        gx, gy = np.meshgrid(ticks, ticks)
+        inside = np.hypot(gx, gy) <= self.roi_radius
+        pos = self.array.positions
+        d = np.hypot(
+            gx[inside][:, None] - pos[None, :, 0],
+            gy[inside][:, None] - pos[None, :, 1],
+        ).min(axis=1)
+        d.flags.writeable = False
+        return d
+
 
 def contrast(anomaly: Anomaly, background: Medium, omega: float) -> complex:
     """Complex material contrast (eps* - eps_b)/eps_b + i (sigma* - sigma_b)/(omega eps_b)."""
@@ -290,13 +310,5 @@ def validate_scene(scene: Scene, k_aw: Wavenumber) -> list[Diagnostic]:
     return out
 
 
-def _far_field_grid_fraction(scene: Scene, margin: float, resolution: int = 33) -> float:
-    ticks = np.linspace(-scene.roi_radius, scene.roi_radius, resolution)
-    gx, gy = np.meshgrid(ticks, ticks)
-    inside = np.hypot(gx, gy) <= scene.roi_radius
-    pts = np.column_stack([gx[inside], gy[inside]])
-    d = np.hypot(
-        pts[:, None, 0] - scene.array.positions[None, :, 0],
-        pts[:, None, 1] - scene.array.positions[None, :, 1],
-    ).min(axis=1)
-    return float(np.mean(d >= margin))
+def _far_field_grid_fraction(scene: Scene, margin: float) -> float:
+    return float(np.mean(scene.interior_antenna_distances >= margin))

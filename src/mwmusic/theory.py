@@ -12,7 +12,7 @@ so the reciprocal map peaks where g reaches 1, near Re(k_bw/k_aw) r*. This
 module evaluates g as that direct sum over the N antennas, exact for lossy
 wavenumbers too, from the same overflow-safe unit rows
 (`music._unit_phasors`) that the plane-wave steering uses. Over a grid the
-rows are built on the fundamental domain of `music.symmetry_plan` only:
+rows are built on the fundamental domain of a `music.SymmetryPlan` only:
 w(g . r) = w(r)[pi_g], so g at g . r is |w(r) . conj(s_g)| with s_g the
 signal row scattered by pi_g, one mat-vec per group element. The paper
 states the same quantity as a Bessel-harmonic series: with
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, DomainError
 from .forward import ASYMPTOTIC, ScatteringMatrix
-from .music import ImageMap, ImagingGrid, _chunks, _pulled_back, _unit_phasors, symmetry_plan
+from .music import ImageMap, SymmetryPlan, _pulled_back, _unit_phasors
 from .scene import AntennaArray, Medium, Scene, Wavenumber, contrast, wavenumber
 # not used here: the traced benchmark wraps these two names in this module
 from .specfun import bessel_j_grid, jacobi_anger_truncation  # noqa: F401
@@ -110,22 +110,29 @@ def _norm_factor(ctx: TheoryContext, points: np.ndarray, perms: np.ndarray) -> n
     return np.stack([np.minimum(np.abs(w @ s_g), 1.0) for s_g in _pulled_back(s.conj(), perms)])
 
 
-def closed_form_norm_map(ctx: TheoryContext, grid: ImagingGrid) -> np.ndarray:
-    """Predicted |P_noise W| over the grid (NaN at masked cells).
+def closed_form_norm_map(ctx: TheoryContext, plan: SymmetryPlan) -> np.ndarray:
+    """Predicted |P_noise W| over plan.grid (NaN at masked cells).
 
-    The unit rows w(r) are built on one fundamental domain of the symmetry
-    shared by grid and array (`music.symmetry_plan`), one chunk of
-    representatives at a time as in `music.imaging_map`, and paired with s
-    permuted once per group element.
+    The unit rows w(r) are built on the plan's fundamental domain, one of
+    its chunks at a time as in `music.imaging_map`, and paired with s
+    permuted once per group element. The plan must be built for ctx.array.
     """
-    plan = symmetry_plan(grid, ctx.array)
-    g = np.empty(grid.cell_centers.shape[0])
-    for chunk in _chunks(len(plan.points), ctx.array.count):
+    if plan.array != ctx.array:
+        raise DomainError("the symmetry plan was built for another antenna array")
+    grid = plan.grid
+    g = np.empty(np.count_nonzero(grid.mask))
+    for chunk in plan.chunks:
         factors = _norm_factor(ctx, plan.points[chunk], plan.perms)
         for cells, values in zip(plan.cells[:, chunk], factors):
             g[cells] = values
+    # prefactor * sqrt(max(1 - g^2, 0)), in place on g
+    np.multiply(g, g, out=g)
+    np.subtract(1.0, g, out=g)
+    np.clip(g, 0.0, None, out=g)
+    np.sqrt(g, out=g)
+    g *= ctx._norm_prefactor
     out = np.full((grid.resolution, grid.resolution), np.nan)
-    out[grid.mask] = ctx._norm_prefactor * np.sqrt(np.clip(1.0 - g * g, 0.0, None))
+    out[grid.mask] = g
     return out
 
 
@@ -163,13 +170,15 @@ class MapComparison:
         return "\n".join(f"{key}: {value!r}" for key, value in self.as_dict().items())
 
 
-def compare_maps(empirical: ImageMap, ctx: TheoryContext, grid: ImagingGrid) -> MapComparison:
+def compare_maps(empirical: ImageMap, ctx: TheoryContext, plan: SymmetryPlan) -> MapComparison:
     """RMS / max / argmin-shift / correlation between measured projection
     norms and the closed-form prediction, over unmasked cells.
 
     The empirical map must carry the raw projection norms (values in [0, 1]),
-    not the clipped reciprocal map.
+    not the clipped reciprocal map, over plan.grid; the plan must be built
+    for ctx.array.
     """
+    grid = plan.grid
     if empirical.grid != grid:
         raise DomainError("empirical map and comparison grid do not match")
     emp = empirical.raw_norm if empirical.raw_norm is not None else empirical.values
@@ -177,21 +186,27 @@ def compare_maps(empirical: ImageMap, ctx: TheoryContext, grid: ImagingGrid) -> 
     emp_vals = emp[mask]
     if np.any(emp_vals > 1.0 + 1e-9) or np.any(emp_vals < 0.0):
         raise DomainError("expected a projection-norm map with values in [0, 1]")
-    theo = closed_form_norm_map(ctx, grid)
-    theo_vals = theo[mask]
-    diff = emp_vals - theo_vals
-    rms = float(np.sqrt(np.mean(diff**2)))
-    max_abs = float(np.max(np.abs(diff)))
-
-    def argmin_cell(field):
-        filled = np.where(mask, field, np.inf)
-        return np.unravel_index(int(np.argmin(filled)), filled.shape)
-
-    ey, ex = argmin_cell(emp)
-    ty, tx = argmin_cell(theo)
-    dist_cells = math.hypot(ey - ty, ex - tx)
+    theo_vals = closed_form_norm_map(ctx, plan)[mask]
+    # before the difference is allocated: corrcoef copies both vectors twice
     pearson = float(np.corrcoef(emp_vals, theo_vals)[0, 1])
+    diff = emp_vals - theo_vals
+    np.abs(diff, out=diff)
+    max_abs = float(np.max(diff))
+    np.square(diff, out=diff)
+    rms = float(np.sqrt(np.mean(diff)))
+    # the first minimum in mask order is the first in row-major order
+    ey, ex = _mask_cell(mask, int(np.argmin(emp_vals)))
+    ty, tx = _mask_cell(mask, int(np.argmin(theo_vals)))
+    dist_cells = math.hypot(ey - ty, ex - tx)
     return MapComparison(rms=rms, max_abs=max_abs, argmin_distance_cells=dist_cells, pearson=pearson)
+
+
+def _mask_cell(mask: np.ndarray, index: int) -> tuple[int, int]:
+    """(row, column) of the index-th unmasked cell in mask order."""
+    ends = np.cumsum(np.count_nonzero(mask, axis=1))
+    iy = int(np.searchsorted(ends, index, side="right"))
+    before = int(ends[iy - 1]) if iy else 0
+    return iy, int(np.flatnonzero(mask[iy])[index - before])
 
 
 def c_identity_check(

@@ -59,7 +59,8 @@ def image_from_data(data, k_aw, array, grid, variant=mu.EXACT_FIELD, signal_dim=
     singular vectors (the threshold rule when signal_dim is None)."""
     dec = mu.svd_leading(data)
     m = mu.signal_subspace_dim(dec.singular_values) if signal_dim is None else signal_dim
-    return mu.imaging_map(dec.left_vectors[:, :m], k_aw, array, grid, variant=variant)
+    plan = mu.symmetry_plan(grid, array)
+    return mu.imaging_map(dec.left_vectors[:, :m], k_aw, plan, variant=variant)
 
 
 @pytest.fixture

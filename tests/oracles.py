@@ -9,7 +9,9 @@ functions (the package sums over the antennas instead). The map CSV
 reference formats one cell at a time with NumPy scalar indexing. The
 direct full-grid maps reuse the package's row builders but evaluate every
 masked cell from one whole table, without the symmetry plan the package
-images through.
+images through. The peak reference walks every cell in sorted order; the
+far-field diagnostic is recomputed from its whole distance table for each
+margin.
 """
 
 from __future__ import annotations
@@ -265,3 +267,39 @@ def direct_closed_form_norm_map(ctx, grid) -> np.ndarray:
     out = np.full((grid.resolution, grid.resolution), np.nan)
     out[grid.mask] = ctx._norm_prefactor * np.sqrt(np.clip(1.0 - g * g, 0.0, None))
     return out
+
+
+def greedy_peaks(image, count: int) -> list:
+    """Peaks by a greedy pass over every unmasked cell, sorted by value
+    descending, then row, then column: a cell is kept unless it lies within
+    squared cell distance 16 of a cell kept before it."""
+    mask = image.grid.mask
+    iy, ix = np.nonzero(mask)
+    vals = image.values[iy, ix]
+    order = np.lexsort((ix, iy, -vals))
+    picked: list[tuple[int, int]] = []
+    out = []
+    for idx in order:
+        cy, cx = int(iy[idx]), int(ix[idx])
+        if any((cy - py) ** 2 + (cx - px) ** 2 <= 16 for py, px in picked):
+            continue
+        picked.append((cy, cx))
+        out.append((image.grid.point_of(cy, cx), float(vals[idx])))
+        if len(out) == count:
+            break
+    return out
+
+
+def far_field_grid_fraction(scene, margin: float, resolution: int = 33) -> float:
+    """Share of the interior points of a resolution^2 grid over the region
+    of interest whose nearest antenna lies at least margin away, from one
+    (points, antennas) distance table."""
+    ticks = np.linspace(-scene.roi_radius, scene.roi_radius, resolution)
+    gx, gy = np.meshgrid(ticks, ticks)
+    inside = np.hypot(gx, gy) <= scene.roi_radius
+    pts = np.column_stack([gx[inside], gy[inside]])
+    d = np.hypot(
+        pts[:, None, 0] - scene.array.positions[None, :, 0],
+        pts[:, None, 1] - scene.array.positions[None, :, 1],
+    ).min(axis=1)
+    return float(np.mean(d >= margin))

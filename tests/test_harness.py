@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mwmusic import cli, forward as fw, harness, music as mu
+from mwmusic import cli, forward as fw, harness, music as mu, scene as sc
 from mwmusic.errors import ConfigurationError, NumericalError
 
 from conftest import EPS0
@@ -280,6 +281,31 @@ class TestRunExperiment:
         assert len(seen) == calls
 
 
+    @pytest.mark.parametrize("variant,ranges", [(mu.EXACT_FIELD, 1), (mu.PLANE_WAVE, 0)])
+    @pytest.mark.parametrize("preset", ["fig-mu-single", "fig-mu-double"])
+    def test_one_plan_per_sweep(self, empty_config, tmp_path, monkeypatch, preset, variant, ranges):
+        # every map of the six ratios, and the closed form of the single
+        # anomaly, share the plan built before the ratio loop; its distance
+        # range is found once, and only for exact-field steering
+        plans, found = [], []
+        symmetry_plan, distance_range = mu.symmetry_plan, mu._distance_range
+
+        def counting(grid, array):
+            plans.append(symmetry_plan(grid, array))
+            return plans[-1]
+
+        monkeypatch.setattr(mu, "symmetry_plan", counting)
+        monkeypatch.setattr(mu, "_distance_range", lambda *a: found.append(a) or distance_range(*a))
+        config = harness.load_config(
+            empty_config, preset=preset, resolution=32, out_dir=tmp_path / "plan",
+            test_variant=variant,
+        )
+        report = harness.run_experiment(config, log=lambda *_: None)
+        assert len(report.records) == 6
+        assert len(plans) == 1
+        assert len(found) == ranges
+
+
 class TestCompareSavedMap:
     def test_round_trip_comparison(self, empty_config, tmp_path):
         config = harness.load_config(empty_config, resolution=64, out_dir=tmp_path / "c")
@@ -314,6 +340,24 @@ class TestCli:
         assert cli.main(["validate", str(empty_config)]) == 0
         out = capsys.readouterr().out
         assert "background_loss" in out and "far_field" in out
+
+    def test_validate_measures_far_field_table_once(self, tmp_path, monkeypatch, capsys):
+        # only the margin depends on the ratio: one table for six ratios
+        table = sc.Scene.interior_antenna_distances
+        scenes = []
+
+        def counting(scene):
+            scenes.append(scene)
+            return table.func(scene)
+
+        counted = functools.cached_property(counting)
+        counted.__set_name__(sc.Scene, "interior_antenna_distances")
+        monkeypatch.setattr(sc.Scene, "interior_antenna_distances", counted)
+        cfg = tmp_path / "six.ini"
+        cfg.write_text("[sweep]\nratios = 1, 2, 10, 0.5, 0.2, 0.1\n")
+        assert cli.main(["validate", str(cfg)]) == 0
+        assert capsys.readouterr().out.count(" far_field: ") == 6
+        assert len(scenes) == 1
 
     def test_bad_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.ini"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -20,6 +21,7 @@ from conftest import image_from_data, make_scene
 from oracles import (
     direct_closed_form_norm_map,
     direct_norms,
+    greedy_peaks,
     map_csv_text,
     map_csv_values,
     onesided_jacobi_singular_values,
@@ -284,6 +286,20 @@ class TestSymmetryPlan:
         rows = mu._steering_rows(k, plan.points, array, mu.PLANE_WAVE)
         assert np.max(np.abs(_rebuilt(rows, plan, full.shape[0]) - full)) <= 1e-14
 
+    @pytest.mark.parametrize("count,resolution", _SYMMETRY_CASES)
+    def test_arrays_read_only(self, count, resolution):
+        # one plan serves every ratio of a sweep: a write through any of its
+        # arrays would change every later map
+        grid, array, plan = _plan(count, resolution)
+        arrays = [getattr(plan, f.name) for f in dataclasses.fields(plan)]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        arrays += [grid.ticks, grid.mask, grid.cell_centers, array.positions, array.angles]
+        assert len(arrays) == 8
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flat[0] = a.flat[0]
+
     def test_asymmetric_array_has_trivial_group(self):
         grid = _grid(48)
         plan = mu.symmetry_plan(grid, _nudged_array())
@@ -305,7 +321,7 @@ class TestSymmetryPlan:
         dec = mu.svd_leading(fw.scattering_matrix(scn, k))
         basis = dec.left_vectors[:, :n_anomalies]
         grid = _grid(64)
-        image = mu.imaging_map(basis, k, scn.array, grid, variant=variant)
+        image = mu.imaging_map(basis, k, mu.symmetry_plan(grid, scn.array), variant=variant)
         want = direct_norms(basis, k, scn.array, grid, variant)
         assert np.array_equal(image.raw_norm[grid.mask], want)
 
@@ -315,7 +331,7 @@ class TestSymmetryPlan:
         k_aw = _mismatched(scn, "permittivity", 2.0)
         ctx = th.TheoryContext(k_bw=k_bw, k_aw=k_aw, r_star=(0.01, 0.03), array=_nudged_array())
         grid = _grid(64)
-        got = th.closed_form_norm_map(ctx, grid)
+        got = th.closed_form_norm_map(ctx, mu.symmetry_plan(grid, ctx.array))
         assert np.array_equal(got, direct_closed_form_norm_map(ctx, grid), equal_nan=True)
 
     # The norm is 1-Lipschitz in the unit row, so the exact field inherits the
@@ -328,12 +344,13 @@ class TestSymmetryPlan:
         k_aw = _mismatched(scn, "permeability", 2.0)
         basis = mu.svd_leading(fw.scattering_matrix(scn, k_bw)).left_vectors[:, :2]
         grid = _grid(113)
+        plan = mu.symmetry_plan(grid, scn.array)
         for variant, bound in ((mu.EXACT_FIELD, 4e-10), (mu.PLANE_WAVE, 1e-13)):
-            image = mu.imaging_map(basis, k_aw, scn.array, grid, variant=variant)
+            image = mu.imaging_map(basis, k_aw, plan, variant=variant)
             want = direct_norms(basis, k_aw, scn.array, grid, variant)
             assert np.max(np.abs(image.raw_norm[grid.mask] - want)) <= bound
         ctx = th.TheoryContext(k_bw=k_bw, k_aw=k_aw, r_star=(0.01, 0.03), array=scn.array)
-        got = th.closed_form_norm_map(ctx, grid)[grid.mask]
+        got = th.closed_form_norm_map(ctx, plan)[grid.mask]
         want = direct_closed_form_norm_map(ctx, grid)[grid.mask]
         assert np.max(np.abs(got - want)) <= 1e-13
 
@@ -372,7 +389,8 @@ class TestChunks:
         maps = []
         for entries in (10**9, 3 * scn.array.count):
             monkeypatch.setattr(mu, "_CHUNK_ENTRIES", entries)
-            maps.append(mu.imaging_map(basis, k_aw, scn.array, grid, variant=variant))
+            plan = mu.symmetry_plan(grid, scn.array)
+            maps.append(mu.imaging_map(basis, k_aw, plan, variant=variant))
         whole, chunked = maps
         assert np.array_equal(chunked.raw_norm, whole.raw_norm, equal_nan=True)
         assert np.array_equal(chunked.values, whole.values, equal_nan=True)
@@ -391,7 +409,7 @@ class TestChunks:
         maps = []
         for entries in (10**9, 3 * array.count):
             monkeypatch.setattr(mu, "_CHUNK_ENTRIES", entries)
-            maps.append(th.closed_form_norm_map(ctx, grid))
+            maps.append(th.closed_form_norm_map(ctx, mu.symmetry_plan(grid, ctx.array)))
         assert np.array_equal(maps[1], maps[0], equal_nan=True)
 
     # the squared-distance screen must find the extremes of the np.hypot table
@@ -402,11 +420,12 @@ class TestChunks:
     def test_distance_range_exact(self, count, resolution, radius):
         grid = _grid(resolution)
         array = sc.uniform_circular_array(count, radius)
-        points = mu.symmetry_plan(grid, array).points
-        table = fw._distances(points, array.positions)
-        for chunks in (mu._chunks(len(points), count), [slice(None)]):
-            got = mu._distance_range(points, array, chunks)
-            assert got == (float(table.min()), float(table.max()))
+        plan = mu.symmetry_plan(grid, array)
+        table = fw._distances(plan.points, array.positions)
+        want = (float(table.min()), float(table.max()))
+        assert plan.distance_range == want
+        assert plan.chunks == mu._chunks(len(plan.points), count)
+        assert mu._distance_range(plan.points, array, [slice(None)]) == want
 
     def test_interpolant_built_once(self, monkeypatch):
         # the ray interpolant's node values are the only hankel2_0 call of
@@ -418,7 +437,7 @@ class TestChunks:
         hankel = specfun.hankel2_0
         monkeypatch.setattr(specfun, "hankel2_0", lambda z: calls.append(1) or hankel(z))
         monkeypatch.setattr(mu, "_CHUNK_ENTRIES", 3 * scn.array.count)
-        mu.imaging_map(basis, k, scn.array, _grid(61))
+        mu.imaging_map(basis, k, mu.symmetry_plan(_grid(61), scn.array))
         assert len(calls) == 1
 
 
@@ -511,7 +530,7 @@ class TestImagingMap:
         k = single_scene.background_wavenumber()
         basis = np.eye(12, 1, dtype=complex)
         with pytest.raises(DomainError):
-            mu.imaging_map(basis, k, single_scene.array, _grid(32))
+            mu.imaging_map(basis, k, mu.symmetry_plan(_grid(32), single_scene.array))
 
     def test_overflowing_steering_raises(self, single_scene):
         # conductivity x1e5 gives Im(k_aw) ~ 8.9e3 /m, so the exact field
@@ -527,7 +546,8 @@ class TestImagingMap:
             single_scene.omega,
         )
         with pytest.raises(NumericalError), pytest.warns(RuntimeWarning):
-            mu.imaging_map(dec.left_vectors[:, :1], k_aw, single_scene.array, _grid(16))
+            plan = mu.symmetry_plan(_grid(16), single_scene.array)
+            mu.imaging_map(dec.left_vectors[:, :1], k_aw, plan)
 
     def test_raw_norm_bounded(self, single_scene):
         k = single_scene.background_wavenumber()
@@ -579,6 +599,20 @@ class TestExtractPeaks:
         peaks = mu.extract_peaks(image, 3)
         assert peaks[0][0] == grid.point_of(12, 12)
         assert peaks[1][0] == grid.point_of(12, 18)
+
+    # few distinct values, so most cells tie; every count up to past the
+    # number of cells suppression leaves open (the last counts stop early)
+    @pytest.mark.parametrize("levels", [2, 5, 1000])
+    @pytest.mark.parametrize("resolution", [17, 24, 40])
+    def test_matches_greedy_reference(self, levels, resolution):
+        grid = _grid(resolution)
+        rng = np.random.default_rng(levels * resolution)
+        values = np.where(grid.mask, rng.integers(0, levels, grid.mask.shape) / 7.0, np.nan)
+        image = mu.ImageMap(grid=grid, values=values)
+        most = len(greedy_peaks(image, grid.mask.size))
+        assert most < np.count_nonzero(grid.mask)
+        for count in (1, 2, 3, most - 1, most, most + 1, grid.mask.size):
+            assert mu.extract_peaks(image, count) == greedy_peaks(image, count)
 
     def test_count_validation(self, single_scene):
         k = single_scene.background_wavenumber()
@@ -671,7 +705,7 @@ class TestImageMapIO:
         k = scn.background_wavenumber()
         grid = _grid(32)
         w = mu._steering_rows(k, np.array([grid.point_of(20, 12)]), scn.array, mu.EXACT_FIELD)
-        return mu.imaging_map(w.T, k, scn.array, grid)
+        return mu.imaging_map(w.T, k, mu.symmetry_plan(grid, scn.array))
 
     @pytest.mark.parametrize("which", ["values", "raw_norm"])
     @pytest.mark.parametrize("clipped", [False, True], ids=["plain", "clipped"])

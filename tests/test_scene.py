@@ -9,6 +9,7 @@ from mwmusic import scene as sc
 from mwmusic.errors import ConfigurationError, DomainError
 
 from conftest import EPS0, MU_B, make_background, make_d1, make_scene
+from oracles import far_field_grid_fraction
 
 OMEGA = 2 * math.pi * 1.0e9
 
@@ -195,6 +196,27 @@ class TestSceneValidation:
         k_aw = sc.wavenumber(sc.Medium(2000 * EPS0, 50.0), OMEGA)
         diags = sc.validate_scene(double_scene, k_aw)
         assert len(diags) == 3
+
+    @pytest.mark.parametrize("count", [7, 16, 64])
+    def test_far_field_fraction_matches_direct(self, count):
+        # margins inside and beyond the distance table, and equal to its
+        # least, middle and largest entries, where >= decides a point exactly
+        scn = make_scene(2, count=count)
+        table = np.sort(scn.interior_antenna_distances)
+        entries = table[[0, len(table) // 2, -1]].tolist()
+        for margin in [0.0, *entries, *np.linspace(0.001, 0.1, 9).tolist(), 0.2]:
+            assert sc._far_field_grid_fraction(scn, margin) == far_field_grid_fraction(scn, margin)
+
+    def test_far_field_detail_matches_direct(self, double_scene):
+        bg = double_scene.background
+        for ratio in (0.01, 0.1, 0.2, 1.0, 2.0, 10.0, 100.0):
+            k_aw = sc.wavenumber(
+                sc.Medium(bg.permittivity, bg.conductivity, ratio * bg.permeability), OMEGA
+            )
+            diag = sc.validate_scene(double_scene, k_aw)[2]
+            percent = 100.0 * far_field_grid_fraction(double_scene, diag.threshold)
+            want = f"{percent:.0f}% of interior grid points satisfy the margin"
+            assert diag.detail.endswith(want)
 
     def test_empty_scene_diagnostics_pass(self):
         scn = sc.Scene(

@@ -23,6 +23,10 @@ def _ctx(scene, kind=None, ratio=1.0, r_star=(0.01, 0.03)):
     return th.TheoryContext(k_bw=k_bw, k_aw=k_aw, r_star=r_star, array=scene.array)
 
 
+def _plan(grid, ctx):
+    return mu.symmetry_plan(grid, ctx.array)
+
+
 def _g(ctx, r):
     """The norm factor g at one point, under the identity permutation alone."""
     identity = np.arange(ctx.array.count)[None, :]
@@ -115,13 +119,13 @@ class TestClosedFormMap:
         ctx = _ctx(single_scene)
         assert ctx._norm_prefactor == pytest.approx(224 / 225, rel=0)
         grid = mu.grid_for_roi(0.085, 64)
-        norm = th.closed_form_norm_map(ctx, grid)
+        norm = th.closed_form_norm_map(ctx, _plan(grid, ctx))
         assert np.nanmax(norm) <= ctx._norm_prefactor + 1e-12
 
     def test_argmax_follows_shift_law(self, single_scene):
         grid = mu.grid_for_roi(0.085, 128)
         ctx = _ctx(single_scene, "permeability", 2.0)
-        norm = th.closed_form_norm_map(ctx, grid)
+        norm = th.closed_form_norm_map(ctx, _plan(grid, ctx))
         pred = (0.01 / math.sqrt(2), 0.03 / math.sqrt(2))
         assert math.dist(_argmin_point(norm, grid), pred) <= grid.cell_size
 
@@ -130,7 +134,7 @@ class TestClosedFormMap:
     def test_argmax_law_across_ratios(self, single_scene, kind, ratio):
         grid = mu.grid_for_roi(0.085, 128)
         ctx = _ctx(single_scene, kind, ratio)
-        norm = th.closed_form_norm_map(ctx, grid)
+        norm = th.closed_form_norm_map(ctx, _plan(grid, ctx))
         pred = th.predicted_peak(ctx.k_bw, ctx.k_aw, (0.01, 0.03))
         assert math.dist(_argmin_point(norm, grid), pred) <= 2 * grid.cell_size
 
@@ -138,13 +142,14 @@ class TestClosedFormMap:
         # conductivity x1e6 gives Im(k_aw) ~ 2.8e4 /m, so e^{-Im(k) theta . r}
         # alone would overflow across the region of interest
         grid = mu.grid_for_roi(0.085, 32)
-        norm = th.closed_form_norm_map(_ctx(single_scene, "conductivity", 1e6), grid)
+        ctx = _ctx(single_scene, "conductivity", 1e6)
+        norm = th.closed_form_norm_map(ctx, _plan(grid, ctx))
         assert np.all(np.isfinite(norm[grid.mask]))
 
     def test_invariant_under_antenna_relabeling(self, single_scene):
         grid = mu.grid_for_roi(0.085, 32)
         ctx = _ctx(single_scene, "permittivity", 2.0)
-        base = th.closed_form_norm_map(ctx, grid)
+        base = th.closed_form_norm_map(ctx, _plan(grid, ctx))
         rng = np.random.default_rng(8)
         perm = rng.permutation(single_scene.array.count)
         shuffled = sc.AntennaArray(
@@ -154,7 +159,7 @@ class TestClosedFormMap:
             angles=single_scene.array.angles[perm],
         )
         ctx2 = th.TheoryContext(k_bw=ctx.k_bw, k_aw=ctx.k_aw, r_star=(0.01, 0.03), array=shuffled)
-        other = th.closed_form_norm_map(ctx2, grid)
+        other = th.closed_form_norm_map(ctx2, _plan(grid, ctx2))
         mask = grid.mask
         assert np.max(np.abs(base[mask] - other[mask])) <= 1e-12 * np.max(base[mask])
 
@@ -213,9 +218,9 @@ class TestCompareMaps:
     def test_self_comparison(self, single_scene):
         grid = mu.grid_for_roi(0.085, 64)
         ctx = _ctx(single_scene)
-        theo_norm = th.closed_form_norm_map(ctx, grid)
+        theo_norm = th.closed_form_norm_map(ctx, _plan(grid, ctx))
         image = mu.ImageMap(grid=grid, values=np.where(grid.mask, 1.0, np.nan), raw_norm=theo_norm)
-        cmp = th.compare_maps(image, ctx, grid)
+        cmp = th.compare_maps(image, ctx, _plan(grid, ctx))
         assert cmp.rms == 0.0
         assert cmp.max_abs == 0.0
         assert cmp.argmin_distance_cells == 0.0
@@ -230,7 +235,8 @@ class TestCompareMaps:
         image = image_from_data(
             mat, k_bw, single_scene.array, grid, variant=mu.PLANE_WAVE, signal_dim=1
         )
-        cmp = th.compare_maps(image, _ctx(single_scene), grid)
+        ctx = _ctx(single_scene)
+        cmp = th.compare_maps(image, ctx, _plan(grid, ctx))
         assert cmp.rms <= 0.05
         assert cmp.argmin_distance_cells <= 1.0
 
@@ -241,17 +247,18 @@ class TestCompareMaps:
         image = image_from_data(
             mat, k_bw, single_scene.array, grid, variant=mu.EXACT_FIELD, signal_dim=1
         )
-        cmp = th.compare_maps(image, _ctx(single_scene), grid)
+        ctx = _ctx(single_scene)
+        cmp = th.compare_maps(image, ctx, _plan(grid, ctx))
         assert cmp.rms <= 0.15
 
     def test_grid_mismatch_rejected(self, single_scene):
         ctx = _ctx(single_scene)
         grid = mu.grid_for_roi(0.085, 64)
         other = mu.grid_for_roi(0.085, 32)
-        theo_norm = th.closed_form_norm_map(ctx, grid)
+        theo_norm = th.closed_form_norm_map(ctx, _plan(grid, ctx))
         image = mu.ImageMap(grid=grid, values=np.where(grid.mask, 1.0, np.nan), raw_norm=theo_norm)
         with pytest.raises(DomainError):
-            th.compare_maps(image, ctx, other)
+            th.compare_maps(image, ctx, _plan(other, ctx))
 
     def test_reciprocal_map_rejected(self, single_scene):
         # handing the clipped reciprocal map instead of the norm map fails fast
@@ -260,8 +267,30 @@ class TestCompareMaps:
         mat = fw.scattering_matrix(single_scene, k_bw)
         image = image_from_data(mat, k_bw, single_scene.array, grid)
         stripped = mu.ImageMap(grid=grid, values=image.values, k_aw=image.k_aw)
+        ctx = _ctx(single_scene)
         with pytest.raises(DomainError):
-            th.compare_maps(stripped, _ctx(single_scene), grid)
+            th.compare_maps(stripped, ctx, _plan(grid, ctx))
+
+    @pytest.mark.parametrize("count", [16, 32])
+    def test_plan_for_another_array_rejected(self, single_scene, count):
+        # a ring of the same or another count with one antenna moved: a plan
+        # carries its array's permutations, so it cannot serve another array
+        ctx = _ctx(single_scene)
+        grid = mu.grid_for_roi(0.085, 64)
+        angles = sc.uniform_circular_array(count, 0.09).angles.copy()
+        angles[3] += 1e-3
+        other = sc.AntennaArray(
+            radius=0.09,
+            count=count,
+            positions=0.09 * np.column_stack([np.cos(angles), np.sin(angles)]),
+            angles=angles,
+        )
+        plan = mu.symmetry_plan(grid, other)
+        image = mu.ImageMap(grid=grid, values=np.where(grid.mask, 0.5, np.nan))
+        with pytest.raises(DomainError, match="another antenna array"):
+            th.closed_form_norm_map(ctx, plan)
+        with pytest.raises(DomainError, match="another antenna array"):
+            th.compare_maps(image, ctx, plan)
 
 
 class TestCIdentity:
