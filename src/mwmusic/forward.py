@@ -14,9 +14,10 @@ Every field is one table over points x antennas. The data matrix takes
 its (anomalies x antennas) table from one exact `hankel2_0` call on the
 distance table, or from `asymptotic_field_matrix`; the exact-field
 steering table of the imaging step, `incident_field_matrix`, takes the
-same field from the Chebyshev interpolant of `specfun.ray_interpolant`,
-which the imaging step builds once per wavenumber over the distance range
-of the whole grid and evaluates chunk by chunk.
+same field from a Chebyshev interpolant of `specfun.ray_interpolant`
+that the caller passes in. The imaging step builds it once per wavenumber
+over the distance range of the whole grid and evaluates it chunk by
+chunk.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, SingularityError
 from .scene import Scene, Wavenumber, contrast
-from .specfun import hankel2_0, hankel2_0_ray
+from .specfun import hankel2_0
 
 FULL_HANKEL = "full_hankel"
 ASYMPTOTIC = "asymptotic"
@@ -73,20 +74,16 @@ def _distances(points: np.ndarray, sources: np.ndarray) -> np.ndarray:
     return d
 
 
-def incident_field_matrix(
-    k: Wavenumber, points: np.ndarray, sources: np.ndarray, ray=None
-) -> np.ndarray:
+def incident_field_matrix(ray, points: np.ndarray, sources: np.ndarray) -> np.ndarray:
     """Point-source field (i/4) H_0^(2)(k |r - r_src|) at every point for every
     source, shape (len(points), len(sources)).
 
-    All arguments lie on the one ray k * d, so the table comes from the
-    piecewise Chebyshev interpolant of `specfun.ray_interpolant` (within
-    ~2e-10 of `hankel2_0`, which the data matrix calls directly): `ray`, an
-    interpolant for k built over a distance range that covers the table, or
-    by default one built over the table's own range.
+    All arguments lie on the one ray k * d, so the table comes from `ray`,
+    the piecewise Chebyshev interpolant `specfun.ray_interpolant(k, d_min,
+    d_max)` over a distance range that covers the table (within ~2e-10 of
+    `hankel2_0`, which the data matrix calls directly).
     """
-    d = _distances(points, sources)
-    return 0.25j * (hankel2_0_ray(k.value, d) if ray is None else ray(d))
+    return 0.25j * ray(_distances(points, sources))
 
 
 def asymptotic_field_matrix(k: Wavenumber, points: np.ndarray, sources: np.ndarray) -> np.ndarray:

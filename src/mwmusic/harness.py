@@ -504,7 +504,5 @@ def compare_saved_map(csv_path, config: ExperimentConfig) -> th.MapComparison:
         r_star=scene.anomalies[0].center,
         array=scene.array,
     )
-    empirical = mu.ImageMap(
-        grid=loaded.grid, values=loaded.values, raw_norm=loaded.values, k_aw=loaded.k_aw
-    )
-    return th.compare_maps(empirical, ctx, mu.symmetry_plan(loaded.grid, scene.array))
+    # compare_maps reads the values layer when a map has no raw_norm layer
+    return th.compare_maps(loaded, ctx, mu.symmetry_plan(loaded.grid, scene.array))

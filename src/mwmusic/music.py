@@ -5,8 +5,9 @@ The decomposition is one LAPACK singular value decomposition of K itself.
 A sweep decomposes its data matrix once and images every trial wavenumber
 from the same retained signal basis U[:, :M]; only the steering vectors
 change between wavenumbers. The exact-field steering rows come from
-`forward.incident_field_matrix`, the plane-wave rows from `_unit_phasors`,
-which the closed form in `theory` shares.
+`forward.incident_field_matrix` with the ray interpolant built once per
+map, the plane-wave rows from `_unit_phasors`, which the closed form in
+`theory` shares.
 
 The centred grid and the circular array share a dihedral symmetry group G
 (`symmetry_plan`): a mirror or rotation g of a cell only permutes the
@@ -14,15 +15,17 @@ antennas, w(g . r) = w(r)[pi_g]. A permutation is unitary, so the
 projection norm at g . r is that of w(r) against the basis with its rows
 permuted. The steering rows are therefore built on one fundamental domain,
 1/|G| of the cells, and projected once per group element; an array without
-symmetry images every cell through the same code with G = {identity}. The
-domain is walked in chunks of _CHUNK_ENTRIES table entries, and the CSV
-writer streams one grid row at a time, so the transient memory of a map
-does not grow with the grid.
+symmetry images every cell through the same code with G = {identity}.
 
 Everything that depends only on the grid and the array (the domain, its
 chunks and its distance range to the antennas) is one `SymmetryPlan`. A
 sweep builds it once and passes it to every map; per wavenumber only the
-exact-field interpolant and the steering rows are computed.
+exact-field interpolant and the steering rows are computed. The plan owns
+the walk over its domain (`SymmetryPlan.over_domain`), which the imaging
+map and the closed form in `theory` share: rows for one chunk of
+_CHUNK_ENTRIES table entries at a time, paired with a vector pulled back
+by each group element. With the CSV writer streaming one grid row at a
+time, the transient memory of a map does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -113,16 +116,17 @@ def _unit_phasors(k: complex, points: np.ndarray, directions: np.ndarray) -> np.
 
 
 def _steering_rows(
-    k_aw: Wavenumber, points: np.ndarray, array: AntennaArray, variant: str, ray=None
+    k_aw: Wavenumber, points: np.ndarray, array: AntennaArray, variant: str, ray
 ) -> np.ndarray:
     """Unit steering vectors for each point, shape (npoints, N).
 
-    exact_field uses the point-source field at each antenna, from the ray
-    interpolant `ray` when given (see `incident_field_matrix`); plane_wave
-    uses the far-field phases e^{i k (a_n/|a_n|) . r}.
+    exact_field uses the point-source field at each antenna from `ray`, the
+    `specfun.ray_interpolant` of k_aw over a distance range that covers the
+    points (see `incident_field_matrix`); plane_wave uses the far-field
+    phases e^{i k (a_n/|a_n|) . r} and ignores `ray`.
     """
     if variant == EXACT_FIELD:
-        rows = incident_field_matrix(k_aw, points, array.positions, ray)
+        rows = incident_field_matrix(ray, points, array.positions)
         return rows / np.linalg.norm(rows, axis=1, keepdims=True)
     if variant == PLANE_WAVE:
         return _unit_phasors(k_aw.value, points, array.directions)
@@ -175,17 +179,12 @@ class ImagingGrid:
         m.flags.writeable = False
         return m
 
-    @cached_property
-    def cell_centers(self) -> np.ndarray:
-        """Unmasked cell centers (n, 2), matching mask order (y rows, x fastest)."""
-        t, mask = self.ticks, self.mask
-        # each coordinate gathered from a broadcast view of the ticks, so no
-        # (res, res) coordinate or index array is built
-        pts = np.empty((np.count_nonzero(mask), 2))
-        pts[:, 0] = np.broadcast_to(t[None, :], mask.shape)[mask]
-        pts[:, 1] = np.broadcast_to(t[:, None], mask.shape)[mask]
-        pts.flags.writeable = False
-        return pts
+    def raster(self, values) -> np.ndarray:
+        """The (res, res) array with values, in mask order (y rows, x
+        fastest), at the unmasked cells and NaN at the masked ones."""
+        out = np.full((self.resolution, self.resolution), np.nan)
+        out[self.mask] = values
+        return out
 
     def point_of(self, iy: int, ix: int) -> tuple[float, float]:
         return (float(self.ticks[ix]), float(self.ticks[iy]))
@@ -223,8 +222,8 @@ class SymmetryPlan:
     permutation pi_g with w(g . r) = w(r)[pi_g], for any steering or unit
     row w built from distances to, or directions of, the antennas. chunks
     are the slices of the representatives a map walks, _CHUNK_ENTRIES
-    table entries each. Every array is read-only: one plan serves every map
-    of a sweep.
+    table entries each; `over_domain` is that walk. Every array is
+    read-only: one plan serves every map of a sweep.
     """
 
     grid: ImagingGrid
@@ -240,6 +239,26 @@ class SymmetryPlan:
         when the first exact-field map asks for it; the closed form and
         plane-wave maps never do."""
         return _distance_range(self.points, self.array, self.chunks)
+
+    def over_domain(self, rows_of, partners: np.ndarray, pair) -> np.ndarray:
+        """pair(partner_g, rows) at every unmasked cell, in mask order.
+
+        rows_of(points) builds the rows w(r) (points, N) of one chunk of
+        representatives at a time. partners, its first axis over the
+        antennas, is pulled back by every pi_g: partner_g[pi_g] = partners.
+        As w(g . r) = w(r)[pi_g], pair(partner_g, rows) is the value at the
+        cells g . r for any pair that a common permutation of the antennas
+        leaves unchanged (a projection norm, |w . v|); it gives one value
+        per row.
+        """
+        out = np.empty(np.count_nonzero(self.grid.mask))
+        moved = np.empty((len(self.perms),) + partners.shape, dtype=partners.dtype)
+        moved[np.arange(len(self.perms))[:, None], self.perms] = partners
+        for chunk in self.chunks:
+            rows = rows_of(self.points[chunk])
+            for cells, partner_g in zip(self.cells[:, chunk], moved):
+                out[cells] = pair(partner_g, rows)
+        return out
 
 
 def _antenna_permutation(g: np.ndarray, array: AntennaArray) -> np.ndarray | None:
@@ -295,8 +314,6 @@ def symmetry_plan(grid: ImagingGrid, array: AntennaArray) -> SymmetryPlan:
     reps = np.flatnonzero(canonical == order[mask])
     iy, ix = np.nonzero(mask)
     iy, ix = iy[reps], ix[reps]
-    # the representatives' rows of grid.cell_centers, which is not built: a
-    # sweep would hold its (cells, 2) table to the end
     points = np.column_stack([grid.ticks[ix], grid.ticks[iy]])
     cells = np.stack([raster[iy, ix] for _, raster, _ in group])
     perms = np.stack([perm for _, _, perm in group])
@@ -337,17 +354,6 @@ def _distance_range(points: np.ndarray, array: AntennaArray, chunks) -> tuple[fl
         lo = min(lo, float(np.hypot(dx[near], dy[near]).min()))
         hi = max(hi, float(np.hypot(dx[far], dy[far]).max()))
     return lo, hi
-
-
-def _pulled_back(vectors: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """v_g with v_g[pi_g] = v for every permutation, shape (|G|, *v.shape).
-
-    Pairing w(r) with v_g is pairing w(g . r) with v, and a unitary-invariant
-    function of the pair (a projection norm, |v^H w|) is unchanged.
-    """
-    out = np.empty((len(perms),) + vectors.shape, dtype=vectors.dtype)
-    out[np.arange(len(perms))[:, None], perms] = vectors
-    return out
 
 
 @dataclass(frozen=True)
@@ -400,11 +406,11 @@ def imaging_map(
     U[:, :M] (N, M) and the steering rows from the antennas of plan.array.
 
     The steering rows are built on the plan's representatives only, one of
-    its chunks at a time; the norms at the images g . r are
-    |w(r) - U_g U_g^H w(r)|, with U_g the basis rows scattered by pi_g, and
-    land in their mask-order cells. The exact-field interpolant is built
-    once, over the plan's distance range, so a row does not depend on the
-    chunk it falls in.
+    its chunks at a time (`SymmetryPlan.over_domain`); the norms at the
+    images g . r are |w(r) - U_g U_g^H w(r)|, with U_g the basis rows
+    scattered by pi_g. The exact-field interpolant is built once, over the
+    plan's distance range, so a row does not depend on the chunk it falls
+    in.
 
     Values are clipped at DEFAULT_CEILING where the norm underflows; the
     unclipped norms are retained in raw_norm for quantitative comparison.
@@ -425,23 +431,21 @@ def imaging_map(
             if isinstance(exc, SingularityError):
                 raise
             raise NumericalError(f"steering field at k_aw = {k_aw.value:.6g}: {exc}") from exc
-    norms = np.empty(np.count_nonzero(grid.mask))
-    moved = _pulled_back(basis, plan.perms)
-    for chunk in plan.chunks:
-        rows = _steering_rows(k_aw, plan.points[chunk], array, variant, ray)
-        for cells, basis_g in zip(plan.cells[:, chunk], moved):
-            norms[cells] = projection_norm(basis_g, rows)
+    norms = plan.over_domain(
+        lambda points: _steering_rows(k_aw, points, array, variant, ray), basis, projection_norm
+    )
     if not np.all(np.isfinite(norms)):
         raise NumericalError(
             f"non-finite projection norm: the steering field at k_aw = {k_aw.value:.6g} "
             "is not finite"
         )
 
-    values = np.full((grid.resolution, grid.resolution), np.nan)
-    raw = np.full_like(values, np.nan)
+    raw = grid.raster(norms)
+    # the reciprocal in place on the norms: they are >= +0, so 0 gives inf
     with np.errstate(divide="ignore"):
-        values[grid.mask] = np.minimum(np.where(norms > 0, 1.0 / norms, np.inf), DEFAULT_CEILING)
-    raw[grid.mask] = norms
+        np.divide(1.0, norms, out=norms)
+    np.minimum(norms, DEFAULT_CEILING, out=norms)
+    values = grid.raster(norms)
     return ImageMap(grid=grid, values=values, raw_norm=raw, k_aw=k_aw.value)
 
 

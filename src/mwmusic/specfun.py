@@ -137,8 +137,8 @@ def hankel2_0(z):
 
 _RAY_PANELS = 48
 _RAY_DEGREE = 12
-# smallest log-distance span the panels cover; an all-equal table is widened
-# downward to it so that the nodes never pass its largest argument
+# smallest log-distance span the panels cover; a range with d_min = d_max is
+# widened downward to it so that the nodes never pass its largest argument
 _RAY_MIN_SPAN = 1e-6
 # elements per evaluation block, so that the recurrence runs in cache
 _RAY_BLOCK = 8192
@@ -195,19 +195,6 @@ def ray_interpolant(k, d_min: float, d_max: float):
         return out.reshape(d.shape)
 
     return evaluate
-
-
-def hankel2_0_ray(k, d) -> np.ndarray:
-    """H_0^(2)(k d) for one complex k over an array of distances d > 0, from
-    the `ray_interpolant` over the array's own [min d, max d].
-
-    Agreement with hankel2_0 is within ~2e-10 relative, about hankel2_0's
-    own error near its series/asymptotic crossover.
-    """
-    d = np.asarray(d, dtype=float)
-    if d.size == 0:
-        return np.empty(d.shape, dtype=np.complex128)
-    return ray_interpolant(k, float(np.min(d)), float(np.max(d)))(d)
 
 
 def _miller_start(q_max: int, x: float) -> int:

@@ -12,13 +12,13 @@ so the reciprocal map peaks where g reaches 1, near Re(k_bw/k_aw) r*. This
 module evaluates g as that direct sum over the N antennas, exact for lossy
 wavenumbers too, from the same overflow-safe unit rows
 (`music._unit_phasors`) that the plane-wave steering uses. Over a grid the
-rows are built on the fundamental domain of a `music.SymmetryPlan` only:
-w(g . r) = w(r)[pi_g], so g at g . r is |w(r) . conj(s_g)| with s_g the
-signal row scattered by pi_g, one mat-vec per group element. The paper
-states the same quantity as a Bessel-harmonic series: with
-z = k_aw r - conj(k_bw) r*, rho = sqrt(z . z) and
-e^{i phi} = (z_x + i z_y) / rho, the Jacobi-Anger expansion (DLMF 10.12) of
-each term gives
+rows are built on the fundamental domain of a `music.SymmetryPlan` only,
+in the plan's walk (`SymmetryPlan.over_domain`): w(g . r) = w(r)[pi_g], so
+g at g . r is |w(r) . conj(s_g)| with s_g the signal row scattered by
+pi_g, one mat-vec per group element. The paper states the same quantity
+as a Bessel-harmonic series: with z = k_aw r - conj(k_bw) r*,
+rho = sqrt(z . z) and e^{i phi} = (z_x + i z_y) / rho, the Jacobi-Anger
+expansion (DLMF 10.12) of each term gives
 
     s^H w = N (J_0(rho) + E(rho, phi)),
     E(rho, phi) = (1/N) sum_n sum_{q != 0} i^q J_q(rho) e^{iq(theta_n - phi)},
@@ -32,14 +32,14 @@ norm map and the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
 from .forward import ASYMPTOTIC, ScatteringMatrix
-from .music import ImageMap, SymmetryPlan, _pulled_back, _unit_phasors
+from .music import ImageMap, SymmetryPlan, _unit_phasors
 from .scene import AntennaArray, Medium, Scene, Wavenumber, contrast, wavenumber
 # not used here: the traced benchmark wraps these two names in this module
 from .specfun import bessel_j_grid, jacobi_anger_truncation  # noqa: F401
@@ -62,20 +62,10 @@ class MismatchSpec:
 
 
 def mismatched_wavenumber(background: Medium, omega: float, spec: MismatchSpec) -> Wavenumber:
-    """Wavenumber computed with one background parameter replaced by ratio * true."""
-    if spec.kind == "permeability":
-        med = Medium(
-            background.permittivity, background.conductivity, spec.ratio * background.permeability
-        )
-    elif spec.kind == "permittivity":
-        med = Medium(
-            spec.ratio * background.permittivity, background.conductivity, background.permeability
-        )
-    else:
-        med = Medium(
-            background.permittivity, spec.ratio * background.conductivity, background.permeability
-        )
-    return wavenumber(med, omega)
+    """Wavenumber computed with one background parameter replaced by ratio * true;
+    the mismatch kinds are the Medium field names."""
+    scaled = spec.ratio * getattr(background, spec.kind)
+    return wavenumber(replace(background, **{spec.kind: scaled}), omega)
 
 
 @dataclass(frozen=True)
@@ -97,43 +87,31 @@ class TheoryContext:
         return (n * n - 2 * n) / (n * n - 2 * n + 1)
 
 
-def _norm_factor(ctx: TheoryContext, points: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """g(r) = |s^H w(r)| / (|s| |w(r)|), clamped into [0, 1], shape (|G|, points).
-
-    Row j holds g at the images g . r of the points under the j-th antenna
-    permutation pi_g of a symmetry plan (w(g . r) = w(r)[pi_g]), all from one
-    table of w(r); the identity permutation alone gives g at the points.
-    """
-    dirs = ctx.array.directions
-    s = _unit_phasors(ctx.k_bw.value, np.asarray([ctx.r_star]), dirs)[0]
-    w = _unit_phasors(ctx.k_aw.value, points, dirs)
-    return np.stack([np.minimum(np.abs(w @ s_g), 1.0) for s_g in _pulled_back(s.conj(), perms)])
-
-
 def closed_form_norm_map(ctx: TheoryContext, plan: SymmetryPlan) -> np.ndarray:
     """Predicted |P_noise W| over plan.grid (NaN at masked cells).
 
-    The unit rows w(r) are built on the plan's fundamental domain, one of
-    its chunks at a time as in `music.imaging_map`, and paired with s
+    g(r) = |s^H w(r)| / (|s| |w(r)|), clamped into [0, 1], comes from the
+    plan's walk over its fundamental domain (`SymmetryPlan.over_domain`),
+    as the norms of `music.imaging_map` do: the unit rows w(r) are built
+    one chunk of representatives at a time and paired with conj(s)
     permuted once per group element. The plan must be built for ctx.array.
     """
     if plan.array != ctx.array:
         raise DomainError("the symmetry plan was built for another antenna array")
-    grid = plan.grid
-    g = np.empty(np.count_nonzero(grid.mask))
-    for chunk in plan.chunks:
-        factors = _norm_factor(ctx, plan.points[chunk], plan.perms)
-        for cells, values in zip(plan.cells[:, chunk], factors):
-            g[cells] = values
+    dirs = ctx.array.directions
+    s = _unit_phasors(ctx.k_bw.value, np.asarray([ctx.r_star]), dirs)[0]
+    g = plan.over_domain(
+        lambda points: _unit_phasors(ctx.k_aw.value, points, dirs),
+        s.conj(),
+        lambda s_g, w: np.minimum(np.abs(w @ s_g), 1.0),
+    )
     # prefactor * sqrt(max(1 - g^2, 0)), in place on g
     np.multiply(g, g, out=g)
     np.subtract(1.0, g, out=g)
     np.clip(g, 0.0, None, out=g)
     np.sqrt(g, out=g)
     g *= ctx._norm_prefactor
-    out = np.full((grid.resolution, grid.resolution), np.nan)
-    out[grid.mask] = g
-    return out
+    return plan.grid.raster(g)
 
 
 def predicted_peak(k_bw: Wavenumber, k_aw: Wavenumber, r_star) -> tuple[float, float]:

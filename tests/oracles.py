@@ -8,10 +8,11 @@ as the Bessel-harmonic series of the theorem with mpmath's Bessel
 functions (the package sums over the antennas instead). The map CSV
 reference formats one cell at a time with NumPy scalar indexing. The
 direct full-grid maps reuse the package's row builders but evaluate every
-masked cell from one whole table, without the symmetry plan the package
-images through. The peak reference walks every cell in sorted order; the
-far-field diagnostic is recomputed from its whole distance table for each
-margin.
+masked cell (`cell_centers`, from a meshgrid) from one whole table, with
+the exact-field interpolant built over that table's own distance range
+(`table_ray`), without the symmetry plan the package images through. The
+peak reference walks every cell in sorted order; the far-field diagnostic
+is recomputed from its whole distance table for each margin.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ import math
 import mpmath as mp
 import numpy as np
 
+from mwmusic import forward as fw
 from mwmusic import music as mu
+from mwmusic.specfun import ray_interpolant
 
 
 def _dps_for(x: float) -> int:
@@ -252,18 +255,45 @@ def map_csv_values(text: str, grid) -> np.ndarray:
     return values
 
 
+def cell_centers(grid) -> np.ndarray:
+    """Unmasked cell centres (cells, 2) in mask order (y rows, x fastest)."""
+    xx, yy = np.meshgrid(grid.ticks, grid.ticks)
+    return np.column_stack([xx[grid.mask], yy[grid.mask]])
+
+
+def table_ray(k: complex, d):
+    """The ray interpolant of H_0^(2)(k d) over the range of the whole
+    distance table d."""
+    return ray_interpolant(k, float(np.min(d)), float(np.max(d)))
+
+
+def direct_rows(k_aw, points, array, variant) -> np.ndarray:
+    """Steering rows of the points, exact-field ones from the interpolant
+    over the table's own distance range."""
+    ray = None
+    if variant == mu.EXACT_FIELD:
+        ray = table_ray(k_aw.value, fw._distances(points, array.positions))
+    return mu._steering_rows(k_aw, points, array, variant, ray)
+
+
 def direct_norms(basis, k_aw, array, grid, variant) -> np.ndarray:
     """Projection norm of every masked cell (mask order) from one steering
     table over the whole grid."""
-    return mu.projection_norm(basis, mu._steering_rows(k_aw, grid.cell_centers, array, variant))
+    return mu.projection_norm(basis, direct_rows(k_aw, cell_centers(grid), array, variant))
+
+
+def direct_norm_factor(ctx, points) -> np.ndarray:
+    """g = |s^H w| / (|s| |w|), clamped into [0, 1], at each point from one
+    table of unit rows."""
+    dirs = ctx.array.directions
+    s = mu._unit_phasors(ctx.k_bw.value, np.asarray([ctx.r_star]), dirs)[0]
+    w = mu._unit_phasors(ctx.k_aw.value, np.asarray(points, dtype=float), dirs)
+    return np.minimum(np.abs(w @ s.conj()), 1.0)
 
 
 def direct_closed_form_norm_map(ctx, grid) -> np.ndarray:
     """The closed-form norm map from one table of unit rows over the whole grid."""
-    dirs = ctx.array.directions
-    s = mu._unit_phasors(ctx.k_bw.value, np.asarray([ctx.r_star]), dirs)[0]
-    w = mu._unit_phasors(ctx.k_aw.value, grid.cell_centers, dirs)
-    g = np.minimum(np.abs(w @ s.conj()), 1.0)
+    g = direct_norm_factor(ctx, cell_centers(grid))
     out = np.full((grid.resolution, grid.resolution), np.nan)
     out[grid.mask] = ctx._norm_prefactor * np.sqrt(np.clip(1.0 - g * g, 0.0, None))
     return out

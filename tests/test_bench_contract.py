@@ -52,19 +52,28 @@ def test_wrap_point_exists(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr, None))
 
 
-def test_traced_pass(tmp_path):
+def _traced_run(tmp_path, name, *options):
     # one small sweep through the CLI with every wrap point installed, as a
     # traced benchmark pass runs it
     spans = _spans()
     ini = tmp_path / "empty.ini"
     ini.write_text("")
     argv = ["run", str(ini), "--preset", "fig-mu-single", "--resolution", "32",
-            "--out", str(tmp_path / "out")]
+            "--out", str(tmp_path / name), *options]
     with spans.installed(spans.Recorder()) as recorder:
         assert cli.main(argv) == 0
     assert spans.check_spans(recorder.spans) == []
-    times = spans.span_times(recorder.spans)
+    return spans.span_times(recorder.spans)
+
+
+def test_traced_pass(tmp_path):
+    times = _traced_run(tmp_path, "exact")
     assert times["forward.incident_field_matrix"]["calls"] > 0
+    assert times["music.write_map_csv"]["calls"] > 0
+    # the steering span holds exact-field tables only: plane-wave rows
+    # never build one
+    times = _traced_run(tmp_path, "plane", "--variant", "plane")
+    assert times["forward.incident_field_matrix"]["calls"] == 0
     assert times["music.write_map_csv"]["calls"] > 0
 
 

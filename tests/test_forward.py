@@ -7,10 +7,10 @@ import pytest
 from mwmusic import forward as fw
 from mwmusic import scene as sc
 from mwmusic.errors import DomainError, SingularityError
-from mwmusic.specfun import hankel2_0
+from mwmusic.specfun import hankel2_0, ray_interpolant
 
 from conftest import MU_B, make_background
-from oracles import hankel2_0_oracle, onesided_jacobi_singular_values
+from oracles import hankel2_0_oracle, onesided_jacobi_singular_values, table_ray
 
 OMEGA = 2 * math.pi * 1.0e9
 
@@ -20,26 +20,31 @@ def _k_bw():
 
 
 class TestIncidentField:
+    # each table takes an interpolant over its own distance range, as the
+    # imaging step passes one over the whole grid's
     def test_source_receiver_symmetry(self):
         k = _k_bw()
         a, b = np.array([[0.09, 0.0]]), np.array([[0.01, 0.03]])
-        assert fw.incident_field_matrix(k, a, b) == fw.incident_field_matrix(k, b, a)
+        ray = table_ray(k.value, fw._distances(a, b))
+        assert fw.incident_field_matrix(ray, a, b) == fw.incident_field_matrix(ray, b, a)
 
     def test_reference_distance_against_oracle(self):
         # real k = 93.74 at the array radius 0.09 -> argument 8.4366
-        k = sc.Wavenumber(omega=OMEGA, value=93.74 + 0.0j)
-        val = fw.incident_field_matrix(k, np.array([[0.09, 0.0]]), np.array([[0.0, 0.0]]))[0, 0]
+        ray = ray_interpolant(93.74 + 0.0j, 0.09, 0.09)
+        val = fw.incident_field_matrix(ray, np.array([[0.09, 0.0]]), np.array([[0.0, 0.0]]))[0, 0]
         ref = 0.25j * hankel2_0_oracle(complex(93.74 * 0.09))
         assert abs(val - ref) <= 1e-9 * abs(ref)
 
     def test_depends_only_on_distance(self):
         k = _k_bw()
-        v = fw.incident_field_matrix(k, np.array([[0.05, 0.0], [0.03, 0.04]]), np.zeros((1, 2)))
+        pts, src = np.array([[0.05, 0.0], [0.03, 0.04]]), np.zeros((1, 2))
+        v = fw.incident_field_matrix(table_ray(k.value, fw._distances(pts, src)), pts, src)
         assert abs(v[0, 0]) == pytest.approx(abs(v[1, 0]), rel=1e-13, abs=0)
 
     def test_coincident_points_rejected(self):
+        ray = ray_interpolant(_k_bw().value, 0.01, 0.1)
         with pytest.raises(SingularityError):
-            fw.incident_field_matrix(_k_bw(), np.array([[0.01, 0.01]]), np.array([[0.01, 0.01]]))
+            fw.incident_field_matrix(ray, np.array([[0.01, 0.01]]), np.array([[0.01, 0.01]]))
 
     def test_matrix_matches_scalar(self):
         # the interpolated steering table against one scalar hankel2_0 call
@@ -48,7 +53,7 @@ class TestIncidentField:
         k = _k_bw()
         pts = np.array([[0.0, 0.0], [0.01, 0.03], [-0.02, 0.04]])
         srcs = sc.uniform_circular_array(5, 0.09).positions
-        mat = fw.incident_field_matrix(k, pts, srcs)
+        mat = fw.incident_field_matrix(table_ray(k.value, fw._distances(pts, srcs)), pts, srcs)
         for i, p in enumerate(pts):
             for j, s in enumerate(srcs):
                 ref = 0.25j * hankel2_0(k.value * math.dist(p, s))
@@ -86,7 +91,8 @@ class TestAsymptoticIncidentField:
         ang = rng.uniform(0, 2 * np.pi, 100)
         pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
         positions = single_scene.array.positions
-        exact = fw.incident_field_matrix(k, pts, positions)
+        ray = table_ray(k.value, fw._distances(pts, positions))
+        exact = fw.incident_field_matrix(ray, pts, positions)
         rels = np.abs(fw.asymptotic_field_matrix(k, pts, positions) - exact) / np.abs(exact)
         assert rels.max() <= 0.90
         assert np.mean(rels) <= 0.35

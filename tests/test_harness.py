@@ -384,6 +384,14 @@ class TestCli:
         assert cli.main(["run", str(bad), "--out", str(out), "--resolution", "32"]) == 3
         assert not out.exists()
 
+    def test_non_finite_report_value_exits_3(self, empty_config, tmp_path, monkeypatch):
+        # a NaN that reaches a record stops the run before report.json is
+        # written, and the directory the run created goes with its artifacts
+        monkeypatch.setattr(harness.th, "predicted_peak", lambda *args: (math.nan, math.nan))
+        out = tmp_path / "nan-out"
+        assert cli.main(["run", str(empty_config), "--out", str(out), "--resolution", "32"]) == 3
+        assert not out.exists()
+
     def test_zero_background_permittivity_exits_2(self, tmp_path):
         # the contrast is undefined: a domain failure of the config, exit 2
         bad = tmp_path / "vacuum.ini"

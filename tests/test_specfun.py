@@ -11,7 +11,13 @@ from mwmusic import specfun, theory as th
 from mwmusic.errors import DomainError, SingularityError, TruncationError
 
 from conftest import ARRAY_RADIUS, ROI_RADIUS, make_scene
-from oracles import bessel_j_oracle, hankel2_0_oracle, jacobi_anger_partial
+from oracles import (
+    bessel_j_oracle,
+    cell_centers,
+    hankel2_0_oracle,
+    jacobi_anger_partial,
+    table_ray,
+)
 
 
 # frozen from the ascending-series oracle
@@ -162,7 +168,7 @@ _RAY_VS_HANKEL_REL = 4e-10
 
 @functools.lru_cache(maxsize=None)
 def _distances(resolution, count):
-    points = mu.grid_for_roi(ROI_RADIUS, resolution).cell_centers
+    points = cell_centers(mu.grid_for_roi(ROI_RADIUS, resolution))
     sources = sc.uniform_circular_array(count, ARRAY_RADIUS).positions
     return np.hypot(
         points[:, None, 0] - sources[None, :, 0], points[:, None, 1] - sources[None, :, 1]
@@ -184,7 +190,7 @@ class TestHankel2Ray:
         rng = np.random.default_rng(resolution + count)
         picks = np.concatenate([[np.argmin(d), np.argmax(d)], rng.integers(0, d.size, 8)])
         # the panels follow the whole table's range, so pick from the table
-        table = specfun.hankel2_0_ray(k, d)
+        table = table_ray(k, d)(d)
         for i, v in zip(picks, table[picks]):
             ref = hankel2_0_oracle(complex(k * d[i]))
             assert abs(v - ref) <= 1e-9 * abs(ref)
@@ -192,7 +198,7 @@ class TestHankel2Ray:
     def test_whole_table_matches_hankel2_0(self, resolution, count, kind, ratio):
         k = _wavenumber(kind, ratio)
         d = _distances(resolution, count)
-        table = specfun.hankel2_0_ray(k, d)
+        table = table_ray(k, d)(d)
         ref = specfun.hankel2_0(k * d)
         assert table.shape == d.shape
         assert np.max(np.abs(table - ref) / np.abs(ref)) <= _RAY_VS_HANKEL_REL
@@ -203,42 +209,48 @@ class TestHankel2RayEdges:
         # every distance from the array centre is the ring radius
         k = _wavenumber("permeability", 1.0)
         d = np.full((3, 16), ARRAY_RADIUS)
-        table = specfun.hankel2_0_ray(k, d)
+        table = specfun.ray_interpolant(k, ARRAY_RADIUS, ARRAY_RADIUS)(d)
         assert np.all(table == table[0, 0])
         # measured 4.5e-14: the one distance is the end of the last panel,
         # which no Chebyshev node reaches, so its value is interpolated
         assert table[0, 0] == pytest.approx(specfun.hankel2_0(k * ARRAY_RADIUS), rel=1e-13, abs=0)
 
     def test_empty_table(self):
-        assert specfun.hankel2_0_ray(94.0 + 8.0j, np.empty((0, 16))).shape == (0, 16)
+        ray = specfun.ray_interpolant(94.0 + 8.0j, 0.05, 0.2)
+        table = ray(np.empty((0, 16)))
+        assert table.shape == (0, 16)
+        assert table.dtype == np.complex128
 
     def test_out_of_range_argument(self):
-        # |k d| past 1e6 only at the far end of the table
+        # |k d| past 1e6 only at the far end of the range
         with pytest.raises(DomainError):
-            specfun.hankel2_0_ray(100.0, np.array([0.01, 0.05, 1.001e4]))
+            specfun.ray_interpolant(100.0, 0.01, 1.001e4)
         # the permeability x1e10 wavenumber of the harness failure test
         with pytest.raises(DomainError):
-            specfun.hankel2_0_ray(1.0e5 * (94.0 + 8.0j), np.array([0.05, 0.2]))
+            specfun.ray_interpolant(1.0e5 * (94.0 + 8.0j), 0.05, 0.2)
 
     def test_outside_first_quadrant(self):
         # a wavenumber below the real axis, and a negative distance
         with pytest.raises(DomainError, match=r"Re z > 0 and Im z >= 0"):
-            specfun.hankel2_0_ray(94.0 - 8.0j, np.array([0.05, 0.1]))
+            specfun.ray_interpolant(94.0 - 8.0j, 0.05, 0.1)
         with pytest.raises(DomainError, match=r"Re z > 0 and Im z >= 0"):
-            specfun.hankel2_0_ray(94.0 + 8.0j, np.array([-0.05, 0.1]))
+            specfun.ray_interpolant(94.0 + 8.0j, -0.05, 0.1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_distance(self, bad):
+        # at either end of the range
         with pytest.raises(DomainError):
-            specfun.hankel2_0_ray(94.0 + 8.0j, np.array([0.05, bad, 0.1]))
+            specfun.ray_interpolant(94.0 + 8.0j, 0.05, bad)
+        with pytest.raises(DomainError):
+            specfun.ray_interpolant(94.0 + 8.0j, bad, 0.1)
 
     def test_non_finite_wavenumber(self):
         with pytest.raises(DomainError):
-            specfun.hankel2_0_ray(complex(math.nan, 1.0), np.array([0.05, 0.1]))
+            specfun.ray_interpolant(complex(math.nan, 1.0), 0.05, 0.1)
 
     def test_zero_distance(self):
         with pytest.raises(SingularityError):
-            specfun.hankel2_0_ray(94.0 + 8.0j, np.array([0.0, 0.1]))
+            specfun.ray_interpolant(94.0 + 8.0j, 0.0, 0.1)
 
 
 class TestJacobiAngerTruncation:

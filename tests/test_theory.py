@@ -11,7 +11,12 @@ from mwmusic import theory as th
 from mwmusic.errors import DegenerateDataError, DomainError
 
 from conftest import D1_CENTER, image_from_data, make_scene
-from oracles import bessel_series_norm_factor, bessel_series_terms, far_field_normalization
+from oracles import (
+    bessel_series_norm_factor,
+    bessel_series_terms,
+    direct_norm_factor,
+    far_field_normalization,
+)
 
 
 def _ctx(scene, kind=None, ratio=1.0, r_star=(0.01, 0.03)):
@@ -28,9 +33,9 @@ def _plan(grid, ctx):
 
 
 def _g(ctx, r):
-    """The norm factor g at one point, under the identity permutation alone."""
-    identity = np.arange(ctx.array.count)[None, :]
-    return float(th._norm_factor(ctx, np.asarray([r]), identity)[0, 0])
+    """The norm factor g at one point, from the rows of the direct map that
+    the plan's closed form is held to bit for bit."""
+    return float(direct_norm_factor(ctx, [r])[0])
 
 
 class TestMismatchedWavenumber:
@@ -47,6 +52,15 @@ class TestMismatchedWavenumber:
         )
         k_bw = single_scene.background_wavenumber()
         assert abs(k_aw.value.imag) < 0.01 * abs(k_bw.value.imag)
+
+    @pytest.mark.parametrize("kind", th.MISMATCH_KINDS)
+    @pytest.mark.parametrize("ratio", [0.1, 2.0, 1e5])
+    def test_scales_only_its_own_field(self, single_scene, kind, ratio):
+        bg = single_scene.background
+        fields = {name: getattr(bg, name) for name in th.MISMATCH_KINDS}
+        fields[kind] *= ratio
+        got = th.mismatched_wavenumber(bg, single_scene.omega, th.MismatchSpec(kind, ratio))
+        assert got == sc.wavenumber(sc.Medium(**fields), single_scene.omega)
 
     def test_invalid_kind(self):
         with pytest.raises(DomainError):
