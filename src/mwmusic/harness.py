@@ -7,6 +7,16 @@ plus one JSON report. Runs are deterministic for a fixed config and seed;
 wall-clock timings are printed but kept out of the artifacts so repeated
 runs stay byte-identical.
 
+A map of at least _FORK_MIN_CELLS unmasked cells has its reciprocal-map CSV
+and its PGM written by a forked child (`_fork_writer`) while the run writes
+the projection-norm CSV and images the next ratio, so a sweep keeps two
+cores busy. The child sees the map through copy-on-write pages: nothing is
+pickled or copied. Smaller maps, and platforms without os.fork, write
+inline; the bytes are the same either way, as both paths call the same
+writers. Every writer is joined before the next one is forked, before
+report.json is written, before a failed run removes its artifacts, and
+before run_experiment returns or raises.
+
 Config file format (INI; every key optional, defaults reproduce the
 reference configuration):
 
@@ -54,8 +64,11 @@ the anomaly list with the bundled experiment definitions.
 from __future__ import annotations
 
 import configparser
+import contextlib
+import encodings.ascii  # noqa: F401  the artifacts' codec, loaded before any writer is forked
 import json
 import math
+import os
 import shutil
 import time
 from dataclasses import dataclass, field
@@ -89,6 +102,13 @@ DEFAULT_BG_CONDUCTIVITY = 0.2
 
 D1 = dict(center=(0.01, 0.03), radius=0.01, rel_permittivity=55.0, conductivity=1.2)
 D2 = dict(center=(-0.04, -0.02), radius=0.01, rel_permittivity=45.0, conductivity=1.0)
+
+# unmasked cells from which a map's reciprocal CSV and PGM are written by a
+# forked child. A writer costs the sweep a few ms per map (the fork, the
+# parent's copy-on-write faults, the child's exit); in fresh-process
+# fig-mu-single sweeps on a 2-core host it broke even at ~4k cells: slower
+# at 64^2 (3228 cells), even at 72^2 (4060), faster from 80^2 (5024)
+_FORK_MIN_CELLS = 4096
 
 _MU_EPS_RATIOS = (1.0, 2.0, 10.0, 0.5, 0.2, 0.1)
 _SIGMA_RATIOS = (1.0, 2.0, 10.0, 20.0, 0.2, 0.1)
@@ -347,11 +367,52 @@ def _ratio_label(kind: str, ratio: float) -> str:
     return f"{kind}-{ratio:g}"
 
 
+def _fork_writer(image: mu.ImageMap, map_path: Path, pgm_path: Path) -> int:
+    """Fork a child that writes the reciprocal-map CSV and the PGM of image;
+    returns its pid, which `_join_writers` waits for.
+
+    Only the forking thread exists in the child, so a lock that another
+    thread of the parent held at the fork stays held there. The child
+    therefore only formats floats, takes numpy reductions and writes files:
+    it makes no BLAS call, starts no thread and imports nothing (the ascii
+    codec is loaded with this module), which is what makes forking a parent
+    with BLAS threads safe here. It ends in os._exit on every path, 0 once
+    both files are written and 1 on any exception, after a line on file
+    descriptor 2; so it never returns into the parent's code, runs no
+    atexit handler and flushes none of the parent's buffers.
+    """
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            mu.write_map_csv(image, map_path)
+            mu.write_map_pgm(image, pgm_path)
+            status = 0
+        except BaseException as exc:
+            os.write(2, f"mwmusic: writing {map_path} failed: {exc!r}\n".encode(errors="replace"))
+        finally:
+            os._exit(status)
+    return pid
+
+
+def _join_writers(writers: list[tuple[int, Path]]) -> None:
+    """Wait for each forked (pid, path) writer, removing it once reaped;
+    OSError naming the path if it did not exit 0."""
+    while writers:
+        pid, path = writers[-1]
+        _, status = os.waitpid(pid, 0)
+        writers.pop()
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raise OSError(f"the writer of {path} exited with status {code}")
+
+
 def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
     """Execute the sweep and write artifacts into config.out_dir.
 
     Raises with partial artifacts removed if any ratio fails; a directory
-    the run created is removed with them.
+    the run created is removed with them. No forked writer outlives the
+    call.
     """
     scene = config.scene
     out_dir = Path(config.out_dir)
@@ -381,6 +442,8 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
     # the outermost directory this run creates, if any
     created = next((p for p in (*reversed(out_dir.parents), out_dir) if not p.exists()), None)
     out_dir.mkdir(parents=True, exist_ok=True)
+    fork = hasattr(os, "fork") and int(grid.mask.sum()) >= _FORK_MIN_CELLS
+    writers: list[tuple[int, Path]] = []  # forked writers not yet joined
     written: list[Path] = []
     records: list[RatioRecord] = []
     try:
@@ -415,10 +478,14 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
             map_path = out_dir / f"map-{label}.csv"
             norm_path = out_dir / f"norm-{label}.csv"
             pgm_path = out_dir / f"map-{label}.pgm"
-            mu.write_map_csv(image, map_path)
-            mu.write_map_csv(image, norm_path, which="raw_norm")
-            mu.write_map_pgm(image, pgm_path)
+            _join_writers(writers)
             written += [map_path, norm_path, pgm_path]
+            if fork:
+                writers.append((_fork_writer(image, map_path, pgm_path), map_path))
+            else:
+                mu.write_map_csv(image, map_path)
+                mu.write_map_pgm(image, pgm_path)
+            mu.write_map_csv(image, norm_path, which="raw_norm")
 
             elapsed = time.perf_counter() - t0
             record = RatioRecord(
@@ -452,6 +519,7 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
                 f"M={m_used} err_cells={[round(e, 2) for e in errors_cells]} ({elapsed:.2f}s)"
             )
 
+        _join_writers(writers)
         report = RunReport(
             config_echo=_config_echo(config),
             records=tuple(records),
@@ -464,11 +532,19 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
         )
         return report
     except Exception:
+        # reap the writer first, or it could recreate a file removed here;
+        # the exception on its way is the one to report
+        with contextlib.suppress(OSError):
+            _join_writers(writers)
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)
         for p in written:
             p.unlink(missing_ok=True)
         raise
+    finally:
+        # an interrupt or exit skips the cleanup but not the reaping
+        with contextlib.suppress(OSError):
+            _join_writers(writers)
 
 
 def _require_finite_record(record: RatioRecord) -> None:

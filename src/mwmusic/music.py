@@ -374,7 +374,9 @@ class ImageMap:
         shape = (self.grid.resolution, self.grid.resolution)
         if v.shape != shape:
             raise DomainError(f"values must have shape {shape}")
-        if not np.all(np.isfinite(v[self.grid.mask])):
+        # gather bools, not floats: a float copy of the unmasked cells would
+        # set the memory peak of a large map
+        if not np.isfinite(v)[self.grid.mask].all():
             raise DomainError("unmasked map values must be finite")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)

@@ -15,12 +15,13 @@ import functools
 import importlib
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
-from mwmusic import cli
+from mwmusic import cli, harness
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SPANS_PATH = BENCH / "spans.py"
@@ -52,13 +53,13 @@ def test_wrap_point_exists(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr, None))
 
 
-def _traced_run(tmp_path, name, *options):
+def _traced_run(tmp_path, name, *options, resolution=32):
     # one small sweep through the CLI with every wrap point installed, as a
     # traced benchmark pass runs it
     spans = _spans()
     ini = tmp_path / "empty.ini"
     ini.write_text("")
-    argv = ["run", str(ini), "--preset", "fig-mu-single", "--resolution", "32",
+    argv = ["run", str(ini), "--preset", "fig-mu-single", "--resolution", str(resolution),
             "--out", str(tmp_path / name), *options]
     with spans.installed(spans.Recorder()) as recorder:
         assert cli.main(argv) == 0
@@ -75,6 +76,17 @@ def test_traced_pass(tmp_path):
     times = _traced_run(tmp_path, "plane", "--variant", "plane")
     assert times["forward.incident_field_matrix"]["calls"] == 0
     assert times["music.write_map_csv"]["calls"] > 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="maps are written inline without os.fork")
+def test_traced_pass_with_forked_writers(tmp_path):
+    # above the fork threshold each ratio's reciprocal CSV and PGM are
+    # written by a forked child, whose spans end with it: the trace holds
+    # the parent's norm CSVs only, one per ratio, and stays consistent
+    times = _traced_run(tmp_path, "forked", resolution=80)
+    assert times["music.write_map_csv"]["calls"] == len(harness.PRESETS["fig-mu-single"][1])
+    assert times["music.write_map_pgm"]["calls"] == 0
+    assert len(list((tmp_path / "forked").glob("map-*.csv"))) == 6
 
 
 @pytest.mark.parametrize("workload", sorted(_bench_run().WORKLOADS))

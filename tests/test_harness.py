@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -306,6 +307,110 @@ class TestRunExperiment:
         assert len(found) == ranges
 
 
+def _no_child_left():
+    # every child of this process has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cells(resolution):
+    return int(mu.grid_for_roi(harness.DEFAULT_ROI_RADIUS, resolution).mask.sum())
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="maps are written inline without os.fork")
+class TestForkedWriter:
+    # 80^2 has 5024 unmasked cells, above the fork threshold; 32^2 has 812
+    ABOVE = 80
+
+    def test_threshold_between_the_resolutions(self):
+        assert _cells(32) < harness._FORK_MIN_CELLS <= _cells(self.ABOVE)
+
+    @pytest.mark.parametrize("resolution,forks", [(32, 0), (ABOVE, 6)])
+    def test_forked_and_inline_bytes_identical(
+        self, empty_config, tmp_path, monkeypatch, resolution, forks
+    ):
+        pids = []
+        fork = os.fork
+
+        def counting():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting)
+        config = harness.load_config(
+            empty_config, preset="fig-mu-single", resolution=resolution, out_dir=tmp_path / "a"
+        )
+        harness.run_experiment(config, log=lambda *_: None)
+        assert len(pids) == forks
+        _no_child_left()
+        monkeypatch.delattr(os, "fork")
+        harness.run_experiment(
+            dataclasses.replace(config, out_dir=tmp_path / "b"), log=lambda *_: None
+        )
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        assert len(names) == 19
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_failed_writer_raises_and_cleans_up(self, tmp_path, monkeypatch):
+        # the writer child inherits the patch; the parent's norm CSVs pass
+        write_map_csv = mu.write_map_csv
+
+        def failing(image, path, which="values"):
+            if Path(path).name.startswith("map-"):
+                raise OSError("no space left")
+            write_map_csv(image, path, which)
+
+        monkeypatch.setattr(mu, "write_map_csv", failing)
+        path = tmp_path / "two.ini"
+        path.write_text("[sweep]\nkind = permeability\nratios = 1, 2\n")
+        config = harness.load_config(
+            path, resolution=self.ABOVE, out_dir=tmp_path / "new" / "out"
+        )
+        with pytest.raises(OSError, match=r"map-permeability-1\.csv exited with status 1"):
+            harness.run_experiment(config, log=lambda *_: None)
+        assert not (tmp_path / "new").exists()
+        _no_child_left()
+
+    def test_partial_artifacts_removed_while_writer_runs(self, tmp_path):
+        # as test_partial_artifacts_removed_on_failure, with the first ratio's
+        # files written by a forked writer when the second ratio fails
+        path = tmp_path / "fail.ini"
+        path.write_text("[sweep]\nkind = permeability\nratios = 1, 1e10\n")
+        out = tmp_path / "existing"
+        out.mkdir()
+        config = harness.load_config(path, resolution=self.ABOVE, out_dir=out)
+        with pytest.raises(NumericalError):
+            harness.run_experiment(config, log=lambda *_: None)
+        assert list(out.iterdir()) == []
+        _no_child_left()
+
+    def test_interrupt_reaps_writer(self, empty_config, tmp_path, monkeypatch):
+        # an interrupt while the parent writes the norm CSV skips the cleanup
+        # of a failed run, but not the reaping of the writer
+        def interrupted(image, path, which="values"):
+            raise KeyboardInterrupt
+
+        config = harness.load_config(
+            empty_config, resolution=self.ABOVE, out_dir=tmp_path / "out"
+        )
+        fork_writer = harness._fork_writer
+
+        def patch_after_fork(*args):
+            pid = fork_writer(*args)
+            monkeypatch.setattr(mu, "write_map_csv", interrupted)
+            return pid
+
+        monkeypatch.setattr(harness, "_fork_writer", patch_after_fork)
+        with pytest.raises(KeyboardInterrupt):
+            harness.run_experiment(config, log=lambda *_: None)
+        _no_child_left()
+        assert (tmp_path / "out" / "map-permeability-1.pgm").exists()
+
+
 class TestCompareSavedMap:
     def test_round_trip_comparison(self, empty_config, tmp_path):
         config = harness.load_config(empty_config, resolution=64, out_dir=tmp_path / "c")
@@ -457,15 +562,19 @@ class TestMemory:
     # and the CSV one string. The bound leaves 25% headroom over the
     # measurement. The peak is the child's VmHWM: its ru_maxrss would start
     # at the high-water mark of the process that spawned it, here pytest's.
+    # The map's forked writer is held to the same bound through the peak
+    # RSS of the run's reaped children, which counts the pages it shares
+    # with the run.
     PEAK_RSS_MB = 68
 
     def test_default_run_at_512(self, tmp_path, empty_config):
         script = (
-            "import sys\n"
+            "import resource, sys\n"
             "from mwmusic import cli\n"
             "code = cli.main(sys.argv[1:])\n"
             "hwm_kb = open('/proc/self/status').read().split('VmHWM:')[1].split()[0]\n"
-            "print(code, hwm_kb)\n"
+            "writer_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+            "print(code, hwm_kb, writer_kb)\n"
         )
         src = Path(__file__).resolve().parent.parent / "src"
         argv = ["run", str(empty_config), "--resolution", "512", "--out", str(tmp_path / "out")]
@@ -475,6 +584,8 @@ class TestMemory:
             env=dict(os.environ, PYTHONPATH=str(src)),
         )
         assert proc.returncode == 0, proc.stderr
-        code, hwm_kb = proc.stdout.split()[-2:]
+        code, hwm_kb, writer_kb = proc.stdout.split()[-3:]
         assert code == "0"
+        print(f"run VmHWM {int(hwm_kb) / 1024:.1f} MB, writer ru_maxrss {int(writer_kb) / 1024:.1f} MB")
         assert int(hwm_kb) / 1024 <= self.PEAK_RSS_MB
+        assert 0 < int(writer_kb) / 1024 <= self.PEAK_RSS_MB

@@ -773,11 +773,11 @@ class TestImageMapIO:
 
 class TestMemory:
     # tracemalloc peak of one default map (one anomaly, M = 1, exact field)
-    # at 1024^2, its plan built beforehand: 29.4 MB measured with the
-    # reciprocal formed in place on the norms, 35.7 MB with the cells-sized
-    # temporaries of np.where and np.minimum. 16 MB of it are the two res^2
-    # layers the map keeps.
-    PEAK_MB = 32
+    # at 1024^2, its plan built beforehand: 24.1 MB measured with the map's
+    # finiteness check gathering bools, 29.4 MB while it gathered the
+    # unmasked floats, 35.7 MB with the cells-sized temporaries of np.where
+    # and np.minimum. 16 MB of it are the two res^2 layers the map keeps.
+    PEAK_MB = 27
 
     def test_default_map_at_1024(self):
         scn = make_scene(1)
