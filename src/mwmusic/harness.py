@@ -7,15 +7,18 @@ plus one JSON report. Runs are deterministic for a fixed config and seed;
 wall-clock timings are printed but kept out of the artifacts so repeated
 runs stay byte-identical.
 
-A map of at least _FORK_MIN_CELLS unmasked cells has its reciprocal-map CSV
-and its PGM written by a forked child (`_fork_writer`) while the run writes
-the projection-norm CSV and images the next ratio, so a sweep keeps two
-cores busy. The child sees the map through copy-on-write pages: nothing is
-pickled or copied. Smaller maps, and platforms without os.fork, write
-inline; the bytes are the same either way, as both paths call the same
-writers. Every writer is joined before the next one is forked, before
-report.json is written, before a failed run removes its artifacts, and
-before run_experiment returns or raises.
+A sweep whose maps have at least _FORK_MIN_CELLS unmasked cells forks one
+writer process (`_Writer`) once its first map is imaged, so the sweep keeps
+two cores busy: the run images each map into one of two shared-memory slots
+and hands it over, and the writer writes the map's files while the run
+images the next. The writer takes all three files of a map when it has
+nothing else queued and another map follows; otherwise it takes the
+reciprocal-map CSV, and the run writes the projection-norm CSV and the PGM
+meanwhile. Smaller maps, and platforms without os.fork, write inline; the
+bytes are the same either way, as both paths build the map with
+`music.map_from_norms` and call the same writers. The writer is reaped
+before report.json is written, before a failed or interrupted run removes
+its artifacts, and before run_experiment returns or raises.
 
 Config file format (INI; every key optional, defaults reproduce the
 reference configuration):
@@ -68,12 +71,14 @@ import contextlib
 import encodings.ascii  # noqa: F401  the artifacts' codec, loaded before any writer is forked
 import json
 import math
+import mmap
 import os
 import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 
 from . import forward as fw
 from . import music as mu
@@ -103,12 +108,13 @@ DEFAULT_BG_CONDUCTIVITY = 0.2
 D1 = dict(center=(0.01, 0.03), radius=0.01, rel_permittivity=55.0, conductivity=1.2)
 D2 = dict(center=(-0.04, -0.02), radius=0.01, rel_permittivity=45.0, conductivity=1.0)
 
-# unmasked cells from which a map's reciprocal CSV and PGM are written by a
-# forked child. A writer costs the sweep a few ms per map (the fork, the
-# parent's copy-on-write faults, the child's exit); in fresh-process
-# fig-mu-single sweeps on a 2-core host it broke even at ~4k cells: slower
-# at 64^2 (3228 cells), even at 72^2 (4060), faster from 80^2 (5024)
-_FORK_MIN_CELLS = 4096
+# unmasked cells from which a sweep's maps are written by a forked writer.
+# The writer costs the sweep one fork and a few pipe messages per map; in
+# fresh-process fig-mu-single sweeps on a 2-core host (15 alternating pairs)
+# it was even at 20^2 (316 cells) and ahead by 4-13% at 24^2 to 40^2 (448
+# to 1264 cells). The threshold keeps a margin of ~3x above the break-even,
+# for a fork from a larger process; below it a sweep forgoes at most ~12 ms
+_FORK_MIN_CELLS = 1000
 
 _MU_EPS_RATIOS = (1.0, 2.0, 10.0, 0.5, 0.2, 0.1)
 _SIGMA_RATIOS = (1.0, 2.0, 10.0, 20.0, 0.2, 0.1)
@@ -367,44 +373,164 @@ def _ratio_label(kind: str, ratio: float) -> str:
     return f"{kind}-{ratio:g}"
 
 
-def _fork_writer(image: mu.ImageMap, map_path: Path, pgm_path: Path) -> int:
-    """Fork a child that writes the reciprocal-map CSV and the PGM of image;
-    returns its pid, which `_join_writers` waits for.
+def _artifacts(out_dir: Path, label: str):
+    """(path, write) for each file of one map, in the order a writer takes
+    them: the reciprocal-map CSV, the projection-norm CSV, then the PGM.
+    write(image, path) looks the writer up when it runs."""
+    return (
+        (out_dir / f"map-{label}.csv", lambda image, path: mu.write_map_csv(image, path)),
+        (
+            out_dir / f"norm-{label}.csv",
+            lambda image, path: mu.write_map_csv(image, path, which="raw_norm"),
+        ),
+        (out_dir / f"map-{label}.pgm", lambda image, path: mu.write_map_pgm(image, path)),
+    )
+
+
+class _Writer:
+    """A forked process that writes the artifacts of a sweep's maps.
+
+    The run images each map into a slot (`slot`): two buffers of shared
+    memory, each of one float per unmasked cell, alternate between the
+    maps. `submit` hands the map to the writer by its slot, k_aw, the label
+    of its files and how many of them the writer takes (`_artifacts`) over
+    a pipe of job lines; the writer rebuilds the map from the norms with
+    `music.map_from_norms`, as `imaging_map` does, so the bytes are those
+    of the inline path. It answers each job on a second pipe with "." or,
+    on a failure, with the index of the file that failed, and exits. The
+    run images into a slot only once the writer has answered the job that
+    held it.
+
+    The first job forks the writer, after the first map is imaged: the
+    fork also stops OpenBLAS's thread pool (its atfork handler), so BLAS
+    threads woken by that map do not spin beside the writer.
 
     Only the forking thread exists in the child, so a lock that another
     thread of the parent held at the fork stays held there. The child
     therefore only formats floats, takes numpy reductions and writes files:
     it makes no BLAS call, starts no thread and imports nothing (the ascii
     codec is loaded with this module), which is what makes forking a parent
-    with BLAS threads safe here. It ends in os._exit on every path, 0 once
-    both files are written and 1 on any exception, after a line on file
+    with BLAS threads safe here. It ends in os._exit on every path, 0 at the
+    end of the job pipe and 1 on any exception, after a line on file
     descriptor 2; so it never returns into the parent's code, runs no
     atexit handler and flushes none of the parent's buffers.
     """
-    pid = os.fork()
-    if pid == 0:
-        status = 1
+
+    def __init__(self, grid: mu.ImagingGrid, out_dir: Path):
+        self._grid, self._out_dir = grid, out_dir
+        cells = int(grid.mask.sum())
+        self._maps = [mmap.mmap(-1, 8 * cells) for _ in range(2)]
+        self._slots = [np.frombuffer(m) for m in self._maps]
+        self._next = 0  # the slot of the next job
+        self._pending: list[tuple[Path, ...]] = []  # the files of unanswered jobs, oldest first
+        self.pid = None  # until the first job
+
+    def _fork(self) -> None:
+        jobs, self._jobs = os.pipe()
+        self._replies, replies = os.pipe()
         try:
-            mu.write_map_csv(image, map_path)
-            mu.write_map_pgm(image, pgm_path)
-            status = 0
-        except BaseException as exc:
-            os.write(2, f"mwmusic: writing {map_path} failed: {exc!r}\n".encode(errors="replace"))
+            self.pid = os.fork()
+        except OSError:
+            for fd in (jobs, self._jobs, self._replies, replies):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(self._jobs)
+                os.close(self._replies)
+                self._serve(jobs, replies)
+                status = 0
+            except BaseException as exc:
+                os.write(2, f"mwmusic: the writer failed: {exc!r}\n".encode(errors="replace"))
+            finally:
+                os._exit(status)
+        os.close(jobs)
+        os.close(replies)
+
+    def _serve(self, jobs: int, replies: int) -> None:
+        with open(jobs, "rb") as lines:
+            for line in lines:
+                slot, k_re, k_im, taken, label = line.split()
+                image = mu.map_from_norms(
+                    self._grid, self._slots[int(slot)], complex(float(k_re), float(k_im))
+                )
+                files = _artifacts(self._out_dir, label.decode())[:int(taken)]
+                for index, (path, write) in enumerate(files):
+                    try:
+                        write(image, path)
+                    except BaseException as exc:
+                        os.write(replies, str(index).encode())
+                        raise OSError(f"writing {path} failed: {exc!r}") from exc
+                os.write(replies, b".")
+
+    def slot(self) -> np.ndarray:
+        """The slot for the next map's norms, once no unanswered job holds it."""
+        while len(self._pending) == len(self._slots):
+            self._collect(block=True)
+        return self._slots[self._next]
+
+    def release_slot(self) -> None:
+        """Drop the run's pages of the slot of a map whose layers are built.
+        The norms stay in the shared memory for the writer, as a shared
+        mapping keeps its contents; the run's peak then holds no slot beside
+        the layers while it computes the closed form and writes files."""
+        self._maps[self._next].madvise(mmap.MADV_DONTNEED)
+
+    def idle(self) -> bool:
+        """True when the writer has answered every job, without waiting."""
+        if self._pending:
+            self._collect(block=False)
+        return not self._pending
+
+    def submit(self, k_aw: complex, label: str, taken: int) -> None:
+        """Hand the map in the current slot to the writer, which writes the
+        first `taken` of its files (`_artifacts`). The first job forks the
+        writer."""
+        if self.pid is None:
+            self._fork()
+        line = f"{self._next} {k_aw.real!r} {k_aw.imag!r} {taken} {label}\n"
+        try:
+            os.write(self._jobs, line.encode())
+        except BrokenPipeError:
+            # the writer has ended; its answer names the file that failed
+            self._collect(block=True)
+            raise
+        self._pending.append(tuple(path for path, _ in _artifacts(self._out_dir, label)[:taken]))
+        self._next = (self._next + 1) % len(self._slots)
+
+    def _collect(self, block: bool) -> None:
+        """Read the writer's answers; OSError naming the file of a failed
+        job, or of the oldest job when the writer ended without answering."""
+        os.set_blocking(self._replies, block)
+        try:
+            answers = os.read(self._replies, 64)
+        except BlockingIOError:
+            return
+        if not answers:
+            named = f" before writing {self._pending[0][0]}" if self._pending else ""
+            raise OSError(f"the writer ended{named}")
+        for answer in answers:
+            files = self._pending.pop(0)
+            if answer != ord("."):
+                raise OSError(f"the writer failed on {files[answer - ord('0')]}")
+
+    def close(self) -> None:
+        """Let the writer finish its jobs, then reap it; OSError naming the
+        file of a job that failed. Does nothing once the writer is reaped."""
+        if self.pid is None:
+            return
+        os.close(self._jobs)
+        try:
+            while self._pending:
+                self._collect(block=True)
         finally:
-            os._exit(status)
-    return pid
-
-
-def _join_writers(writers: list[tuple[int, Path]]) -> None:
-    """Wait for each forked (pid, path) writer, removing it once reaped;
-    OSError naming the path if it did not exit 0."""
-    while writers:
-        pid, path = writers[-1]
-        _, status = os.waitpid(pid, 0)
-        writers.pop()
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = None
+            os.close(self._replies)
         code = os.waitstatus_to_exitcode(status)
         if code != 0:
-            raise OSError(f"the writer of {path} exited with status {code}")
+            raise OSError(f"the writer exited with status {code}")
 
 
 def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
@@ -421,8 +547,11 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
     if config.snr_db != fw.NOISELESS:
         data = fw.add_noise(data, config.snr_db, config.seed)
     grid = mu.grid_for_roi(scene.roi_radius, config.resolution)
-    # the geometry of every map of the sweep; only k_aw changes per ratio
-    plan = mu.symmetry_plan(grid, scene.array)
+    fork = hasattr(os, "fork") and int(grid.mask.sum()) >= _FORK_MIN_CELLS
+    # the geometry of every map of the sweep; only k_aw changes per ratio. A
+    # writer works beside every map but the first, and BLAS threads of the
+    # walk would spin on its core
+    plan = mu.symmetry_plan(grid, scene.array, serial=fork and len(config.ratios) > 1)
 
     single = len(scene.anomalies) == 1
     c_identity = None
@@ -442,18 +571,24 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
     # the outermost directory this run creates, if any
     created = next((p for p in (*reversed(out_dir.parents), out_dir) if not p.exists()), None)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fork = hasattr(os, "fork") and int(grid.mask.sum()) >= _FORK_MIN_CELLS
-    writers: list[tuple[int, Path]] = []  # forked writers not yet joined
+    writer = None
     written: list[Path] = []
     records: list[RatioRecord] = []
     try:
-        for ratio in config.ratios:
+        if fork:
+            writer = _Writer(grid, out_dir)
+        for index, ratio in enumerate(config.ratios):
             t0 = time.perf_counter()
             k_aw = th.mismatched_wavenumber(
                 scene.background, scene.omega, th.MismatchSpec(config.sweep_kind, ratio)
             )
             diags = validate_scene(scene, k_aw)
-            image = mu.imaging_map(basis, k_aw, plan, variant=config.test_variant)
+            image = mu.imaging_map(
+                basis, k_aw, plan, variant=config.test_variant,
+                out=writer.slot() if writer else None,
+            )
+            if writer:
+                writer.release_slot()
             n_peaks = max(len(scene.anomalies), 1)
             peaks = mu.extract_peaks(image, n_peaks)
             predicted = [
@@ -475,17 +610,19 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
                 closed_form = th.compare_maps(norm_image, ctx, plan).as_dict()
 
             label = _ratio_label(config.sweep_kind, ratio)
-            map_path = out_dir / f"map-{label}.csv"
-            norm_path = out_dir / f"norm-{label}.csv"
-            pgm_path = out_dir / f"map-{label}.pgm"
-            _join_writers(writers)
-            written += [map_path, norm_path, pgm_path]
-            if fork:
-                writers.append((_fork_writer(image, map_path, pgm_path), map_path))
-            else:
-                mu.write_map_csv(image, map_path)
-                mu.write_map_pgm(image, pgm_path)
-            mu.write_map_csv(image, norm_path, which="raw_norm")
+            artifacts = _artifacts(out_dir, label)
+            written += [path for path, _ in artifacts]
+            # the writer takes the whole map while it has nothing else to
+            # write and the run has another map to image; otherwise it takes
+            # the map CSV, and the run writes the norm CSV and the PGM
+            # meanwhile (the PGM takes the run about as long as rebuilding
+            # the map takes the writer)
+            taken = 0
+            if writer:
+                taken = 3 if index + 1 < len(config.ratios) and writer.idle() else 1
+                writer.submit(image.k_aw, label, taken)
+            for path, write in artifacts[taken:]:
+                write(image, path)
 
             elapsed = time.perf_counter() - t0
             record = RatioRecord(
@@ -519,7 +656,8 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
                 f"M={m_used} err_cells={[round(e, 2) for e in errors_cells]} ({elapsed:.2f}s)"
             )
 
-        _join_writers(writers)
+        if writer:
+            writer.close()
         report = RunReport(
             config_echo=_config_echo(config),
             records=tuple(records),
@@ -531,20 +669,18 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
             encoding="ascii",
         )
         return report
-    except Exception:
-        # reap the writer first, or it could recreate a file removed here;
-        # the exception on its way is the one to report
-        with contextlib.suppress(OSError):
-            _join_writers(writers)
+    except BaseException:
+        # an interrupt or exit cleans up as a failure does; the writer is
+        # reaped first, or it could recreate a file removed here, and the
+        # exception on its way is the one to report
+        if writer:
+            with contextlib.suppress(OSError):
+                writer.close()
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)
         for p in written:
             p.unlink(missing_ok=True)
         raise
-    finally:
-        # an interrupt or exit skips the cleanup but not the reaping
-        with contextlib.suppress(OSError):
-            _join_writers(writers)
 
 
 def _require_finite_record(record: RatioRecord) -> None:

@@ -23,9 +23,12 @@ sweep builds it once and passes it to every map; per wavenumber only the
 exact-field interpolant and the steering rows are computed. The plan owns
 the walk over its domain (`SymmetryPlan.over_domain`), which the imaging
 map and the closed form in `theory` share: rows for one chunk of
-_CHUNK_ENTRIES table entries at a time, paired with a vector pulled back
-by each group element. With the CSV writer streaming one grid row at a
-time, the transient memory of a map does not grow with the grid.
+_CHUNK_ENTRIES table entries at a time (fewer in a serial plan, whose walk
+keeps to one BLAS thread), paired with a vector pulled back by each group
+element. With the CSV writer streaming one grid row at a time, the
+transient memory of a map does not grow with the grid. A map's layers are
+built from its projection norms by `map_from_norms`, which a process that
+receives only the norms calls too.
 """
 
 from __future__ import annotations
@@ -59,6 +62,15 @@ DEFAULT_THRESHOLD_RATIO = 0.1
 # table entries (points x antennas) per chunk of a grid's fundamental domain,
 # so a map's transient memory does not grow with the grid
 _CHUNK_ENTRIES = 8192
+# the same for a serial plan, whose walk never wakes OpenBLAS threads: with
+# the OpenBLAS build of the 2-core host this was tuned on, a rows @ vector
+# product of the walk (`w @ basis.conj()` at M = 1, the closed form's
+# `w @ s_g`) runs on two threads from 4096 table entries on (process CPU
+# over wall time 1.78-1.93 at 4096, 4112 and 8192 entries, 1.00 at 4080 and
+# 0.97 at 4032), and the threads spin after each product on the other core.
+# The boundary is a property of the BLAS build; the rows and norms do not
+# depend on the chunk size
+_SERIAL_CHUNK_ENTRIES = 4095
 
 
 @dataclass(frozen=True)
@@ -222,8 +234,9 @@ class SymmetryPlan:
     permutation pi_g with w(g . r) = w(r)[pi_g], for any steering or unit
     row w built from distances to, or directions of, the antennas. chunks
     are the slices of the representatives a map walks, _CHUNK_ENTRIES
-    table entries each; `over_domain` is that walk. Every array is
-    read-only: one plan serves every map of a sweep.
+    table entries each, or _SERIAL_CHUNK_ENTRIES in a serial plan;
+    `over_domain` is that walk. Every array is read-only: one plan serves
+    every map of a sweep.
     """
 
     grid: ImagingGrid
@@ -240,8 +253,9 @@ class SymmetryPlan:
         plane-wave maps never do."""
         return _distance_range(self.points, self.array, self.chunks)
 
-    def over_domain(self, rows_of, partners: np.ndarray, pair) -> np.ndarray:
-        """pair(partner_g, rows) at every unmasked cell, in mask order.
+    def over_domain(self, rows_of, partners: np.ndarray, pair, out=None) -> np.ndarray:
+        """pair(partner_g, rows) at every unmasked cell, in mask order, in
+        out (one float per unmasked cell) or a new array.
 
         rows_of(points) builds the rows w(r) (points, N) of one chunk of
         representatives at a time. partners, its first axis over the
@@ -251,7 +265,8 @@ class SymmetryPlan:
         leaves unchanged (a projection norm, |w . v|); it gives one value
         per row.
         """
-        out = np.empty(np.count_nonzero(self.grid.mask))
+        if out is None:
+            out = np.empty(np.count_nonzero(self.grid.mask))
         moved = np.empty((len(self.perms),) + partners.shape, dtype=partners.dtype)
         moved[np.arange(len(self.perms))[:, None], self.perms] = partners
         for chunk in self.chunks:
@@ -275,12 +290,14 @@ def _antenna_permutation(g: np.ndarray, array: AntennaArray) -> np.ndarray | Non
     return perm
 
 
-def symmetry_plan(grid: ImagingGrid, array: AntennaArray) -> SymmetryPlan:
+def symmetry_plan(grid: ImagingGrid, array: AntennaArray, serial: bool = False) -> SymmetryPlan:
     """Fundamental domain, cell maps and antenna permutations of the group
     generated by those of y -> -y, x -> -x and x <-> y that map both the
     masked cells and the antenna positions onto themselves, with the
     domain's chunks (and, on first use, its distance range); built once per
-    sweep.
+    sweep. A serial plan walks chunks small enough that the walk keeps to
+    one BLAS thread, for maps imaged while another process works beside
+    them.
 
     A uniform circular array gives |G| = 8 for N = 0 mod 4, 4 for
     N = 2 mod 4 and 2 for odd N; an asymmetric array gives the identity
@@ -325,13 +342,14 @@ def symmetry_plan(grid: ImagingGrid, array: AntennaArray) -> SymmetryPlan:
         points=points,
         cells=cells,
         perms=perms,
-        chunks=_chunks(len(points), array.count),
+        chunks=_chunks(len(points), array.count, serial),
     )
 
 
-def _chunks(points: int, antennas: int) -> tuple[slice, ...]:
-    """Slices of the representatives, _CHUNK_ENTRIES table entries at a time."""
-    step = max(1, _CHUNK_ENTRIES // antennas)
+def _chunks(points: int, antennas: int, serial: bool = False) -> tuple[slice, ...]:
+    """Slices of the representatives, _CHUNK_ENTRIES table entries at a
+    time, or _SERIAL_CHUNK_ENTRIES when serial."""
+    step = max(1, (_SERIAL_CHUNK_ENTRIES if serial else _CHUNK_ENTRIES) // antennas)
     return tuple(slice(start, start + step) for start in range(0, points, step))
 
 
@@ -402,6 +420,7 @@ def imaging_map(
     k_aw: Wavenumber,
     plan: SymmetryPlan,
     variant: str = EXACT_FIELD,
+    out: np.ndarray | None = None,
 ) -> ImageMap:
     """Reciprocal projection-norm map 1 / |P_noise W(r)| over the unmasked
     cells of plan.grid, with the noise projector defined by the signal basis
@@ -412,13 +431,15 @@ def imaging_map(
     images g . r are |w(r) - U_g U_g^H w(r)|, with U_g the basis rows
     scattered by pi_g. The exact-field interpolant is built once, over the
     plan's distance range, so a row does not depend on the chunk it falls
-    in.
+    in. The norms, in mask order, are computed into out when it is given
+    (a float array of one entry per unmasked cell) and are left there.
 
     Values are clipped at DEFAULT_CEILING where the norm underflows; the
-    unclipped norms are retained in raw_norm for quantitative comparison.
-    Raises NumericalError when the exact-field steering table leaves the
-    range of hankel2_0 (|k_aw| d > 1e6) or a norm is not finite (the table
-    overflows once Im(k_aw) times the distance passes ~709).
+    unclipped norms are retained in raw_norm for quantitative comparison
+    (`map_from_norms`). Raises NumericalError when the exact-field steering
+    table leaves the range of hankel2_0 (|k_aw| d > 1e6) or a norm is not
+    finite (the table overflows once Im(k_aw) times the distance passes
+    ~709).
     """
     grid, array = plan.grid, plan.array
     if grid.resolution < 16:
@@ -434,21 +455,28 @@ def imaging_map(
                 raise
             raise NumericalError(f"steering field at k_aw = {k_aw.value:.6g}: {exc}") from exc
     norms = plan.over_domain(
-        lambda points: _steering_rows(k_aw, points, array, variant, ray), basis, projection_norm
+        lambda points: _steering_rows(k_aw, points, array, variant, ray), basis, projection_norm,
+        out,
     )
     if not np.all(np.isfinite(norms)):
         raise NumericalError(
             f"non-finite projection norm: the steering field at k_aw = {k_aw.value:.6g} "
             "is not finite"
         )
+    return map_from_norms(grid, norms, k_aw.value)
 
+
+def map_from_norms(grid: ImagingGrid, norms: np.ndarray, k_aw: complex) -> ImageMap:
+    """The ImageMap of finite projection norms >= +0 given in mask order:
+    raw_norm holds them and values their reciprocals clipped at
+    DEFAULT_CEILING (a norm of 0 gives the ceiling). norms is left as it is.
+    """
     raw = grid.raster(norms)
-    # the reciprocal in place on the norms: they are >= +0, so 0 gives inf
+    # the masked cells stay NaN through the reciprocal and the clip
     with np.errstate(divide="ignore"):
-        np.divide(1.0, norms, out=norms)
-    np.minimum(norms, DEFAULT_CEILING, out=norms)
-    values = grid.raster(norms)
-    return ImageMap(grid=grid, values=values, raw_norm=raw, k_aw=k_aw.value)
+        values = np.divide(1.0, raw)
+    np.minimum(values, DEFAULT_CEILING, out=values)
+    return ImageMap(grid=grid, values=values, raw_norm=raw, k_aw=k_aw)
 
 
 # ---------------------------------------------------------------------------

@@ -80,12 +80,15 @@ def test_traced_pass(tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="maps are written inline without os.fork")
 def test_traced_pass_with_forked_writers(tmp_path):
-    # above the fork threshold each ratio's reciprocal CSV and PGM are
-    # written by a forked child, whose spans end with it: the trace holds
-    # the parent's norm CSVs only, one per ratio, and stays consistent
+    # above the fork threshold the sweep's writer process writes the maps'
+    # reciprocal CSVs, and the norm CSVs and PGMs of the maps it takes
+    # whole; its spans end with it. How many of those the run writes itself
+    # depends on when the writer is idle, so the trace only bounds them; the
+    # last map's are always the run's
     times = _traced_run(tmp_path, "forked", resolution=80)
-    assert times["music.write_map_csv"]["calls"] == len(harness.PRESETS["fig-mu-single"][1])
-    assert times["music.write_map_pgm"]["calls"] == 0
+    ratios = len(harness.PRESETS["fig-mu-single"][1])
+    assert 1 <= times["music.write_map_csv"]["calls"] <= ratios
+    assert 1 <= times["music.write_map_pgm"]["calls"] <= ratios
     assert len(list((tmp_path / "forked").glob("map-*.csv"))) == 6
 
 

@@ -430,6 +430,33 @@ class TestChunks:
         assert plan.chunks == mu._chunks(len(plan.points), count)
         assert mu._distance_range(plan.points, array, [slice(None)]) == want
 
+    # a rows @ vector product of the walk wakes OpenBLAS threads from 4096
+    # table entries on; no chunk of a serial plan may reach that, whatever
+    # the antenna count
+    @pytest.mark.parametrize("count", [4, 16, 64, 100])
+    def test_serial_chunks_below_the_blas_thread_boundary(self, count):
+        plan = mu.symmetry_plan(_grid(128), sc.uniform_circular_array(count, 0.09), serial=True)
+        assert sum(len(plan.points[chunk]) for chunk in plan.chunks) == len(plan.points)
+        assert all(len(plan.points[chunk]) * count < 4096 for chunk in plan.chunks)
+
+    def test_serial_plan_bit_identical(self):
+        # a 112^2 fig-mu-single map and its closed form, walked in chunks of
+        # 8192 entries, on two BLAS threads, and in serial chunks, on one
+        scn = make_scene(1)
+        k_bw = scn.background_wavenumber()
+        k_aw = _mismatched(scn, "permeability", 2.0)
+        basis = mu.svd_leading(fw.scattering_matrix(scn, k_bw)).left_vectors[:, :1]
+        ctx = th.TheoryContext(k_bw=k_bw, k_aw=k_aw, r_star=(0.01, 0.03), array=scn.array)
+        maps, closed = [], []
+        for serial in (False, True):
+            plan = mu.symmetry_plan(_grid(112), scn.array, serial=serial)
+            maps.append(mu.imaging_map(basis, k_aw, plan))
+            closed.append(th.closed_form_norm_map(ctx, plan))
+        assert len(plan.chunks) > 1
+        assert np.array_equal(maps[1].raw_norm, maps[0].raw_norm, equal_nan=True)
+        assert np.array_equal(maps[1].values, maps[0].values, equal_nan=True)
+        assert np.array_equal(closed[1], closed[0], equal_nan=True)
+
     def test_interpolant_built_once(self, monkeypatch):
         # the ray interpolant's node values are the only hankel2_0 call of
         # an exact-field map, however many chunks the domain takes
