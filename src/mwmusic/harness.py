@@ -394,16 +394,18 @@ class _Writer:
     memory, each of one float per unmasked cell, alternate between the
     maps. `submit` hands the map to the writer by its slot, k_aw, the label
     of its files and how many of them the writer takes (`_artifacts`) over
-    a pipe of job lines; the writer rebuilds the map from the norms with
-    `music.map_from_norms`, as `imaging_map` does, so the bytes are those
-    of the inline path. It answers each job on a second pipe with "." or,
-    on a failure, with the index of the file that failed, and exits. The
-    run images into a slot only once the writer has answered the job that
-    held it.
+    a pipe of job lines; the writer rebuilds the layers those files need
+    from the norms with `music.map_from_norms`, as `imaging_map` does, so
+    the bytes are those of the inline path. It answers each job on a
+    second pipe with "." or, on a failure, with the index of the file that
+    failed, and exits. The run images into a slot only once the writer has
+    answered the job that held it.
 
-    The first job forks the writer, after the first map is imaged: the
-    fork also stops OpenBLAS's thread pool (its atfork handler), so BLAS
-    threads woken by that map do not spin beside the writer.
+    The first job forks the writer, after the first map is imaged, when
+    the run has touched most of the pages it will write to (fewer pages
+    are copied on write). The fork also stops OpenBLAS's thread pool (its
+    atfork handler), so no BLAS thread woken before it spins beside the
+    writer.
 
     Only the forking thread exists in the child, so a lock that another
     thread of the parent held at the fork stays held there. The child
@@ -452,10 +454,12 @@ class _Writer:
         with open(jobs, "rb") as lines:
             for line in lines:
                 slot, k_re, k_im, taken, label = line.split()
-                image = mu.map_from_norms(
-                    self._grid, self._slots[int(slot)], complex(float(k_re), float(k_im))
-                )
                 files = _artifacts(self._out_dir, label.decode())[:int(taken)]
+                # the raw-norm layer only for a job that takes the norm CSV
+                image = mu.map_from_norms(
+                    self._grid, self._slots[int(slot)], complex(float(k_re), float(k_im)),
+                    raw=len(files) > 1,
+                )
                 for index, (path, write) in enumerate(files):
                     try:
                         write(image, path)
@@ -469,13 +473,6 @@ class _Writer:
         while len(self._pending) == len(self._slots):
             self._collect(block=True)
         return self._slots[self._next]
-
-    def release_slot(self) -> None:
-        """Drop the run's pages of the slot of a map whose layers are built.
-        The norms stay in the shared memory for the writer, as a shared
-        mapping keeps its contents; the run's peak then holds no slot beside
-        the layers while it computes the closed form and writes files."""
-        self._maps[self._next].madvise(mmap.MADV_DONTNEED)
 
     def idle(self) -> bool:
         """True when the writer has answered every job, without waiting."""
@@ -547,11 +544,8 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
     if config.snr_db != fw.NOISELESS:
         data = fw.add_noise(data, config.snr_db, config.seed)
     grid = mu.grid_for_roi(scene.roi_radius, config.resolution)
-    fork = hasattr(os, "fork") and int(grid.mask.sum()) >= _FORK_MIN_CELLS
-    # the geometry of every map of the sweep; only k_aw changes per ratio. A
-    # writer works beside every map but the first, and BLAS threads of the
-    # walk would spin on its core
-    plan = mu.symmetry_plan(grid, scene.array, serial=fork and len(config.ratios) > 1)
+    # the geometry of every map of the sweep; only k_aw changes per ratio
+    plan = mu.symmetry_plan(grid, scene.array)
 
     single = len(scene.anomalies) == 1
     c_identity = None
@@ -575,7 +569,7 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
     written: list[Path] = []
     records: list[RatioRecord] = []
     try:
-        if fork:
+        if hasattr(os, "fork") and int(grid.mask.sum()) >= _FORK_MIN_CELLS:
             writer = _Writer(grid, out_dir)
         for index, ratio in enumerate(config.ratios):
             t0 = time.perf_counter()
@@ -587,8 +581,6 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
                 basis, k_aw, plan, variant=config.test_variant,
                 out=writer.slot() if writer else None,
             )
-            if writer:
-                writer.release_slot()
             n_peaks = max(len(scene.anomalies), 1)
             peaks = mu.extract_peaks(image, n_peaks)
             predicted = [

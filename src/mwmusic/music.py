@@ -23,12 +23,12 @@ sweep builds it once and passes it to every map; per wavenumber only the
 exact-field interpolant and the steering rows are computed. The plan owns
 the walk over its domain (`SymmetryPlan.over_domain`), which the imaging
 map and the closed form in `theory` share: rows for one chunk of
-_CHUNK_ENTRIES table entries at a time (fewer in a serial plan, whose walk
-keeps to one BLAS thread), paired with a vector pulled back by each group
-element. With the CSV writer streaming one grid row at a time, the
-transient memory of a map does not grow with the grid. A map's layers are
-built from its projection norms by `map_from_norms`, which a process that
-receives only the norms calls too.
+_CHUNK_ENTRIES table entries at a time, few enough that the walk keeps to
+one BLAS thread, paired with a vector pulled back by each group element.
+With the CSV writer streaming one grid row at a time, the transient memory
+of a map does not grow with the grid. A map's layers are built from its
+projection norms by `map_from_norms`, which a process that receives only
+the norms calls too.
 """
 
 from __future__ import annotations
@@ -60,17 +60,16 @@ DEFAULT_CEILING = 1.0e8
 DEFAULT_THRESHOLD_RATIO = 0.1
 
 # table entries (points x antennas) per chunk of a grid's fundamental domain,
-# so a map's transient memory does not grow with the grid
-_CHUNK_ENTRIES = 8192
-# the same for a serial plan, whose walk never wakes OpenBLAS threads: with
-# the OpenBLAS build of the 2-core host this was tuned on, a rows @ vector
-# product of the walk (`w @ basis.conj()` at M = 1, the closed form's
-# `w @ s_g`) runs on two threads from 4096 table entries on (process CPU
-# over wall time 1.78-1.93 at 4096, 4112 and 8192 entries, 1.00 at 4080 and
-# 0.97 at 4032), and the threads spin after each product on the other core.
-# The boundary is a property of the BLAS build; the rows and norms do not
-# depend on the chunk size
-_SERIAL_CHUNK_ENTRIES = 4095
+# so a map's transient memory does not grow with the grid, and below the
+# size at which a product of the walk wakes OpenBLAS threads: with the
+# OpenBLAS build of the 2-core host this was tuned on, a rows @ vector
+# product (`w @ basis.conj()` at M = 1, the closed form's `w @ s_g`) runs on
+# two threads from 4096 table entries on (process CPU over wall time
+# 1.78-1.93 at 4096, 4112 and 8192 entries, 1.00 at 4080 and 0.97 at 4032),
+# and the threads spin after each product on the core a sweep's writer
+# process uses. The boundary is a property of the BLAS build; the rows and
+# norms do not depend on the chunk size
+_CHUNK_ENTRIES = 4095
 
 
 @dataclass(frozen=True)
@@ -234,9 +233,8 @@ class SymmetryPlan:
     permutation pi_g with w(g . r) = w(r)[pi_g], for any steering or unit
     row w built from distances to, or directions of, the antennas. chunks
     are the slices of the representatives a map walks, _CHUNK_ENTRIES
-    table entries each, or _SERIAL_CHUNK_ENTRIES in a serial plan;
-    `over_domain` is that walk. Every array is read-only: one plan serves
-    every map of a sweep.
+    table entries each; `over_domain` is that walk. Every array is
+    read-only: one plan serves every map of a sweep.
     """
 
     grid: ImagingGrid
@@ -290,14 +288,12 @@ def _antenna_permutation(g: np.ndarray, array: AntennaArray) -> np.ndarray | Non
     return perm
 
 
-def symmetry_plan(grid: ImagingGrid, array: AntennaArray, serial: bool = False) -> SymmetryPlan:
+def symmetry_plan(grid: ImagingGrid, array: AntennaArray) -> SymmetryPlan:
     """Fundamental domain, cell maps and antenna permutations of the group
     generated by those of y -> -y, x -> -x and x <-> y that map both the
     masked cells and the antenna positions onto themselves, with the
     domain's chunks (and, on first use, its distance range); built once per
-    sweep. A serial plan walks chunks small enough that the walk keeps to
-    one BLAS thread, for maps imaged while another process works beside
-    them.
+    sweep.
 
     A uniform circular array gives |G| = 8 for N = 0 mod 4, 4 for
     N = 2 mod 4 and 2 for odd N; an asymmetric array gives the identity
@@ -342,14 +338,13 @@ def symmetry_plan(grid: ImagingGrid, array: AntennaArray, serial: bool = False) 
         points=points,
         cells=cells,
         perms=perms,
-        chunks=_chunks(len(points), array.count, serial),
+        chunks=_chunks(len(points), array.count),
     )
 
 
-def _chunks(points: int, antennas: int, serial: bool = False) -> tuple[slice, ...]:
-    """Slices of the representatives, _CHUNK_ENTRIES table entries at a
-    time, or _SERIAL_CHUNK_ENTRIES when serial."""
-    step = max(1, (_SERIAL_CHUNK_ENTRIES if serial else _CHUNK_ENTRIES) // antennas)
+def _chunks(points: int, antennas: int) -> tuple[slice, ...]:
+    """Slices of the representatives, _CHUNK_ENTRIES table entries at a time."""
+    step = max(1, _CHUNK_ENTRIES // antennas)
     return tuple(slice(start, start + step) for start in range(0, points, step))
 
 
@@ -466,17 +461,21 @@ def imaging_map(
     return map_from_norms(grid, norms, k_aw.value)
 
 
-def map_from_norms(grid: ImagingGrid, norms: np.ndarray, k_aw: complex) -> ImageMap:
+def map_from_norms(
+    grid: ImagingGrid, norms: np.ndarray, k_aw: complex, raw: bool = True
+) -> ImageMap:
     """The ImageMap of finite projection norms >= +0 given in mask order:
-    raw_norm holds them and values their reciprocals clipped at
-    DEFAULT_CEILING (a norm of 0 gives the ceiling). norms is left as it is.
+    values holds their reciprocals clipped at DEFAULT_CEILING (a norm of 0
+    gives the ceiling) and, when raw, raw_norm holds the norms. norms is
+    left as it is.
     """
-    raw = grid.raster(norms)
+    values = grid.raster(norms)
+    raw_norm = values.copy() if raw else None
     # the masked cells stay NaN through the reciprocal and the clip
     with np.errstate(divide="ignore"):
-        values = np.divide(1.0, raw)
+        np.divide(1.0, values, out=values)
     np.minimum(values, DEFAULT_CEILING, out=values)
-    return ImageMap(grid=grid, values=values, raw_norm=raw, k_aw=k_aw)
+    return ImageMap(grid=grid, values=values, raw_norm=raw_norm, k_aw=k_aw)
 
 
 # ---------------------------------------------------------------------------

@@ -431,28 +431,30 @@ class TestChunks:
         assert mu._distance_range(plan.points, array, [slice(None)]) == want
 
     # a rows @ vector product of the walk wakes OpenBLAS threads from 4096
-    # table entries on; no chunk of a serial plan may reach that, whatever
-    # the antenna count
+    # table entries on; no chunk of a plan may reach that, whatever the
+    # antenna count
     @pytest.mark.parametrize("count", [4, 16, 64, 100])
-    def test_serial_chunks_below_the_blas_thread_boundary(self, count):
-        plan = mu.symmetry_plan(_grid(128), sc.uniform_circular_array(count, 0.09), serial=True)
+    def test_chunks_below_the_blas_thread_boundary(self, count):
+        plan = mu.symmetry_plan(_grid(128), sc.uniform_circular_array(count, 0.09))
         assert sum(len(plan.points[chunk]) for chunk in plan.chunks) == len(plan.points)
         assert all(len(plan.points[chunk]) * count < 4096 for chunk in plan.chunks)
 
-    def test_serial_plan_bit_identical(self):
+    def test_walk_independent_of_the_chunk_size(self, monkeypatch):
         # a 112^2 fig-mu-single map and its closed form, walked in chunks of
-        # 8192 entries, on two BLAS threads, and in serial chunks, on one
+        # 8192 entries, on two BLAS threads, and of _CHUNK_ENTRIES, on one
         scn = make_scene(1)
         k_bw = scn.background_wavenumber()
         k_aw = _mismatched(scn, "permeability", 2.0)
         basis = mu.svd_leading(fw.scattering_matrix(scn, k_bw)).left_vectors[:, :1]
         ctx = th.TheoryContext(k_bw=k_bw, k_aw=k_aw, r_star=(0.01, 0.03), array=scn.array)
-        maps, closed = [], []
-        for serial in (False, True):
-            plan = mu.symmetry_plan(_grid(112), scn.array, serial=serial)
+        maps, closed, chunks = [], [], []
+        for entries in (mu._CHUNK_ENTRIES, 8192):
+            monkeypatch.setattr(mu, "_CHUNK_ENTRIES", entries)
+            plan = mu.symmetry_plan(_grid(112), scn.array)
             maps.append(mu.imaging_map(basis, k_aw, plan))
             closed.append(th.closed_form_norm_map(ctx, plan))
-        assert len(plan.chunks) > 1
+            chunks.append(len(plan.chunks))
+        assert chunks[0] > chunks[1] > 1
         assert np.array_equal(maps[1].raw_norm, maps[0].raw_norm, equal_nan=True)
         assert np.array_equal(maps[1].values, maps[0].values, equal_nan=True)
         assert np.array_equal(closed[1], closed[0], equal_nan=True)
@@ -587,6 +589,20 @@ class TestImagingMap:
         vals = image.raw_norm[image.grid.mask]
         assert np.all(vals >= 0.0)
         assert np.all(vals <= 1.0 + 1e-12)
+
+    def test_map_from_norms_without_raw_layer(self):
+        # a writer that takes only the reciprocal-map CSV builds no raw-norm
+        # raster; its values layer is the full map's, bit for bit
+        grid = _grid(32)
+        cells = np.count_nonzero(grid.mask)
+        norms = np.linspace(0.0, 1.0, cells) ** 3  # a norm of 0 gives the ceiling
+        full = mu.map_from_norms(grid, norms, 1.5 - 0.2j)
+        bare = mu.map_from_norms(grid, norms, 1.5 - 0.2j, raw=False)
+        assert bare.raw_norm is None
+        assert np.array_equal(bare.values, full.values, equal_nan=True)
+        assert np.array_equal(full.raw_norm, grid.raster(norms), equal_nan=True)
+        assert full.values[grid.mask].max() == mu.DEFAULT_CEILING
+        assert np.array_equal(norms, np.linspace(0.0, 1.0, cells) ** 3)
 
 
 class TestExtractPeaks:
