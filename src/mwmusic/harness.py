@@ -69,6 +69,7 @@ from __future__ import annotations
 import configparser
 import contextlib
 import encodings.ascii  # noqa: F401  the artifacts' codec, loaded before any writer is forked
+import io
 import json
 import math
 import mmap
@@ -201,7 +202,16 @@ def load_config(path, preset: str | None = None, **overrides) -> ExperimentConfi
         raise ConfigurationError(f"config file {path} does not exist")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        parser.read(path)
+        # the encoding ConfigParser.read uses; unlike read, a file that
+        # cannot be opened or decoded is an error, not an empty config
+        with open(path, encoding=io.text_encoding(None)) as fh:
+            parser.read_file(fh, source=str(path))
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(
+            f"cannot read config file {path}: not {exc.encoding} text ({exc.reason})"
+        ) from exc
     except configparser.Error as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
@@ -564,7 +574,10 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
 
     # the outermost directory this run creates, if any
     created = next((p for p in (*reversed(out_dir.parents), out_dir) if not p.exists()), None)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
     writer = None
     written: list[Path] = []
     records: list[RatioRecord] = []

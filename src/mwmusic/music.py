@@ -283,7 +283,8 @@ def _antenna_permutation(g: np.ndarray, array: AntennaArray) -> np.ndarray | Non
     perm = np.argmin(dist, axis=1)
     if dist[np.arange(array.count), perm].max() > _SYMMETRY_TOL * array.radius:
         return None
-    if np.unique(perm).size != array.count:
+    # a bijection: no partner matched twice
+    if not np.diff(np.sort(perm)).all():
         return None
     return perm
 
@@ -516,24 +517,29 @@ def write_map_csv(image: ImageMap, path, which: str = "values") -> None:
 
 def read_map_csv(path, roi_radius: float) -> ImageMap:
     """Rebuild an ImageMap (values layer only) written by write_map_csv."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = {}
-        for line in fh:
-            line = line.strip()
-            if line == "x,y,value":
-                break
-            if line.startswith("#"):
-                key, *vals = line.lstrip("# ").split(",")
-                header[key] = vals
-        else:
-            raise DomainError(f"{path}: missing x,y,value header row")
-        with warnings.catch_warnings():
-            # an empty body is reported below as uncovered cells
-            warnings.simplefilter("ignore", UserWarning)
-            try:
-                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-            except ValueError as exc:
-                raise DomainError(f"{path}: bad data row: {exc}") from exc
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = {}
+            for line in fh:
+                line = line.strip()
+                if line == "x,y,value":
+                    break
+                if line.startswith("#"):
+                    key, *vals = line.lstrip("# ").split(",")
+                    header[key] = vals
+            else:
+                raise DomainError(f"{path}: missing x,y,value header row")
+            with warnings.catch_warnings():
+                # an empty body is reported below as uncovered cells
+                warnings.simplefilter("ignore", UserWarning)
+                try:
+                    rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                except ValueError as exc:
+                    raise DomainError(f"{path}: bad data row: {exc}") from exc
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
     try:
         resolution = int(header["resolution"][0])
         lo, hi = (float(v) for v in header["bounds"])

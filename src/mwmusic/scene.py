@@ -113,7 +113,17 @@ class AntennaArray:
         radii = np.hypot(pos[:, 0], pos[:, 1])
         if not np.allclose(radii, self.radius, rtol=1e-12, atol=0.0):
             raise ConfigurationError("all antennas must sit on the array circle")
-        if np.unique(np.mod(ang, 2 * np.pi)).size != self.count:
+        if not np.isfinite(ang).all():
+            raise ConfigurationError("antenna angles must be finite")
+        # the package computes with the positions alone; each angle must
+        # name its antenna's, so distinct angles mean distinct positions
+        offsets = np.hypot(
+            self.radius * np.cos(ang) - pos[:, 0], self.radius * np.sin(ang) - pos[:, 1]
+        )
+        if offsets.max() > 1e-12 * self.radius:
+            raise ConfigurationError("antenna positions must be R (cos theta_n, sin theta_n)")
+        # sorted, not np.unique: numpy 2.x imports numpy.ma there
+        if not np.diff(np.sort(np.mod(ang, 2 * np.pi))).all():
             raise ConfigurationError("antenna angles must be pairwise distinct")
         pos.flags.writeable = False
         ang.flags.writeable = False
@@ -170,6 +180,14 @@ class Scene:
             raise ConfigurationError("roi_radius must be > 0")
         if _finite(self.frequency, "frequency") <= 0:
             raise ConfigurationError("frequency must be > 0")
+        try:
+            finite = cmath.isfinite(self.background_wavenumber().value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigurationError(
+                f"the background wavenumber at {self.frequency:g} Hz is not finite"
+            )
         if self.array.radius <= self.roi_radius:
             raise ConfigurationError("antennas must be placed outside the region of interest")
         anomalies = tuple(self.anomalies)

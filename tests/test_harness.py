@@ -1,5 +1,7 @@
+import codecs
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -589,6 +591,66 @@ class TestCli:
         )
         assert code == 0
         assert "rms:" in capsys.readouterr().out
+
+
+def _one_error_line(capsys, *names):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert all(name in err[0] for name in names), err
+
+
+def _opens_utf8():
+    with open(os.devnull, encoding=io.text_encoding(None)) as fh:
+        return codecs.lookup(fh.encoding).name == "utf-8"
+
+
+class TestInputFailuresExit2:
+    """A config, CSV or output directory that cannot be used exits 2 with
+    one error line, and leaves no directory behind."""
+
+    @pytest.mark.parametrize("kind", [
+        "directory",
+        pytest.param("not-utf8", marks=pytest.mark.skipif(
+            not _opens_utf8(), reason="the config encoding is not UTF-8")),
+    ])
+    def test_unreadable_config(self, tmp_path, monkeypatch, capsys, kind):
+        # ConfigParser.read skips such a file: the default sweep would run
+        # and write into ./out
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.ini"
+        if kind == "directory":
+            config.mkdir()
+        else:
+            config.write_bytes(b"[imaging]\nresolution = 32\n; caf\xe9\n")
+        assert cli.main(["run", str(config)]) == 2
+        _one_error_line(capsys, str(config))
+        assert list(tmp_path.iterdir()) == [config]
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-ascii"])
+    def test_unreadable_compare_csv(self, empty_config, tmp_path, capsys, kind):
+        csv = tmp_path / "norm.csv"
+        if kind == "directory":
+            csv.mkdir()
+        elif kind == "not-ascii":
+            csv.write_bytes(b"# resolution,32\n# caf\xe9\nx,y,value\n")
+        assert cli.main(["compare", str(csv), str(empty_config)]) == 2
+        _one_error_line(capsys, str(csv))
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_not_a_directory(self, empty_config, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("")
+        argv = ["run", str(empty_config), "--out", str(tmp_path / out), "--resolution", "32"]
+        assert cli.main(argv) == 2
+        _one_error_line(capsys, str(tmp_path / out))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.ini", "file"]
+
+    def test_overflowing_frequency(self, tmp_path, capsys):
+        config = tmp_path / "hot.ini"
+        config.write_text("[scene]\nfrequency_hz = 1e300\n")
+        out = tmp_path / "hot-out"
+        assert cli.main(["run", str(config), "--out", str(out), "--resolution", "32"]) == 2
+        _one_error_line(capsys, "wavenumber")
+        assert not out.exists()
 
 
 class TestMemory:

@@ -262,6 +262,16 @@ class TestSymmetryPlan:
         for idx in plan.cells:  # each group element is one-to-one on the domain
             assert np.unique(idx).size == idx.size
 
+    def test_permutation_must_be_a_bijection(self):
+        # antennas 0 and 1 lie 1e-10 R apart, below the matching tolerance:
+        # under y -> -y every antenna finds a partner, but 0 and 1 both find
+        # antenna 0
+        angles = np.array([0.0, 1e-10, np.pi / 2, np.pi, 3 * np.pi / 2])
+        positions = np.column_stack([np.cos(angles), np.sin(angles)])
+        array = sc.AntennaArray(radius=1.0, count=5, positions=positions, angles=angles)
+        assert np.array_equal(mu._antenna_permutation(np.eye(2), array), np.arange(5))
+        assert mu._antenna_permutation(np.diag([1.0, -1.0]), array) is None
+
     @pytest.mark.parametrize("count,resolution", _SYMMETRY_CASES)
     def test_group_order(self, count, resolution):
         _, _, plan = _plan(count, resolution)

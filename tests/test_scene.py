@@ -113,6 +113,52 @@ class TestUniformCircularArray:
             arr.positions[0, 0] = 5.0
 
 
+class TestAntennaArrayChecks:
+    """The package computes with the positions alone; each angle must name
+    its antenna's position, and no two antennas may share one."""
+
+    @staticmethod
+    def _ring(angles, radius=1.0, positions=None):
+        angles = np.asarray(angles, dtype=float)
+        if positions is None:
+            positions = radius * np.column_stack([np.cos(angles), np.sin(angles)])
+        return sc.AntennaArray(
+            radius=radius, count=len(angles), positions=positions, angles=angles
+        )
+
+    def test_uniform_ring_accepted(self):
+        ring = sc.uniform_circular_array(8, 1.0)
+        self._ring(ring.angles)
+        # an angle names a position modulo 2 pi
+        self._ring(ring.angles - 2 * np.pi, positions=ring.positions)
+
+    def test_nan_angle_rejected(self):
+        ring = sc.uniform_circular_array(8, 1.0)
+        angles = ring.angles.copy()
+        angles[3] = np.nan
+        with pytest.raises(ConfigurationError, match="angles must be finite"):
+            self._ring(angles, positions=ring.positions)
+
+    def test_angle_off_its_position_rejected(self):
+        ring = sc.uniform_circular_array(8, 1.0)
+        angles = ring.angles.copy()
+        angles[0] = 1.0
+        with pytest.raises(ConfigurationError, match=r"R \(cos theta_n, sin theta_n\)"):
+            self._ring(angles, positions=ring.positions)
+
+    def test_angles_equal_mod_2pi_rejected(self):
+        with pytest.raises(ConfigurationError, match="angles must be pairwise distinct"):
+            self._ring([0.0, 2 * np.pi, 2.0, 4.0])
+
+    def test_coincident_antennas_rejected(self):
+        # antenna 1 moved onto antenna 0 keeps its own, distinct angle
+        ring = sc.uniform_circular_array(8, 1.0)
+        positions = ring.positions.copy()
+        positions[1] = positions[0]
+        with pytest.raises(ConfigurationError):
+            self._ring(ring.angles, positions=positions)
+
+
 class TestContrast:
     def test_null_contrast(self, background):
         an = sc.Anomaly(center=(0.0, 0.0), radius=0.01, medium=background)
@@ -262,6 +308,18 @@ class TestSceneStructure:
                 array=sc.uniform_circular_array(16, 0.09),
                 anomalies=(a, b),
                 frequency=1e9,
+            )
+
+    @pytest.mark.parametrize("frequency", [1e160, 1e300])
+    def test_overflowing_wavenumber_rejected(self, frequency):
+        # omega^2 overflows: the scene is rejected before any k is used
+        with pytest.raises(ConfigurationError, match="wavenumber .* is not finite"):
+            sc.Scene(
+                background=make_background(),
+                roi_radius=0.085,
+                array=sc.uniform_circular_array(16, 0.09),
+                anomalies=(),
+                frequency=frequency,
             )
 
     def test_omega(self, single_scene):
