@@ -549,30 +549,8 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
     """
     scene = config.scene
     out_dir = Path(config.out_dir)
-    k_bw = scene.background_wavenumber()
-    data = fw.scattering_matrix(scene, k_bw, config.forward_mode)
-    if config.snr_db != fw.NOISELESS:
-        data = fw.add_noise(data, config.snr_db, config.seed)
-    grid = mu.grid_for_roi(scene.roi_radius, config.resolution)
-    # the geometry of every map of the sweep; only k_aw changes per ratio
-    plan = mu.symmetry_plan(grid, scene.array)
-
-    single = len(scene.anomalies) == 1
-    c_identity = None
-    if single:
-        asym = fw.scattering_matrix(scene, k_bw, fw.ASYMPTOTIC)
-        tau1_asym = float(mu.svd_leading(asym).singular_values[0])
-        c_identity = th.c_identity_check(asym, scene, k_bw, tau1_asym)
-
-    dec = mu.svd_leading(data)
-    m_used = (
-        config.signal_dim
-        if config.signal_dim is not None
-        else mu.signal_subspace_dim(dec.singular_values, config.threshold_ratio)
-    )
-    basis = dec.left_vectors[:, :m_used]
-
-    # the outermost directory this run creates, if any
+    # before any computation, so an unusable out_dir is reported at once;
+    # created is the outermost directory this run creates, if any
     created = next((p for p in (*reversed(out_dir.parents), out_dir) if not p.exists()), None)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -582,6 +560,29 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
     written: list[Path] = []
     records: list[RatioRecord] = []
     try:
+        k_bw = scene.background_wavenumber()
+        data = fw.scattering_matrix(scene, k_bw, config.forward_mode)
+        if config.snr_db != fw.NOISELESS:
+            data = fw.add_noise(data, config.snr_db, config.seed)
+        grid = mu.grid_for_roi(scene.roi_radius, config.resolution)
+        # the geometry of every map of the sweep; only k_aw changes per ratio
+        plan = mu.symmetry_plan(grid, scene.array)
+
+        single = len(scene.anomalies) == 1
+        c_identity = None
+        if single:
+            asym = fw.scattering_matrix(scene, k_bw, fw.ASYMPTOTIC)
+            tau1_asym = float(mu.svd_leading(asym).singular_values[0])
+            c_identity = th.c_identity_check(asym, scene, k_bw, tau1_asym)
+
+        dec = mu.svd_leading(data)
+        m_used = (
+            config.signal_dim
+            if config.signal_dim is not None
+            else mu.signal_subspace_dim(dec.singular_values, config.threshold_ratio)
+        )
+        basis = dec.left_vectors[:, :m_used]
+
         if hasattr(os, "fork") and int(grid.mask.sum()) >= _FORK_MIN_CELLS:
             writer = _Writer(grid, out_dir)
         for index, ratio in enumerate(config.ratios):

@@ -25,8 +25,9 @@ the walk over its domain (`SymmetryPlan.over_domain`), which the imaging
 map and the closed form in `theory` share: rows for one chunk of
 _CHUNK_ENTRIES table entries at a time, few enough that the walk keeps to
 one BLAS thread, paired with a vector pulled back by each group element.
-With the CSV writer streaming one grid row at a time, the transient memory
-of a map does not grow with the grid. A map's layers are built from its
+With the CSV writer streaming one grid row at a time and the reader one
+block of _READ_ROWS rows, the transient memory of a map does not grow with
+the grid. A map's layers are built from its
 projection norms by `map_from_norms`, which a process that receives only
 the norms calls too.
 """
@@ -34,6 +35,7 @@ the norms calls too.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,6 +72,10 @@ DEFAULT_THRESHOLD_RATIO = 0.1
 # process uses. The boundary is a property of the BLAS build; the rows and
 # norms do not depend on the chunk size
 _CHUNK_ENTRIES = 4095
+
+# rows per block of the CSV reader: the rows of a block are parsed and
+# scattered into the raster before the next block is read
+_READ_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -515,8 +521,27 @@ def write_map_csv(image: ImageMap, path, which: str = "values") -> None:
             ]))
 
 
+class _Coordinates(dict):
+    """The float of each coordinate text met in one block of a map CSV.
+
+    A written map repeats its grid's tick texts in the x and y columns, so
+    each distinct text is parsed once and looked up after that.
+    """
+
+    def __missing__(self, text: str) -> float:
+        # float() also reads "1_0", which numpy's own parser refuses
+        if "_" in text:
+            raise ValueError(f"could not convert string {text!r} to float64")
+        value = self[text] = float(text)
+        return value
+
+
 def read_map_csv(path, roi_radius: float) -> ImageMap:
-    """Rebuild an ImageMap (values layer only) written by write_map_csv."""
+    """Rebuild an ImageMap (values layer only) written by write_map_csv.
+
+    The body is read in blocks of _READ_ROWS rows, each scattered into the
+    raster before the next is read, so the rows are never held at once.
+    """
     try:
         with open(path, "r", encoding="ascii") as fh:
             header = {}
@@ -529,40 +554,60 @@ def read_map_csv(path, roi_radius: float) -> ImageMap:
                     header[key] = vals
             else:
                 raise DomainError(f"{path}: missing x,y,value header row")
+            try:
+                resolution = int(header["resolution"][0])
+                lo, hi = (float(v) for v in header["bounds"])
+                k_aw = complex(float(header["k_aw"][0]), float(header["k_aw"][1]))
+            except (KeyError, ValueError, IndexError) as exc:
+                raise DomainError(f"{path}: malformed CSV header") from exc
+            if not math.isclose(-lo, hi, rel_tol=1e-12):
+                raise DomainError(f"{path}: bounds must be symmetric")
+            grid = ImagingGrid(resolution=resolution, half_extent=hi, roi_radius=roi_radius)
+            values = np.full((resolution, resolution), np.nan)
             with warnings.catch_warnings():
                 # an empty body is reported below as uncovered cells
                 warnings.simplefilter("ignore", UserWarning)
-                try:
-                    rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-                except ValueError as exc:
-                    raise DomainError(f"{path}: bad data row: {exc}") from exc
+                start = 0
+                while True:
+                    coordinates = _Coordinates()
+                    try:
+                        rows = np.loadtxt(
+                            fh, delimiter=",", comments=None, ndmin=2, max_rows=_READ_ROWS,
+                            converters={0: coordinates.__getitem__, 1: coordinates.__getitem__},
+                        )
+                    except ValueError as exc:
+                        # numpy counts the rows of the block; count from the body's first
+                        detail = re.sub(
+                            r"at row (\d+)", lambda m: f"at row {int(m[1]) + start}", str(exc)
+                        )
+                        raise DomainError(f"{path}: bad data row: {detail}") from exc
+                    _scatter_rows(rows, grid, values, path)
+                    if len(rows) < _READ_ROWS:
+                        break
+                    start += _READ_ROWS
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
-    try:
-        resolution = int(header["resolution"][0])
-        lo, hi = (float(v) for v in header["bounds"])
-        k_aw = complex(float(header["k_aw"][0]), float(header["k_aw"][1]))
-    except (KeyError, ValueError, IndexError) as exc:
-        raise DomainError(f"{path}: malformed CSV header") from exc
-    if not math.isclose(-lo, hi, rel_tol=1e-12):
-        raise DomainError(f"{path}: bounds must be symmetric")
-    if rows.size and rows.shape[1] != 3:
-        raise DomainError(f"{path}: bad data row: {rows.shape[1]} fields, 3 expected")
-    rows = rows.reshape(-1, 3)
-    grid = ImagingGrid(resolution=resolution, half_extent=hi, roi_radius=roi_radius)
-    # (iy, ix) of every row, from its (y, x)
-    cells = np.rint((rows[:, 1::-1] + grid.half_extent) / grid.cell_size - 0.5)
-    outside = np.flatnonzero(np.any((cells < 0) | (cells >= resolution), axis=1))
-    if outside.size:
-        point = tuple(rows[outside[0], :2].tolist())
-        raise DomainError(f"{path}: point {point} falls outside the grid")
-    values = np.full((resolution, resolution), np.nan)
-    values[tuple(cells.astype(np.intp).T)] = rows[:, 2]
     if not np.array_equal(np.isfinite(values), grid.mask):
         raise DomainError(f"{path}: rows do not cover exactly the unmasked cells with finite values")
     return ImageMap(grid=grid, values=values, k_aw=k_aw)
+
+
+def _scatter_rows(rows: np.ndarray, grid: ImagingGrid, values: np.ndarray, path) -> None:
+    """Put each x,y,value row of a CSV block into the cell of values nearest
+    its point; a point outside the grid raises, naming the first."""
+    if rows.size and rows.shape[1] != 3:
+        raise DomainError(f"{path}: bad data row: {rows.shape[1]} fields, 3 expected")
+    rows = rows.reshape(-1, 3)
+    # (iy, ix) of every row, from its (y, x)
+    cells = np.rint((rows[:, 1::-1] + grid.half_extent) / grid.cell_size - 0.5)
+    # written so that a NaN coordinate falls outside too
+    outside = np.flatnonzero(~np.all((cells >= 0) & (cells < grid.resolution), axis=1))
+    if outside.size:
+        point = tuple(rows[outside[0], :2].tolist())
+        raise DomainError(f"{path}: point {point} falls outside the grid")
+    values[tuple(cells.astype(np.intp).T)] = rows[:, 2]
 
 
 def write_map_pgm(image: ImageMap, path) -> None:

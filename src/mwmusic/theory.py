@@ -46,6 +46,9 @@ from .specfun import bessel_j_grid, jacobi_anger_truncation  # noqa: F401
 
 MISMATCH_KINDS = ("permeability", "permittivity", "conductivity")
 
+# entries per block of the centred sums of `compare_maps`' Pearson coefficient
+_PEARSON_CELLS = 1 << 14
+
 
 @dataclass(frozen=True)
 class MismatchSpec:
@@ -165,8 +168,7 @@ def compare_maps(empirical: ImageMap, ctx: TheoryContext, plan: SymmetryPlan) ->
     if np.any(emp_vals > 1.0 + 1e-9) or np.any(emp_vals < 0.0):
         raise DomainError("expected a projection-norm map with values in [0, 1]")
     theo_vals = closed_form_norm_map(ctx, plan)[mask]
-    # before the difference is allocated: corrcoef copies both vectors twice
-    pearson = float(np.corrcoef(emp_vals, theo_vals)[0, 1])
+    pearson = _pearson(emp_vals, theo_vals)
     diff = emp_vals - theo_vals
     np.abs(diff, out=diff)
     max_abs = float(np.max(diff))
@@ -177,6 +179,22 @@ def compare_maps(empirical: ImageMap, ctx: TheoryContext, plan: SymmetryPlan) ->
     ty, tx = _mask_cell(mask, int(np.argmin(theo_vals)))
     dist_cells = math.hypot(ey - ty, ex - tx)
     return MapComparison(rms=rms, max_abs=max_abs, argmin_distance_cells=dist_cells, pearson=pearson)
+
+
+def _pearson(a: np.ndarray, b: np.ndarray) -> float:
+    """Pearson correlation of two vectors, from their means and then the
+    centred sums, _PEARSON_CELLS entries at a time: no copy of either
+    vector, and no BLAS dot, whose threads would spin on the core of a
+    sweep's writer process. Clipped to [-1, 1] as np.corrcoef does."""
+    mean_a, mean_b = a.mean(), b.mean()
+    s_ab = s_aa = s_bb = 0.0
+    for start in range(0, len(a), _PEARSON_CELLS):
+        da = a[start:start + _PEARSON_CELLS] - mean_a
+        db = b[start:start + _PEARSON_CELLS] - mean_b
+        s_ab += np.sum(da * db)
+        s_aa += np.sum(da * da)
+        s_bb += np.sum(db * db)
+    return float(np.clip(s_ab / np.sqrt(s_aa) / np.sqrt(s_bb), -1.0, 1.0))
 
 
 def _mask_cell(mask: np.ndarray, index: int) -> tuple[int, int]:

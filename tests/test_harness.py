@@ -211,6 +211,20 @@ class TestRunExperiment:
             harness.run_experiment(config, log=lambda *_: None)
         assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
+    def test_unusable_out_dir_fails_before_computing(self, empty_config, tmp_path, monkeypatch):
+        # out_dir is created before the forward data are computed
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        config = harness.load_config(empty_config, resolution=32, out_dir=blocker)
+
+        def computed(*_args, **_kwargs):
+            raise AssertionError("the forward data were computed")
+
+        monkeypatch.setattr(fw, "scattering_matrix", computed)
+        with pytest.raises(ConfigurationError, match="cannot create output directory"):
+            harness.run_experiment(config, log=lambda *_: None)
+        assert blocker.read_text() == "kept\n"
+
     def test_large_ratio_has_closed_form(self, tmp_path):
         # the direct-sum closed form has no truncation order to run out of
         path = tmp_path / "large.ini"

@@ -705,20 +705,61 @@ class TestImageMapIO:
         mask = image.grid.mask
         assert np.array_equal(back.values[mask], image.raw_norm[mask])
 
-    def test_csv_read_matches_row_loop(self, tmp_path):
-        # rows shuffled and moved off their cell centres by up to 0.45 cell
-        image = self._image()
-        path = tmp_path / "map.csv"
-        mu.write_map_csv(image, path)
+    @staticmethod
+    def _perturb(path, grid):
+        """Rewrite the map CSV at path with its rows shuffled and moved off
+        their cell centres by up to 0.45 cell; returns the new text."""
         lines = path.read_text().splitlines()
         rng = np.random.default_rng(9)
         rows = np.array([[float(t) for t in line.split(",")] for line in lines[4:]])
-        rows[:, :2] += rng.uniform(-0.45, 0.45, (len(rows), 2)) * image.grid.cell_size
+        rows[:, :2] += rng.uniform(-0.45, 0.45, (len(rows), 2)) * grid.cell_size
         rows = rows[rng.permutation(len(rows))]
         text = "\n".join(lines[:4] + [",".join(repr(v) for v in row) for row in rows.tolist()]) + "\n"
         path.write_text(text)
+        return text
+
+    def test_csv_read_matches_row_loop(self, tmp_path):
+        image = self._image()
+        path = tmp_path / "map.csv"
+        mu.write_map_csv(image, path)
+        text = self._perturb(path, image.grid)
         back = mu.read_map_csv(path, roi_radius=0.085)
         assert np.array_equal(back.values, map_csv_values(text, image.grid), equal_nan=True)
+        assert np.array_equal(back.values, image.values, equal_nan=True)
+
+    def test_csv_read_in_blocks_matches_row_loop(self, tmp_path, monkeypatch):
+        # shuffled and perturbed rows, five to a block
+        monkeypatch.setattr(mu, "_READ_ROWS", 5)
+        image = self._image()
+        path = tmp_path / "map.csv"
+        mu.write_map_csv(image, path)
+        text = self._perturb(path, image.grid)
+        back = mu.read_map_csv(path, roi_radius=0.085)
+        assert np.array_equal(back.values, map_csv_values(text, image.grid), equal_nan=True)
+        assert np.array_equal(back.values, image.values, equal_nan=True)
+
+    @pytest.mark.parametrize("block", [7, None], ids=["short-last", "empty-last"])
+    def test_csv_round_trip_in_blocks(self, tmp_path, monkeypatch, block):
+        # blocks of 7 rows leave a short last block; one block of exactly
+        # the rows is followed by an empty one
+        image = self._image()
+        monkeypatch.setattr(mu, "_READ_ROWS", block or int(np.count_nonzero(image.grid.mask)))
+        path = tmp_path / "map.csv"
+        mu.write_map_csv(image, path)
+        back = mu.read_map_csv(path, roi_radius=0.085)
+        assert back.grid == image.grid
+        assert back.k_aw == image.k_aw
+        assert np.array_equal(back.values, image.values, equal_nan=True)
+
+    @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks"])
+    def test_csv_body_without_final_newline(self, tmp_path, monkeypatch, block):
+        if block:
+            monkeypatch.setattr(mu, "_READ_ROWS", block)
+        image = self._image()
+        path = tmp_path / "map.csv"
+        mu.write_map_csv(image, path)
+        path.write_text(path.read_text().rstrip("\n"))
+        back = mu.read_map_csv(path, roi_radius=0.085)
         assert np.array_equal(back.values, image.values, equal_nan=True)
 
     # an edit of the written lines and the check of read_map_csv it must trip;
@@ -733,9 +774,14 @@ class TestImageMapIO:
         "short-row": (lambda lines: lines[:9] + ["0.01,0.02"] + lines[10:], "bad data row"),
         "non-numeric-row": (lambda lines: lines[:9] + ["0.01,zero,1.0"] + lines[10:],
                             "bad data row"),
+        # float() reads "0.0_1" as 0.01; numpy's parser does not
+        "underscore-digits": (lambda lines: lines[:9] + ["0.0_1,0.02,1.0"] + lines[10:],
+                              "bad data row"),
         "extra-field": (lambda lines: lines[:4] + [line + ",0" for line in lines[4:]],
                         "bad data row"),
         "outside-grid": (lambda lines: lines + ["0.5,0.0,1.0"], "falls outside the grid"),
+        "nan-coordinate": (lambda lines: lines[:9] + ["nan,0.0,0.5"] + lines[10:],
+                           r"point \(nan, 0\.0\) falls outside the grid"),
         "incomplete": (lambda lines: lines[:-1], "do not cover exactly the unmasked cells"),
         "empty-body": (lambda lines: lines[:4], "do not cover exactly the unmasked cells"),
         "infinite-value": (lambda lines: lines[:9] + [lines[9].rsplit(",", 1)[0] + ",inf"]
@@ -753,6 +799,23 @@ class TestImageMapIO:
         with pytest.raises(DomainError, match=message) as err:
             mu.read_map_csv(path, roi_radius=0.085)
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("defect", sorted(_CSV_DEFECTS))
+    def test_csv_read_rejects_in_a_later_block(self, tmp_path, monkeypatch, defect):
+        # with blocks of 4 rows an edit of body row 5 (line 9) falls in the
+        # second block and an appended row in the last; the message is the
+        # one of a single-block read, its row numbers included
+        edit, message = self._CSV_DEFECTS[defect]
+        path = tmp_path / "map.csv"
+        mu.write_map_csv(self._image(), path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(DomainError, match=message) as whole:
+            mu.read_map_csv(path, roi_radius=0.085)
+        monkeypatch.setattr(mu, "_READ_ROWS", 4)
+        with pytest.raises(DomainError, match=message) as blocks:
+            mu.read_map_csv(path, roi_radius=0.085)
+        assert str(blocks.value) == str(whole.value)
+        assert str(path) in str(blocks.value)
 
     def _clipped_image(self):
         # a signal basis spanned by one cell's own steering vector drives that
@@ -794,6 +857,28 @@ class TestImageMapIO:
         finally:
             tracemalloc.stop()
         assert peak <= 1 << 20
+
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["written", "perturbed"])
+    def test_csv_reader_memory(self, tmp_path, perturbed):
+        # the body is read _READ_ROWS rows at a time: the traced peak of a
+        # 512^2 read (206k rows) is 4.8 MB for a written map and 6.8 MB for a
+        # shuffled and perturbed one, whose coordinates all differ; holding
+        # every row at once took 13.0 MB
+        grid = _grid(512)
+        rng = np.random.default_rng(3)
+        values = np.where(grid.mask, rng.uniform(0.0, 1.0, (512, 512)), np.nan)
+        path = tmp_path / "map.csv"
+        mu.write_map_csv(mu.ImageMap(grid=grid, values=values, k_aw=94.0 + 8.0j), path)
+        if perturbed:
+            self._perturb(path, grid)
+        tracemalloc.start()
+        try:
+            back = mu.read_map_csv(path, roi_radius=0.085)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.values, values, equal_nan=True)
+        assert peak <= 8 * 2**20
 
     def test_pgm_layout(self, tmp_path):
         image = self._image(128)

@@ -4,10 +4,12 @@ numpy 2.x imports numpy.ma inside np.unique (and the set routines built on
 it), which cost a fresh process 11-20 ms; no command needs it. Each command
 runs in a fresh interpreter and is compared with a bare `import numpy` in
 that same interpreter, so a numpy that imports numpy.ma itself still
-passes.
+passes. One `compare` reads a map of more rows than one block of the CSV
+reader, so its converters and max_rows path is covered too.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from mwmusic import harness
+from mwmusic import harness, music
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -40,6 +42,14 @@ def configs(tmp_path_factory):
     harness.run_experiment(
         harness.load_config(plain, out_dir=root / "saved"), log=lambda *_: None
     )
+    # a norm map of more rows than one block of the reader
+    resolution = math.isqrt(2 * music._READ_ROWS)
+    harness.run_experiment(
+        harness.load_config(plain, out_dir=root / "blocks", resolution=resolution),
+        log=lambda *_: None,
+    )
+    body = (root / "blocks" / "norm-permeability-1.csv").read_text().split("x,y,value\n", 1)[1]
+    assert body.count("\n") > music._READ_ROWS
     return root
 
 
@@ -49,7 +59,8 @@ def configs(tmp_path_factory):
     (["run", "noisy.ini", "--out", "noisy", "--preset", "fig-sigma-double"], ("numpy.random",)),
     (["validate", "plain.ini"], ()),
     (["compare", "saved/norm-permeability-1.csv", "plain.ini"], ()),
-], ids=["run-exact", "run-plane", "run-noisy", "validate", "compare"])
+    (["compare", "blocks/norm-permeability-1.csv", "plain.ini"], ()),
+], ids=["run-exact", "run-plane", "run-noisy", "validate", "compare", "compare-blocks"])
 def test_numpy_modules_a_command_adds(configs, argv, allowed):
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, *argv],

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -264,6 +265,40 @@ class TestCompareMaps:
         ctx = _ctx(single_scene)
         cmp = th.compare_maps(image, ctx, _plan(grid, ctx))
         assert cmp.rms <= 0.15
+
+    @pytest.mark.parametrize("block", [None, 1000], ids=["one-block", "blocks"])
+    def test_pearson_matches_corrcoef(self, single_scene, monkeypatch, block):
+        # the centred sums, over one block or several, against np.corrcoef
+        if block:
+            monkeypatch.setattr(th, "_PEARSON_CELLS", block)
+        grid = mu.grid_for_roi(0.085, 64)
+        k_bw = single_scene.background_wavenumber()
+        mat = fw.scattering_matrix(single_scene, k_bw, fw.FULL_HANKEL)
+        image = image_from_data(mat, k_bw, single_scene.array, grid, signal_dim=1)
+        ctx = _ctx(single_scene, "permeability", 0.5)
+        plan = _plan(grid, ctx)
+        theo = th.closed_form_norm_map(ctx, plan)
+        mask = grid.mask
+        for emp in (image.raw_norm, 1.0 - theo):
+            cmp = th.compare_maps(mu.ImageMap(grid=grid, values=emp), ctx, plan)
+            want = np.corrcoef(emp[mask], theo[mask])[0, 1]
+            assert abs(cmp.pearson - want) <= 1e-12
+
+    def test_memory_at_512(self, single_scene):
+        # tracemalloc peak of one comparison at 512^2 (206k cells), the closed
+        # form's raster included: 5.1 MB with the Pearson sums taken blockwise,
+        # 7.9 MB while np.corrcoef copied both vectors
+        grid = mu.grid_for_roi(0.085, 512)
+        ctx = _ctx(single_scene)
+        plan = _plan(grid, ctx)
+        image = mu.ImageMap(grid=grid, values=th.closed_form_norm_map(ctx, plan))
+        tracemalloc.start()
+        try:
+            th.compare_maps(image, ctx, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
 
     def test_grid_mismatch_rejected(self, single_scene):
         ctx = _ctx(single_scene)
