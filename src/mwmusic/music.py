@@ -74,7 +74,8 @@ DEFAULT_THRESHOLD_RATIO = 0.1
 _CHUNK_ENTRIES = 4095
 
 # rows per block of the CSV reader: the rows of a block are parsed and
-# scattered into the raster before the next block is read
+# scattered into the raster before the next block is read. `theory` sums
+# the products of its Pearson coefficient in blocks of as many entries
 _READ_ROWS = 1 << 14
 
 
@@ -540,7 +541,9 @@ def read_map_csv(path, roi_radius: float) -> ImageMap:
     """Rebuild an ImageMap (values layer only) written by write_map_csv.
 
     The body is read in blocks of _READ_ROWS rows, each scattered into the
-    raster before the next is read, so the rows are never held at once.
+    raster before the next is read, so the rows are never held at once. The
+    coordinate texts go through a _Coordinates cache for as long as each
+    block repeats them, as a written map does.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -568,12 +571,16 @@ def read_map_csv(path, roi_radius: float) -> ImageMap:
                 # an empty body is reported below as uncovered cells
                 warnings.simplefilter("ignore", UserWarning)
                 start = 0
+                cached = True
                 while True:
                     coordinates = _Coordinates()
+                    lookup = coordinates.__getitem__
                     try:
+                        # encoding=None hands the converters str on numpy 1.x too,
+                        # whose default "bytes" would hand them bytes
                         rows = np.loadtxt(
                             fh, delimiter=",", comments=None, ndmin=2, max_rows=_READ_ROWS,
-                            converters={0: coordinates.__getitem__, 1: coordinates.__getitem__},
+                            encoding=None, converters={0: lookup, 1: lookup} if cached else None,
                         )
                     except ValueError as exc:
                         # numpy counts the rows of the block; count from the body's first
@@ -584,6 +591,10 @@ def read_map_csv(path, roi_radius: float) -> ImageMap:
                     _scatter_rows(rows, grid, values, path)
                     if len(rows) < _READ_ROWS:
                         break
+                    # a block whose texts repeat less than 8 times on average, as
+                    # in shuffled and perturbed rows, is parsed faster without
+                    # the cache, and so is the rest of the file
+                    cached = cached and 4 * len(coordinates) <= len(rows)
                     start += _READ_ROWS
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror}") from exc

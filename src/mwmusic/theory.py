@@ -39,15 +39,12 @@ import numpy as np
 
 from .errors import DegenerateDataError, DomainError
 from .forward import ASYMPTOTIC, ScatteringMatrix
-from .music import ImageMap, SymmetryPlan, _unit_phasors
+from .music import _READ_ROWS, ImageMap, SymmetryPlan, _unit_phasors
 from .scene import AntennaArray, Medium, Scene, Wavenumber, contrast, wavenumber
 # not used here: the traced benchmark wraps these two names in this module
 from .specfun import bessel_j_grid, jacobi_anger_truncation  # noqa: F401
 
 MISMATCH_KINDS = ("permeability", "permittivity", "conductivity")
-
-# entries per block of the centred sums of `compare_maps`' Pearson coefficient
-_PEARSON_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -183,14 +180,15 @@ def compare_maps(empirical: ImageMap, ctx: TheoryContext, plan: SymmetryPlan) ->
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     """Pearson correlation of two vectors, from their means and then the
-    centred sums, _PEARSON_CELLS entries at a time: no copy of either
+    centred sums, in blocks of the CSV reader's _READ_ROWS entries, so
+    one block size bounds the transient memory of both: no copy of either
     vector, and no BLAS dot, whose threads would spin on the core of a
     sweep's writer process. Clipped to [-1, 1] as np.corrcoef does."""
     mean_a, mean_b = a.mean(), b.mean()
     s_ab = s_aa = s_bb = 0.0
-    for start in range(0, len(a), _PEARSON_CELLS):
-        da = a[start:start + _PEARSON_CELLS] - mean_a
-        db = b[start:start + _PEARSON_CELLS] - mean_b
+    for start in range(0, len(a), _READ_ROWS):
+        da = a[start:start + _READ_ROWS] - mean_a
+        db = b[start:start + _READ_ROWS] - mean_b
         s_ab += np.sum(da * db)
         s_aa += np.sum(da * da)
         s_bb += np.sum(db * db)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -738,6 +739,73 @@ class TestImageMapIO:
         assert np.array_equal(back.values, map_csv_values(text, image.grid), equal_nan=True)
         assert np.array_equal(back.values, image.values, equal_nan=True)
 
+    @staticmethod
+    def _spy_loadtxt(monkeypatch):
+        """Patch np.loadtxt to default to encoding="bytes", numpy 1.x's
+        default, under which converters receive bytes; returns a list that
+        gets, per call, whether the call used the coordinate cache."""
+        loadtxt = np.loadtxt
+        cached = []
+
+        def spy(*args, encoding="bytes", converters=None, **kwargs):
+            cached.append(converters is not None)
+            return loadtxt(*args, encoding=encoding, converters=converters, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        return cached
+
+    def test_csv_cache_gets_str_whatever_the_default_encoding(self, tmp_path, monkeypatch):
+        cached = self._spy_loadtxt(monkeypatch)
+        missing = mu._Coordinates.__missing__
+        texts = []
+
+        def record(cache, text):
+            texts.append(text)
+            return missing(cache, text)
+
+        monkeypatch.setattr(mu._Coordinates, "__missing__", record)
+        image = self._image()
+        path = tmp_path / "map.csv"
+        mu.write_map_csv(image, path)
+        back = mu.read_map_csv(path, roi_radius=0.085)
+        assert cached == [True]
+        assert texts and all(type(text) is str for text in texts)
+        assert np.array_equal(back.values, image.values, equal_nan=True)
+
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["written", "perturbed"])
+    def test_csv_cache_kept_while_texts_repeat(self, tmp_path, monkeypatch, perturbed):
+        # a block of 1024 rows of a written 128^2 map holds at most ~140
+        # distinct coordinate texts, and every block uses the cache; in a
+        # shuffled and perturbed file they all differ, and the blocks after
+        # the first are parsed by numpy alone
+        monkeypatch.setattr(mu, "_READ_ROWS", 1024)
+        cached = self._spy_loadtxt(monkeypatch)
+        image = self._image(128)
+        path = tmp_path / "map.csv"
+        mu.write_map_csv(image, path)
+        text = self._perturb(path, image.grid) if perturbed else path.read_text()
+        back = mu.read_map_csv(path, roi_radius=0.085)
+        assert len(cached) == np.count_nonzero(image.grid.mask) // 1024 + 1
+        assert cached == [True] + [not perturbed] * (len(cached) - 1)
+        assert np.array_equal(back.values, map_csv_values(text, image.grid), equal_nan=True)
+        assert np.array_equal(back.values, image.values, equal_nan=True)
+
+    def test_csv_underscore_refused_in_a_later_cached_block(self, tmp_path, monkeypatch):
+        # float() reads "0.0_1"; the cache refuses it as numpy's parser does,
+        # naming the row counted from the body's first
+        monkeypatch.setattr(mu, "_READ_ROWS", 1024)
+        cached = self._spy_loadtxt(monkeypatch)
+        path = tmp_path / "map.csv"
+        mu.write_map_csv(self._image(128), path)
+        lines = path.read_text().splitlines()
+        lines[4 + 3000] = "0.0_1,0.02,1.0"
+        path.write_text("\n".join(lines) + "\n")
+        message = ("bad data row: could not convert string '0.0_1' to float64"
+                   " at row 3000, column 1")
+        with pytest.raises(DomainError, match=re.escape(f"{path}: {message}")):
+            mu.read_map_csv(path, roi_radius=0.085)
+        assert cached == [True, True, True]
+
     @pytest.mark.parametrize("block", [7, None], ids=["short-last", "empty-last"])
     def test_csv_round_trip_in_blocks(self, tmp_path, monkeypatch, block):
         # blocks of 7 rows leave a short last block; one block of exactly
@@ -859,14 +927,15 @@ class TestImageMapIO:
         assert peak <= 1 << 20
 
     @pytest.mark.parametrize("perturbed", [False, True], ids=["written", "perturbed"])
-    def test_csv_reader_memory(self, tmp_path, perturbed):
-        # the body is read _READ_ROWS rows at a time: the traced peak of a
-        # 512^2 read (206k rows) is 4.8 MB for a written map and 6.8 MB for a
-        # shuffled and perturbed one, whose coordinates all differ; holding
-        # every row at once took 13.0 MB
-        grid = _grid(512)
+    def test_csv_reader_memory(self, tmp_path, monkeypatch, perturbed):
+        # the body is read _READ_ROWS rows at a time: with blocks of 2048
+        # rows the traced peak of a 256^2 read (51k rows) is 1.2 MB, for a
+        # written map and for a shuffled and perturbed one alike, 0.5 MB of
+        # it the raster; holding every row at once took 3.3 MB
+        monkeypatch.setattr(mu, "_READ_ROWS", 2048)
+        grid = _grid(256)
         rng = np.random.default_rng(3)
-        values = np.where(grid.mask, rng.uniform(0.0, 1.0, (512, 512)), np.nan)
+        values = np.where(grid.mask, rng.uniform(0.0, 1.0, (256, 256)), np.nan)
         path = tmp_path / "map.csv"
         mu.write_map_csv(mu.ImageMap(grid=grid, values=values, k_aw=94.0 + 8.0j), path)
         if perturbed:
@@ -878,7 +947,7 @@ class TestImageMapIO:
         finally:
             tracemalloc.stop()
         assert np.array_equal(back.values, values, equal_nan=True)
-        assert peak <= 8 * 2**20
+        assert peak <= 2 * 2**20
 
     def test_pgm_layout(self, tmp_path):
         image = self._image(128)

@@ -270,7 +270,7 @@ class TestCompareMaps:
     def test_pearson_matches_corrcoef(self, single_scene, monkeypatch, block):
         # the centred sums, over one block or several, against np.corrcoef
         if block:
-            monkeypatch.setattr(th, "_PEARSON_CELLS", block)
+            monkeypatch.setattr(th, "_READ_ROWS", block)
         grid = mu.grid_for_roi(0.085, 64)
         k_bw = single_scene.background_wavenumber()
         mat = fw.scattering_matrix(single_scene, k_bw, fw.FULL_HANKEL)
