@@ -56,7 +56,6 @@ from .scene import (
     Diagnostic,
     Medium,
     Scene,
-    Wavenumber,
     contrast,
     uniform_circular_array,
     validate_scene,
@@ -65,9 +64,6 @@ from .scene import (
 from .specfun import Q_MAX, bessel_j, hankel2_0, jacobi_anger_truncation
 from .theory import (
     MISMATCH_KINDS,
-    MapComparison,
-    MismatchSpec,
-    TheoryContext,
     c_identity_check,
     compare_maps,
     mismatched_wavenumber,

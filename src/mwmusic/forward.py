@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .scene import Scene, Wavenumber, contrast
+from .scene import Scene, contrast
 from .specfun import hankel2_0
 
 FULL_HANKEL = "full_hankel"
@@ -86,7 +86,7 @@ def incident_field_matrix(ray, points: np.ndarray, sources: np.ndarray) -> np.nd
     return 0.25j * ray(_distances(points, sources))
 
 
-def asymptotic_field_matrix(k: Wavenumber, points: np.ndarray, sources: np.ndarray) -> np.ndarray:
+def asymptotic_field_matrix(k: complex, points: np.ndarray, sources: np.ndarray) -> np.ndarray:
     """Far-field reduction of the point-source field at every point for every
     source a, shape (len(points), len(sources)):
 
@@ -99,17 +99,16 @@ def asymptotic_field_matrix(k: Wavenumber, points: np.ndarray, sources: np.ndarr
     big_r = np.hypot(sources[:, 0], sources[:, 1])
     if np.any(big_r == 0.0):
         raise DomainError("antenna position must be nonzero")
-    kv = k.value
-    amplitude = (-1 + 1j) * np.exp(-1j * kv * big_r) / (4.0 * np.sqrt(kv * math.pi * big_r))
-    return amplitude * np.exp(1j * kv * ((points @ sources.T) / big_r))
+    amplitude = (-1 + 1j) * np.exp(-1j * k * big_r) / (4.0 * np.sqrt(k * math.pi * big_r))
+    return amplitude * np.exp(1j * k * ((points @ sources.T) / big_r))
 
 
-def scattering_matrix(scene: Scene, k_bw: Wavenumber, mode: str = FULL_HANKEL) -> ScatteringMatrix:
+def scattering_matrix(scene: Scene, k_bw: complex, mode: str = FULL_HANKEL) -> ScatteringMatrix:
     """Assemble the full N x N data matrix; no anomalies gives the zero matrix."""
     centers = np.array([an.center for an in scene.anomalies], dtype=float).reshape(-1, 2)
     positions = scene.array.positions
     if mode == FULL_HANKEL:
-        fields = 0.25j * hankel2_0(k_bw.value * _distances(centers, positions))
+        fields = 0.25j * hankel2_0(k_bw * _distances(centers, positions))
     elif mode == ASYMPTOTIC:
         fields = asymptotic_field_matrix(k_bw, centers, positions)
     else:
@@ -122,7 +121,7 @@ def scattering_matrix(scene: Scene, k_bw: Wavenumber, mode: str = FULL_HANKEL) -
     iu, ju = np.triu_indices(count, k=1)
     for an, u in zip(scene.anomalies, fields):
         weight = (
-            1j * an.radius**2 * k_bw.value**2 * math.pi / (4.0 * omega * mu)
+            1j * an.radius**2 * k_bw**2 * math.pi / (4.0 * omega * mu)
         ) * contrast(an, scene.background, omega)
         entries[iu, ju] += weight * (u[iu] * u[ju])
     entries[ju, iu] = entries[iu, ju]

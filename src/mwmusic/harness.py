@@ -91,7 +91,6 @@ from .scene import (
     Anomaly,
     Medium,
     Scene,
-    Wavenumber,
     uniform_circular_array,
     validate_scene,
 )
@@ -145,8 +144,11 @@ class ExperimentConfig:
     out_dir: Path = field(default_factory=lambda: Path("out"))
 
     def __post_init__(self):
-        if not (16 <= self.resolution <= 2048):
-            raise ConfigurationError(f"resolution must lie in [16, 2048], got {self.resolution}")
+        if not (mu.MIN_RESOLUTION <= self.resolution <= mu.MAX_RESOLUTION):
+            raise ConfigurationError(
+                f"resolution must lie in [{mu.MIN_RESOLUTION}, {mu.MAX_RESOLUTION}], "
+                f"got {self.resolution}"
+            )
         if self.sweep_kind not in th.MISMATCH_KINDS:
             raise ConfigurationError(f"sweep kind must be one of {th.MISMATCH_KINDS}")
         if not self.ratios:
@@ -587,9 +589,7 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
             writer = _Writer(grid, out_dir)
         for index, ratio in enumerate(config.ratios):
             t0 = time.perf_counter()
-            k_aw = th.mismatched_wavenumber(
-                scene.background, scene.omega, th.MismatchSpec(config.sweep_kind, ratio)
-            )
+            k_aw = th.mismatched_wavenumber(scene.background, scene.omega, config.sweep_kind, ratio)
             diags = validate_scene(scene, k_aw)
             image = mu.imaging_map(
                 basis, k_aw, plan, variant=config.test_variant,
@@ -610,10 +610,9 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
                 norm_image = image if m_used == 1 else mu.imaging_map(
                     dec.left_vectors[:, :1], k_aw, plan, variant=config.test_variant
                 )
-                ctx = th.TheoryContext(
-                    k_bw=k_bw, k_aw=k_aw, r_star=scene.anomalies[0].center, array=scene.array
+                closed_form = th.compare_maps(
+                    norm_image, plan, k_bw, k_aw, scene.anomalies[0].center
                 )
-                closed_form = th.compare_maps(norm_image, ctx, plan).as_dict()
 
             label = _ratio_label(config.sweep_kind, ratio)
             artifacts = _artifacts(out_dir, label)
@@ -633,7 +632,7 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
             elapsed = time.perf_counter() - t0
             record = RatioRecord(
                 ratio=float(ratio),
-                k_aw=k_aw.value,
+                k_aw=k_aw,
                 singular_values=tuple(float(v) for v in dec.singular_values),
                 signal_dim=int(m_used),
                 peaks=tuple((p[0][0], p[0][1], p[1]) for p in peaks),
@@ -705,22 +704,22 @@ def _require_finite_record(record: RatioRecord) -> None:
         raise NumericalError("run produced a non-finite report value")
 
 
-def compare_saved_map(csv_path, config: ExperimentConfig) -> th.MapComparison:
-    """Theory comparison for a saved projection-norm CSV.
+def compare_saved_map(csv_path, config: ExperimentConfig) -> dict:
+    """Theory comparison (`theory.compare_maps`) for a saved projection-norm
+    CSV.
 
-    The CSV must be a norm map (values in [0, 1]); the context is rebuilt
-    from the config scene and the k_aw recorded in the CSV header.
+    The CSV must be a norm map (values in [0, 1]); the closed form is that
+    of the config scene, imaged with the k_aw recorded in the CSV header.
     """
     scene = config.scene
     if len(scene.anomalies) != 1:
         raise ConfigurationError("theory comparison needs a single-anomaly scene")
     loaded = mu.read_map_csv(csv_path, roi_radius=scene.roi_radius)
-    k_bw = scene.background_wavenumber()
-    ctx = th.TheoryContext(
-        k_bw=k_bw,
-        k_aw=Wavenumber(omega=scene.omega, value=loaded.k_aw),
-        r_star=scene.anomalies[0].center,
-        array=scene.array,
-    )
     # compare_maps reads the values layer when a map has no raw_norm layer
-    return th.compare_maps(loaded, ctx, mu.symmetry_plan(loaded.grid, scene.array))
+    return th.compare_maps(
+        loaded,
+        mu.symmetry_plan(loaded.grid, scene.array),
+        scene.background_wavenumber(),
+        loaded.k_aw,
+        scene.anomalies[0].center,
+    )

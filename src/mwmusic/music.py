@@ -50,7 +50,7 @@ from .errors import (
     SingularityError,
 )
 from .forward import ScatteringMatrix, incident_field_matrix
-from .scene import AntennaArray, Wavenumber
+from .scene import _SYMMETRY_TOL, AntennaArray
 from .specfun import ray_interpolant
 
 EXACT_FIELD = "exact_field"
@@ -60,6 +60,9 @@ VARIANTS = (EXACT_FIELD, PLANE_WAVE)
 # reciprocal-map ceiling where the projection norm underflows
 DEFAULT_CEILING = 1.0e8
 DEFAULT_THRESHOLD_RATIO = 0.1
+# the grid resolutions a run accepts and a saved map may declare
+MIN_RESOLUTION = 16
+MAX_RESOLUTION = 2048
 
 # table entries (points x antennas) per chunk of a grid's fundamental domain,
 # so a map's transient memory does not grow with the grid, and below the
@@ -134,7 +137,7 @@ def _unit_phasors(k: complex, points: np.ndarray, directions: np.ndarray) -> np.
 
 
 def _steering_rows(
-    k_aw: Wavenumber, points: np.ndarray, array: AntennaArray, variant: str, ray
+    k_aw: complex, points: np.ndarray, array: AntennaArray, variant: str, ray
 ) -> np.ndarray:
     """Unit steering vectors for each point, shape (npoints, N).
 
@@ -147,7 +150,7 @@ def _steering_rows(
         rows = incident_field_matrix(ray, points, array.positions)
         return rows / np.linalg.norm(rows, axis=1, keepdims=True)
     if variant == PLANE_WAVE:
-        return _unit_phasors(k_aw.value, points, array.directions)
+        return _unit_phasors(k_aw, points, array.directions)
     raise DomainError(f"unknown test-vector variant {variant!r}")
 
 
@@ -224,8 +227,6 @@ _GENERATORS = (
     (((-1, 0), (0, 1)), lambda a: a[:, ::-1]),
     (((0, 1), (1, 0)), lambda a: a.T),
 )
-# antenna positions match under a generator within this fraction of R
-_SYMMETRY_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,15 +284,14 @@ class SymmetryPlan:
 
 def _antenna_permutation(g: np.ndarray, array: AntennaArray) -> np.ndarray | None:
     """pi with a_{pi[n]} = g^T a_n for every antenna, or None when g does not
-    map the antenna positions onto themselves."""
+    map the antenna positions onto themselves. An AntennaArray keeps its
+    antennas more than 2 _SYMMETRY_TOL R apart, so no two antennas match
+    one partner and pi is a permutation."""
     pos = array.positions
     moved = pos @ g
     dist = np.hypot(moved[:, None, 0] - pos[None, :, 0], moved[:, None, 1] - pos[None, :, 1])
     perm = np.argmin(dist, axis=1)
     if dist[np.arange(array.count), perm].max() > _SYMMETRY_TOL * array.radius:
-        return None
-    # a bijection: no partner matched twice
-    if not np.diff(np.sort(perm)).all():
         return None
     return perm
 
@@ -420,7 +420,7 @@ class ImageMap:
 
 def imaging_map(
     basis: np.ndarray,
-    k_aw: Wavenumber,
+    k_aw: complex,
     plan: SymmetryPlan,
     variant: str = EXACT_FIELD,
     out: np.ndarray | None = None,
@@ -445,28 +445,28 @@ def imaging_map(
     ~709).
     """
     grid, array = plan.grid, plan.array
-    if grid.resolution < 16:
-        raise ConfigurationError("imaging grid resolution must be >= 16")
+    if grid.resolution < MIN_RESOLUTION:
+        raise ConfigurationError(f"imaging grid resolution must be >= {MIN_RESOLUTION}")
     if array.count != basis.shape[0]:
         raise DomainError("antenna count does not match the signal basis")
     ray = None
     if variant == EXACT_FIELD:
         try:
-            ray = ray_interpolant(k_aw.value, *plan.distance_range)
+            ray = ray_interpolant(k_aw, *plan.distance_range)
         except DomainError as exc:
             if isinstance(exc, SingularityError):
                 raise
-            raise NumericalError(f"steering field at k_aw = {k_aw.value:.6g}: {exc}") from exc
+            raise NumericalError(f"steering field at k_aw = {k_aw:.6g}: {exc}") from exc
     norms = plan.over_domain(
         lambda points: _steering_rows(k_aw, points, array, variant, ray), basis, projection_norm,
         out,
     )
     if not np.all(np.isfinite(norms)):
         raise NumericalError(
-            f"non-finite projection norm: the steering field at k_aw = {k_aw.value:.6g} "
+            f"non-finite projection norm: the steering field at k_aw = {k_aw:.6g} "
             "is not finite"
         )
-    return map_from_norms(grid, norms, k_aw.value)
+    return map_from_norms(grid, norms, k_aw)
 
 
 def map_from_norms(
@@ -563,6 +563,12 @@ def read_map_csv(path, roi_radius: float) -> ImageMap:
                 k_aw = complex(float(header["k_aw"][0]), float(header["k_aw"][1]))
             except (KeyError, ValueError, IndexError) as exc:
                 raise DomainError(f"{path}: malformed CSV header") from exc
+            # before anything is allocated for the grid
+            if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
+                raise DomainError(
+                    f"{path}: resolution must lie in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], "
+                    f"got {resolution}"
+                )
             if not math.isclose(-lo, hi, rel_tol=1e-12):
                 raise DomainError(f"{path}: bounds must be symmetric")
             grid = ImagingGrid(resolution=resolution, half_extent=hi, roi_radius=roi_radius)

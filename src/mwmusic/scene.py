@@ -34,6 +34,10 @@ LOSS_FACTOR = 5.0
 FAR_FIELD_FACTOR = 10.0
 # cells per side of the coarse grid over which the far-field margin is checked
 DIAGNOSTIC_RESOLUTION = 33
+# antenna positions match under a symmetry of the array within this fraction
+# of R (`music._antenna_permutation`); an array keeps its antennas more than
+# twice as far apart, so no two antennas can match one partner
+_SYMMETRY_TOL = 1e-9
 
 
 def _finite(value: float, name: str) -> float:
@@ -60,16 +64,8 @@ class Medium:
             raise DomainError("permeability must be > 0")
 
 
-@dataclass(frozen=True)
-class Wavenumber:
-    """Angular frequency [rad/s] and the complex wavenumber value [1/m]."""
-
-    omega: float
-    value: complex
-
-
-def wavenumber(medium: Medium, omega: float) -> Wavenumber:
-    """Principal-branch wavenumber k with k^2 = omega^2 mu (eps + i sigma/omega).
+def wavenumber(medium: Medium, omega: float) -> complex:
+    """Principal-branch wavenumber k [1/m] with k^2 = omega^2 mu (eps + i sigma/omega).
 
     Re k > 0 always and Im k >= 0, with Im k = 0 exactly when sigma = 0.
     """
@@ -79,7 +75,7 @@ def wavenumber(medium: Medium, omega: float) -> Wavenumber:
     k2 = omega**2 * medium.permeability * complex(
         medium.permittivity, medium.conductivity / omega
     )
-    return Wavenumber(omega=omega, value=cmath.sqrt(k2))
+    return cmath.sqrt(k2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,9 +118,16 @@ class AntennaArray:
         )
         if offsets.max() > 1e-12 * self.radius:
             raise ConfigurationError("antenna positions must be R (cos theta_n, sin theta_n)")
-        # sorted, not np.unique: numpy 2.x imports numpy.ma there
-        if not np.diff(np.sort(np.mod(ang, 2 * np.pi))).all():
-            raise ConfigurationError("antenna angles must be pairwise distinct")
+        # on the circle the nearest pair are neighbours in angle, the last
+        # and the first included; argsort, not np.unique: numpy 2.x imports
+        # numpy.ma there
+        ring = pos[np.argsort(np.mod(ang, 2 * np.pi))]
+        chords = np.hypot(*(ring - np.roll(ring, 1, axis=0)).T)
+        if chords.min() <= 2 * _SYMMETRY_TOL * self.radius:
+            raise ConfigurationError(
+                "antenna angles must be pairwise distinct and the antennas "
+                f"more than {2 * _SYMMETRY_TOL:g} R apart"
+            )
         pos.flags.writeable = False
         ang.flags.writeable = False
         object.__setattr__(self, "positions", pos)
@@ -181,7 +184,7 @@ class Scene:
         if _finite(self.frequency, "frequency") <= 0:
             raise ConfigurationError("frequency must be > 0")
         try:
-            finite = cmath.isfinite(self.background_wavenumber().value)
+            finite = cmath.isfinite(self.background_wavenumber())
         except OverflowError:
             finite = False
         if not finite:
@@ -207,7 +210,7 @@ class Scene:
     def omega(self) -> float:
         return 2.0 * math.pi * self.frequency
 
-    def background_wavenumber(self) -> Wavenumber:
+    def background_wavenumber(self) -> complex:
         return wavenumber(self.background, self.omega)
 
     @cached_property
@@ -254,7 +257,7 @@ class Diagnostic:
         return self.status == "pass"
 
 
-def validate_scene(scene: Scene, k_aw: Wavenumber) -> list[Diagnostic]:
+def validate_scene(scene: Scene, k_aw: complex) -> list[Diagnostic]:
     """Check the applicability conditions of the imaging model.
 
     (a) low-loss background: omega eps_b >= LOSS_FACTOR * sigma_b;
@@ -289,7 +292,7 @@ def validate_scene(scene: Scene, k_aw: Wavenumber) -> list[Diagnostic]:
     )
 
     # (b) anomaly size against the wavelength
-    wavelength = 2.0 * math.pi / k_bw.value.real
+    wavelength = 2.0 * math.pi / k_bw.real
     worst = 0.0
     for an in scene.anomalies:
         worst = max(worst, 2.0 * an.radius * math.sqrt(an.medium.permittivity / scene.background.permittivity))
@@ -304,9 +307,7 @@ def validate_scene(scene: Scene, k_aw: Wavenumber) -> list[Diagnostic]:
     )
 
     # (c) far-field margin
-    margin = FAR_FIELD_FACTOR * max(
-        1.0 / (4.0 * abs(k_bw.value)), 1.0 / (4.0 * abs(k_aw.value))
-    )
+    margin = FAR_FIELD_FACTOR * max(1.0 / (4.0 * abs(k_bw)), 1.0 / (4.0 * abs(k_aw)))
     pos = scene.array.positions
     closest = math.inf
     for an in scene.anomalies:

@@ -32,129 +32,81 @@ norm map and the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
 from .forward import ASYMPTOTIC, ScatteringMatrix
 from .music import _READ_ROWS, ImageMap, SymmetryPlan, _unit_phasors
-from .scene import AntennaArray, Medium, Scene, Wavenumber, contrast, wavenumber
+from .scene import Medium, Scene, contrast, wavenumber
 # not used here: the traced benchmark wraps these two names in this module
 from .specfun import bessel_j_grid, jacobi_anger_truncation  # noqa: F401
 
 MISMATCH_KINDS = ("permeability", "permittivity", "conductivity")
 
 
-@dataclass(frozen=True)
-class MismatchSpec:
-    """One wrong-background assumption: which parameter and by what ratio."""
-
-    kind: str
-    ratio: float
-
-    def __post_init__(self):
-        if self.kind not in MISMATCH_KINDS:
-            raise DomainError(f"kind must be one of {MISMATCH_KINDS}, got {self.kind!r}")
-        if not (math.isfinite(self.ratio) and self.ratio > 0):
-            raise DomainError(f"ratio must be finite and > 0, got {self.ratio!r}")
+def mismatched_wavenumber(background: Medium, omega: float, kind: str, ratio: float) -> complex:
+    """Wavenumber computed with one background parameter, kind, replaced by
+    ratio * true; the mismatch kinds are the Medium field names."""
+    if kind not in MISMATCH_KINDS:
+        raise DomainError(f"kind must be one of {MISMATCH_KINDS}, got {kind!r}")
+    if not (math.isfinite(ratio) and ratio > 0):
+        raise DomainError(f"ratio must be finite and > 0, got {ratio!r}")
+    return wavenumber(replace(background, **{kind: ratio * getattr(background, kind)}), omega)
 
 
-def mismatched_wavenumber(background: Medium, omega: float, spec: MismatchSpec) -> Wavenumber:
-    """Wavenumber computed with one background parameter replaced by ratio * true;
-    the mismatch kinds are the Medium field names."""
-    scaled = spec.ratio * getattr(background, spec.kind)
-    return wavenumber(replace(background, **{spec.kind: scaled}), omega)
-
-
-@dataclass(frozen=True)
-class TheoryContext:
-    """Everything the closed form needs: both wavenumbers, the anomaly
-    location and the array geometry."""
-
-    k_bw: Wavenumber
-    k_aw: Wavenumber
-    r_star: tuple[float, float]
-    array: AntennaArray
-
-    def __post_init__(self):
-        object.__setattr__(self, "r_star", (float(self.r_star[0]), float(self.r_star[1])))
-
-    @cached_property
-    def _norm_prefactor(self) -> float:
-        n = self.array.count
-        return (n * n - 2 * n) / (n * n - 2 * n + 1)
-
-
-def closed_form_norm_map(ctx: TheoryContext, plan: SymmetryPlan) -> np.ndarray:
-    """Predicted |P_noise W| over plan.grid (NaN at masked cells).
+def closed_form_norm_map(plan: SymmetryPlan, k_bw: complex, k_aw: complex, r_star) -> np.ndarray:
+    """Predicted |P_noise W| over plan.grid (NaN at masked cells) for the
+    anomaly at r_star, imaged with k_aw in the background k_bw by the
+    antennas of plan.array.
 
     g(r) = |s^H w(r)| / (|s| |w(r)|), clamped into [0, 1], comes from the
     plan's walk over its fundamental domain (`SymmetryPlan.over_domain`),
     as the norms of `music.imaging_map` do: the unit rows w(r) are built
     one chunk of representatives at a time and paired with conj(s)
-    permuted once per group element. The plan must be built for ctx.array.
+    permuted once per group element.
     """
-    if plan.array != ctx.array:
-        raise DomainError("the symmetry plan was built for another antenna array")
-    dirs = ctx.array.directions
-    s = _unit_phasors(ctx.k_bw.value, np.asarray([ctx.r_star]), dirs)[0]
+    dirs = plan.array.directions
+    s = _unit_phasors(k_bw, np.asarray([r_star], dtype=float), dirs)[0]
     g = plan.over_domain(
-        lambda points: _unit_phasors(ctx.k_aw.value, points, dirs),
+        lambda points: _unit_phasors(k_aw, points, dirs),
         s.conj(),
         lambda s_g, w: np.minimum(np.abs(w @ s_g), 1.0),
     )
-    # prefactor * sqrt(max(1 - g^2, 0)), in place on g
+    # (N^2 - 2N) / (N^2 - 2N + 1) * sqrt(max(1 - g^2, 0)), in place on g
     np.multiply(g, g, out=g)
     np.subtract(1.0, g, out=g)
     np.clip(g, 0.0, None, out=g)
     np.sqrt(g, out=g)
-    g *= ctx._norm_prefactor
+    n = plan.array.count
+    g *= (n * n - 2 * n) / (n * n - 2 * n + 1)
     return plan.grid.raster(g)
 
 
-def predicted_peak(k_bw: Wavenumber, k_aw: Wavenumber, r_star) -> tuple[float, float]:
+def predicted_peak(k_bw: complex, k_aw: complex, r_star) -> tuple[float, float]:
     """Shifted peak location Re(k_bw / k_aw) * r*.
 
     The real part of the complex ratio is the only component with a
     geometric meaning as a location scale; under the low-loss condition it
     differs from the modulus by well under a percent.
     """
-    if k_aw.value == 0:
+    if k_aw == 0:
         raise DomainError("alternative wavenumber must be nonzero")
-    scale = (k_bw.value / k_aw.value).real
+    scale = (k_bw / k_aw).real
     return (scale * float(r_star[0]), scale * float(r_star[1]))
 
 
-@dataclass(frozen=True)
-class MapComparison:
-    """Agreement metrics between an empirical norm map and the closed form."""
-
-    rms: float
-    max_abs: float
-    argmin_distance_cells: float
-    pearson: float
-
-    def as_dict(self) -> dict:
-        return {
-            "rms": self.rms,
-            "max_abs": self.max_abs,
-            "argmin_distance_cells": self.argmin_distance_cells,
-            "pearson": self.pearson,
-        }
-
-    def as_text(self) -> str:
-        return "\n".join(f"{key}: {value!r}" for key, value in self.as_dict().items())
-
-
-def compare_maps(empirical: ImageMap, ctx: TheoryContext, plan: SymmetryPlan) -> MapComparison:
-    """RMS / max / argmin-shift / correlation between measured projection
-    norms and the closed-form prediction, over unmasked cells.
+def compare_maps(
+    empirical: ImageMap, plan: SymmetryPlan, k_bw: complex, k_aw: complex, r_star
+) -> dict:
+    """Agreement between measured projection norms and the closed-form
+    prediction (`closed_form_norm_map` of the other arguments) over the
+    unmasked cells: the dict of rms, max_abs, argmin_distance_cells (between
+    the two minima) and pearson, in that order.
 
     The empirical map must carry the raw projection norms (values in [0, 1]),
-    not the clipped reciprocal map, over plan.grid; the plan must be built
-    for ctx.array.
+    not the clipped reciprocal map, over plan.grid.
     """
     grid = plan.grid
     if empirical.grid != grid:
@@ -164,7 +116,7 @@ def compare_maps(empirical: ImageMap, ctx: TheoryContext, plan: SymmetryPlan) ->
     emp_vals = emp[mask]
     if np.any(emp_vals > 1.0 + 1e-9) or np.any(emp_vals < 0.0):
         raise DomainError("expected a projection-norm map with values in [0, 1]")
-    theo_vals = closed_form_norm_map(ctx, plan)[mask]
+    theo_vals = closed_form_norm_map(plan, k_bw, k_aw, r_star)[mask]
     pearson = _pearson(emp_vals, theo_vals)
     diff = emp_vals - theo_vals
     np.abs(diff, out=diff)
@@ -174,8 +126,12 @@ def compare_maps(empirical: ImageMap, ctx: TheoryContext, plan: SymmetryPlan) ->
     # the first minimum in mask order is the first in row-major order
     ey, ex = _mask_cell(mask, int(np.argmin(emp_vals)))
     ty, tx = _mask_cell(mask, int(np.argmin(theo_vals)))
-    dist_cells = math.hypot(ey - ty, ex - tx)
-    return MapComparison(rms=rms, max_abs=max_abs, argmin_distance_cells=dist_cells, pearson=pearson)
+    return {
+        "rms": rms,
+        "max_abs": max_abs,
+        "argmin_distance_cells": math.hypot(ey - ty, ex - tx),
+        "pearson": pearson,
+    }
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
@@ -204,7 +160,7 @@ def _mask_cell(mask: np.ndarray, index: int) -> tuple[int, int]:
 
 
 def c_identity_check(
-    k_asym: ScatteringMatrix, scene: Scene, k_bw: Wavenumber, tau1: float
+    k_asym: ScatteringMatrix, scene: Scene, k_bw: complex, tau1: float
 ) -> float:
     """C (N-1)^2 with C = |a^2 O k_bw e^{-2 i k_bw R} / (32 R omega mu tau_1)|^2.
 
@@ -245,8 +201,8 @@ def c_identity_check(
     coef = (
         an.radius**2
         * o_val
-        * k_bw.value
-        * np.exp(-2j * k_bw.value * big_r)
+        * k_bw
+        * np.exp(-2j * k_bw * big_r)
         / (32.0 * big_r * omega * scene.background.permeability * tau1)
     )
     return abs(coef) ** 2 * (scene.array.count - 1) ** 2

@@ -272,7 +272,7 @@ def direct_rows(k_aw, points, array, variant) -> np.ndarray:
     over the table's own distance range."""
     ray = None
     if variant == mu.EXACT_FIELD:
-        ray = table_ray(k_aw.value, fw._distances(points, array.positions))
+        ray = table_ray(k_aw, fw._distances(points, array.positions))
     return mu._steering_rows(k_aw, points, array, variant, ray)
 
 
@@ -282,20 +282,25 @@ def direct_norms(basis, k_aw, array, grid, variant) -> np.ndarray:
     return mu.projection_norm(basis, direct_rows(k_aw, cell_centers(grid), array, variant))
 
 
-def direct_norm_factor(ctx, points) -> np.ndarray:
+def direct_norm_factor(points, array, k_bw, k_aw, r_star) -> np.ndarray:
     """g = |s^H w| / (|s| |w|), clamped into [0, 1], at each point from one
     table of unit rows."""
-    dirs = ctx.array.directions
-    s = mu._unit_phasors(ctx.k_bw.value, np.asarray([ctx.r_star]), dirs)[0]
-    w = mu._unit_phasors(ctx.k_aw.value, np.asarray(points, dtype=float), dirs)
+    dirs = array.directions
+    s = mu._unit_phasors(k_bw, np.asarray([r_star], dtype=float), dirs)[0]
+    w = mu._unit_phasors(k_aw, np.asarray(points, dtype=float), dirs)
     return np.minimum(np.abs(w @ s.conj()), 1.0)
 
 
-def direct_closed_form_norm_map(ctx, grid) -> np.ndarray:
+def norm_prefactor(count: int) -> float:
+    """(N^2 - 2N) / (N^2 - 2N + 1), the norm of the closed form where g = 0."""
+    return (count * count - 2 * count) / (count * count - 2 * count + 1)
+
+
+def direct_closed_form_norm_map(grid, array, k_bw, k_aw, r_star) -> np.ndarray:
     """The closed-form norm map from one table of unit rows over the whole grid."""
-    g = direct_norm_factor(ctx, cell_centers(grid))
+    g = direct_norm_factor(cell_centers(grid), array, k_bw, k_aw, r_star)
     out = np.full((grid.resolution, grid.resolution), np.nan)
-    out[grid.mask] = ctx._norm_prefactor * np.sqrt(np.clip(1.0 - g * g, 0.0, None))
+    out[grid.mask] = norm_prefactor(array.count) * np.sqrt(np.clip(1.0 - g * g, 0.0, None))
     return out
 
 

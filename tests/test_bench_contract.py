@@ -5,9 +5,10 @@ The traced benchmark wraps package functions by name; each name must exist.
 rename or removal under `src/` breaks every traced benchmark pass without
 failing anything else. Every benchmark pass is also checked against the
 signal_dim and peak cells in `bench/reference.json`, so a change that moves
-a peak fails every pass of that workload. This reads the wrap list, the
-span recorder, the workloads and the reference, and changes nothing under
-`bench/`.
+a peak fails every pass of that workload, and every compare pass parses the
+`key: value` lines that `mwmusic compare` prints. This reads the wrap list,
+the span recorder, the workloads, the reference and the compare parser,
+and changes nothing under `bench/`.
 """
 
 import dataclasses
@@ -90,6 +91,29 @@ def test_traced_pass_with_forked_writers(tmp_path):
     assert 1 <= times["music.write_map_csv"]["calls"] <= ratios
     assert 1 <= times["music.write_map_pgm"]["calls"] <= ratios
     assert len(list((tmp_path / "forked").glob("map-*.csv"))) == 6
+
+
+def test_compare_prints_the_report_closed_form(tmp_path, capsys):
+    # a compare pass parses the printed lines of each norm map and holds
+    # them to that ratio's closed_form in the generating run's report.json,
+    # float for float
+    bench = _bench_run()
+    ini, out = tmp_path / "empty.ini", tmp_path / "out"
+    ini.write_text("")
+    argv = ["run", str(ini), "--preset", "fig-mu-single", "--resolution", "32", "--out", str(out)]
+    assert cli.main(argv) == 0
+    records = json.loads((out / "report.json").read_text())["records"]
+    expected = {f"{r['ratio']:g}": r["closed_form"] for r in records}
+    csvs = sorted(out.glob("norm-*.csv"))
+    assert len(csvs) == len(records) == 6
+    capsys.readouterr()
+    for csv in csvs:
+        assert cli.main(["compare", str(csv), str(ini)]) == 0
+        stdout = capsys.readouterr().out
+        assert [line.partition(": ")[0] for line in stdout.splitlines()] == list(
+            bench.COMPARISON_KEYS
+        )
+        assert bench.parse_comparisons(stdout) == [expected[csv.stem.rsplit("-", 1)[1]]]
 
 
 @pytest.mark.parametrize("workload", sorted(_bench_run().WORKLOADS))

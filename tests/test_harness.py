@@ -468,8 +468,8 @@ class TestCompareSavedMap:
         config = harness.load_config(empty_config, resolution=64, out_dir=tmp_path / "c")
         harness.run_experiment(config, log=lambda *_: None)
         result = harness.compare_saved_map(tmp_path / "c" / "norm-permeability-1.csv", config)
-        assert 0.0 <= result.rms <= 0.15
-        assert result.pearson > 0.9
+        assert 0.0 <= result["rms"] <= 0.15
+        assert result["pearson"] > 0.9
 
     def test_reciprocal_map_rejected(self, empty_config, tmp_path):
         config = harness.load_config(empty_config, resolution=64, out_dir=tmp_path / "r")
@@ -649,6 +649,18 @@ class TestInputFailuresExit2:
             csv.write_bytes(b"# resolution,32\n# caf\xe9\nx,y,value\n")
         assert cli.main(["compare", str(csv), str(empty_config)]) == 2
         _one_error_line(capsys, str(csv))
+
+    @pytest.mark.parametrize("resolution", ["1000000", "8"])
+    def test_compare_csv_resolution_out_of_range(self, empty_config, tmp_path, capsys, resolution):
+        # the header's resolution sizes the raster: bounded as a run's is,
+        # before anything is allocated for it
+        csv = tmp_path / "norm.csv"
+        csv.write_text(
+            f"# resolution,{resolution}\n# bounds,-0.085,0.085\n# k_aw,94.1,8.4\n"
+            "x,y,value\n0.0,0.0,0.5\n"
+        )
+        assert cli.main(["compare", str(csv), str(empty_config)]) == 2
+        _one_error_line(capsys, str(csv), "resolution")
 
     @pytest.mark.parametrize("out", ["file", "file/sub"])
     def test_out_not_a_directory(self, empty_config, tmp_path, capsys, out):

@@ -159,7 +159,7 @@ class TestTestVector:
     def test_at_antenna_rejected(self, single_scene):
         k = single_scene.background_wavenumber()
         array = single_scene.array
-        ray = specfun.ray_interpolant(k.value, 0.01, 0.2)
+        ray = specfun.ray_interpolant(k, 0.01, 0.2)
         with pytest.raises(DomainError):
             mu._steering_rows(k, array.positions[:1], array, mu.EXACT_FIELD, ray)
 
@@ -242,7 +242,7 @@ def _rebuilt(rows, plan, cells):
 
 
 def _mismatched(scn, kind, ratio):
-    return th.mismatched_wavenumber(scn.background, scn.omega, th.MismatchSpec(kind, ratio))
+    return th.mismatched_wavenumber(scn.background, scn.omega, kind, ratio)
 
 
 def _nudged_array(count=16):
@@ -263,15 +263,14 @@ class TestSymmetryPlan:
         for idx in plan.cells:  # each group element is one-to-one on the domain
             assert np.unique(idx).size == idx.size
 
-    def test_permutation_must_be_a_bijection(self):
+    def test_near_coincident_antennas_rejected(self):
         # antennas 0 and 1 lie 1e-10 R apart, below the matching tolerance:
-        # under y -> -y every antenna finds a partner, but 0 and 1 both find
-        # antenna 0
+        # under y -> -y both would find antenna 0 as their partner, so the
+        # array itself is refused
         angles = np.array([0.0, 1e-10, np.pi / 2, np.pi, 3 * np.pi / 2])
         positions = np.column_stack([np.cos(angles), np.sin(angles)])
-        array = sc.AntennaArray(radius=1.0, count=5, positions=positions, angles=angles)
-        assert np.array_equal(mu._antenna_permutation(np.eye(2), array), np.arange(5))
-        assert mu._antenna_permutation(np.diag([1.0, -1.0]), array) is None
+        with pytest.raises(ConfigurationError, match="R apart"):
+            sc.AntennaArray(radius=1.0, count=5, positions=positions, angles=angles)
 
     @pytest.mark.parametrize("count,resolution", _SYMMETRY_CASES)
     def test_group_order(self, count, resolution):
@@ -286,7 +285,7 @@ class TestSymmetryPlan:
         # agreement is the ray's own tolerance (measured worst 3.9e-11)
         grid, array, plan = _plan(count, resolution)
         k = make_scene(1).background_wavenumber()
-        for kv in (k, sc.Wavenumber(k.omega, 2.0 * k.value)):
+        for kv in (k, 2.0 * k):
             full = direct_rows(kv, cell_centers(grid), array, mu.EXACT_FIELD)
             rows = direct_rows(kv, plan.points, array, mu.EXACT_FIELD)
             rebuilt = _rebuilt(rows, plan, full.shape[0])
@@ -343,10 +342,11 @@ class TestSymmetryPlan:
         scn = make_scene(1)
         k_bw = scn.background_wavenumber()
         k_aw = _mismatched(scn, "permittivity", 2.0)
-        ctx = th.TheoryContext(k_bw=k_bw, k_aw=k_aw, r_star=(0.01, 0.03), array=_nudged_array())
+        array = _nudged_array()
         grid = _grid(64)
-        got = th.closed_form_norm_map(ctx, mu.symmetry_plan(grid, ctx.array))
-        assert np.array_equal(got, direct_closed_form_norm_map(ctx, grid), equal_nan=True)
+        got = th.closed_form_norm_map(mu.symmetry_plan(grid, array), k_bw, k_aw, (0.01, 0.03))
+        want = direct_closed_form_norm_map(grid, array, k_bw, k_aw, (0.01, 0.03))
+        assert np.array_equal(got, want, equal_nan=True)
 
     # The norm is 1-Lipschitz in the unit row, so the exact field inherits the
     # rows' 4e-10 (measured worst 5.5e-12 at N = 10); plane-wave rows and the
@@ -363,9 +363,8 @@ class TestSymmetryPlan:
             image = mu.imaging_map(basis, k_aw, plan, variant=variant)
             want = direct_norms(basis, k_aw, scn.array, grid, variant)
             assert np.max(np.abs(image.raw_norm[grid.mask] - want)) <= bound
-        ctx = th.TheoryContext(k_bw=k_bw, k_aw=k_aw, r_star=(0.01, 0.03), array=scn.array)
-        got = th.closed_form_norm_map(ctx, plan)[grid.mask]
-        want = direct_closed_form_norm_map(ctx, grid)[grid.mask]
+        got = th.closed_form_norm_map(plan, k_bw, k_aw, (0.01, 0.03))[grid.mask]
+        want = direct_closed_form_norm_map(grid, scn.array, k_bw, k_aw, (0.01, 0.03))[grid.mask]
         assert np.max(np.abs(got - want)) <= 1e-13
 
 
@@ -413,17 +412,12 @@ class TestChunks:
     def test_closed_form_bit_identical(self, monkeypatch, array_name):
         array = _CHUNK_ARRAYS[array_name]()
         scn = make_scene(1)
-        ctx = th.TheoryContext(
-            k_bw=scn.background_wavenumber(),
-            k_aw=_mismatched(scn, "permittivity", 2.0),
-            r_star=(0.01, 0.03),
-            array=array,
-        )
+        waves = (scn.background_wavenumber(), _mismatched(scn, "permittivity", 2.0), (0.01, 0.03))
         grid = _grid(61)
         maps = []
         for entries in (10**9, 3 * array.count):
             monkeypatch.setattr(mu, "_CHUNK_ENTRIES", entries)
-            maps.append(th.closed_form_norm_map(ctx, mu.symmetry_plan(grid, ctx.array)))
+            maps.append(th.closed_form_norm_map(mu.symmetry_plan(grid, array), *waves))
         assert np.array_equal(maps[1], maps[0], equal_nan=True)
 
     # the squared-distance screen must find the extremes of the np.hypot table
@@ -457,13 +451,12 @@ class TestChunks:
         k_bw = scn.background_wavenumber()
         k_aw = _mismatched(scn, "permeability", 2.0)
         basis = mu.svd_leading(fw.scattering_matrix(scn, k_bw)).left_vectors[:, :1]
-        ctx = th.TheoryContext(k_bw=k_bw, k_aw=k_aw, r_star=(0.01, 0.03), array=scn.array)
         maps, closed, chunks = [], [], []
         for entries in (mu._CHUNK_ENTRIES, 8192):
             monkeypatch.setattr(mu, "_CHUNK_ENTRIES", entries)
             plan = mu.symmetry_plan(_grid(112), scn.array)
             maps.append(mu.imaging_map(basis, k_aw, plan))
-            closed.append(th.closed_form_norm_map(ctx, plan))
+            closed.append(th.closed_form_norm_map(plan, k_bw, k_aw, (0.01, 0.03)))
             chunks.append(len(plan.chunks))
         assert chunks[0] > chunks[1] > 1
         assert np.array_equal(maps[1].raw_norm, maps[0].raw_norm, equal_nan=True)

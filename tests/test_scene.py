@@ -22,24 +22,24 @@ D1_CONTRAST = 1.75 + 0.8987742437988216j
 class TestWavenumber:
     def test_reference_background(self, background):
         k = sc.wavenumber(background, OMEGA)
-        assert k.value == pytest.approx(K_BW_REFERENCE, rel=1e-12)
+        assert k == pytest.approx(K_BW_REFERENCE, rel=1e-12)
 
     def test_square_identity(self, background):
         k = sc.wavenumber(background, OMEGA)
         expected = OMEGA**2 * MU_B * (background.permittivity + 1j * background.conductivity / OMEGA)
-        assert k.value**2 == pytest.approx(expected, rel=1e-12)
+        assert k**2 == pytest.approx(expected, rel=1e-12)
 
     def test_lossless_is_real(self):
         med = sc.Medium(permittivity=20 * EPS0, conductivity=0.0, permeability=MU_B)
         k = sc.wavenumber(med, OMEGA)
-        assert k.value.imag == 0.0
-        assert k.value.real == pytest.approx(OMEGA * math.sqrt(MU_B * med.permittivity), rel=1e-14)
+        assert k.imag == 0.0
+        assert k.real == pytest.approx(OMEGA * math.sqrt(MU_B * med.permittivity), rel=1e-14)
 
     def test_permeability_scaling_doubles_k(self):
         med1 = sc.Medium(permittivity=20 * EPS0, conductivity=0.0, permeability=MU_B)
         med4 = sc.Medium(permittivity=20 * EPS0, conductivity=0.0, permeability=4 * MU_B)
-        k1 = sc.wavenumber(med1, OMEGA).value
-        k4 = sc.wavenumber(med4, OMEGA).value
+        k1 = sc.wavenumber(med1, OMEGA)
+        k4 = sc.wavenumber(med4, OMEGA)
         assert k4 == 2 * k1
 
     @settings(max_examples=200, deadline=None)
@@ -54,11 +54,11 @@ class TestWavenumber:
         med = sc.Medium(eps_rel * EPS0, sigma, mu_scale * MU_B)
         omega = 2 * math.pi * freq_ghz * 1e9
         k = sc.wavenumber(med, omega)
-        assert k.value.real > 0
-        assert k.value.imag >= 0
-        assert (k.value.imag == 0) == (sigma == 0)
+        assert k.real > 0
+        assert k.imag >= 0
+        assert (k.imag == 0) == (sigma == 0)
         expected = omega**2 * med.permeability * (med.permittivity + 1j * sigma / omega)
-        assert k.value**2 == pytest.approx(expected, rel=1e-12)
+        assert k**2 == pytest.approx(expected, rel=1e-12)
 
     def test_random_media_square_identity(self):
         rng = np.random.default_rng(3)
@@ -71,7 +71,7 @@ class TestWavenumber:
             omega = 2 * math.pi * rng.uniform(0.1, 10) * 1e9
             k = sc.wavenumber(med, omega)
             expected = omega**2 * med.permeability * (med.permittivity + 1j * med.conductivity / omega)
-            assert abs(k.value**2 - expected) <= 1e-12 * abs(expected)
+            assert abs(k**2 - expected) <= 1e-12 * abs(expected)
 
     def test_domain_errors(self, background):
         with pytest.raises(DomainError):
@@ -149,6 +149,17 @@ class TestAntennaArrayChecks:
     def test_angles_equal_mod_2pi_rejected(self):
         with pytest.raises(ConfigurationError, match="angles must be pairwise distinct"):
             self._ring([0.0, 2 * np.pi, 2.0, 4.0])
+
+    @pytest.mark.parametrize("gap,accepted", [(1e-10, False), (1.9e-9, False), (2.1e-9, True)])
+    def test_nearest_pair_across_angle_zero(self, gap, accepted):
+        # the last and the first of the sorted angles are neighbours too;
+        # antennas within 2e-9 R could both match one partner under a symmetry
+        angles = [gap / 2, 2.0, 4.0, 2 * np.pi - gap / 2]
+        if accepted:
+            self._ring(angles)
+        else:
+            with pytest.raises(ConfigurationError, match="R apart"):
+                self._ring(angles)
 
     def test_coincident_antennas_rejected(self):
         # antenna 1 moved onto antenna 0 keeps its own, distinct angle

@@ -177,9 +177,7 @@ def _distances(resolution, count):
 
 def _wavenumber(kind, ratio):
     scene = make_scene(1)
-    return th.mismatched_wavenumber(
-        scene.background, scene.omega, th.MismatchSpec(kind, ratio)
-    ).value
+    return th.mismatched_wavenumber(scene.background, scene.omega, kind, ratio)
 
 
 @pytest.mark.parametrize("resolution,count,kind,ratio", _RAY_TABLES)
