@@ -4,7 +4,7 @@
                 [--mode full|asymptotic] [--variant exact|plane]
                 [--signal-dim M] [--seed S]
     mwmusic validate <config>
-    mwmusic compare <empirical.csv> <config>
+    mwmusic compare <empirical.csv> <config> [--preset NAME]
 
 Exit codes: 0 success, 2 configuration/validation failure, 3 numerical failure.
 """
@@ -51,6 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_cmd = sub.add_parser("compare", help="theory comparison for a saved norm-map CSV")
     cmp_cmd.add_argument("empirical", help="projection-norm CSV written by a run")
     cmp_cmd.add_argument("config")
+    cmp_cmd.add_argument("--preset", choices=sorted(harness.PRESETS), default=None)
     return parser
 
 

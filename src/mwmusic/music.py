@@ -14,8 +14,10 @@ The centred grid and the circular array share a dihedral symmetry group G
 antennas, w(g . r) = w(r)[pi_g]. A permutation is unitary, so the
 projection norm at g . r is that of w(r) against the basis with its rows
 permuted. The steering rows are therefore built on one fundamental domain,
-1/|G| of the cells, and projected once per group element; an array without
-symmetry images every cell through the same code with G = {identity}.
+1/|G| of the cells, and projected onto the bases of every group element
+together, through the Gram identity |P_noise w|^2 = 1 - |U_g^H w|^2 for a
+unit row w (`_image_norms`); an array without symmetry images every cell
+through the same code with G = {identity}.
 
 Everything that depends only on the grid and the array (the domain, its
 chunks and its distance range to the antennas) is one `SymmetryPlan`. A
@@ -24,12 +26,12 @@ exact-field interpolant and the steering rows are computed. The plan owns
 the walk over its domain (`SymmetryPlan.over_domain`), which the imaging
 map and the closed form in `theory` share: rows for one chunk of
 _CHUNK_ENTRIES table entries at a time, few enough that the walk keeps to
-one BLAS thread, paired with a vector pulled back by each group element.
-With the CSV writer streaming one grid row at a time and the reader one
-block of _READ_ROWS rows, the transient memory of a map does not grow with
-the grid. A map's layers are built from its
-projection norms by `map_from_norms`, which a process that receives only
-the norms calls too.
+one BLAS thread, paired with a vector or basis pulled back by every group
+element at once. With the CSV writer streaming one grid row at a time and
+the reader one block of _READ_ROWS rows, the transient memory of a map does
+not grow with the grid. A map's layers are built from its projection norms
+by `map_from_norms`, which a process that receives only the norms calls
+too.
 """
 
 from __future__ import annotations
@@ -68,13 +70,28 @@ MAX_RESOLUTION = 2048
 # so a map's transient memory does not grow with the grid, and below the
 # size at which a product of the walk wakes OpenBLAS threads: with the
 # OpenBLAS build of the 2-core host this was tuned on, a rows @ vector
-# product (`w @ basis.conj()` at M = 1, the closed form's `w @ s_g`) runs on
-# two threads from 4096 table entries on (process CPU over wall time
-# 1.78-1.93 at 4096, 4112 and 8192 entries, 1.00 at 4080 and 0.97 at 4032),
+# product (the imaging walk's at M = 1 without symmetry, the closed form's
+# then) runs on two threads from 4096 table entries on (process CPU over
+# wall time 1.78-1.93 at 4096, 4112 and 8192 entries, 1.00 at 4080 and 0.97
+# at 4032),
 # and the threads spin after each product on the core a sweep's writer
 # process uses. The boundary is a property of the BLAS build; the rows and
 # norms do not depend on the chunk size
 _CHUNK_ENTRIES = 4095
+
+# columns of one product of the imaging walk (`_image_norms`): a rows @
+# matrix product runs on two OpenBLAS threads from a volume of points x
+# antennas x columns = 65536 on (with the same build: no time on the worker
+# threads at 255 x 16 x 16, workers spinning at 256 x 16 x 16), and a
+# chunk's table stays below 4096 entries, so 16 columns keep it below. A
+# product takes the bases of 16 // M images (one when M > 16) whatever the
+# chunk's size: a grouping that followed the chunk would make a norm depend
+# on the chunk its row falls in
+_PRODUCT_COLUMNS = 16
+# the share of |w|^2 below which the Gram form of a norm is recomputed in
+# the residual form: above it the Gram form keeps the norm within ~1e-12
+# relative (worst 7.7e-13 over the six presets)
+_GRAM_FLOOR = 1e-4
 
 # rows per block of the CSV reader: the rows of a block are parsed and
 # scattered into the raster before the next block is read. `theory` sums
@@ -162,6 +179,44 @@ def projection_norm(basis: np.ndarray, w) -> np.ndarray:
         raise DomainError("test vector length does not match the signal basis")
     resid = w - (w @ basis.conj()) @ basis.T
     return np.linalg.norm(resid, axis=-1)
+
+
+def _image_norms(conj_bases: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """|w - U_g U_g^H w| for every unit row w of rows (points, N) and every
+    basis U_g of the stack conj_bases (N, images, M) of conj(U_g), shape
+    (images, points): the pair of the imaging walk.
+
+    By the Gram identity |P_noise w|^2 = |w|^2 - |U_g^H w|^2 = 1 - |U_g^H w|^2,
+    every image's norm comes from the products w^T conj(U_g), taken for
+    _PRODUCT_COLUMNS columns of the stack at a time. Where that difference
+    falls below _GRAM_FLOOR, near the signal space, it has lost digits to
+    cancellation, and the norm is recomputed there in the residual form of
+    `projection_norm` from the same products. A basis of N columns spans
+    every row, and its norms are 0.
+    """
+    n, images, m = conj_bases.shape
+    if m >= n:
+        return np.zeros((images, len(rows)))
+    columns = conj_bases.reshape(n, images * m)
+    step = max(1, _PRODUCT_COLUMNS // m)
+    out = np.empty((images, len(rows)))
+    for start in range(0, images, step):
+        stop = min(start + step, images)
+        # columns g * m to (g + 1) * m hold the coefficients of image start + g
+        coefs = rows @ columns[:, start * m:stop * m]
+        # their squared real and imaginary parts, (images, 2m, points)
+        sq = np.square(coefs.view(np.float64)).T.copy().reshape(stop - start, 2 * m, -1)
+        block = out[start:stop]
+        np.sum(sq, axis=1, out=block)
+        np.subtract(1.0, block, out=block)
+        low = block < _GRAM_FLOOR
+        np.sqrt(block, out=block, where=~low)
+        for g in np.flatnonzero(low.any(axis=1)):
+            near = low[g]
+            resid = rows[near] - coefs[near, g * m:(g + 1) * m] @ conj_bases[:, start + g].conj().T
+            resid = resid.view(np.float64)
+            block[g, near] = np.sqrt(np.square(resid, out=resid).sum(axis=1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -260,25 +315,26 @@ class SymmetryPlan:
         return _distance_range(self.points, self.array, self.chunks)
 
     def over_domain(self, rows_of, partners: np.ndarray, pair, out=None) -> np.ndarray:
-        """pair(partner_g, rows) at every unmasked cell, in mask order, in
-        out (one float per unmasked cell) or a new array.
+        """pair(moved, rows) at every unmasked cell, in mask order, in out
+        (one float per unmasked cell) or a new array.
 
         rows_of(points) builds the rows w(r) (points, N) of one chunk of
         representatives at a time. partners, its first axis over the
-        antennas, is pulled back by every pi_g: partner_g[pi_g] = partners.
-        As w(g . r) = w(r)[pi_g], pair(partner_g, rows) is the value at the
-        cells g . r for any pair that a common permutation of the antennas
-        leaves unchanged (a projection norm, |w . v|); it gives one value
-        per row.
+        antennas, is pulled back by every pi_g at once: moved (N, |G|, ...)
+        holds partner_g = moved[:, j] with partner_g[pi_g] = partners for
+        the j-th element g. As w(g . r) = w(r)[pi_g], pair(partner_g, rows)
+        is the value at the cells g . r for any pair that a common
+        permutation of the antennas leaves unchanged (a projection norm,
+        |w . v|); pair(moved, rows) gives these for every g, shape (|G|,
+        points), and one scatter per chunk stores them.
         """
         if out is None:
             out = np.empty(np.count_nonzero(self.grid.mask))
-        moved = np.empty((len(self.perms),) + partners.shape, dtype=partners.dtype)
-        moved[np.arange(len(self.perms))[:, None], self.perms] = partners
+        count = len(self.perms)
+        moved = np.empty((partners.shape[0], count) + partners.shape[1:], dtype=partners.dtype)
+        moved[self.perms.T, np.arange(count)] = partners[:, None]
         for chunk in self.chunks:
-            rows = rows_of(self.points[chunk])
-            for cells, partner_g in zip(self.cells[:, chunk], moved):
-                out[cells] = pair(partner_g, rows)
+            out[self.cells[:, chunk]] = pair(moved, rows_of(self.points[chunk]))
         return out
 
 
@@ -432,10 +488,11 @@ def imaging_map(
     The steering rows are built on the plan's representatives only, one of
     its chunks at a time (`SymmetryPlan.over_domain`); the norms at the
     images g . r are |w(r) - U_g U_g^H w(r)|, with U_g the basis rows
-    scattered by pi_g. The exact-field interpolant is built once, over the
-    plan's distance range, so a row does not depend on the chunk it falls
-    in. The norms, in mask order, are computed into out when it is given
-    (a float array of one entry per unmasked cell) and are left there.
+    scattered by pi_g, all from products of the rows with the stacked
+    conj(U_g) (`_image_norms`). The exact-field interpolant is built once,
+    over the plan's distance range, so a row does not depend on the chunk
+    it falls in. The norms, in mask order, are computed into out when it is
+    given (a float array of one entry per unmasked cell) and are left there.
 
     Values are clipped at DEFAULT_CEILING where the norm underflows; the
     unclipped norms are retained in raw_norm for quantitative comparison
@@ -458,8 +515,8 @@ def imaging_map(
                 raise
             raise NumericalError(f"steering field at k_aw = {k_aw:.6g}: {exc}") from exc
     norms = plan.over_domain(
-        lambda points: _steering_rows(k_aw, points, array, variant, ray), basis, projection_norm,
-        out,
+        lambda points: _steering_rows(k_aw, points, array, variant, ray), basis.conj(),
+        _image_norms, out,
     )
     if not np.all(np.isfinite(norms)):
         raise NumericalError(

@@ -136,7 +136,7 @@ def hankel2_0(z):
 # ---------------------------------------------------------------------------
 
 _RAY_PANELS = 48
-_RAY_DEGREE = 12
+_RAY_DEGREE = 8
 # smallest log-distance span the panels cover; a range with d_min = d_max is
 # widened downward to it so that the nodes never pass its largest argument
 _RAY_MIN_SPAN = 1e-6
@@ -183,9 +183,12 @@ def ray_interpolant(k, d_min: float, d_max: float):
             u = (np.log(block) - t_lo) / width
             panel = np.clip(u.astype(np.intp), 0, _RAY_PANELS - 1)
             x2 = 4.0 * (u - panel) - 2.0  # twice the local Chebyshev variable
-            b1 = np.zeros(block.shape, dtype=np.complex128)
-            b2 = np.zeros_like(b1)
-            for m in range(_RAY_DEGREE, 0, -1):
+            # the first two steps, b_D = c_D and b_{D-1} = c_{D-1} + x2 b_D,
+            # have nothing to add or subtract
+            b2 = np.take(coefs[_RAY_DEGREE], panel)
+            b1 = np.take(coefs[_RAY_DEGREE - 1], panel)
+            b1 += x2 * b2
+            for m in range(_RAY_DEGREE - 2, 0, -1):
                 b = np.take(coefs[m], panel)
                 b += x2 * b1
                 b -= b2

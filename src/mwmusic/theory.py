@@ -15,7 +15,7 @@ wavenumbers too, from the same overflow-safe unit rows
 rows are built on the fundamental domain of a `music.SymmetryPlan` only,
 in the plan's walk (`SymmetryPlan.over_domain`): w(g . r) = w(r)[pi_g], so
 g at g . r is |w(r) . conj(s_g)| with s_g the signal row scattered by
-pi_g, one mat-vec per group element. The paper states the same quantity
+pi_g, for every group element from one (points, N) @ (N, |G|) product. The paper states the same quantity
 as a Bessel-harmonic series: with z = k_aw r - conj(k_bw) r*,
 rho = sqrt(z . z) and e^{i phi} = (z_x + i z_y) / rho, the Jacobi-Anger
 expansion (DLMF 10.12) of each term gives
@@ -31,6 +31,7 @@ norm map and the closed form.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import replace
 
@@ -48,12 +49,17 @@ MISMATCH_KINDS = ("permeability", "permittivity", "conductivity")
 
 def mismatched_wavenumber(background: Medium, omega: float, kind: str, ratio: float) -> complex:
     """Wavenumber computed with one background parameter, kind, replaced by
-    ratio * true; the mismatch kinds are the Medium field names."""
+    ratio * true; the mismatch kinds are the Medium field names. A ratio
+    whose wavenumber overflows raises DomainError, as an overflowing
+    background wavenumber does."""
     if kind not in MISMATCH_KINDS:
         raise DomainError(f"kind must be one of {MISMATCH_KINDS}, got {kind!r}")
     if not (math.isfinite(ratio) and ratio > 0):
         raise DomainError(f"ratio must be finite and > 0, got {ratio!r}")
-    return wavenumber(replace(background, **{kind: ratio * getattr(background, kind)}), omega)
+    k = wavenumber(replace(background, **{kind: ratio * getattr(background, kind)}), omega)
+    if not cmath.isfinite(k):
+        raise DomainError(f"the wavenumber at {kind} ratio {ratio!r} is not finite: {k}")
+    return k
 
 
 def closed_form_norm_map(plan: SymmetryPlan, k_bw: complex, k_aw: complex, r_star) -> np.ndarray:
@@ -64,15 +70,15 @@ def closed_form_norm_map(plan: SymmetryPlan, k_bw: complex, k_aw: complex, r_sta
     g(r) = |s^H w(r)| / (|s| |w(r)|), clamped into [0, 1], comes from the
     plan's walk over its fundamental domain (`SymmetryPlan.over_domain`),
     as the norms of `music.imaging_map` do: the unit rows w(r) are built
-    one chunk of representatives at a time and paired with conj(s)
-    permuted once per group element.
+    one chunk of representatives at a time and multiplied by conj(s)
+    permuted by every group element, as the columns of one matrix.
     """
     dirs = plan.array.directions
     s = _unit_phasors(k_bw, np.asarray([r_star], dtype=float), dirs)[0]
     g = plan.over_domain(
         lambda points: _unit_phasors(k_aw, points, dirs),
         s.conj(),
-        lambda s_g, w: np.minimum(np.abs(w @ s_g), 1.0),
+        lambda s_moved, w: np.minimum(np.abs(w @ s_moved), 1.0).T,
     )
     # (N^2 - 2N) / (N^2 - 2N + 1) * sqrt(max(1 - g^2, 0)), in place on g
     np.multiply(g, g, out=g)

@@ -278,8 +278,10 @@ def direct_rows(k_aw, points, array, variant) -> np.ndarray:
 
 def direct_norms(basis, k_aw, array, grid, variant) -> np.ndarray:
     """Projection norm of every masked cell (mask order) from one steering
-    table over the whole grid."""
-    return mu.projection_norm(basis, direct_rows(k_aw, cell_centers(grid), array, variant))
+    table over the whole grid, through the imaging walk's pair
+    (`music._image_norms`) with the identity alone."""
+    rows = direct_rows(k_aw, cell_centers(grid), array, variant)
+    return mu._image_norms(basis.conj()[:, None, :], rows)[0]
 
 
 def direct_norm_factor(points, array, k_bw, k_aw, r_star) -> np.ndarray:

@@ -593,6 +593,27 @@ class TestCli:
         assert all(math.isfinite(v) for v in record["closed_form"].values())
         assert all(math.isfinite(v) for p in record["peaks"] for v in p)
 
+    def test_compare_with_the_run_preset(self, tmp_path, capsys):
+        # the config's own anomaly is not the preset's D1: only the preset
+        # reproduces the closed form the run reported for each norm map
+        cfg = tmp_path / "elsewhere.ini"
+        cfg.write_text("[anomaly:D1]\ncenter_x_m = -0.03\ncenter_y_m = 0.02\n")
+        out = tmp_path / "preset-out"
+        argv = ["run", str(cfg), "--preset", "fig-mu-single", "--resolution", "32", "--out", str(out)]
+        assert cli.main(argv) == 0
+        records = json.loads((out / "report.json").read_text())["records"]
+        capsys.readouterr()
+        def printed():
+            lines = capsys.readouterr().out.splitlines()
+            return {key: float(value) for key, value in (line.split(": ") for line in lines)}
+
+        for record in records:
+            csv = str(out / f"norm-permeability-{record['ratio']:g}.csv")
+            assert cli.main(["compare", csv, str(cfg), "--preset", "fig-mu-single"]) == 0
+            assert printed() == record["closed_form"]
+            assert cli.main(["compare", csv, str(cfg)]) == 0
+            assert printed() != record["closed_form"]
+
     def test_compare_cli(self, empty_config, tmp_path, capsys):
         assert (
             cli.main(
@@ -669,6 +690,20 @@ class TestInputFailuresExit2:
         assert cli.main(argv) == 2
         _one_error_line(capsys, str(tmp_path / out))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.ini", "file"]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_overflowing_mismatched_wavenumber(self, tmp_path, capsys, command):
+        # a finite ratio whose wavenumber overflows: validate must not pass
+        # what run cannot image
+        config = tmp_path / "huge.ini"
+        config.write_text("[sweep]\nkind = permeability\nratios = 1e300\n")
+        out = tmp_path / "huge-out"
+        argv = [command, str(config)]
+        if command == "run":
+            argv += ["--out", str(out), "--resolution", "32"]
+        assert cli.main(argv) == 2
+        _one_error_line(capsys, "wavenumber", "not finite")
+        assert not out.exists()
 
     def test_overflowing_frequency(self, tmp_path, capsys):
         config = tmp_path / "hot.ini"

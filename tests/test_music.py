@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mwmusic import forward as fw
+from mwmusic import harness
 from mwmusic import music as mu
 from mwmusic import scene as sc
 from mwmusic import specfun
@@ -192,6 +193,63 @@ class TestProjectionNorm:
             w /= np.linalg.norm(w)
             val = mu.projection_norm(basis, w)
             assert -1e-12 <= val <= 1.0 + 1e-12
+
+
+# (resolution, antenna count, preset) of the three imaging workloads of the
+# benchmark: mu-single, sigma-double and array64
+_WORKLOAD_GRIDS = [(112, 16, "fig-mu-single"), (160, 16, "fig-sigma-double"), (48, 64, "fig-eps-double")]
+
+
+def _pulled_back(basis, plan):
+    """The stack conj(U_g) (N, |G|, M) that `SymmetryPlan.over_domain`
+    hands the imaging pair."""
+    moved = np.empty((basis.shape[0], len(plan.perms), basis.shape[1]), dtype=complex)
+    moved[plan.perms.T, np.arange(len(plan.perms))] = basis.conj()[:, None]
+    return moved
+
+
+class TestImageNorms:
+    # The Gram form 1 - |U^H w|^2 of the imaging pair against the residual
+    # form of projection_norm, on the full-grid steering tables of every
+    # ratio of the workload's sweep, both variants. Above the floor of 1e-4
+    # the Gram form loses at most ~1e-12 relative; measured worst 8.9e-14
+    # (48^2, 64 antennas, M = 6).
+    @pytest.mark.parametrize("resolution,count,preset", _WORKLOAD_GRIDS)
+    @pytest.mark.parametrize("m", [1, 2, 6])
+    def test_matches_the_residual_form(self, resolution, count, preset, m):
+        kind, ratios, _ = harness.PRESETS[preset]
+        scn = make_scene(2, count=count)
+        k_bw = scn.background_wavenumber()
+        basis = mu.svd_leading(fw.scattering_matrix(scn, k_bw)).left_vectors[:, :m]
+        points = cell_centers(_grid(resolution))
+        for ratio in ratios:
+            k_aw = _mismatched(scn, kind, ratio)
+            for variant in mu.VARIANTS:
+                rows = direct_rows(k_aw, points, scn.array, variant)
+                got = mu._image_norms(basis.conj()[:, None, :], rows)[0]
+                want = mu.projection_norm(basis, rows)
+                assert np.max(np.abs(got - want) / want) <= 2.5e-13
+
+    # The signal space of each image holds its own basis columns, the
+    # permuted columns of U: their Gram values cancel to rounding, below the
+    # floor, where 1 - |U_g^H w|^2 alone would give norms near 1e-8 or NaN
+    @pytest.mark.parametrize("count", [16, 64])
+    @pytest.mark.parametrize("m", [1, 2, 6, 16])
+    def test_signal_vectors_through_the_floor(self, count, m):
+        plan = mu.symmetry_plan(_grid(48), sc.uniform_circular_array(count, 0.09))
+        rng = np.random.default_rng(count + m)
+        basis, _ = np.linalg.qr(rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m)))
+        moved = _pulled_back(basis, plan)
+        images = len(plan.perms)
+        # rows g * m to (g + 1) * m are the columns of U_g
+        rows = moved.conj().transpose(1, 2, 0).reshape(images * m, count)
+        norms = mu._image_norms(moved, rows)
+        for g in range(images):
+            assert np.all(norms[g, g * m:(g + 1) * m] <= 1e-10)
+        # and every other image of the walk is left to its own value
+        for g in range(images):
+            want = mu.projection_norm(moved[:, g].conj(), rows)
+            assert np.allclose(norms[g], want, rtol=0, atol=1e-10)
 
 
 class TestImagingGrid:
@@ -436,13 +494,55 @@ class TestChunks:
         assert mu._distance_range(plan.points, array, [slice(None)]) == want
 
     # a rows @ vector product of the walk wakes OpenBLAS threads from 4096
-    # table entries on; no chunk of a plan may reach that, whatever the
-    # antenna count
+    # table entries on, and a rows @ matrix product from a volume of
+    # points x antennas x columns = 65536 on; no chunk of a plan and no
+    # product of a map may reach these, whatever the antenna count and the
+    # signal dimension M, except that a basis of more than 16 columns is
+    # still projected one image per product
     @pytest.mark.parametrize("count", [4, 16, 64, 100])
-    def test_chunks_below_the_blas_thread_boundary(self, count):
+    def test_chunks_below_the_blas_thread_boundary(self, monkeypatch, count):
         plan = mu.symmetry_plan(_grid(128), sc.uniform_circular_array(count, 0.09))
         assert sum(len(plan.points[chunk]) for chunk in plan.chunks) == len(plan.points)
         assert all(len(plan.points[chunk]) * count < 4096 for chunk in plan.chunks)
+
+        products = []
+
+        class Logged(np.ndarray):
+            # logs the operand shapes of every product taken of the rows or
+            # of any array computed from them
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    products.append((inputs[0].shape, inputs[1].shape))
+                inputs = [np.asarray(x) for x in inputs]
+                if "out" in kwargs:
+                    kwargs["out"] = tuple(np.asarray(x) for x in kwargs["out"])
+                result = getattr(ufunc, method)(*inputs, **kwargs)
+                return result.view(Logged) if "out" not in kwargs else result
+
+        steering_rows = mu._steering_rows
+        monkeypatch.setattr(mu, "_steering_rows", lambda *a: steering_rows(*a).view(Logged))
+        k = make_scene(1, count=count).background_wavenumber()
+        # the first column of each basis is the steering row of the first
+        # representative, which therefore falls below the Gram floor
+        ray = specfun.ray_interpolant(k, *plan.distance_range)
+        row = steering_rows(k, plan.points[:1], plan.array, mu.EXACT_FIELD, ray)
+        rng = np.random.default_rng(count)
+        for m in (m for m in (1, 2, 6, 16, 32) if m <= count):
+            basis, _ = np.linalg.qr(np.column_stack([row.T, rng.standard_normal((count, m - 1))]))
+            products.clear()
+            mu.imaging_map(basis, k, plan)
+            if m == count:
+                # the basis spans every row: no product is taken
+                assert products == []
+                continue
+            # the residual form's products (points, M) @ (M, N) ran too
+            assert any(inner == m for (_, inner), _ in products)
+            for (points, inner), (_, columns) in products:
+                assert inner in (count, m)
+                if m <= 16:
+                    assert points * inner * columns < 65536
+                else:
+                    assert columns in (count, m) and points * count < 4096
 
     def test_walk_independent_of_the_chunk_size(self, monkeypatch):
         # a 112^2 fig-mu-single map and its closed form, walked in chunks of

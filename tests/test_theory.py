@@ -76,6 +76,13 @@ class TestMismatchedWavenumber:
                 single_scene.background, single_scene.omega, "permeability", 0.0
             )
 
+    @pytest.mark.parametrize("kind", th.MISMATCH_KINDS)
+    def test_overflowing_wavenumber_rejected(self, single_scene, kind):
+        # a finite ratio whose wavenumber is not: inf + inf j would reach
+        # the steering rows
+        with pytest.raises(DomainError, match="not finite"):
+            th.mismatched_wavenumber(single_scene.background, single_scene.omega, kind, 1e308)
+
 
 class TestErrorSeries:
     # E is the harmonic error term of the theorem: s^H w / N = J_0(rho) + E
