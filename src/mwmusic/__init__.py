@@ -40,7 +40,6 @@ from .music import (
     extract_peaks,
     grid_for_roi,
     imaging_map,
-    projection_norm,
     read_map_csv,
     signal_subspace_dim,
     svd_leading,

@@ -32,6 +32,11 @@ the reader one block of _READ_ROWS rows, the transient memory of a map does
 not grow with the grid. A map's layers are built from its projection norms
 by `map_from_norms`, which a process that receives only the norms calls
 too.
+
+The CSV writer and reader take the coordinate texts from one helper and
+walk the unmasked cells in the same row runs. The reader parses only the
+values as numbers while each block's x and y bytes are the texts of the
+next cells; any other file it reads again as floats (`read_map_csv`).
 """
 
 from __future__ import annotations
@@ -171,16 +176,6 @@ def _steering_rows(
     raise DomainError(f"unknown test-vector variant {variant!r}")
 
 
-def projection_norm(basis: np.ndarray, w) -> np.ndarray:
-    """|w - U U^H w| for each row w, the distance to the span of the
-    orthonormal columns U of basis (N, M)."""
-    w = np.asarray(w, dtype=np.complex128)
-    if w.shape[-1] != basis.shape[0]:
-        raise DomainError("test vector length does not match the signal basis")
-    resid = w - (w @ basis.conj()) @ basis.T
-    return np.linalg.norm(resid, axis=-1)
-
-
 def _image_norms(conj_bases: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """|w - U_g U_g^H w| for every unit row w of rows (points, N) and every
     basis U_g of the stack conj_bases (N, images, M) of conj(U_g), shape
@@ -190,9 +185,10 @@ def _image_norms(conj_bases: np.ndarray, rows: np.ndarray) -> np.ndarray:
     every image's norm comes from the products w^T conj(U_g), taken for
     _PRODUCT_COLUMNS columns of the stack at a time. Where that difference
     falls below _GRAM_FLOOR, near the signal space, it has lost digits to
-    cancellation, and the norm is recomputed there in the residual form of
-    `projection_norm` from the same products. A basis of N columns spans
-    every row, and its norms are 0.
+    cancellation, and the norm is recomputed there in the residual form
+    |w - U_g U_g^H w| from the same products. A basis of N columns spans
+    every row, and its norms are 0. This is the only projection-norm kernel
+    of the package; the tests hold it to the residual form alone.
     """
     n, images, m = conj_bases.shape
     if m >= n:
@@ -565,47 +561,94 @@ def write_map_csv(image: ImageMap, path, which: str = "values") -> None:
         f"# k_aw,{float(k_re)!r},{float(k_im)!r}\n"
         "x,y,value\n"
     )
-    ticks = [repr(t) for t in grid.ticks.tolist()]
-    # the unmasked cells of a row are one run of x: the ticks ascend, and the
-    # distance to the centre falls and then rises along a row
-    counts = np.count_nonzero(grid.mask, axis=1).tolist()
+    ticks = _tick_texts(grid)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header)
-        for y_str, inside, row, count in zip(ticks, grid.mask, data, counts):
-            lo = int(inside.argmax())
+        rows, firsts, counts = _row_runs(grid.mask)
+        for iy, lo, count in zip(rows.tolist(), firsts.tolist(), counts.tolist()):
+            y_str = ticks[iy]
             fh.write("".join([
                 f"{x},{y_str},{v!r}\n"
-                for x, v in zip(ticks[lo:lo + count], row[lo:lo + count].tolist())
+                for x, v in zip(ticks[lo:lo + count], data[iy, lo:lo + count].tolist())
             ]))
 
 
-class _Coordinates(dict):
-    """The float of each coordinate text met in one block of a map CSV.
+def _tick_texts(grid: ImagingGrid) -> list[str]:
+    """The text of each tick of grid in the x and y columns of a map CSV."""
+    return [repr(t) for t in grid.ticks.tolist()]
 
-    A written map repeats its grid's tick texts in the x and y columns, so
-    each distinct text is parsed once and looked up after that.
-    """
 
-    def __missing__(self, text: str) -> float:
-        # float() also reads "1_0", which numpy's own parser refuses
-        if "_" in text:
-            raise ValueError(f"could not convert string {text!r} to float64")
-        value = self[text] = float(text)
-        return value
+def _row_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, first column and length of the run of unmasked cells of each
+    grid row that has any, in mask order: the ticks ascend, and the distance
+    to the centre falls and then rises along a row."""
+    counts = np.count_nonzero(mask, axis=1)
+    rows = np.flatnonzero(counts)
+    # argmax along an axis copies the whole mask; one row at a time does not
+    firsts = np.array([mask[iy].argmax() for iy in rows.tolist()], dtype=np.intp)
+    return rows, firsts, counts[rows]
+
+
+# a map CSV row as the written path parses it: the coordinate texts as
+# bytes, the value by numpy's own float parser. A float's repr has at most
+# 24 characters, so a longer text, cut to 32, matches no tick; numpy drops
+# the trailing NULs of a bytes field, so a text that ends in NUL characters
+# reads as the tick before them, where the float parser refuses it
+_WRITTEN_ROW = np.dtype([("x", "S32"), ("y", "S32"), ("value", np.float64)])
+# the 32 bytes of a coordinate text as four integers, compared as such
+_TEXT_WORDS = np.dtype((np.uint64, 4))
+
+
+def _written_block(fh, start: int, runs, words: np.ndarray, values: np.ndarray) -> int | None:
+    """Parse the next block of at most _READ_ROWS rows of a map CSV body
+    from fh, which follows `start` rows. When its x and y texts are the
+    tick texts `words` (_TEXT_WORDS) of the unmasked cells start, start + 1,
+    ... of the grid's row runs `runs`, put its values into those cells and
+    return its row count; otherwise, or when numpy cannot parse it this
+    way, return None and leave values as it is."""
+    try:
+        block = np.loadtxt(
+            fh, dtype=_WRITTEN_ROW, delimiter=",", comments=None, ndmin=1,
+            max_rows=_READ_ROWS, encoding=None,
+        )
+    except ValueError:
+        return None
+    rows, firsts, counts = runs
+    stop = start + len(block)
+    if stop > counts.sum():
+        return None
+    # the run of each cell of the block, and its row and column
+    ends = np.cumsum(counts)
+    begins = ends - counts
+    run = np.repeat(
+        np.arange(len(counts)), np.clip(ends, start, stop) - np.clip(begins, start, stop)
+    )
+    iy = rows[run]
+    ix = (firsts - begins)[run] + np.arange(start, stop)
+    if not (np.array_equal(block["x"].view(_TEXT_WORDS), words.take(ix, axis=0))
+            and np.array_equal(block["y"].view(_TEXT_WORDS), words.take(iy, axis=0))):
+        return None
+    values[iy, ix] = block["value"]
+    return stop - start
 
 
 def read_map_csv(path, roi_radius: float) -> ImageMap:
     """Rebuild an ImageMap (values layer only) written by write_map_csv.
 
-    The body is read in blocks of _READ_ROWS rows, each scattered into the
-    raster before the next is read, so the rows are never held at once. The
-    coordinate texts go through a _Coordinates cache for as long as each
-    block repeats them, as a written map does.
+    The body is read in blocks of _READ_ROWS rows, each put into the raster
+    before the next is read, so the rows are never held at once. A block
+    whose coordinate texts are those write_map_csv writes for the next
+    cells of the grid (`_written_block`) is parsed with the texts left as
+    bytes. At the first block that is not, as in a file with shuffled or
+    perturbed rows, a config of another ROI radius or a bad row, the body
+    is read again from its first row by numpy as floats, each row going to
+    the cell nearest its point; the rows of a written map read either way
+    give the same values.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
             header = {}
-            for line in fh:
+            for header_lines, line in enumerate(fh, 1):
                 line = line.strip()
                 if line == "x,y,value":
                     break
@@ -630,35 +673,24 @@ def read_map_csv(path, roi_radius: float) -> ImageMap:
                 raise DomainError(f"{path}: bounds must be symmetric")
             grid = ImagingGrid(resolution=resolution, half_extent=hi, roi_radius=roi_radius)
             values = np.full((resolution, resolution), np.nan)
+            runs = _row_runs(grid.mask)
+            words = np.array(_tick_texts(grid), dtype=_WRITTEN_ROW["x"]).view(_TEXT_WORDS)
             with warnings.catch_warnings():
                 # an empty body is reported below as uncovered cells
                 warnings.simplefilter("ignore", UserWarning)
                 start = 0
-                cached = True
-                while True:
-                    coordinates = _Coordinates()
-                    lookup = coordinates.__getitem__
-                    try:
-                        # encoding=None hands the converters str on numpy 1.x too,
-                        # whose default "bytes" would hand them bytes
-                        rows = np.loadtxt(
-                            fh, delimiter=",", comments=None, ndmin=2, max_rows=_READ_ROWS,
-                            encoding=None, converters={0: lookup, 1: lookup} if cached else None,
-                        )
-                    except ValueError as exc:
-                        # numpy counts the rows of the block; count from the body's first
-                        detail = re.sub(
-                            r"at row (\d+)", lambda m: f"at row {int(m[1]) + start}", str(exc)
-                        )
-                        raise DomainError(f"{path}: bad data row: {detail}") from exc
-                    _scatter_rows(rows, grid, values, path)
-                    if len(rows) < _READ_ROWS:
-                        break
-                    # a block whose texts repeat less than 8 times on average, as
-                    # in shuffled and perturbed rows, is parsed faster without
-                    # the cache, and so is the rest of the file
-                    cached = cached and 4 * len(coordinates) <= len(rows)
-                    start += _READ_ROWS
+                while (count := _written_block(fh, start, runs, words, values)) == _READ_ROWS:
+                    start += count
+                if count is None:
+                    # the whole body again as floats, read from the start of
+                    # the file so that its text is decoded in the same pieces
+                    # and an error names the same position
+                    fh.seek(0)
+                    for _ in range(header_lines):
+                        next(fh)
+                    start = 0
+                    while _plain_block(fh, start, grid, values, path) == _READ_ROWS:
+                        start += _READ_ROWS
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -668,9 +700,19 @@ def read_map_csv(path, roi_radius: float) -> ImageMap:
     return ImageMap(grid=grid, values=values, k_aw=k_aw)
 
 
-def _scatter_rows(rows: np.ndarray, grid: ImagingGrid, values: np.ndarray, path) -> None:
-    """Put each x,y,value row of a CSV block into the cell of values nearest
-    its point; a point outside the grid raises, naming the first."""
+def _plain_block(fh, start: int, grid: ImagingGrid, values: np.ndarray, path) -> int:
+    """Parse the next block of at most _READ_ROWS rows of a map CSV body
+    from fh as floats, the body's row `start` first, and put each row into
+    the cell of values nearest its point; returns the block's row count. A
+    point outside the grid raises, naming the first."""
+    try:
+        rows = np.loadtxt(
+            fh, delimiter=",", comments=None, ndmin=2, max_rows=_READ_ROWS, encoding=None
+        )
+    except ValueError as exc:
+        # numpy counts the rows of the block; count from the body's first
+        detail = re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + start}", str(exc))
+        raise DomainError(f"{path}: bad data row: {detail}") from exc
     if rows.size and rows.shape[1] != 3:
         raise DomainError(f"{path}: bad data row: {rows.shape[1]} fields, 3 expected")
     rows = rows.reshape(-1, 3)
@@ -682,6 +724,7 @@ def _scatter_rows(rows: np.ndarray, grid: ImagingGrid, values: np.ndarray, path)
         point = tuple(rows[outside[0], :2].tolist())
         raise DomainError(f"{path}: point {point} falls outside the grid")
     values[tuple(cells.astype(np.intp).T)] = rows[:, 2]
+    return len(rows)
 
 
 def write_map_pgm(image: ImageMap, path) -> None:

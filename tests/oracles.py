@@ -10,7 +10,9 @@ reference formats one cell at a time with NumPy scalar indexing. The
 direct full-grid maps reuse the package's row builders but evaluate every
 masked cell (`cell_centers`, from a meshgrid) from one whole table, with
 the exact-field interpolant built over that table's own distance range
-(`table_ray`), without the symmetry plan the package images through. The
+(`table_ray`), without the symmetry plan the package images through; their
+projection norms are checked against the residual form |w - U U^H w|
+(`projection_norm`), which the package replaces by a Gram identity. The
 peak reference walks every cell in sorted order; the far-field diagnostic
 is recomputed from its whole distance table for each margin.
 """
@@ -274,6 +276,14 @@ def direct_rows(k_aw, points, array, variant) -> np.ndarray:
     if variant == mu.EXACT_FIELD:
         ray = table_ray(k_aw, fw._distances(points, array.positions))
     return mu._steering_rows(k_aw, points, array, variant, ray)
+
+
+def projection_norm(basis: np.ndarray, w) -> np.ndarray:
+    """|w - U U^H w| for each row w, the distance to the span of the
+    orthonormal columns U of basis (N, M), in the residual form."""
+    w = np.asarray(w, dtype=np.complex128)
+    resid = w - (w @ basis.conj()) @ basis.T
+    return np.linalg.norm(resid, axis=-1)
 
 
 def direct_norms(basis, k_aw, array, grid, variant) -> np.ndarray:

@@ -29,6 +29,7 @@ from oracles import (
     map_csv_text,
     map_csv_values,
     onesided_jacobi_singular_values,
+    projection_norm,
 )
 
 
@@ -166,24 +167,29 @@ class TestTestVector:
 
 
 class TestProjectionNorm:
+    # the imaging walk's pair with the identity alone
+    @staticmethod
+    def _norm(basis, w):
+        return mu._image_norms(basis.conj()[:, None, :], np.atleast_2d(w))[0, 0]
+
     def _basis(self, scene, m=1):
         k = scene.background_wavenumber()
         return mu.svd_leading(fw.scattering_matrix(scene, k)).left_vectors[:, :m]
 
     def test_signal_vector_maps_to_zero(self, single_scene):
         basis = self._basis(single_scene)
-        assert mu.projection_norm(basis, basis[:, 0]) <= 1e-10
+        assert self._norm(basis, basis[:, 0]) <= 1e-10
 
     def test_noise_vector_maps_to_one(self, single_scene):
         full = self._basis(single_scene, m=16)
-        assert mu.projection_norm(full[:, :1], full[:, -1]) == pytest.approx(1.0, abs=1e-10)
+        assert self._norm(full[:, :1], full[:, -1]) == pytest.approx(1.0, abs=1e-10)
 
     def test_full_signal_space_annihilates(self, single_scene):
         basis = self._basis(single_scene, m=16)
         rng = np.random.default_rng(4)
         w = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         w /= np.linalg.norm(w)
-        assert mu.projection_norm(basis, w) <= 1e-10
+        assert self._norm(basis, w) <= 1e-10
 
     def test_bounded_by_one(self, single_scene):
         basis = self._basis(single_scene)
@@ -191,7 +197,7 @@ class TestProjectionNorm:
         for _ in range(50):
             w = rng.standard_normal(16) + 1j * rng.standard_normal(16)
             w /= np.linalg.norm(w)
-            val = mu.projection_norm(basis, w)
+            val = self._norm(basis, w)
             assert -1e-12 <= val <= 1.0 + 1e-12
 
 
@@ -227,7 +233,7 @@ class TestImageNorms:
             for variant in mu.VARIANTS:
                 rows = direct_rows(k_aw, points, scn.array, variant)
                 got = mu._image_norms(basis.conj()[:, None, :], rows)[0]
-                want = mu.projection_norm(basis, rows)
+                want = projection_norm(basis, rows)
                 assert np.max(np.abs(got - want) / want) <= 2.5e-13
 
     # The signal space of each image holds its own basis columns, the
@@ -248,7 +254,7 @@ class TestImageNorms:
             assert np.all(norms[g, g * m:(g + 1) * m] <= 1e-10)
         # and every other image of the walk is left to its own value
         for g in range(images):
-            want = mu.projection_norm(moved[:, g].conj(), rows)
+            want = projection_norm(moved[:, g].conj(), rows)
             assert np.allclose(norms[g], want, rtol=0, atol=1e-10)
 
 
@@ -833,61 +839,62 @@ class TestImageMapIO:
         assert np.array_equal(back.values, image.values, equal_nan=True)
 
     @staticmethod
-    def _spy_loadtxt(monkeypatch):
+    def _spy_blocks(monkeypatch):
         """Patch np.loadtxt to default to encoding="bytes", numpy 1.x's
-        default, under which converters receive bytes; returns a list that
-        gets, per call, whether the call used the coordinate cache."""
+        default, and record per block of the reader whether it took the
+        written path; returns the list of these decisions."""
         loadtxt = np.loadtxt
-        cached = []
+        written_block = mu._written_block
+        written = []
 
-        def spy(*args, encoding="bytes", converters=None, **kwargs):
-            cached.append(converters is not None)
-            return loadtxt(*args, encoding=encoding, converters=converters, **kwargs)
+        def bytes_default(*args, encoding="bytes", **kwargs):
+            return loadtxt(*args, encoding=encoding, **kwargs)
 
-        monkeypatch.setattr(np, "loadtxt", spy)
-        return cached
+        def spy(*args):
+            count = written_block(*args)
+            written.append(count is not None)
+            return count
+
+        monkeypatch.setattr(np, "loadtxt", bytes_default)
+        monkeypatch.setattr(mu, "_written_block", spy)
+        return written
 
     def test_csv_cache_gets_str_whatever_the_default_encoding(self, tmp_path, monkeypatch):
-        cached = self._spy_loadtxt(monkeypatch)
-        missing = mu._Coordinates.__missing__
-        texts = []
-
-        def record(cache, text):
-            texts.append(text)
-            return missing(cache, text)
-
-        monkeypatch.setattr(mu._Coordinates, "__missing__", record)
+        # the reader passes its own encoding, so a written map takes the
+        # written path under numpy 1.x's default too
+        written = self._spy_blocks(monkeypatch)
         image = self._image()
         path = tmp_path / "map.csv"
         mu.write_map_csv(image, path)
         back = mu.read_map_csv(path, roi_radius=0.085)
-        assert cached == [True]
-        assert texts and all(type(text) is str for text in texts)
+        assert written == [True]
         assert np.array_equal(back.values, image.values, equal_nan=True)
 
     @pytest.mark.parametrize("perturbed", [False, True], ids=["written", "perturbed"])
     def test_csv_cache_kept_while_texts_repeat(self, tmp_path, monkeypatch, perturbed):
-        # a block of 1024 rows of a written 128^2 map holds at most ~140
-        # distinct coordinate texts, and every block uses the cache; in a
-        # shuffled and perturbed file they all differ, and the blocks after
-        # the first are parsed by numpy alone
+        # every block of 1024 rows of a written 128^2 map takes the written
+        # path; a shuffled and perturbed file leaves it at its first block,
+        # and the whole body is then parsed by numpy as floats
         monkeypatch.setattr(mu, "_READ_ROWS", 1024)
-        cached = self._spy_loadtxt(monkeypatch)
+        written = self._spy_blocks(monkeypatch)
         image = self._image(128)
         path = tmp_path / "map.csv"
         mu.write_map_csv(image, path)
         text = self._perturb(path, image.grid) if perturbed else path.read_text()
         back = mu.read_map_csv(path, roi_radius=0.085)
-        assert len(cached) == np.count_nonzero(image.grid.mask) // 1024 + 1
-        assert cached == [True] + [not perturbed] * (len(cached) - 1)
+        if perturbed:
+            assert written == [False]
+        else:
+            assert written == [True] * (np.count_nonzero(image.grid.mask) // 1024 + 1)
         assert np.array_equal(back.values, map_csv_values(text, image.grid), equal_nan=True)
         assert np.array_equal(back.values, image.values, equal_nan=True)
 
     def test_csv_underscore_refused_in_a_later_cached_block(self, tmp_path, monkeypatch):
-        # float() reads "0.0_1"; the cache refuses it as numpy's parser does,
-        # naming the row counted from the body's first
+        # numpy's parser refuses "0.0_1", which float() would read; the
+        # block holding it leaves the written path, and the message names
+        # the row counted from the body's first
         monkeypatch.setattr(mu, "_READ_ROWS", 1024)
-        cached = self._spy_loadtxt(monkeypatch)
+        written = self._spy_blocks(monkeypatch)
         path = tmp_path / "map.csv"
         mu.write_map_csv(self._image(128), path)
         lines = path.read_text().splitlines()
@@ -897,17 +904,48 @@ class TestImageMapIO:
                    " at row 3000, column 1")
         with pytest.raises(DomainError, match=re.escape(f"{path}: {message}")):
             mu.read_map_csv(path, roi_radius=0.085)
-        assert cached == [True, True, True]
+        assert written == [True, True, False]
+
+    def test_csv_other_roi_takes_the_plain_path(self, tmp_path, monkeypatch):
+        # the rows of a map written at ROI 0.085 are not the cells of a grid
+        # at 0.08: the first block leaves the written path, and the rows
+        # outside the smaller disk fail the coverage check
+        written = self._spy_blocks(monkeypatch)
+        path = tmp_path / "map.csv"
+        mu.write_map_csv(self._image(), path)
+        with pytest.raises(DomainError, match="do not cover exactly the unmasked cells"):
+            mu.read_map_csv(path, roi_radius=0.08)
+        assert written == [False]
+
+    @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks"])
+    def test_csv_equal_valued_texts_take_the_plain_path(self, tmp_path, monkeypatch, block):
+        # "0.0100" for "0.01": the same coordinates in other texts
+        if block:
+            monkeypatch.setattr(mu, "_READ_ROWS", block)
+        written = self._spy_blocks(monkeypatch)
+        image = self._image()
+        path = tmp_path / "map.csv"
+        mu.write_map_csv(image, path)
+        lines = path.read_text().splitlines()
+        lines[4:] = [line.replace(",", "00,", 1) for line in lines[4:]]
+        path.write_text("\n".join(lines) + "\n")
+        back = mu.read_map_csv(path, roi_radius=0.085)
+        assert written == [False]
+        assert np.array_equal(back.values, image.values, equal_nan=True)
 
     @pytest.mark.parametrize("block", [7, None], ids=["short-last", "empty-last"])
     def test_csv_round_trip_in_blocks(self, tmp_path, monkeypatch, block):
         # blocks of 7 rows leave a short last block; one block of exactly
-        # the rows is followed by an empty one
+        # the rows is followed by an empty one; every block takes the
+        # written path
         image = self._image()
-        monkeypatch.setattr(mu, "_READ_ROWS", block or int(np.count_nonzero(image.grid.mask)))
+        cells = int(np.count_nonzero(image.grid.mask))
+        monkeypatch.setattr(mu, "_READ_ROWS", block or cells)
+        written = self._spy_blocks(monkeypatch)
         path = tmp_path / "map.csv"
         mu.write_map_csv(image, path)
         back = mu.read_map_csv(path, roi_radius=0.085)
+        assert written == [True] * (cells // (block or cells) + 1)
         assert back.grid == image.grid
         assert back.k_aw == image.k_aw
         assert np.array_equal(back.values, image.values, equal_nan=True)

@@ -5,12 +5,14 @@ it), which cost a fresh process 11-20 ms; no command needs it. Each command
 runs in a fresh interpreter and is compared with a bare `import numpy` in
 that same interpreter, so a numpy that imports numpy.ma itself still
 passes. One `compare` reads a map of more rows than one block of the CSV
-reader, so its converters and max_rows path is covered too.
+reader, so its max_rows path is covered too, and one reads a map with its
+rows shuffled, which leaves the reader's written path for its plain one.
 """
 
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +52,12 @@ def configs(tmp_path_factory):
     )
     body = (root / "blocks" / "norm-permeability-1.csv").read_text().split("x,y,value\n", 1)[1]
     assert body.count("\n") > music._READ_ROWS
+    # the rows of the 32^2 norm map in another order
+    lines = (root / "saved" / "norm-permeability-1.csv").read_text().splitlines(keepends=True)
+    body = lines[4:]
+    random.Random(5).shuffle(body)
+    (root / "shuffled").mkdir()
+    (root / "shuffled" / "norm-permeability-1.csv").write_text("".join(lines[:4] + body))
     return root
 
 
@@ -60,7 +68,9 @@ def configs(tmp_path_factory):
     (["validate", "plain.ini"], ()),
     (["compare", "saved/norm-permeability-1.csv", "plain.ini"], ()),
     (["compare", "blocks/norm-permeability-1.csv", "plain.ini"], ()),
-], ids=["run-exact", "run-plane", "run-noisy", "validate", "compare", "compare-blocks"])
+    (["compare", "shuffled/norm-permeability-1.csv", "plain.ini"], ()),
+], ids=["run-exact", "run-plane", "run-noisy", "validate", "compare", "compare-blocks",
+        "compare-shuffled"])
 def test_numpy_modules_a_command_adds(configs, argv, allowed):
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, *argv],
