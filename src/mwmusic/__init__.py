@@ -28,7 +28,7 @@ from .forward import (
     incident_field_matrix,
     scattering_matrix,
 )
-from .harness import ExperimentConfig, PRESETS, RunReport, load_config, run_experiment
+from .harness import ExperimentConfig, PRESETS, load_config, run_experiment
 from .music import (
     DEFAULT_CEILING,
     EXACT_FIELD,
@@ -42,6 +42,7 @@ from .music import (
     imaging_map,
     read_map_csv,
     signal_subspace_dim,
+    steering_evaluators,
     svd_leading,
     symmetry_plan,
     write_map_csv,

@@ -6,7 +6,8 @@
     mwmusic validate <config>
     mwmusic compare <empirical.csv> <config> [--preset NAME]
 
-Exit codes: 0 success, 2 configuration/validation failure, 3 numerical failure.
+Exit codes: 0 success, 2 configuration/validation failure or an artifact
+that cannot be written, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import sys
 from . import forward as fw
 from . import harness
 from . import music as mu
-from . import theory as th
 from .errors import (
     ConfigurationError,
     DegenerateDataError,
@@ -78,16 +78,14 @@ def main(argv=None) -> int:
         if args.command == "run":
             config = _load(args)
             report = harness.run_experiment(config)
-            print(f"report: {config.out_dir / 'report.json'} ({len(report.records)} records)")
+            print(f"report: {config.out_dir / 'report.json'} ({len(report['records'])} records)")
             return 0
         if args.command == "validate":
             config = _load(args)
             k_bw = config.scene.background_wavenumber()
             print(f"k_bw = {k_bw:.6g}")
             for ratio in config.ratios:
-                k_aw = th.mismatched_wavenumber(
-                    config.scene.background, config.scene.omega, config.sweep_kind, ratio
-                )
+                k_aw = harness.sweep_wavenumber(config, ratio)
                 for diag in validate_scene(config.scene, k_aw):
                     print(f"[{config.sweep_kind}={ratio:g}] {diag.condition}: "
                           f"{diag.status} ({diag.detail})")
@@ -100,6 +98,10 @@ def main(argv=None) -> int:
         raise AssertionError("unreachable")
     except (ConfigurationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an artifact the run or its writer cannot write
+        named = f"cannot write {exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"error: {named}", file=sys.stderr)
         return 2
     except (NumericalError, TruncationError, DegenerateDataError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -14,10 +14,10 @@ Every field is one table over points x antennas. The data matrix takes
 its (anomalies x antennas) table from one exact `hankel2_0` call on the
 distance table, or from `asymptotic_field_matrix`; the exact-field
 steering table of the imaging step, `incident_field_matrix`, takes the
-same field from a Chebyshev interpolant of `specfun.ray_interpolant`
-that the caller passes in. The imaging step builds it once per wavenumber
-over the distance range of the whole grid and evaluates it chunk by
-chunk.
+same field from a Chebyshev interpolant of `specfun.ray_interpolants`
+that the caller passes in. A sweep builds the interpolants of all its
+wavenumbers at once, over the distance range of the whole grid, and each
+map evaluates its own chunk by chunk.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ def incident_field_matrix(ray, points: np.ndarray, sources: np.ndarray) -> np.nd
     source, shape (len(points), len(sources)).
 
     All arguments lie on the one ray k * d, so the table comes from `ray`,
-    the piecewise Chebyshev interpolant `specfun.ray_interpolant(k, d_min,
-    d_max)` over a distance range that covers the table (within ~2e-10 of
+    the piecewise Chebyshev interpolant of k from `specfun.ray_interpolants`
+    over a distance range that covers the table (within ~2e-10 of
     `hankel2_0`, which the data matrix calls directly).
     """
     return 0.25j * ray(_distances(points, sources))

@@ -3,9 +3,14 @@
 A run sweeps one mismatched background parameter over a list of ratios,
 images the same synthetic data with each wrong wavenumber, and writes per
 ratio a reciprocal-map CSV, a projection-norm CSV, and a PGM rendering,
-plus one JSON report. Runs are deterministic for a fixed config and seed;
-wall-clock timings are printed but kept out of the artifacts so repeated
-runs stay byte-identical.
+plus one JSON report. `prepare` does the work no ratio changes once per
+sweep (the data and its decomposition, the plan of the maps, and the
+steering evaluators of every ratio), `analyse` images one ratio and
+returns its map and its record, and `run_experiment` writes the
+artifacts. A report and its records are the plain dicts report.json
+holds. Runs are deterministic for a fixed config and seed; wall-clock
+timings are printed but kept out of the artifacts so repeated runs stay
+byte-identical.
 
 A sweep whose maps have at least _FORK_MIN_CELLS unmasked cells forks one
 writer process (`_Writer`) once its first map is imaged, so the sweep keeps
@@ -76,7 +81,8 @@ import mmap
 import os
 import shutil
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +90,7 @@ import numpy as np
 from . import forward as fw
 from . import music as mu
 from . import theory as th
-from .errors import ConfigurationError, MwMusicError, NumericalError
+from .errors import ConfigurationError, DomainError, MwMusicError, NumericalError
 from .scene import (
     BACKGROUND_PERMEABILITY,
     VACUUM_PERMITTIVITY,
@@ -286,52 +292,9 @@ def load_config(path, preset: str | None = None, **overrides) -> ExperimentConfi
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class RatioRecord:
-    ratio: float
-    k_aw: complex
-    singular_values: tuple[float, ...]
-    signal_dim: int
-    peaks: tuple[tuple[float, float, float], ...]  # (x, y, value)
-    predicted_peaks: tuple[tuple[float, float], ...]
-    peak_error_m: tuple[float, ...]
-    peak_error_cells: tuple[float, ...]
-    closed_form: dict | None
-    c_identity: float | None
-    diagnostics: tuple[dict, ...]
-    elapsed_s: float
-
-    def to_json_dict(self) -> dict:
-        # elapsed_s deliberately omitted: artifacts must be byte-identical
-        # across reruns
-        return {
-            "ratio": self.ratio,
-            "k_aw": [self.k_aw.real, self.k_aw.imag],
-            "singular_values": list(self.singular_values),
-            "signal_dim": self.signal_dim,
-            "peaks": [list(p) for p in self.peaks],
-            "predicted_peaks": [list(p) for p in self.predicted_peaks],
-            "peak_error_m": list(self.peak_error_m),
-            "peak_error_cells": list(self.peak_error_cells),
-            "closed_form": self.closed_form,
-            "c_identity": self.c_identity,
-            "diagnostics": list(self.diagnostics),
-        }
-
-
-@dataclass(frozen=True)
-class RunReport:
-    config_echo: dict
-    records: tuple[RatioRecord, ...]
-    artifacts: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "report_version": REPORT_VERSION,
-            "config": self.config_echo,
-            "records": [r.to_json_dict() for r in self.records],
-            "artifacts": list(self.artifacts),
-        }
+# what `prepare` computes once for every map of a sweep; evaluators maps each
+# k_aw to its steering evaluator, or to the exception `analyse` raises then
+Sweep = namedtuple("Sweep", "config k_bw plan decomposition signal_dim c_identity evaluators")
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
@@ -379,10 +342,6 @@ def _match_peaks(predicted, peaks):
         errors.append(math.dist(pred, peaks[best][0]))
         available.remove(best)
     return errors
-
-
-def _ratio_label(kind: str, ratio: float) -> str:
-    return f"{kind}-{ratio:g}"
 
 
 def _artifacts(out_dir: Path, label: str):
@@ -542,14 +501,100 @@ class _Writer:
             raise OSError(f"the writer exited with status {code}")
 
 
-def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
-    """Execute the sweep and write artifacts into config.out_dir.
+def _geometry(scene: Scene, grid: mu.ImagingGrid) -> tuple[complex, mu.SymmetryPlan]:
+    """The background wavenumber, and the plan of the maps over grid."""
+    return scene.background_wavenumber(), mu.symmetry_plan(grid, scene.array)
+
+
+def sweep_wavenumber(config: ExperimentConfig, ratio: float) -> complex:
+    """The assumed wavenumber of the sweep of config at ratio."""
+    scene = config.scene
+    return th.mismatched_wavenumber(scene.background, scene.omega, config.sweep_kind, ratio)
+
+
+def prepare(config: ExperimentConfig) -> Sweep:
+    """The work of a sweep that no ratio changes: the data and its one
+    decomposition, the plan, the C identity of a single anomaly, and every
+    ratio's k_aw and steering evaluator, the exact-field ones from one
+    evaluation of their interpolants' nodes (`music.steering_evaluators`)."""
+    scene = config.scene
+    k_bw, plan = _geometry(scene, mu.grid_for_roi(scene.roi_radius, config.resolution))
+    data = fw.scattering_matrix(scene, k_bw, config.forward_mode)
+    if config.snr_db != fw.NOISELESS:
+        data = fw.add_noise(data, config.snr_db, config.seed)
+    c_identity = None
+    if len(scene.anomalies) == 1:
+        asym = fw.scattering_matrix(scene, k_bw, fw.ASYMPTOTIC)
+        tau1_asym = float(mu.svd_leading(asym).singular_values[0])
+        c_identity = th.c_identity_check(asym, scene, k_bw, tau1_asym)
+    dec = mu.svd_leading(data)
+    m_used = config.signal_dim
+    if m_used is None:
+        m_used = mu.signal_subspace_dim(dec.singular_values, config.threshold_ratio)
+    ks = []
+    for ratio in config.ratios:
+        # a wavenumber that cannot be formed fails at its ratio's turn
+        with contextlib.suppress(DomainError):
+            ks.append(sweep_wavenumber(config, ratio))
+    evaluators = dict(zip(ks, mu.steering_evaluators(ks, plan, config.test_variant)))
+    return Sweep(config, k_bw, plan, dec, m_used, c_identity, evaluators)
+
+
+def analyse(sweep: Sweep, index: int, out: np.ndarray | None = None) -> tuple[mu.ImageMap, dict]:
+    """The map of config.ratios[index] of a prepared sweep, its norms in out
+    when given (`music.imaging_map`), and its record of report.json;
+    NumericalError when a value of the record is not finite."""
+    config, k_bw, plan, dec, m_used, c_identity, evaluators = sweep
+    scene = config.scene
+    k_aw = sweep_wavenumber(config, config.ratios[index])
+    diags = validate_scene(scene, k_aw)
+    steering = evaluators[k_aw]
+    if isinstance(steering, Exception):
+        raise steering
+    image = mu.imaging_map(dec.left_vectors[:, :m_used], k_aw, plan, steering, out)
+    peaks = mu.extract_peaks(image, max(len(scene.anomalies), 1))
+    predicted = [th.predicted_peak(k_bw, k_aw, an.center) for an in scene.anomalies]
+    errors_m = _match_peaks(predicted, peaks)
+    closed_form = None
+    if len(scene.anomalies) == 1:
+        # the closed form corresponds to the one-direction projector, so the
+        # comparison map always uses U[:, :1] alone
+        norm_image = image if m_used == 1 else mu.imaging_map(
+            dec.left_vectors[:, :1], k_aw, plan, steering
+        )
+        closed_form = th.compare_maps(norm_image, plan, k_bw, k_aw, scene.anomalies[0].center)
+    record = {
+        "ratio": float(config.ratios[index]),
+        "k_aw": [k_aw.real, k_aw.imag],
+        "singular_values": [float(v) for v in dec.singular_values],
+        "signal_dim": int(m_used),
+        "peaks": [[x, y, value] for (x, y), value in peaks],
+        "predicted_peaks": [list(p) for p in predicted],
+        "peak_error_m": errors_m,
+        "peak_error_cells": [e / plan.grid.cell_size for e in errors_m],
+        "closed_form": closed_form,
+        "c_identity": c_identity,
+        # strict JSON has no Infinity (e.g. the loss of a lossless background)
+        "diagnostics": [
+            {k: v if isinstance(v, str) or math.isfinite(v) else None for k, v in asdict(d).items()}
+            for d in diags
+        ],
+    }
+    try:
+        json.dumps(record, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError("run produced a non-finite report value") from exc
+    return image, record
+
+
+def run_experiment(config: ExperimentConfig, log=print) -> dict:
+    """Execute the sweep, write artifacts into config.out_dir and return
+    the report that report.json holds.
 
     Raises with partial artifacts removed if any ratio fails; a directory
-    the run created is removed with them. No forked writer outlives the
-    call.
+    the run created is removed with them, and a path that cannot be
+    removed is left. No forked writer outlives the call.
     """
-    scene = config.scene
     out_dir = Path(config.out_dir)
     # before any computation, so an unusable out_dir is reported at once;
     # created is the outermost directory this run creates, if any
@@ -560,61 +605,16 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
         raise ConfigurationError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
     writer = None
     written: list[Path] = []
-    records: list[RatioRecord] = []
+    records: list[dict] = []
     try:
-        k_bw = scene.background_wavenumber()
-        data = fw.scattering_matrix(scene, k_bw, config.forward_mode)
-        if config.snr_db != fw.NOISELESS:
-            data = fw.add_noise(data, config.snr_db, config.seed)
-        grid = mu.grid_for_roi(scene.roi_radius, config.resolution)
-        # the geometry of every map of the sweep; only k_aw changes per ratio
-        plan = mu.symmetry_plan(grid, scene.array)
-
-        single = len(scene.anomalies) == 1
-        c_identity = None
-        if single:
-            asym = fw.scattering_matrix(scene, k_bw, fw.ASYMPTOTIC)
-            tau1_asym = float(mu.svd_leading(asym).singular_values[0])
-            c_identity = th.c_identity_check(asym, scene, k_bw, tau1_asym)
-
-        dec = mu.svd_leading(data)
-        m_used = (
-            config.signal_dim
-            if config.signal_dim is not None
-            else mu.signal_subspace_dim(dec.singular_values, config.threshold_ratio)
-        )
-        basis = dec.left_vectors[:, :m_used]
-
+        sweep = prepare(config)
+        grid = sweep.plan.grid
         if hasattr(os, "fork") and int(grid.mask.sum()) >= _FORK_MIN_CELLS:
             writer = _Writer(grid, out_dir)
         for index, ratio in enumerate(config.ratios):
             t0 = time.perf_counter()
-            k_aw = th.mismatched_wavenumber(scene.background, scene.omega, config.sweep_kind, ratio)
-            diags = validate_scene(scene, k_aw)
-            image = mu.imaging_map(
-                basis, k_aw, plan, variant=config.test_variant,
-                out=writer.slot() if writer else None,
-            )
-            n_peaks = max(len(scene.anomalies), 1)
-            peaks = mu.extract_peaks(image, n_peaks)
-            predicted = [
-                th.predicted_peak(k_bw, k_aw, an.center) for an in scene.anomalies
-            ]
-            errors_m = _match_peaks(predicted, peaks)
-            errors_cells = [e / grid.cell_size for e in errors_m]
-
-            closed_form = None
-            if single:
-                # the closed form corresponds to the one-direction projector,
-                # so the comparison map always uses U[:, :1] alone
-                norm_image = image if m_used == 1 else mu.imaging_map(
-                    dec.left_vectors[:, :1], k_aw, plan, variant=config.test_variant
-                )
-                closed_form = th.compare_maps(
-                    norm_image, plan, k_bw, k_aw, scene.anomalies[0].center
-                )
-
-            label = _ratio_label(config.sweep_kind, ratio)
+            image, record = analyse(sweep, index, writer.slot() if writer else None)
+            label = f"{config.sweep_kind}-{ratio:g}"
             artifacts = _artifacts(out_dir, label)
             written += [path for path, _ in artifacts]
             # the writer takes the whole map while it has nothing else to
@@ -628,50 +628,24 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
                 writer.submit(image.k_aw, label, taken)
             for path, write in artifacts[taken:]:
                 write(image, path)
-
-            elapsed = time.perf_counter() - t0
-            record = RatioRecord(
-                ratio=float(ratio),
-                k_aw=k_aw,
-                singular_values=tuple(float(v) for v in dec.singular_values),
-                signal_dim=int(m_used),
-                peaks=tuple((p[0][0], p[0][1], p[1]) for p in peaks),
-                predicted_peaks=tuple((p[0], p[1]) for p in predicted),
-                peak_error_m=tuple(errors_m),
-                peak_error_cells=tuple(errors_cells),
-                closed_form=closed_form,
-                c_identity=c_identity,
-                diagnostics=tuple(
-                    {
-                        "condition": d.condition,
-                        "status": d.status,
-                        # strict JSON has no Infinity (e.g. lossless background)
-                        "measured": d.measured if math.isfinite(d.measured) else None,
-                        "threshold": d.threshold if math.isfinite(d.threshold) else None,
-                        "detail": d.detail,
-                    }
-                    for d in diags
-                ),
-                elapsed_s=elapsed,
-            )
-            _require_finite_record(record)
             records.append(record)
             log(
-                f"[{label}] peaks={[(round(p[0], 4), round(p[1], 4)) for p, _ in peaks]} "
-                f"M={m_used} err_cells={[round(e, 2) for e in errors_cells]} ({elapsed:.2f}s)"
+                f"[{label}] peaks={[(round(x, 4), round(y, 4)) for x, y, _ in record['peaks']]} "
+                f"M={record['signal_dim']} "
+                f"err_cells={[round(e, 2) for e in record['peak_error_cells']]} "
+                f"({time.perf_counter() - t0:.2f}s)"
             )
 
         if writer:
             writer.close()
-        report = RunReport(
-            config_echo=_config_echo(config),
-            records=tuple(records),
-            artifacts=tuple(sorted(p.name for p in written)),
-        )
-        report_path = out_dir / "report.json"
-        report_path.write_text(
-            json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n",
-            encoding="ascii",
+        report = {
+            "report_version": REPORT_VERSION,
+            "config": _config_echo(config),
+            "records": records,
+            "artifacts": sorted(p.name for p in written),
+        }
+        (out_dir / "report.json").write_text(
+            json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="ascii"
         )
         return report
     except BaseException:
@@ -684,24 +658,10 @@ def run_experiment(config: ExperimentConfig, log=print) -> RunReport:
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)
         for p in written:
-            p.unlink(missing_ok=True)
+            # e.g. a directory in the way of the artifact
+            with contextlib.suppress(OSError):
+                p.unlink(missing_ok=True)
         raise
-
-
-def _require_finite_record(record: RatioRecord) -> None:
-    flat = [record.ratio, record.k_aw.real, record.k_aw.imag]
-    flat += list(record.singular_values)
-    for p in record.peaks:
-        flat += list(p)
-    for p in record.predicted_peaks:
-        flat += list(p)
-    flat += list(record.peak_error_m) + list(record.peak_error_cells)
-    if record.c_identity is not None:
-        flat.append(record.c_identity)
-    if record.closed_form is not None:
-        flat += list(record.closed_form.values())
-    if not all(math.isfinite(v) for v in flat):
-        raise NumericalError("run produced a non-finite report value")
 
 
 def compare_saved_map(csv_path, config: ExperimentConfig) -> dict:
@@ -715,11 +675,6 @@ def compare_saved_map(csv_path, config: ExperimentConfig) -> dict:
     if len(scene.anomalies) != 1:
         raise ConfigurationError("theory comparison needs a single-anomaly scene")
     loaded = mu.read_map_csv(csv_path, roi_radius=scene.roi_radius)
+    k_bw, plan = _geometry(scene, loaded.grid)
     # compare_maps reads the values layer when a map has no raw_norm layer
-    return th.compare_maps(
-        loaded,
-        mu.symmetry_plan(loaded.grid, scene.array),
-        scene.background_wavenumber(),
-        loaded.k_aw,
-        scene.anomalies[0].center,
-    )
+    return th.compare_maps(loaded, plan, k_bw, loaded.k_aw, scene.anomalies[0].center)

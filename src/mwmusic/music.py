@@ -4,10 +4,12 @@ noise-space projection, and the reciprocal-projection map over a grid.
 The decomposition is one LAPACK singular value decomposition of K itself.
 A sweep decomposes its data matrix once and images every trial wavenumber
 from the same retained signal basis U[:, :M]; only the steering vectors
-change between wavenumbers. The exact-field steering rows come from
-`forward.incident_field_matrix` with the ray interpolant built once per
-map, the plane-wave rows from `_unit_phasors`, which the closed form in
-`theory` shares.
+change between wavenumbers. A map takes its steering rows from an
+evaluator of its caller (`steering_evaluators`): the exact-field rows come
+from `forward.incident_field_matrix` with a ray interpolant, all of a
+sweep's interpolants from one evaluation of their nodes, and the
+plane-wave rows from `_unit_phasors`, which the closed form in `theory`
+shares.
 
 The centred grid and the circular array share a dihedral symmetry group G
 (`symmetry_plan`): a mirror or rotation g of a cell only permutes the
@@ -19,10 +21,9 @@ together, through the Gram identity |P_noise w|^2 = 1 - |U_g^H w|^2 for a
 unit row w (`_image_norms`); an array without symmetry images every cell
 through the same code with G = {identity}.
 
-Everything that depends only on the grid and the array (the domain, its
-chunks and its distance range to the antennas) is one `SymmetryPlan`. A
-sweep builds it once and passes it to every map; per wavenumber only the
-exact-field interpolant and the steering rows are computed. The plan owns
+Everything that depends only on the grid and the array (the domain and
+its chunks) is one `SymmetryPlan`. A sweep builds it once and passes it to
+every map; per wavenumber only the steering rows are computed. The plan owns
 the walk over its domain (`SymmetryPlan.over_domain`), which the imaging
 map and the closed form in `theory` share: rows for one chunk of
 _CHUNK_ENTRIES table entries at a time, few enough that the walk keeps to
@@ -42,10 +43,11 @@ next cells; any other file it reads again as floats (`read_map_csv`).
 from __future__ import annotations
 
 import math
+import mmap
 import re
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -58,7 +60,7 @@ from .errors import (
 )
 from .forward import ScatteringMatrix, incident_field_matrix
 from .scene import _SYMMETRY_TOL, AntennaArray
-from .specfun import ray_interpolant
+from .specfun import ray_interpolants
 
 EXACT_FIELD = "exact_field"
 PLANE_WAVE = "plane_wave"
@@ -158,22 +160,12 @@ def _unit_phasors(k: complex, points: np.ndarray, directions: np.ndarray) -> np.
     return rows
 
 
-def _steering_rows(
-    k_aw: complex, points: np.ndarray, array: AntennaArray, variant: str, ray
-) -> np.ndarray:
-    """Unit steering vectors for each point, shape (npoints, N).
-
-    exact_field uses the point-source field at each antenna from `ray`, the
-    `specfun.ray_interpolant` of k_aw over a distance range that covers the
-    points (see `incident_field_matrix`); plane_wave uses the far-field
-    phases e^{i k (a_n/|a_n|) . r} and ignores `ray`.
-    """
-    if variant == EXACT_FIELD:
-        rows = incident_field_matrix(ray, points, array.positions)
-        return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    if variant == PLANE_WAVE:
-        return _unit_phasors(k_aw, points, array.directions)
-    raise DomainError(f"unknown test-vector variant {variant!r}")
+def _exact_rows(ray, positions: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Unit rows (points, N) of the point-source field at each antenna
+    from `ray`, the interpolant of one wavenumber over a distance range that
+    covers the points (`incident_field_matrix`)."""
+    rows = incident_field_matrix(ray, points, positions)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 def _image_norms(conj_bases: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -303,13 +295,6 @@ class SymmetryPlan:
     perms: np.ndarray
     chunks: tuple[slice, ...]
 
-    @cached_property
-    def distance_range(self) -> tuple[float, float]:
-        """Smallest and largest representative-to-antenna distance, found
-        when the first exact-field map asks for it; the closed form and
-        plane-wave maps never do."""
-        return _distance_range(self.points, self.array, self.chunks)
-
     def over_domain(self, rows_of, partners: np.ndarray, pair, out=None) -> np.ndarray:
         """pair(moved, rows) at every unmasked cell, in mask order, in out
         (one float per unmasked cell) or a new array.
@@ -352,8 +337,7 @@ def symmetry_plan(grid: ImagingGrid, array: AntennaArray) -> SymmetryPlan:
     """Fundamental domain, cell maps and antenna permutations of the group
     generated by those of y -> -y, x -> -x and x <-> y that map both the
     masked cells and the antenna positions onto themselves, with the
-    domain's chunks (and, on first use, its distance range); built once per
-    sweep.
+    domain's chunks; built once per sweep.
 
     A uniform circular array gives |G| = 8 for N = 0 mod 4, 4 for
     N = 2 mod 4 and 2 for odd N; an asymmetric array gives the identity
@@ -470,50 +454,61 @@ class ImageMap:
         return self.grid.point_of(iy, ix)
 
 
+def steering_evaluators(ks, plan: SymmetryPlan, variant: str) -> list:
+    """The steering evaluator of `imaging_map` for each k of ks over plan:
+    points -> their unit steering rows, of the exact field at the antennas
+    (`_exact_rows`) or of the far-field phases e^{i k (a_n/|a_n|) . r}
+    (`_unit_phasors`). The exact-field interpolants of all the ks come from
+    one evaluation of their nodes (`specfun.ray_interpolants`) over the
+    distance range of the whole domain, so a row does not depend on its
+    chunk; for a k whose interpolant cannot be formed the entry is the
+    exception imaging with it raises (NumericalError past |k| d = 1e6).
+    """
+    array = plan.array
+    if variant == PLANE_WAVE:
+        return [partial(_unit_phasors, k, directions=array.directions) for k in ks]
+    if variant != EXACT_FIELD:
+        raise DomainError(f"unknown test-vector variant {variant!r}")
+    out = []
+    for k, ray in zip(ks, ray_interpolants(ks, *_distance_range(plan.points, array, plan.chunks))):
+        if isinstance(ray, SingularityError):
+            out.append(ray)
+        elif isinstance(ray, DomainError):
+            out.append(NumericalError(f"steering field at k_aw = {k:.6g}: {ray}"))
+            out[-1].__cause__ = ray
+        else:
+            out.append(partial(_exact_rows, ray, array.positions))
+    return out
+
+
 def imaging_map(
-    basis: np.ndarray,
-    k_aw: complex,
-    plan: SymmetryPlan,
-    variant: str = EXACT_FIELD,
-    out: np.ndarray | None = None,
+    basis: np.ndarray, k_aw: complex, plan: SymmetryPlan, steering, out: np.ndarray | None = None
 ) -> ImageMap:
     """Reciprocal projection-norm map 1 / |P_noise W(r)| over the unmasked
     cells of plan.grid, with the noise projector defined by the signal basis
-    U[:, :M] (N, M) and the steering rows from the antennas of plan.array.
+    U[:, :M] (N, M) and the unit steering rows W(r) = steering(points) of
+    k_aw (`steering_evaluators`) from the antennas of plan.array.
 
     The steering rows are built on the plan's representatives only, one of
     its chunks at a time (`SymmetryPlan.over_domain`); the norms at the
     images g . r are |w(r) - U_g U_g^H w(r)|, with U_g the basis rows
     scattered by pi_g, all from products of the rows with the stacked
-    conj(U_g) (`_image_norms`). The exact-field interpolant is built once,
-    over the plan's distance range, so a row does not depend on the chunk
-    it falls in. The norms, in mask order, are computed into out when it is
-    given (a float array of one entry per unmasked cell) and are left there.
+    conj(U_g) (`_image_norms`). The norms, in mask order, are computed into
+    out when it is given (a float array of one entry per unmasked cell) and
+    are left there.
 
     Values are clipped at DEFAULT_CEILING where the norm underflows; the
     unclipped norms are retained in raw_norm for quantitative comparison
-    (`map_from_norms`). Raises NumericalError when the exact-field steering
-    table leaves the range of hankel2_0 (|k_aw| d > 1e6) or a norm is not
-    finite (the table overflows once Im(k_aw) times the distance passes
+    (`map_from_norms`). Raises NumericalError when a norm is not finite
+    (the exact-field table overflows once Im(k_aw) times the distance passes
     ~709).
     """
-    grid, array = plan.grid, plan.array
+    grid = plan.grid
     if grid.resolution < MIN_RESOLUTION:
         raise ConfigurationError(f"imaging grid resolution must be >= {MIN_RESOLUTION}")
-    if array.count != basis.shape[0]:
+    if plan.array.count != basis.shape[0]:
         raise DomainError("antenna count does not match the signal basis")
-    ray = None
-    if variant == EXACT_FIELD:
-        try:
-            ray = ray_interpolant(k_aw, *plan.distance_range)
-        except DomainError as exc:
-            if isinstance(exc, SingularityError):
-                raise
-            raise NumericalError(f"steering field at k_aw = {k_aw:.6g}: {exc}") from exc
-    norms = plan.over_domain(
-        lambda points: _steering_rows(k_aw, points, array, variant, ray), basis.conj(),
-        _image_norms, out,
-    )
+    norms = plan.over_domain(steering, basis.conj(), _image_norms, out)
     if not np.all(np.isfinite(norms)):
         raise NumericalError(
             f"non-finite projection norm: the steering field at k_aw = {k_aw:.6g} "
@@ -591,9 +586,10 @@ def _row_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # a map CSV row as the written path parses it: the coordinate texts as
 # bytes, the value by numpy's own float parser. A float's repr has at most
-# 24 characters, so a longer text, cut to 32, matches no tick; numpy drops
+# 24 characters, so a longer text, cut to 32, matches no tick. numpy drops
 # the trailing NULs of a bytes field, so a text that ends in NUL characters
-# reads as the tick before them, where the float parser refuses it
+# would read as the tick before them, where the float parser refuses it: a
+# file that holds a NUL is read as floats (`read_map_csv`)
 _WRITTEN_ROW = np.dtype([("x", "S32"), ("y", "S32"), ("value", np.float64)])
 # the 32 bytes of a coordinate text as four integers, compared as such
 _TEXT_WORDS = np.dtype((np.uint64, 4))
@@ -643,7 +639,8 @@ def read_map_csv(path, roi_radius: float) -> ImageMap:
     perturbed rows, a config of another ROI radius or a bad row, the body
     is read again from its first row by numpy as floats, each row going to
     the cell nearest its point; the rows of a written map read either way
-    give the same values.
+    give the same values. A file that holds a NUL character is read as
+    floats from the start.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -675,12 +672,15 @@ def read_map_csv(path, roi_radius: float) -> ImageMap:
             values = np.full((resolution, resolution), np.nan)
             runs = _row_runs(grid.mask)
             words = np.array(_tick_texts(grid), dtype=_WRITTEN_ROW["x"]).view(_TEXT_WORDS)
+            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as text:
+                count = _READ_ROWS if text.find(b"\0") < 0 else None  # see _WRITTEN_ROW
             with warnings.catch_warnings():
                 # an empty body is reported below as uncovered cells
                 warnings.simplefilter("ignore", UserWarning)
                 start = 0
-                while (count := _written_block(fh, start, runs, words, values)) == _READ_ROWS:
-                    start += count
+                while count == _READ_ROWS:
+                    count = _written_block(fh, start, runs, words, values)
+                    start += _READ_ROWS
                 if count is None:
                     # the whole body again as floats, read from the start of
                     # the file so that its text is decoded in the same pieces

@@ -55,12 +55,15 @@ def _require_real_in_range(x, name: str = "x") -> float:
     return x
 
 
-def _hankel_expansion(z: np.ndarray) -> np.ndarray:
+def _hankel_expansion(z: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """H_0^(2)(z) via the Hankel expansion (DLMF 10.17.6), for Re z > 0.
 
     Terms follow a_k(0) = prod_{j<=k} (-(2j-1)^2) / (k! 8^k); the sum is cut
-    at the smallest term (superasymptotic truncation).
+    at the smallest term (superasymptotic truncation). z is a run of
+    batches of the given sizes, and a batch stops once none of its terms
+    shrinks, or those that do are below 1e-18.
     """
+    starts = np.cumsum(sizes) - sizes
     term = np.ones_like(z)
     total = term.copy()
     active = np.ones(z.shape, dtype=bool)
@@ -70,28 +73,37 @@ def _hankel_expansion(z: np.ndarray) -> np.ndarray:
         mag = np.abs(term)
         # freeze components whose terms started growing (optimal truncation)
         active &= mag < last
-        if not active.any():
-            break
-        total[active] += term[active]
+        np.add(total, term, out=total, where=active)
         last = mag
-        if np.max(mag[active]) < 1e-18:
+        ended = np.maximum.reduceat(np.where(active, mag, 0.0), starts) < 1e-18
+        active &= np.repeat(~ended, sizes)
+        if not active.any():
             break
     return np.sqrt(2.0 / (np.pi * z)) * np.exp(-1j * (z - 0.25 * np.pi)) * total
 
 
-def _h02_series(z: np.ndarray) -> np.ndarray:
-    """H_0^(2)(z) = J_0(z) - i Y_0(z) by the log-coupled ascending series."""
-    w = (z / 2) ** 2
+def _h02_series(z: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """H_0^(2)(z) = J_0(z) - i Y_0(z) by the log-coupled ascending series.
+
+    z is a run of batches of the given sizes, and a batch stops once its
+    largest term falls below 1e-19 times its largest |J_0| (or 1).
+    """
+    starts = np.cumsum(sizes) - sizes
+    w = -(z / 2) ** 2
     term = np.ones_like(z)
     j0 = term.copy()
     ysum = np.zeros_like(z)
+    live = np.ones(z.shape, dtype=bool)
     harmonic = 0.0
     for m in range(1, 120):
-        term = term * (-w) / float(m * m)
+        term = term * w / float(m * m)
         harmonic += 1.0 / m
-        j0 = j0 + term
-        ysum = ysum - term * harmonic
-        if np.max(np.abs(term)) < 1e-19 * max(1.0, float(np.max(np.abs(j0)))):
+        np.add(j0, term, out=j0, where=live)
+        np.subtract(ysum, term * harmonic, out=ysum, where=live)
+        big = np.maximum.reduceat(np.abs(term), starts)
+        ended = big < 1e-19 * np.maximum(1.0, np.maximum.reduceat(np.abs(j0), starts))
+        live &= np.repeat(~ended, sizes)
+        if not live.any():
             break
     y0 = (2 / np.pi) * ((np.log(z / 2) + _EULER_GAMMA) * j0 + ysum)
     return j0 - 1j * y0
@@ -120,14 +132,21 @@ def hankel2_0(z):
     1e-3 <= |z| <= 1e4 with Im z moderate, ~2e-10 near the crossover |z| = 15.
     """
     z_arr = np.asarray(z, dtype=np.complex128)
-    series = _hankel_arg_modulus(z_arr) <= _CROSSOVER
-    out = np.empty_like(z_arr)
-    if series.any():
-        out[series] = _h02_series(z_arr[series])
-    if not series.all():
-        out[~series] = _hankel_expansion(z_arr[~series])
-    if np.ndim(z) == 0:
-        return complex(out[()])
+    out = _hankel2_0(z_arr.reshape(1, -1)).reshape(z_arr.shape)
+    return complex(out[()]) if np.ndim(z) == 0 else out
+
+
+def _hankel2_0(z: np.ndarray) -> np.ndarray:
+    """hankel2_0 of each row of the 2-D z as a call of its own: the series
+    and the expansion stop for each row at its own terms, so its values do
+    not depend on the other rows."""
+    series = _hankel_arg_modulus(z) <= _CROSSOVER
+    out = np.empty_like(z)
+    for path, evaluate in ((series, _h02_series), (~series, _hankel_expansion)):
+        # the row-major elements of the path, a batch per row that has any
+        sizes = np.count_nonzero(path, axis=1)
+        if sizes.any():
+            out[path] = evaluate(z[path], sizes[sizes > 0])
     return out
 
 
@@ -151,28 +170,50 @@ _RAY_TRANSFORM = (2.0 / (_RAY_DEGREE + 1)) * np.cos(
 _RAY_TRANSFORM[0] *= 0.5
 
 
-def ray_interpolant(k, d_min: float, d_max: float):
-    """Evaluator d -> H_0^(2)(k d) for one complex k over distances in
-    [d_min, d_max], built once and applied to any number of tables.
+def ray_interpolants(ks, d_min: float, d_max: float) -> list:
+    """Evaluator d -> H_0^(2)(k d) for each complex k of ks over distances
+    in [d_min, d_max], built once and applied to any number of tables; or,
+    for a k whose ray leaves the domain of hankel2_0, its DomainError.
 
     Every argument lies on the ray k * [d_min, d_max], so the smooth factor
     g(d) = H_0^(2)(k d) e^{ikd} (DLMF 10.17.6) is interpolated: [log d_min,
     log d_max] is cut into _RAY_PANELS equal panels, each carrying the
     degree-_RAY_DEGREE Chebyshev interpolant of g through hankel2_0 values at
     its Chebyshev nodes. Each element is one Clenshaw recurrence times
-    e^{-ikd}. The evaluator is meant for distances inside the range; the
-    panel layout, and so every value, depends on the range alone.
+    e^{-ikd}. An evaluator is meant for distances inside the range; the
+    panel layout, and so every value, depends on the range and its k alone:
+    the nodes of all the ks are one `_hankel2_0` call, a row per k.
     """
-    k = complex(k)
-    _hankel_arg_modulus(np.array([k * d_min, k * d_max]))
+    out = []
+    for k in ks:
+        k = complex(k)
+        try:
+            # the nodes lie strictly between these two arguments on the ray
+            _hankel_arg_modulus(np.array([k * d_min, k * d_max]))
+            out.append(k)
+        except DomainError as exc:
+            out.append(exc)
+    formed = [k for k in out if not isinstance(k, DomainError)]
+    if not formed:
+        return out
     t_hi = math.log(d_max)
     t_lo = min(math.log(d_min), t_hi - _RAY_MIN_SPAN)
     width = (t_hi - t_lo) / _RAY_PANELS
 
     left = t_lo + width * np.arange(_RAY_PANELS)
-    z_nodes = k * np.exp(left[None, :] + (0.5 * width) * (_RAY_NODES[:, None] + 1.0))
-    g_nodes = hankel2_0(z_nodes) * np.exp(1j * z_nodes)
-    coefs = _RAY_TRANSFORM @ g_nodes  # row m: order-m coefficient of every panel
+    d_nodes = np.exp(left[None, :] + (0.5 * width) * (_RAY_NODES[:, None] + 1.0))
+    z_nodes = np.stack([(k * d_nodes).ravel() for k in formed])
+    g_nodes = _hankel2_0(z_nodes) * np.exp(1j * z_nodes)
+    # row m of a k's coefficients: the order-m coefficient of every panel
+    coefs = iter([_RAY_TRANSFORM @ g.reshape(d_nodes.shape) for g in g_nodes])
+    return [
+        k if isinstance(k, DomainError) else _ray_evaluator(k, next(coefs), t_lo, width)
+        for k in out
+    ]
+
+
+def _ray_evaluator(k: complex, coefs: np.ndarray, t_lo: float, width: float):
+    """The evaluator of one ray from its panel coefficients."""
 
     def evaluate(d) -> np.ndarray:
         d = np.asarray(d, dtype=float)

@@ -54,13 +54,22 @@ def make_scene(n_anomalies: int = 1, count: int = N_ANTENNAS) -> sc.Scene:
     )
 
 
+def steering(k_aw, plan, variant=mu.EXACT_FIELD):
+    """The steering evaluator of `music.imaging_map` for the one wavenumber
+    k_aw over plan, or the failure of its interpolant raised."""
+    (rows,) = mu.steering_evaluators([k_aw], plan, variant)
+    if isinstance(rows, Exception):
+        raise rows
+    return rows
+
+
 def image_from_data(data, k_aw, array, grid, variant=mu.EXACT_FIELD, signal_dim=None):
     """Decompose the data and image it from the leading signal_dim left
     singular vectors (the threshold rule when signal_dim is None)."""
     dec = mu.svd_leading(data)
     m = mu.signal_subspace_dim(dec.singular_values) if signal_dim is None else signal_dim
     plan = mu.symmetry_plan(grid, array)
-    return mu.imaging_map(dec.left_vectors[:, :m], k_aw, plan, variant=variant)
+    return mu.imaging_map(dec.left_vectors[:, :m], k_aw, plan, steering(k_aw, plan, variant))
 
 
 @pytest.fixture

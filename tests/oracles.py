@@ -28,7 +28,7 @@ import numpy as np
 
 from mwmusic import forward as fw
 from mwmusic import music as mu
-from mwmusic.specfun import ray_interpolant
+from mwmusic.specfun import ray_interpolants
 
 
 def _dps_for(x: float) -> int:
@@ -263,6 +263,15 @@ def cell_centers(grid) -> np.ndarray:
     return np.column_stack([xx[grid.mask], yy[grid.mask]])
 
 
+def ray_interpolant(k: complex, d_min: float, d_max: float):
+    """The evaluator of `specfun.ray_interpolants` for the one wavenumber k,
+    or its DomainError raised."""
+    (ray,) = ray_interpolants([k], d_min, d_max)
+    if isinstance(ray, Exception):
+        raise ray
+    return ray
+
+
 def table_ray(k: complex, d):
     """The ray interpolant of H_0^(2)(k d) over the range of the whole
     distance table d."""
@@ -272,10 +281,10 @@ def table_ray(k: complex, d):
 def direct_rows(k_aw, points, array, variant) -> np.ndarray:
     """Steering rows of the points, exact-field ones from the interpolant
     over the table's own distance range."""
-    ray = None
-    if variant == mu.EXACT_FIELD:
-        ray = table_ray(k_aw, fw._distances(points, array.positions))
-    return mu._steering_rows(k_aw, points, array, variant, ray)
+    if variant == mu.PLANE_WAVE:
+        return mu._unit_phasors(k_aw, points, array.directions)
+    ray = table_ray(k_aw, fw._distances(points, array.positions))
+    return mu._exact_rows(ray, array.positions, points)
 
 
 def projection_norm(basis: np.ndarray, w) -> np.ndarray:

@@ -7,10 +7,10 @@ import pytest
 from mwmusic import forward as fw
 from mwmusic import scene as sc
 from mwmusic.errors import DomainError, SingularityError
-from mwmusic.specfun import hankel2_0, ray_interpolant
+from mwmusic.specfun import hankel2_0
 
 from conftest import MU_B, make_background
-from oracles import hankel2_0_oracle, onesided_jacobi_singular_values, table_ray
+from oracles import hankel2_0_oracle, onesided_jacobi_singular_values, ray_interpolant, table_ray
 
 OMEGA = 2 * math.pi * 1.0e9
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mwmusic import cli, forward as fw, harness, music as mu, scene as sc
+from mwmusic import cli, forward as fw, harness, music as mu, scene as sc, specfun
 from mwmusic.errors import ConfigurationError, NumericalError
 
 from conftest import EPS0
@@ -138,35 +138,36 @@ class TestRunExperiment:
     def test_single_ratio_record(self, empty_config, tmp_path):
         config = harness.load_config(empty_config, resolution=64, out_dir=tmp_path / "run")
         report = harness.run_experiment(config, log=lambda *_: None)
-        assert len(report.records) == 1
-        rec = report.records[0]
-        assert rec.ratio == 1.0
+        assert len(report["records"]) == 1
+        rec = report["records"][0]
+        assert rec["ratio"] == 1.0
         # regression guard: the matched-background run localizes the anomaly
-        assert rec.peak_error_cells[0] <= 2.0
-        assert rec.signal_dim == 1
-        assert rec.c_identity is not None
-        assert rec.closed_form is not None
-        assert len(rec.diagnostics) == 3
+        assert rec["peak_error_cells"][0] <= 2.0
+        assert rec["signal_dim"] == 1
+        assert rec["c_identity"] is not None
+        assert rec["closed_form"] is not None
+        assert len(rec["diagnostics"]) == 3
         for name in ("map-permeability-1.csv", "norm-permeability-1.csv", "map-permeability-1.pgm"):
             assert (tmp_path / "run" / name).exists()
         payload = json.loads((tmp_path / "run" / "report.json").read_text())
         assert payload["report_version"] == 1
         assert len(payload["records"]) == 1
         assert "elapsed_s" not in json.dumps(payload)
+        assert payload == report
 
     def test_every_ratio_once(self, empty_config, tmp_path):
         config = harness.load_config(
             empty_config, preset="fig-mu-single", resolution=32, out_dir=tmp_path / "sweep"
         )
         report = harness.run_experiment(config, log=lambda *_: None)
-        assert tuple(r.ratio for r in report.records) == config.ratios
+        assert tuple(r["ratio"] for r in report["records"]) == config.ratios
         # peaks track the predicted (shifted) location whenever that location
         # lies inside the imaged disk (ratio 0.1 predicts |r| = 0.1 m, outside)
-        for rec in report.records:
-            pred = rec.predicted_peaks[0]
+        for rec in report["records"]:
+            pred = rec["predicted_peaks"][0]
             if math.hypot(*pred) < 0.085 - 0.005:
-                assert rec.peak_error_cells[0] <= 2.0
-            assert len(rec.diagnostics) == 3
+                assert rec["peak_error_cells"][0] <= 2.0
+            assert len(rec["diagnostics"]) == 3
 
     def test_deterministic_artifacts(self, empty_config, tmp_path):
         outs = []
@@ -231,10 +232,10 @@ class TestRunExperiment:
         path.write_text("[sweep]\nkind = permeability\nratios = 1, 300\n")
         config = harness.load_config(path, resolution=32, out_dir=tmp_path / "large")
         report = harness.run_experiment(config, log=lambda *_: None)
-        assert [r.ratio for r in report.records] == [1.0, 300.0]
-        for rec in report.records:
-            assert rec.closed_form is not None
-            assert all(math.isfinite(v) for v in rec.closed_form.values())
+        assert [r["ratio"] for r in report["records"]] == [1.0, 300.0]
+        for rec in report["records"]:
+            assert rec["closed_form"] is not None
+            assert all(math.isfinite(v) for v in rec["closed_form"].values())
 
     def test_lossless_background_report_is_strict_json(self, tmp_path):
         # sigma_b = 0 makes the loss diagnostic unbounded; the report must
@@ -255,7 +256,7 @@ class TestRunExperiment:
         cfg_b = harness.load_config(path, resolution=32, out_dir=tmp_path / "nb")
         ra = harness.run_experiment(cfg_a, log=lambda *_: None)
         rb = harness.run_experiment(cfg_b, log=lambda *_: None)
-        assert ra.records[0].singular_values == rb.records[0].singular_values
+        assert ra["records"][0]["singular_values"] == rb["records"][0]["singular_values"]
 
     def test_two_anomaly_sweep_reports_both(self, empty_config, tmp_path):
         config = harness.load_config(
@@ -271,12 +272,12 @@ class TestRunExperiment:
             out_dir=config.out_dir,
         )
         report = harness.run_experiment(config, log=lambda *_: None)
-        rec = report.records[0]
-        assert len(rec.peaks) == 2
-        assert len(rec.predicted_peaks) == 2
-        assert max(rec.peak_error_cells) <= 2.0
-        assert rec.closed_form is None
-        assert rec.c_identity is None
+        rec = report["records"][0]
+        assert len(rec["peaks"]) == 2
+        assert len(rec["predicted_peaks"]) == 2
+        assert max(rec["peak_error_cells"]) <= 2.0
+        assert rec["closed_form"] is None
+        assert rec["c_identity"] is None
 
     @pytest.mark.parametrize("preset,calls", [("fig-mu-single", 2), ("fig-mu-double", 1)])
     def test_decomposes_once_per_sweep(self, empty_config, tmp_path, monkeypatch, preset, calls):
@@ -294,8 +295,27 @@ class TestRunExperiment:
             empty_config, preset=preset, resolution=32, out_dir=tmp_path / "once"
         )
         report = harness.run_experiment(config, log=lambda *_: None)
-        assert len(report.records) == 6
+        assert len(report["records"]) == 6
         assert len(seen) == calls
+
+    @pytest.mark.parametrize("variant,evaluations", [(mu.EXACT_FIELD, 1), (mu.PLANE_WAVE, 0)])
+    def test_one_node_evaluation_per_sweep(
+        self, empty_config, tmp_path, monkeypatch, variant, evaluations
+    ):
+        # the exact-field interpolants of the six ratios come from one
+        # Hankel evaluation of their stacked nodes; far-field data makes no
+        # other, and plane-wave steering none at all
+        seen = []
+        hankel = specfun._hankel2_0
+        monkeypatch.setattr(specfun, "_hankel2_0", lambda z: seen.append(z.shape) or hankel(z))
+        config = harness.load_config(
+            empty_config, preset="fig-mu-single", resolution=32, out_dir=tmp_path / "nodes",
+            forward_mode=fw.ASYMPTOTIC, test_variant=variant,
+        )
+        report = harness.run_experiment(config, log=lambda *_: None)
+        assert len(report["records"]) == 6
+        assert len(seen) == evaluations
+        assert all(shape[0] == 6 for shape in seen)
 
 
     @pytest.mark.parametrize("variant,ranges", [(mu.EXACT_FIELD, 1), (mu.PLANE_WAVE, 0)])
@@ -318,7 +338,7 @@ class TestRunExperiment:
             test_variant=variant,
         )
         report = harness.run_experiment(config, log=lambda *_: None)
-        assert len(report.records) == 6
+        assert len(report["records"]) == 6
         assert len(plans) == 1
         assert len(found) == ranges
 
@@ -376,6 +396,40 @@ class TestForkedWriter:
         )
         _assert_same_files(tmp_path / "a", tmp_path / "b", 19)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_noisy_forked_and_inline_bytes_identical(self, empty_config, tmp_path, monkeypatch, seed):
+        # two anomalies in 30 dB noise, the bench's sigma-double sweep: a
+        # near-tie of the noisy norms that moved by a last bit could reorder
+        # its peaks, so the written bytes must not depend on who writes them
+        config = harness.load_config(
+            empty_config, preset="fig-sigma-double", resolution=self.ABOVE,
+            out_dir=tmp_path / "a", snr_db=30.0, seed=seed,
+        )
+        forked = harness.run_experiment(config, log=lambda *_: None)
+        assert {r["signal_dim"] for r in forked["records"]} <= {5, 6}
+        _no_child_left()
+        monkeypatch.delattr(os, "fork")
+        inline = harness.run_experiment(
+            dataclasses.replace(config, out_dir=tmp_path / "b"), log=lambda *_: None
+        )
+        assert inline == forked
+        _assert_same_files(tmp_path / "a", tmp_path / "b", 19)
+
+    @pytest.mark.parametrize("blocked,taken_by_writer", [
+        ("map-permeability-1.csv", True), ("norm-permeability-1.csv", False),
+    ], ids=["writer", "run"])
+    def test_unwritable_artifact_exits_2(self, empty_config, tmp_path, capsys, blocked, taken_by_writer):
+        # a directory in the way of a file that the writer, or the run beside
+        # it, writes: one error line naming the file, exit 2, and the run's
+        # other artifacts removed around the directory it cannot remove
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        argv = ["run", str(empty_config), "--out", str(out), "--resolution", str(self.ABOVE)]
+        assert cli.main(argv) == 2
+        _one_error_line(capsys, blocked, "the writer failed on" if taken_by_writer else "cannot write")
+        assert [p.name for p in out.iterdir()] == [blocked]
+        _no_child_left()
+
     @pytest.mark.parametrize("idle,norms_in_run", [(True, 1), (False, 6)], ids=["whole", "split"])
     def test_whole_and_split_maps_bytes_identical(
         self, empty_config, tmp_path, monkeypatch, idle, norms_in_run
@@ -425,18 +479,32 @@ class TestForkedWriter:
         assert not (tmp_path / "new").exists()
         _no_child_left()
 
-    def test_partial_artifacts_removed_while_writer_runs(self, tmp_path):
+    def test_partial_artifacts_removed_while_writer_runs(self, tmp_path, monkeypatch):
         # as test_partial_artifacts_removed_on_failure, with the first ratio's
-        # files handed to the writer when the second ratio fails
+        # files handed to the writer when the second ratio fails: the sweep
+        # prepares the steering of both ratios, and the second fails at its
+        # own turn, after the first map forked the writer
+        pids, logged = [], []
+        fork = os.fork
+
+        def counting():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting)
         path = tmp_path / "fail.ini"
         path.write_text("[sweep]\nkind = permeability\nratios = 1, 1e10\n")
         out = tmp_path / "existing"
         out.mkdir()
         config = harness.load_config(path, resolution=self.ABOVE, out_dir=out)
         with pytest.raises(NumericalError):
-            harness.run_experiment(config, log=lambda *_: None)
+            harness.run_experiment(config, log=logged.append)
         assert list(out.iterdir()) == []
         _no_child_left()
+        assert len(pids) == 1
+        assert len(logged) == 1 and logged[0].startswith("[permeability-1]")
 
     def test_interrupt_reaps_writer(self, empty_config, tmp_path, monkeypatch):
         # an interrupt while the run writes the norm CSV of its one map
@@ -704,6 +772,16 @@ class TestInputFailuresExit2:
         assert cli.main(argv) == 2
         _one_error_line(capsys, "wavenumber", "not finite")
         assert not out.exists()
+
+    def test_unwritable_artifact(self, empty_config, tmp_path, capsys):
+        # a directory in the way of an artifact that the run writes inline:
+        # the run stops there, and its clean-up skips the directory
+        out = tmp_path / "out"
+        (out / "map-permeability-1.csv").mkdir(parents=True)
+        argv = ["run", str(empty_config), "--out", str(out), "--resolution", "32"]
+        assert cli.main(argv) == 2
+        _one_error_line(capsys, "cannot write", "map-permeability-1.csv", "Is a directory")
+        assert [p.name for p in out.iterdir()] == ["map-permeability-1.csv"]
 
     def test_overflowing_frequency(self, tmp_path, capsys):
         config = tmp_path / "hot.ini"

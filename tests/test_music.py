@@ -19,7 +19,7 @@ from mwmusic.errors import (
     NumericalError,
 )
 
-from conftest import image_from_data, make_scene
+from conftest import image_from_data, make_scene, steering
 from oracles import (
     cell_centers,
     direct_closed_form_norm_map,
@@ -30,6 +30,7 @@ from oracles import (
     map_csv_values,
     onesided_jacobi_singular_values,
     projection_norm,
+    ray_interpolant,
 )
 
 
@@ -161,9 +162,9 @@ class TestTestVector:
     def test_at_antenna_rejected(self, single_scene):
         k = single_scene.background_wavenumber()
         array = single_scene.array
-        ray = specfun.ray_interpolant(k, 0.01, 0.2)
+        ray = ray_interpolant(k, 0.01, 0.2)
         with pytest.raises(DomainError):
-            mu._steering_rows(k, array.positions[:1], array, mu.EXACT_FIELD, ray)
+            mu._exact_rows(ray, array.positions, array.positions[:1])
 
 
 class TestProjectionNorm:
@@ -398,7 +399,8 @@ class TestSymmetryPlan:
         dec = mu.svd_leading(fw.scattering_matrix(scn, k))
         basis = dec.left_vectors[:, :n_anomalies]
         grid = _grid(64)
-        image = mu.imaging_map(basis, k, mu.symmetry_plan(grid, scn.array), variant=variant)
+        plan = mu.symmetry_plan(grid, scn.array)
+        image = mu.imaging_map(basis, k, plan, steering(k, plan, variant))
         want = direct_norms(basis, k, scn.array, grid, variant)
         assert np.array_equal(image.raw_norm[grid.mask], want)
 
@@ -424,7 +426,7 @@ class TestSymmetryPlan:
         grid = _grid(113)
         plan = mu.symmetry_plan(grid, scn.array)
         for variant, bound in ((mu.EXACT_FIELD, 4e-10), (mu.PLANE_WAVE, 1e-13)):
-            image = mu.imaging_map(basis, k_aw, plan, variant=variant)
+            image = mu.imaging_map(basis, k_aw, plan, steering(k_aw, plan, variant))
             want = direct_norms(basis, k_aw, scn.array, grid, variant)
             assert np.max(np.abs(image.raw_norm[grid.mask] - want)) <= bound
         got = th.closed_form_norm_map(plan, k_bw, k_aw, (0.01, 0.03))[grid.mask]
@@ -467,7 +469,7 @@ class TestChunks:
         for entries in (10**9, 3 * scn.array.count):
             monkeypatch.setattr(mu, "_CHUNK_ENTRIES", entries)
             plan = mu.symmetry_plan(grid, scn.array)
-            maps.append(mu.imaging_map(basis, k_aw, plan, variant=variant))
+            maps.append(mu.imaging_map(basis, k_aw, plan, steering(k_aw, plan, variant)))
         whole, chunked = maps
         assert np.array_equal(chunked.raw_norm, whole.raw_norm, equal_nan=True)
         assert np.array_equal(chunked.values, whole.values, equal_nan=True)
@@ -495,7 +497,7 @@ class TestChunks:
         plan = mu.symmetry_plan(grid, array)
         table = fw._distances(plan.points, array.positions)
         want = (float(table.min()), float(table.max()))
-        assert plan.distance_range == want
+        assert mu._distance_range(plan.points, array, plan.chunks) == want
         assert plan.chunks == mu._chunks(len(plan.points), count)
         assert mu._distance_range(plan.points, array, [slice(None)]) == want
 
@@ -506,7 +508,7 @@ class TestChunks:
     # signal dimension M, except that a basis of more than 16 columns is
     # still projected one image per product
     @pytest.mark.parametrize("count", [4, 16, 64, 100])
-    def test_chunks_below_the_blas_thread_boundary(self, monkeypatch, count):
+    def test_chunks_below_the_blas_thread_boundary(self, count):
         plan = mu.symmetry_plan(_grid(128), sc.uniform_circular_array(count, 0.09))
         assert sum(len(plan.points[chunk]) for chunk in plan.chunks) == len(plan.points)
         assert all(len(plan.points[chunk]) * count < 4096 for chunk in plan.chunks)
@@ -525,18 +527,16 @@ class TestChunks:
                 result = getattr(ufunc, method)(*inputs, **kwargs)
                 return result.view(Logged) if "out" not in kwargs else result
 
-        steering_rows = mu._steering_rows
-        monkeypatch.setattr(mu, "_steering_rows", lambda *a: steering_rows(*a).view(Logged))
         k = make_scene(1, count=count).background_wavenumber()
+        rows_of = steering(k, plan)
         # the first column of each basis is the steering row of the first
         # representative, which therefore falls below the Gram floor
-        ray = specfun.ray_interpolant(k, *plan.distance_range)
-        row = steering_rows(k, plan.points[:1], plan.array, mu.EXACT_FIELD, ray)
+        row = rows_of(plan.points[:1])
         rng = np.random.default_rng(count)
         for m in (m for m in (1, 2, 6, 16, 32) if m <= count):
             basis, _ = np.linalg.qr(np.column_stack([row.T, rng.standard_normal((count, m - 1))]))
             products.clear()
-            mu.imaging_map(basis, k, plan)
+            mu.imaging_map(basis, k, plan, lambda points: rows_of(points).view(Logged))
             if m == count:
                 # the basis spans every row: no product is taken
                 assert products == []
@@ -561,7 +561,7 @@ class TestChunks:
         for entries in (mu._CHUNK_ENTRIES, 8192):
             monkeypatch.setattr(mu, "_CHUNK_ENTRIES", entries)
             plan = mu.symmetry_plan(_grid(112), scn.array)
-            maps.append(mu.imaging_map(basis, k_aw, plan))
+            maps.append(mu.imaging_map(basis, k_aw, plan, steering(k_aw, plan)))
             closed.append(th.closed_form_norm_map(plan, k_bw, k_aw, (0.01, 0.03)))
             chunks.append(len(plan.chunks))
         assert chunks[0] > chunks[1] > 1
@@ -570,16 +570,20 @@ class TestChunks:
         assert np.array_equal(closed[1], closed[0], equal_nan=True)
 
     def test_interpolant_built_once(self, monkeypatch):
-        # the ray interpolant's node values are the only hankel2_0 call of
-        # an exact-field map, however many chunks the domain takes
+        # the ray interpolant's node values are one Hankel evaluation, made
+        # when the steering evaluator is built; an exact-field map makes
+        # none, however many chunks the domain takes
         scn = make_scene(1)
         k = scn.background_wavenumber()
         basis = mu.svd_leading(fw.scattering_matrix(scn, k)).left_vectors[:, :1]
         calls = []
-        hankel = specfun.hankel2_0
-        monkeypatch.setattr(specfun, "hankel2_0", lambda z: calls.append(1) or hankel(z))
+        hankel = specfun._hankel2_0
+        monkeypatch.setattr(specfun, "_hankel2_0", lambda z: calls.append(1) or hankel(z))
         monkeypatch.setattr(mu, "_CHUNK_ENTRIES", 3 * scn.array.count)
-        mu.imaging_map(basis, k, mu.symmetry_plan(_grid(61), scn.array))
+        plan = mu.symmetry_plan(_grid(61), scn.array)
+        rows_of = steering(k, plan)
+        assert len(calls) == 1
+        mu.imaging_map(basis, k, plan, rows_of)
         assert len(calls) == 1
 
 
@@ -672,7 +676,8 @@ class TestImagingMap:
         k = single_scene.background_wavenumber()
         basis = np.eye(12, 1, dtype=complex)
         with pytest.raises(DomainError):
-            mu.imaging_map(basis, k, mu.symmetry_plan(_grid(32), single_scene.array))
+            plan = mu.symmetry_plan(_grid(32), single_scene.array)
+            mu.imaging_map(basis, k, plan, steering(k, plan))
 
     def test_overflowing_steering_raises(self, single_scene):
         # conductivity x1e5 gives Im(k_aw) ~ 8.9e3 /m, so the exact field
@@ -689,7 +694,7 @@ class TestImagingMap:
         )
         with pytest.raises(NumericalError), pytest.warns(RuntimeWarning):
             plan = mu.symmetry_plan(_grid(16), single_scene.array)
-            mu.imaging_map(dec.left_vectors[:, :1], k_aw, plan)
+            mu.imaging_map(dec.left_vectors[:, :1], k_aw, plan, steering(k_aw, plan))
 
     def test_raw_norm_bounded(self, single_scene):
         k = single_scene.background_wavenumber()
@@ -804,6 +809,25 @@ class TestImageMapIO:
         back = mu.read_map_csv(path, roi_radius=0.085)
         mask = image.grid.mask
         assert np.array_equal(back.values[mask], image.raw_norm[mask])
+
+    @pytest.mark.parametrize("where", ["written", "perturbed"])
+    def test_csv_nul_after_a_text_refused(self, tmp_path, where):
+        # a bytes field drops the NULs that end a text, so the first x text
+        # with a NUL after it would read as its tick on the written path;
+        # the file is refused as it is when a perturbed row sends it to the
+        # plain path
+        image = self._image()
+        path = tmp_path / "norm.csv"
+        mu.write_map_csv(image, path, which="raw_norm")
+        lines = path.read_text().splitlines(keepends=True)
+        x, rest = lines[4].split(",", 1)
+        lines[4] = f"{x}\x00,{rest}"
+        if where == "perturbed":
+            x, y, value = lines[-1].rstrip("\n").split(",")
+            lines[-1] = f"{float(x) + 1e-6!r},{y},{value}\n"
+        path.write_text("".join(lines))
+        with pytest.raises(DomainError, match=r"bad data row: could not convert string '[^']*\\x00'"):
+            mu.read_map_csv(path, roi_radius=0.085)
 
     @staticmethod
     def _perturb(path, grid):
@@ -1023,7 +1047,8 @@ class TestImageMapIO:
         k = scn.background_wavenumber()
         grid = _grid(32)
         w = direct_rows(k, np.array([grid.point_of(20, 12)]), scn.array, mu.EXACT_FIELD)
-        return mu.imaging_map(w.T, k, mu.symmetry_plan(grid, scn.array))
+        plan = mu.symmetry_plan(grid, scn.array)
+        return mu.imaging_map(w.T, k, plan, steering(k, plan))
 
     @pytest.mark.parametrize("which", ["values", "raw_norm"])
     @pytest.mark.parametrize("clipped", [False, True], ids=["plain", "clipped"])
@@ -1124,7 +1149,7 @@ class TestMemory:
         plan = mu.symmetry_plan(mu.grid_for_roi(scn.roi_radius, 1024), scn.array)
         tracemalloc.start()
         try:
-            mu.imaging_map(basis, k, plan)
+            mu.imaging_map(basis, k, plan, steering(k, plan))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

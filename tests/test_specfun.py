@@ -16,6 +16,7 @@ from oracles import (
     cell_centers,
     hankel2_0_oracle,
     jacobi_anger_partial,
+    ray_interpolant,
     table_ray,
 )
 
@@ -201,20 +202,50 @@ class TestHankel2Ray:
         assert table.shape == d.shape
         assert np.max(np.abs(table - ref) / np.abs(ref)) <= _RAY_VS_HANKEL_REL
 
+    def test_sweep_evaluator_bit_identical(self, resolution, count, kind, ratio):
+        # the evaluators of a sweep, built together, are those built one k
+        # at a time: each k's nodes stop their sums at their own terms
+        d = _distances(resolution, count)
+        sweep = [_wavenumber(*t[2:]) for t in _RAY_TABLES if t[:2] == (resolution, count)]
+        k = _wavenumber(kind, ratio)
+        together = specfun.ray_interpolants(sweep, d.min(), d.max())[sweep.index(k)]
+        assert together(d).tobytes() == table_ray(k, d)(d).tobytes()
+
 
 class TestHankel2RayEdges:
+    def test_lossless_sweep_bit_identical(self):
+        # real wavenumbers put every node on the real axis, the edge of the
+        # quadrant that hankel2_0 accepts
+        scene = make_scene(1)
+        lossless = sc.Medium(scene.background.permittivity, 0.0)
+        ks = [th.mismatched_wavenumber(lossless, scene.omega, "permittivity", r)
+              for r in (1.0, 2.0, 10.0, 0.5, 0.2, 0.1)]
+        assert all(k.imag == 0.0 for k in ks)
+        d = _distances(128, 16)
+        for k, together in zip(ks, specfun.ray_interpolants(ks, d.min(), d.max())):
+            assert together(d).tobytes() == table_ray(k, d)(d).tobytes()
+
+    def test_failed_wavenumber_leaves_the_others(self):
+        # a k out of range is its own entry; the sweep's other rays form
+        ks = [94.0 + 8.0j, 1.0e5 * (94.0 + 8.0j), 188.0 + 4.0j]
+        rays = specfun.ray_interpolants(ks, 0.05, 0.2)
+        assert isinstance(rays[1], DomainError)
+        d = np.linspace(0.05, 0.2, 7)
+        for k, ray in zip(ks[::2], rays[::2]):
+            assert ray(d).tobytes() == ray_interpolant(k, 0.05, 0.2)(d).tobytes()
+
     def test_all_equal_distances(self):
         # every distance from the array centre is the ring radius
         k = _wavenumber("permeability", 1.0)
         d = np.full((3, 16), ARRAY_RADIUS)
-        table = specfun.ray_interpolant(k, ARRAY_RADIUS, ARRAY_RADIUS)(d)
+        table = ray_interpolant(k, ARRAY_RADIUS, ARRAY_RADIUS)(d)
         assert np.all(table == table[0, 0])
         # measured 4.5e-14: the one distance is the end of the last panel,
         # which no Chebyshev node reaches, so its value is interpolated
         assert table[0, 0] == pytest.approx(specfun.hankel2_0(k * ARRAY_RADIUS), rel=1e-13, abs=0)
 
     def test_empty_table(self):
-        ray = specfun.ray_interpolant(94.0 + 8.0j, 0.05, 0.2)
+        ray = ray_interpolant(94.0 + 8.0j, 0.05, 0.2)
         table = ray(np.empty((0, 16)))
         assert table.shape == (0, 16)
         assert table.dtype == np.complex128
@@ -222,33 +253,33 @@ class TestHankel2RayEdges:
     def test_out_of_range_argument(self):
         # |k d| past 1e6 only at the far end of the range
         with pytest.raises(DomainError):
-            specfun.ray_interpolant(100.0, 0.01, 1.001e4)
+            ray_interpolant(100.0, 0.01, 1.001e4)
         # the permeability x1e10 wavenumber of the harness failure test
         with pytest.raises(DomainError):
-            specfun.ray_interpolant(1.0e5 * (94.0 + 8.0j), 0.05, 0.2)
+            ray_interpolant(1.0e5 * (94.0 + 8.0j), 0.05, 0.2)
 
     def test_outside_first_quadrant(self):
         # a wavenumber below the real axis, and a negative distance
         with pytest.raises(DomainError, match=r"Re z > 0 and Im z >= 0"):
-            specfun.ray_interpolant(94.0 - 8.0j, 0.05, 0.1)
+            ray_interpolant(94.0 - 8.0j, 0.05, 0.1)
         with pytest.raises(DomainError, match=r"Re z > 0 and Im z >= 0"):
-            specfun.ray_interpolant(94.0 + 8.0j, -0.05, 0.1)
+            ray_interpolant(94.0 + 8.0j, -0.05, 0.1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_distance(self, bad):
         # at either end of the range
         with pytest.raises(DomainError):
-            specfun.ray_interpolant(94.0 + 8.0j, 0.05, bad)
+            ray_interpolant(94.0 + 8.0j, 0.05, bad)
         with pytest.raises(DomainError):
-            specfun.ray_interpolant(94.0 + 8.0j, bad, 0.1)
+            ray_interpolant(94.0 + 8.0j, bad, 0.1)
 
     def test_non_finite_wavenumber(self):
         with pytest.raises(DomainError):
-            specfun.ray_interpolant(complex(math.nan, 1.0), 0.05, 0.1)
+            ray_interpolant(complex(math.nan, 1.0), 0.05, 0.1)
 
     def test_zero_distance(self):
         with pytest.raises(SingularityError):
-            specfun.ray_interpolant(94.0 + 8.0j, 0.0, 0.1)
+            ray_interpolant(94.0 + 8.0j, 0.0, 0.1)
 
 
 class TestJacobiAngerTruncation:
