@@ -5,8 +5,8 @@ disks inside a disk-shaped region, images them with a subspace projection
 map driven by a possibly wrong background wavenumber, and evaluates the
 closed-form prediction of where and how the reconstructed peak shifts
 under permeability, permittivity, or conductivity mismatch. The closed
-form is summed directly over the antennas; the paper's Bessel-harmonic
-series is its Jacobi-Anger expansion.
+form is the imaging kernel's norm of the plane-wave rows off the signal
+row; the paper's Bessel-harmonic series is its Jacobi-Anger expansion.
 """
 
 from .errors import (
@@ -61,7 +61,7 @@ from .scene import (
     validate_scene,
     wavenumber,
 )
-from .specfun import Q_MAX, bessel_j, hankel2_0, jacobi_anger_truncation
+from .specfun import Q_MAX, hankel2_0, jacobi_anger_truncation
 from .theory import (
     MISMATCH_KINDS,
     c_identity_check,

@@ -175,7 +175,7 @@ class ExperimentConfig:
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 
 
-def _get(parser: configparser.ConfigParser, section: str, key: str, cast, default):
+def _get(parser: configparser.ConfigParser, section: str, key: str, cast, default=None):
     if not parser.has_option(section, key):
         return default
     raw = parser.get(section, key).strip()
@@ -199,11 +199,28 @@ def _build_anomaly(fields: dict) -> Anomaly:
     )
 
 
+# the config keys of the ExperimentConfig fields other than the scene:
+# field -> (section, key, cast)
+_FIELD_KEYS = {
+    "resolution": ("imaging", "resolution", int),
+    "sweep_kind": ("sweep", "kind", str),
+    "ratios": ("sweep", "ratios", lambda raw: tuple(map(float, raw.replace(",", " ").split()))),
+    "forward_mode": ("imaging", "forward_mode", str),
+    "test_variant": ("imaging", "test_vector", str),
+    "signal_dim": ("imaging", "signal_dim", int),
+    "threshold_ratio": ("imaging", "threshold_ratio", float),
+    "snr_db": ("noise", "snr_db", lambda raw: math.inf if raw.lower() == "none" else float(raw)),
+    "seed": ("noise", "seed", int),
+    "out_dir": ("output", "directory", Path),
+}
+
+
 def load_config(path, preset: str | None = None, **overrides) -> ExperimentConfig:
     """Parse a config file, apply an optional preset and keyword overrides.
 
-    Overrides accept the ExperimentConfig field names (resolution,
-    forward_mode, test_variant, signal_dim, seed, out_dir, ...).
+    The fields are the keys the file sets, then the preset's, then every
+    override that is not None, by ExperimentConfig field name (scene,
+    ratios, ...); ExperimentConfig holds the default of any other field.
     """
     path = Path(path)
     if not path.exists():
@@ -230,62 +247,36 @@ def load_config(path, preset: str | None = None, **overrides) -> ExperimentConfi
     mu_b = _get(parser, "scene", "background_permeability_h_per_m", float, BACKGROUND_PERMEABILITY)
     count = _get(parser, "array", "count", int, DEFAULT_ARRAY_COUNT)
     radius = _get(parser, "array", "radius_m", float, DEFAULT_ARRAY_RADIUS)
-
-    anomaly_sections = [s for s in parser.sections() if s.startswith("anomaly")]
-    anomalies = []
-    for section in anomaly_sections:
-        anomalies.append(
-            {
-                "center": (
-                    _get(parser, section, "center_x_m", float, 0.0),
-                    _get(parser, section, "center_y_m", float, 0.0),
-                ),
-                "radius": _get(parser, section, "radius_m", float, 0.01),
-                "rel_permittivity": _get(parser, section, "rel_permittivity", float, 55.0),
-                "conductivity": _get(parser, section, "conductivity_s_per_m", float, 1.2),
-            }
-        )
-    if not anomalies:
-        anomalies = [D1]
-
-    kind = _get(parser, "sweep", "kind", str, "permeability")
-    ratios_raw = _get(parser, "sweep", "ratios", str, "1")
-    try:
-        ratios = tuple(float(tok) for tok in ratios_raw.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigurationError(f"[sweep] ratios: cannot parse {ratios_raw!r}") from exc
-
+    fields = {name: _get(parser, *key) for name, key in _FIELD_KEYS.items()}
+    anomalies = [
+        {
+            "center": (
+                _get(parser, section, "center_x_m", float, 0.0),
+                _get(parser, section, "center_y_m", float, 0.0),
+            ),
+            "radius": _get(parser, section, "radius_m", float, 0.01),
+            "rel_permittivity": _get(parser, section, "rel_permittivity", float, 55.0),
+            "conductivity": _get(parser, section, "conductivity_s_per_m", float, 1.2),
+        }
+        for section in parser.sections() if section.startswith("anomaly")
+    ] or [D1]
     if preset is not None:
         if preset not in PRESETS:
             raise ConfigurationError(
                 f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}"
             )
-        kind, ratios, anomalies = PRESETS[preset]
-
-    def parse_snr(raw: str) -> float:
-        return math.inf if raw.lower() in ("inf", "+inf", "none") else float(raw)
-
-    settings = dict(
-        resolution=_get(parser, "imaging", "resolution", int, 128),
-        forward_mode=_get(parser, "imaging", "forward_mode", str, fw.FULL_HANKEL),
-        test_variant=_get(parser, "imaging", "test_vector", str, mu.EXACT_FIELD),
-        signal_dim=_get(parser, "imaging", "signal_dim", int, None),
-        threshold_ratio=_get(parser, "imaging", "threshold_ratio", float, mu.DEFAULT_THRESHOLD_RATIO),
-        snr_db=_get(parser, "noise", "snr_db", parse_snr, fw.NOISELESS),
-        seed=_get(parser, "noise", "seed", int, 0),
-        out_dir=Path(_get(parser, "output", "directory", str, "out")),
-    )
-    settings.update({k: v for k, v in overrides.items() if v is not None})
-
+        fields["sweep_kind"], fields["ratios"], anomalies = PRESETS[preset]
+    fields.update({k: v for k, v in overrides.items() if v is not None})
     try:
-        scene = Scene(
-            background=Medium(rel_eps * VACUUM_PERMITTIVITY, sigma, mu_b),
-            roi_radius=roi_radius,
-            array=uniform_circular_array(count, radius),
-            anomalies=tuple(_build_anomaly(a) for a in anomalies),
-            frequency=frequency,
-        )
-        return ExperimentConfig(scene=scene, sweep_kind=kind, ratios=tuple(ratios), **settings)
+        if "scene" not in fields:
+            fields["scene"] = Scene(
+                background=Medium(rel_eps * VACUUM_PERMITTIVITY, sigma, mu_b),
+                roi_radius=roi_radius,
+                array=uniform_circular_array(count, radius),
+                anomalies=tuple(_build_anomaly(a) for a in anomalies),
+                frequency=frequency,
+            )
+        return ExperimentConfig(**{k: v for k, v in fields.items() if v is not None})
     except MwMusicError:
         raise
     except (TypeError, ValueError) as exc:
@@ -368,8 +359,9 @@ class _Writer:
     a pipe of job lines; the writer rebuilds the layers those files need
     from the norms with `music.map_from_norms`, as `imaging_map` does, so
     the bytes are those of the inline path. It answers each job on a
-    second pipe with "." or, on a failure, with the index of the file that
-    failed, and exits. The run images into a slot only once the writer has
+    second pipe with "." or, when a file cannot be written, with the index
+    of that file and its errno, and exits; the run raises the inline path's
+    OSError from them. The run images into a slot only once the writer has
     answered the job that held it.
 
     The first job forks the writer, after the first map is imaged, when
@@ -384,9 +376,10 @@ class _Writer:
     it makes no BLAS call, starts no thread and imports nothing (the ascii
     codec is loaded with this module), which is what makes forking a parent
     with BLAS threads safe here. It ends in os._exit on every path, 0 at the
-    end of the job pipe and 1 on any exception, after a line on file
-    descriptor 2; so it never returns into the parent's code, runs no
-    atexit handler and flushes none of the parent's buffers.
+    end of the job pipe and 1 on a failed write or, after a line on file
+    descriptor 2, on any other exception; so it never returns into the
+    parent's code, runs no atexit handler and flushes none of the parent's
+    buffers.
     """
 
     def __init__(self, grid: mu.ImagingGrid, out_dir: Path):
@@ -412,8 +405,7 @@ class _Writer:
             try:
                 os.close(self._jobs)
                 os.close(self._replies)
-                self._serve(jobs, replies)
-                status = 0
+                status = self._serve(jobs, replies)
             except BaseException as exc:
                 os.write(2, f"mwmusic: the writer failed: {exc!r}\n".encode(errors="replace"))
             finally:
@@ -421,7 +413,8 @@ class _Writer:
         os.close(jobs)
         os.close(replies)
 
-    def _serve(self, jobs: int, replies: int) -> None:
+    def _serve(self, jobs: int, replies: int) -> int:
+        """Write the files of every job; the child's exit status."""
         with open(jobs, "rb") as lines:
             for line in lines:
                 slot, k_re, k_im, taken, label = line.split()
@@ -434,10 +427,11 @@ class _Writer:
                 for index, (path, write) in enumerate(files):
                     try:
                         write(image, path)
-                    except BaseException as exc:
-                        os.write(replies, str(index).encode())
-                        raise OSError(f"writing {path} failed: {exc!r}") from exc
+                    except OSError as exc:
+                        os.write(replies, f"{index} {exc.errno or 0}".encode())
+                        return 1
                 os.write(replies, b".")
+        return 0
 
     def slot(self) -> np.ndarray:
         """The slot for the next map's norms, once no unanswered job holds it."""
@@ -468,20 +462,27 @@ class _Writer:
         self._next = (self._next + 1) % len(self._slots)
 
     def _collect(self, block: bool) -> None:
-        """Read the writer's answers; OSError naming the file of a failed
-        job, or of the oldest job when the writer ended without answering."""
+        """Read the writer's answers; the OSError of a file it could not
+        write, or one naming the oldest job when it ended without answering.
+        A failure is its last answer, written at once after at most one
+        other, so one read takes all of it."""
         os.set_blocking(self._replies, block)
         try:
-            answers = os.read(self._replies, 64)
+            answers = os.read(self._replies, 64).decode()
         except BlockingIOError:
             return
         if not answers:
             named = f" before writing {self._pending[0][0]}" if self._pending else ""
             raise OSError(f"the writer ended{named}")
-        for answer in answers:
-            files = self._pending.pop(0)
-            if answer != ord("."):
-                raise OSError(f"the writer failed on {files[answer - ord('0')]}")
+        failure = answers.lstrip(".")
+        for _ in range(len(answers) - len(failure)):
+            self._pending.pop(0)
+        if failure:
+            index, code = map(int, failure.split())
+            path = self._pending.pop(0)[index]
+            if code:
+                raise OSError(code, os.strerror(code), str(path))
+            raise OSError(f"the writer failed on {path}")
 
     def close(self) -> None:
         """Let the writer finish its jobs, then reap it; OSError naming the

@@ -27,7 +27,7 @@ every map; per wavenumber only the steering rows are computed. The plan owns
 the walk over its domain (`SymmetryPlan.over_domain`), which the imaging
 map and the closed form in `theory` share: rows for one chunk of
 _CHUNK_ENTRIES table entries at a time, few enough that the walk keeps to
-one BLAS thread, paired with a vector or basis pulled back by every group
+one BLAS thread, paired with a basis pulled back by every group
 element at once. With the CSV writer streaming one grid row at a time and
 the reader one block of _READ_ROWS rows, the transient memory of a map does
 not grow with the grid. A map's layers are built from its projection norms
@@ -305,9 +305,9 @@ class SymmetryPlan:
         holds partner_g = moved[:, j] with partner_g[pi_g] = partners for
         the j-th element g. As w(g . r) = w(r)[pi_g], pair(partner_g, rows)
         is the value at the cells g . r for any pair that a common
-        permutation of the antennas leaves unchanged (a projection norm,
-        |w . v|); pair(moved, rows) gives these for every g, shape (|G|,
-        points), and one scatter per chunk stores them.
+        permutation of the antennas leaves unchanged (a projection norm);
+        pair(moved, rows) gives these for every g, shape (|G|, points), and
+        one scatter per chunk stores them.
         """
         if out is None:
             out = np.empty(np.count_nonzero(self.grid.mask))
@@ -443,15 +443,6 @@ class ImageMap:
                 raise DomainError(f"raw_norm must have shape {shape}")
             r.flags.writeable = False
             object.__setattr__(self, "raw_norm", r)
-
-    def argmax_cell(self) -> tuple[int, int]:
-        masked = np.where(self.grid.mask, self.values, -np.inf)
-        iy, ix = np.unravel_index(int(np.argmax(masked)), masked.shape)
-        return int(iy), int(ix)
-
-    def argmax_point(self) -> tuple[float, float]:
-        iy, ix = self.argmax_cell()
-        return self.grid.point_of(iy, ix)
 
 
 def steering_evaluators(ks, plan: SymmetryPlan, variant: str) -> list:

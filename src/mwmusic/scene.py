@@ -252,10 +252,6 @@ class Diagnostic:
     threshold: float
     detail: str
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
 
 def validate_scene(scene: Scene, k_aw: complex) -> list[Diagnostic]:
     """Check the applicability conditions of the imaging model.

@@ -5,8 +5,10 @@ carries no external special-function dependency. Formulas are the
 classical ones:
 
   * Miller's normalized backward recurrence for J_q, with the even-order
-    sum rule J_0 + 2*sum_m J_{2m} = 1 (A&S 9.1.46), the one path for every
-    order table and for the scalar J_q,
+    sum rule J_0 + 2*sum_m J_{2m} = 1 (A&S 9.1.46). `bessel_j_grid`, the
+    table of orders 0..q_max at many points, is its one entry point; no
+    production path calls it, and it stays while the traced benchmark
+    wraps it (through `theory`),
   * the log-coupled ascending series for H_0^(2) = J_0 - i Y_0
     (Abramowitz & Stegun 9.1.12 / 9.1.13),
   * Hankel asymptotic expansion for H_0^(2) (DLMF 10.17.6),
@@ -307,29 +309,6 @@ def bessel_j_grid(xs: np.ndarray, q_max: int) -> np.ndarray:
     if live.any():
         out[live] = _miller_rows(xs[live], q_max)
     return out.astype(float)
-
-
-def bessel_j_row(x: float, q_max: int) -> np.ndarray:
-    """J_0(x)..J_{q_max}(x) at one point."""
-    return bessel_j_grid(np.asarray([x], dtype=float), q_max)[0]
-
-
-def bessel_j(q: int, x: float) -> float:
-    """Bessel function J_q(x) for integer order q, real x in [0, 1e4].
-
-    One entry of the bessel_j_grid table. Negative orders use
-    J_{-q}(x) = (-1)^q J_q(x). Absolute accuracy is ~1e-13 for
-    |q| <= Q_MAX, x <= 1e4.
-    """
-    q = int(q)
-    if abs(q) > Q_MAX:
-        raise DomainError(f"|q| <= {Q_MAX} required, got {q}")
-    x = _require_real_in_range(x)
-    sign = -1.0 if (q < 0 and q % 2 != 0) else 1.0
-    q = abs(q)
-    if x == 0.0:
-        return 1.0 if q == 0 else 0.0
-    return sign * float(bessel_j_row(x, q)[q])
 
 
 # ---------------------------------------------------------------------------

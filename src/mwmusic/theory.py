@@ -8,22 +8,22 @@ projection norm is then
     |P_noise W(r)| ~ (N^2-2N)/(N^2-2N+1) * sqrt(1 - g(r)^2),
     g(r) = |s^H w(r)| / (|s| |w(r)|),
 
-so the reciprocal map peaks where g reaches 1, near Re(k_bw/k_aw) r*. This
-module evaluates g as that direct sum over the N antennas, exact for lossy
-wavenumbers too, from the same overflow-safe unit rows
-(`music._unit_phasors`) that the plane-wave steering uses. Over a grid the
-rows are built on the fundamental domain of a `music.SymmetryPlan` only,
-in the plan's walk (`SymmetryPlan.over_domain`): w(g . r) = w(r)[pi_g], so
-g at g . r is |w(r) . conj(s_g)| with s_g the signal row scattered by
-pi_g, for every group element from one (points, N) @ (N, |G|) product. The paper states the same quantity
-as a Bessel-harmonic series: with z = k_aw r - conj(k_bw) r*,
-rho = sqrt(z . z) and e^{i phi} = (z_x + i z_y) / rho, the Jacobi-Anger
-expansion (DLMF 10.12) of each term gives
+so the reciprocal map peaks where g reaches 1, near Re(k_bw/k_aw) r*. The
+root sqrt(1 - g^2) is the projection norm of the unit row w(r) off the unit
+signal row s, so this module computes it with the imaging kernel
+(`music._image_norms`), s as a one-column basis, on the plane-wave rows of
+the steering (`music._unit_phasors`, overflow-safe for lossy wavenumbers)
+and in the same walk over the fundamental domain of a `music.SymmetryPlan`
+(`SymmetryPlan.over_domain`); near the minimum the kernel's residual form
+keeps it exact. The paper states the same quantity as a Bessel-harmonic
+series: with z = k_aw r - conj(k_bw) r*, rho = sqrt(z . z) and
+e^{i phi} = (z_x + i z_y) / rho, the Jacobi-Anger expansion (DLMF 10.12)
+of each term gives
 
     s^H w = N (J_0(rho) + E(rho, phi)),
     E(rho, phi) = (1/N) sum_n sum_{q != 0} i^q J_q(rho) e^{iq(theta_n - phi)},
 
-which the test suite checks against the direct sum. The module also gives
+which stays the test suite's check of the direct sum. The module also gives
 the predicted peak location under a permeability / permittivity /
 conductivity mismatch and the quantitative agreement between an empirical
 norm map and the closed form.
@@ -39,7 +39,9 @@ import numpy as np
 
 from .errors import DegenerateDataError, DomainError
 from .forward import ASYMPTOTIC, ScatteringMatrix
-from .music import _READ_ROWS, ImageMap, SymmetryPlan, _unit_phasors
+from .music import (
+    _READ_ROWS, PLANE_WAVE, ImageMap, SymmetryPlan, _image_norms, _unit_phasors, steering_evaluators
+)
 from .scene import Medium, Scene, contrast, wavenumber
 # not used here: the traced benchmark wraps these two names in this module
 from .specfun import bessel_j_grid, jacobi_anger_truncation  # noqa: F401
@@ -67,27 +69,19 @@ def closed_form_norm_map(plan: SymmetryPlan, k_bw: complex, k_aw: complex, r_sta
     anomaly at r_star, imaged with k_aw in the background k_bw by the
     antennas of plan.array.
 
-    g(r) = |s^H w(r)| / (|s| |w(r)|), clamped into [0, 1], comes from the
-    plan's walk over its fundamental domain (`SymmetryPlan.over_domain`),
-    as the norms of `music.imaging_map` do: the unit rows w(r) are built
-    one chunk of representatives at a time and multiplied by conj(s)
-    permuted by every group element, as the columns of one matrix.
+    sqrt(1 - g(r)^2) is the projection norm of the unit row w(r) against
+    the unit signal row s as a one-column basis, so it comes from the
+    imaging kernel (`music._image_norms`) in the plan's walk over its
+    fundamental domain (`SymmetryPlan.over_domain`), as the norms of
+    `music.imaging_map` do, and is exact near its minimum through the
+    kernel's residual form.
     """
-    dirs = plan.array.directions
-    s = _unit_phasors(k_bw, np.asarray([r_star], dtype=float), dirs)[0]
-    g = plan.over_domain(
-        lambda points: _unit_phasors(k_aw, points, dirs),
-        s.conj(),
-        lambda s_moved, w: np.minimum(np.abs(w @ s_moved), 1.0).T,
-    )
-    # (N^2 - 2N) / (N^2 - 2N + 1) * sqrt(max(1 - g^2, 0)), in place on g
-    np.multiply(g, g, out=g)
-    np.subtract(1.0, g, out=g)
-    np.clip(g, 0.0, None, out=g)
-    np.sqrt(g, out=g)
+    s = _unit_phasors(k_bw, np.asarray([r_star], dtype=float), plan.array.directions)[0]
+    (rows_of,) = steering_evaluators([k_aw], plan, PLANE_WAVE)
+    norms = plan.over_domain(rows_of, s.conj()[:, None], _image_norms)
     n = plan.array.count
-    g *= (n * n - 2 * n) / (n * n - 2 * n + 1)
-    return plan.grid.raster(g)
+    norms *= (n * n - 2 * n) / (n * n - 2 * n + 1)
+    return plan.grid.raster(norms)
 
 
 def predicted_peak(k_bw: complex, k_aw: complex, r_star) -> tuple[float, float]:

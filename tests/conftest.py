@@ -1,12 +1,14 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from mwmusic import music as mu
 from mwmusic import scene as sc
+from mwmusic import specfun
 
 # Reference simulation configuration used across the suite: 16 antennas on a
 # 0.09 m ring at 1 GHz around a 0.085 m disk with (20 eps0, 0.2 S/m), and two
@@ -52,6 +54,12 @@ def make_scene(n_anomalies: int = 1, count: int = N_ANTENNAS) -> sc.Scene:
         anomalies=anomalies,
         frequency=FREQ,
     )
+
+
+def bessel_j_row(x: float, q_max: int) -> np.ndarray:
+    """J_0(x)..J_{q_max}(x) at one point, the row of the package's one J_q
+    entry point (`specfun.bessel_j_grid`)."""
+    return specfun.bessel_j_grid(np.asarray([x], dtype=float), q_max)[0]
 
 
 def steering(k_aw, plan, variant=mu.EXACT_FIELD):

@@ -12,9 +12,11 @@ masked cell (`cell_centers`, from a meshgrid) from one whole table, with
 the exact-field interpolant built over that table's own distance range
 (`table_ray`), without the symmetry plan the package images through; their
 projection norms are checked against the residual form |w - U U^H w|
-(`projection_norm`), which the package replaces by a Gram identity. The
-peak reference walks every cell in sorted order; the far-field diagnostic
-is recomputed from its whole distance table for each margin.
+(`projection_norm`), which the package replaces by a Gram identity; one
+point of the closed form is summed over the antennas at 50 digits
+(`closed_form_norm_oracle`). The peak references walk every cell; the
+far-field diagnostic is recomputed from its whole distance table for each
+margin.
 """
 
 from __future__ import annotations
@@ -323,6 +325,33 @@ def direct_closed_form_norm_map(grid, array, k_bw, k_aw, r_star) -> np.ndarray:
     out = np.full((grid.resolution, grid.resolution), np.nan)
     out[grid.mask] = norm_prefactor(array.count) * np.sqrt(np.clip(1.0 - g * g, 0.0, None))
     return out
+
+
+def closed_form_norm_oracle(array, k_bw: complex, k_aw: complex, r_star, r) -> float:
+    """The closed-form norm (N^2 - 2N)/(N^2 - 2N + 1) sqrt(1 - g^2) at the
+    point r, summed over the antennas in 50-digit arithmetic from the
+    double-precision inputs."""
+    with mp.workdps(50):
+        def row(k, p):
+            return [mp.exp(1j * mp.mpc(k) * (mp.mpf(dx) * mp.mpf(p[0]) + mp.mpf(dy) * mp.mpf(p[1])))
+                    for dx, dy in array.directions.tolist()]
+
+        s, w = row(k_bw, r_star), row(k_aw, r)
+        g2 = abs(mp.fsum(mp.conj(a) * b for a, b in zip(s, w))) ** 2 / (
+            mp.fsum(abs(a) ** 2 for a in s) * mp.fsum(abs(b) ** 2 for b in w))
+        n = array.count
+        return float(mp.mpf(n * n - 2 * n) / (n * n - 2 * n + 1) * mp.sqrt(1 - g2))
+
+
+def argmax_point(image) -> tuple[float, float]:
+    """The centre of the largest unmasked cell of image.values, the first
+    in row-major order on a tie, from a walk over every cell."""
+    best = None
+    for iy, ix in zip(*np.nonzero(image.grid.mask)):
+        value = float(image.values[iy, ix])
+        if best is None or value > best[0]:
+            best = (value, int(iy), int(ix))
+    return image.grid.point_of(best[1], best[2])
 
 
 def greedy_peaks(image, count: int) -> list:

@@ -133,6 +133,24 @@ directory = artifacts
         assert config.forward_mode == fw.ASYMPTOTIC
         assert config.seed == 3
 
+    def test_overrides_of_the_sweep_and_scene(self, empty_config):
+        scene = harness.load_config(empty_config, preset="fig-mu-double").scene
+        config = harness.load_config(
+            empty_config, ratios=(0.5, 3.0), sweep_kind="conductivity", scene=scene
+        )
+        assert config.ratios == (0.5, 3.0)
+        assert config.sweep_kind == "conductivity"
+        assert config.scene is scene
+        # a name that is not a field
+        with pytest.raises(ConfigurationError):
+            harness.load_config(empty_config, ratio=(2.0,))
+
+    def test_overrides_apply_after_the_preset(self, empty_config):
+        config = harness.load_config(empty_config, preset="fig-sigma-double", ratios=(2.0,))
+        assert config.ratios == (2.0,)
+        assert config.sweep_kind == "conductivity"
+        assert len(config.scene.anomalies) == 2
+
 
 class TestRunExperiment:
     def test_single_ratio_record(self, empty_config, tmp_path):
@@ -415,18 +433,20 @@ class TestForkedWriter:
         assert inline == forked
         _assert_same_files(tmp_path / "a", tmp_path / "b", 19)
 
-    @pytest.mark.parametrize("blocked,taken_by_writer", [
-        ("map-permeability-1.csv", True), ("norm-permeability-1.csv", False),
-    ], ids=["writer", "run"])
-    def test_unwritable_artifact_exits_2(self, empty_config, tmp_path, capsys, blocked, taken_by_writer):
+    @pytest.mark.parametrize(
+        "blocked", ["map-permeability-1.csv", "norm-permeability-1.csv"], ids=["writer", "run"]
+    )
+    def test_unwritable_artifact_exits_2(self, empty_config, tmp_path, capfd, blocked):
         # a directory in the way of a file that the writer, or the run beside
-        # it, writes: one error line naming the file, exit 2, and the run's
-        # other artifacts removed around the directory it cannot remove
+        # it, writes: exit 2, the inline path's one error line with the file
+        # and the reason, on file descriptor 2 (where the writer would print
+        # too), and the run's other artifacts removed around the directory
+        # it cannot remove
         out = tmp_path / "out"
         (out / blocked).mkdir(parents=True)
         argv = ["run", str(empty_config), "--out", str(out), "--resolution", str(self.ABOVE)]
         assert cli.main(argv) == 2
-        _one_error_line(capsys, blocked, "the writer failed on" if taken_by_writer else "cannot write")
+        _one_error_line(capfd, "cannot write", blocked, "Is a directory")
         assert [p.name for p in out.iterdir()] == [blocked]
         _no_child_left()
 

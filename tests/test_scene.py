@@ -205,7 +205,7 @@ class TestSceneValidation:
         k_aw = single_scene.background_wavenumber()
         diags = sc.validate_scene(single_scene, k_aw)
         assert [d.condition for d in diags] == ["background_loss", "anomaly_size", "far_field"]
-        assert all(d.passed for d in diags)
+        assert all(d.status == "pass" for d in diags)
 
     def test_loss_condition_warns(self):
         bg = sc.Medium(permittivity=20 * EPS0, conductivity=OMEGA * 20 * EPS0)
@@ -284,7 +284,7 @@ class TestSceneValidation:
             frequency=1.0e9,
         )
         diags = sc.validate_scene(scn, scn.background_wavenumber())
-        assert all(d.passed for d in diags)
+        assert all(d.status == "pass" for d in diags)
 
 
 class TestSceneStructure:

@@ -16,6 +16,7 @@ from oracles import (
     bessel_series_norm_factor,
     bessel_series_terms,
     cell_centers,
+    closed_form_norm_oracle,
     direct_norm_factor,
     far_field_normalization,
     norm_prefactor,
@@ -168,6 +169,20 @@ class TestClosedFormMap:
         norm = th.closed_form_norm_map(_plan(grid, single_scene), *waves)
         pred = th.predicted_peak(*waves)
         assert math.dist(_argmin_point(norm, grid), pred) <= 2 * grid.cell_size
+
+    @pytest.mark.parametrize("delta", [3e-9, 3e-8, 3e-7])
+    def test_exact_near_the_minimum(self, single_scene, delta):
+        # a 4 x 4 grid over [-L, L]^2 with L = 4 (0.01 + delta) has a cell
+        # centre at (0.01 + delta, 0.03 + 3 delta), sqrt(10) delta from the
+        # matched minimum r*: where g^2 is within 1e-10 of 1, the closed form
+        # must not lose the digits that 1 - g^2 cancels
+        grid = mu.ImagingGrid(resolution=4, half_extent=4 * (0.01 + delta), roi_radius=0.085)
+        waves = _waves(single_scene)
+        norm = th.closed_form_norm_map(_plan(grid, single_scene), *waves)
+        r = grid.point_of(3, 2)
+        assert math.dist(r, D1_CENTER) <= 1e-6
+        want = closed_form_norm_oracle(single_scene.array, *waves, r)
+        assert abs(norm[3, 2] - want) <= 1e-15
 
     def test_finite_for_high_loss(self, single_scene):
         # conductivity x1e6 gives Im(k_aw) ~ 2.8e4 /m, so e^{-Im(k) theta . r}
