@@ -22,7 +22,6 @@ from .forward import (
     ASYMPTOTIC,
     FULL_HANKEL,
     NOISELESS,
-    ScatteringMatrix,
     add_noise,
     asymptotic_field_matrix,
     incident_field_matrix,
@@ -35,7 +34,6 @@ from .music import (
     PLANE_WAVE,
     ImageMap,
     ImagingGrid,
-    SubspaceDecomposition,
     SymmetryPlan,
     extract_peaks,
     grid_for_roi,
@@ -53,7 +51,6 @@ from .scene import (
     VACUUM_PERMITTIVITY,
     Anomaly,
     AntennaArray,
-    Diagnostic,
     Medium,
     Scene,
     contrast,

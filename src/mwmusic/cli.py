@@ -56,20 +56,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> harness.ExperimentConfig:
-    overrides = {}
-    if getattr(args, "out", None) is not None:
-        overrides["out_dir"] = args.out
-    if getattr(args, "resolution", None) is not None:
-        overrides["resolution"] = args.resolution
-    if getattr(args, "mode", None) is not None:
-        overrides["forward_mode"] = _MODE_ALIASES[args.mode]
-    if getattr(args, "variant", None) is not None:
-        overrides["test_variant"] = _VARIANT_ALIASES[args.variant]
-    if getattr(args, "signal_dim", None) is not None:
-        overrides["signal_dim"] = args.signal_dim
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    return harness.load_config(args.config, preset=getattr(args, "preset", None), **overrides)
+    # load_config ignores the overrides that are None
+    return harness.load_config(
+        args.config,
+        preset=getattr(args, "preset", None),
+        out_dir=getattr(args, "out", None),
+        resolution=getattr(args, "resolution", None),
+        forward_mode=_MODE_ALIASES.get(getattr(args, "mode", None)),
+        test_variant=_VARIANT_ALIASES.get(getattr(args, "variant", None)),
+        signal_dim=getattr(args, "signal_dim", None),
+        seed=getattr(args, "seed", None),
+    )
 
 
 def main(argv=None) -> int:
@@ -87,8 +84,8 @@ def main(argv=None) -> int:
             for ratio in config.ratios:
                 k_aw = harness.sweep_wavenumber(config, ratio)
                 for diag in validate_scene(config.scene, k_aw):
-                    print(f"[{config.sweep_kind}={ratio:g}] {diag.condition}: "
-                          f"{diag.status} ({diag.detail})")
+                    print(f"[{config.sweep_kind}={ratio:g}] {diag['condition']}: "
+                          f"{diag['status']} ({diag['detail']})")
             return 0
         if args.command == "compare":
             config = _load(args)

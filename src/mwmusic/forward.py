@@ -7,8 +7,9 @@ small low-contrast anomalies, as a sum of single-anomaly terms
 
 with u either the exact point-source field (i/4) H_0^(2)(k |r - r'|)
 ("full_hankel" mode) or its far-field plane-wave reduction ("asymptotic"
-mode). The N x N matrix of these values is symmetric with an identically
-zero diagonal (monostatic entries are not part of the data).
+mode). The data matrix is the read-only complex N x N ndarray of these
+values, symmetric with an identically zero diagonal by construction
+(monostatic entries are not part of the data).
 
 Every field is one table over points x antennas. The data matrix takes
 its (anomalies x antennas) table from one exact `hankel2_0` call on the
@@ -23,7 +24,6 @@ map evaluates its own chunk by chunk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,28 +37,10 @@ MODES = (FULL_HANKEL, ASYMPTOTIC)
 
 # snr_db sentinel meaning "no noise"
 NOISELESS = math.inf
-
-
-@dataclass(frozen=True)
-class ScatteringMatrix:
-    """Complex N x N scattered-field S-parameters, zero diagonal, symmetric."""
-
-    n: int
-    entries: np.ndarray
-    mode: str
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.complex128)
-        if e.shape != (self.n, self.n):
-            raise DomainError(f"entries must be {self.n}x{self.n}, got {e.shape}")
-        if self.mode not in MODES:
-            raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if np.any(np.diagonal(e) != 0):
-            raise DomainError("diagonal entries must be identically zero")
-        if not np.array_equal(e, e.T):
-            raise DomainError("scattering matrix must be symmetric")
-        e.flags.writeable = False
-        object.__setattr__(self, "entries", e)
+# largest |snr_db| of a noisy matrix: the power ratio 10^(snr_db/10) stays a
+# finite, normal double (10^-300 to 10^300), far past the +-320 dB beyond
+# which the noise or the signal falls below the other's last bit
+SNR_DB_LIMIT = 3000.0
 
 
 def _distances(points: np.ndarray, sources: np.ndarray) -> np.ndarray:
@@ -103,8 +85,8 @@ def asymptotic_field_matrix(k: complex, points: np.ndarray, sources: np.ndarray)
     return amplitude * np.exp(1j * k * ((points @ sources.T) / big_r))
 
 
-def scattering_matrix(scene: Scene, k_bw: complex, mode: str = FULL_HANKEL) -> ScatteringMatrix:
-    """Assemble the full N x N data matrix; no anomalies gives the zero matrix."""
+def scattering_matrix(scene: Scene, k_bw: complex, mode: str = FULL_HANKEL) -> np.ndarray:
+    """The read-only N x N data matrix; no anomalies gives the zero matrix."""
     centers = np.array([an.center for an in scene.anomalies], dtype=float).reshape(-1, 2)
     positions = scene.array.positions
     if mode == FULL_HANKEL:
@@ -125,25 +107,30 @@ def scattering_matrix(scene: Scene, k_bw: complex, mode: str = FULL_HANKEL) -> S
         ) * contrast(an, scene.background, omega)
         entries[iu, ju] += weight * (u[iu] * u[ju])
     entries[ju, iu] = entries[iu, ju]
-    return ScatteringMatrix(n=count, entries=entries, mode=mode)
+    entries.flags.writeable = False
+    return entries
 
 
-def add_noise(k_mat: ScatteringMatrix, snr_db: float, seed: int) -> ScatteringMatrix:
-    """Perturb off-diagonal entries with circularly-symmetric complex Gaussian noise.
+def add_noise(k_mat: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
+    """Perturb off-diagonal entries with circularly-symmetric complex Gaussian
+    noise; a new read-only matrix.
 
     The same draw is used for (n, m) and (m, n), keeping the matrix
     symmetric; the variance is set so that mean signal power over mean noise
-    power equals 10^(snr_db/10). snr_db = +inf returns the input unchanged.
+    power equals 10^(snr_db/10). snr_db = +inf returns the input unchanged;
+    any other snr_db outside [-SNR_DB_LIMIT, SNR_DB_LIMIT] raises DomainError.
     Deterministic for a fixed seed.
     """
     snr_db = float(snr_db)
-    if math.isnan(snr_db):
-        raise DomainError("snr_db must not be NaN")
     if snr_db == NOISELESS:
         return k_mat
-    n = k_mat.n
+    if not abs(snr_db) <= SNR_DB_LIMIT:
+        raise DomainError(
+            f"snr_db must be inf or lie in [-{SNR_DB_LIMIT:g}, {SNR_DB_LIMIT:g}], got {snr_db!r}"
+        )
+    n = len(k_mat)
     off_mask = ~np.eye(n, dtype=bool)
-    signal_power = float(np.mean(np.abs(k_mat.entries[off_mask]) ** 2))
+    signal_power = float(np.mean(np.abs(k_mat[off_mask]) ** 2))
     noise_power = signal_power / 10.0 ** (snr_db / 10.0)
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
@@ -153,4 +140,6 @@ def add_noise(k_mat: ScatteringMatrix, snr_db: float, seed: int) -> ScatteringMa
     noise = np.zeros((n, n), dtype=np.complex128)
     noise[iu, ju] = draws
     noise[ju, iu] = draws
-    return ScatteringMatrix(n=n, entries=k_mat.entries + noise, mode=k_mat.mode)
+    noisy = k_mat + noise
+    noisy.flags.writeable = False
+    return noisy

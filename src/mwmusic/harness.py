@@ -58,8 +58,8 @@ reference configuration):
     threshold_ratio = 0.1
 
     [noise]
-    snr_db = inf                  ; inf disables noise
-    seed = 0
+    snr_db = inf                  ; inf disables noise; else within +-3000
+    seed = 0                      ; >= 0 when noise is on
 
     [output]
     directory = out
@@ -82,7 +82,7 @@ import os
 import shutil
 import time
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -170,8 +170,14 @@ class ExperimentConfig:
             raise ConfigurationError("signal_dim must lie in [1, antenna count]")
         if not (0.0 <= self.threshold_ratio <= 1.0):
             raise ConfigurationError("threshold_ratio must lie in [0, 1]")
-        if math.isnan(self.snr_db):
-            raise ConfigurationError("snr_db must be a number or inf")
+        if self.snr_db != fw.NOISELESS:
+            limit = fw.SNR_DB_LIMIT
+            if not abs(self.snr_db) <= limit:
+                raise ConfigurationError(
+                    f"snr_db must be inf or lie in [-{limit:g}, {limit:g}], got {self.snr_db!r}"
+                )
+            if self.seed < 0:
+                raise ConfigurationError(f"the seed of noisy data must be >= 0, got {self.seed}")
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 
 
@@ -285,7 +291,9 @@ def load_config(path, preset: str | None = None, **overrides) -> ExperimentConfi
 
 # what `prepare` computes once for every map of a sweep; evaluators maps each
 # k_aw to its steering evaluator, or to the exception `analyse` raises then
-Sweep = namedtuple("Sweep", "config k_bw plan decomposition signal_dim c_identity evaluators")
+Sweep = namedtuple(
+    "Sweep", "config k_bw plan singular_values left_vectors signal_dim c_identity evaluators"
+)
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
@@ -515,9 +523,10 @@ def sweep_wavenumber(config: ExperimentConfig, ratio: float) -> complex:
 
 def prepare(config: ExperimentConfig) -> Sweep:
     """The work of a sweep that no ratio changes: the data and its one
-    decomposition, the plan, the C identity of a single anomaly, and every
-    ratio's k_aw and steering evaluator, the exact-field ones from one
-    evaluation of their interpolants' nodes (`music.steering_evaluators`)."""
+    decomposition (`music.svd_leading`), the plan, the C identity of a
+    single anomaly, and every ratio's k_aw and steering evaluator, the
+    exact-field ones from one evaluation of their interpolants' nodes
+    (`music.steering_evaluators`)."""
     scene = config.scene
     k_bw, plan = _geometry(scene, mu.grid_for_roi(scene.roi_radius, config.resolution))
     data = fw.scattering_matrix(scene, k_bw, config.forward_mode)
@@ -526,33 +535,32 @@ def prepare(config: ExperimentConfig) -> Sweep:
     c_identity = None
     if len(scene.anomalies) == 1:
         asym = fw.scattering_matrix(scene, k_bw, fw.ASYMPTOTIC)
-        tau1_asym = float(mu.svd_leading(asym).singular_values[0])
-        c_identity = th.c_identity_check(asym, scene, k_bw, tau1_asym)
-    dec = mu.svd_leading(data)
+        tau1_asym = float(mu.svd_leading(asym)[0][0])
+        c_identity = th.c_identity_check(scene, k_bw, tau1_asym)
+    taus, vecs = mu.svd_leading(data)
     m_used = config.signal_dim
     if m_used is None:
-        m_used = mu.signal_subspace_dim(dec.singular_values, config.threshold_ratio)
+        m_used = mu.signal_subspace_dim(taus, config.threshold_ratio)
     ks = []
     for ratio in config.ratios:
         # a wavenumber that cannot be formed fails at its ratio's turn
         with contextlib.suppress(DomainError):
             ks.append(sweep_wavenumber(config, ratio))
     evaluators = dict(zip(ks, mu.steering_evaluators(ks, plan, config.test_variant)))
-    return Sweep(config, k_bw, plan, dec, m_used, c_identity, evaluators)
+    return Sweep(config, k_bw, plan, taus, vecs, m_used, c_identity, evaluators)
 
 
 def analyse(sweep: Sweep, index: int, out: np.ndarray | None = None) -> tuple[mu.ImageMap, dict]:
     """The map of config.ratios[index] of a prepared sweep, its norms in out
     when given (`music.imaging_map`), and its record of report.json;
     NumericalError when a value of the record is not finite."""
-    config, k_bw, plan, dec, m_used, c_identity, evaluators = sweep
+    config, k_bw, plan, taus, vecs, m_used, c_identity, evaluators = sweep
     scene = config.scene
     k_aw = sweep_wavenumber(config, config.ratios[index])
-    diags = validate_scene(scene, k_aw)
     steering = evaluators[k_aw]
     if isinstance(steering, Exception):
         raise steering
-    image = mu.imaging_map(dec.left_vectors[:, :m_used], k_aw, plan, steering, out)
+    image = mu.imaging_map(vecs[:, :m_used], k_aw, plan, steering, out)
     peaks = mu.extract_peaks(image, max(len(scene.anomalies), 1))
     predicted = [th.predicted_peak(k_bw, k_aw, an.center) for an in scene.anomalies]
     errors_m = _match_peaks(predicted, peaks)
@@ -560,14 +568,12 @@ def analyse(sweep: Sweep, index: int, out: np.ndarray | None = None) -> tuple[mu
     if len(scene.anomalies) == 1:
         # the closed form corresponds to the one-direction projector, so the
         # comparison map always uses U[:, :1] alone
-        norm_image = image if m_used == 1 else mu.imaging_map(
-            dec.left_vectors[:, :1], k_aw, plan, steering
-        )
+        norm_image = image if m_used == 1 else mu.imaging_map(vecs[:, :1], k_aw, plan, steering)
         closed_form = th.compare_maps(norm_image, plan, k_bw, k_aw, scene.anomalies[0].center)
     record = {
         "ratio": float(config.ratios[index]),
         "k_aw": [k_aw.real, k_aw.imag],
-        "singular_values": [float(v) for v in dec.singular_values],
+        "singular_values": [float(v) for v in taus],
         "signal_dim": int(m_used),
         "peaks": [[x, y, value] for (x, y), value in peaks],
         "predicted_peaks": [list(p) for p in predicted],
@@ -575,11 +581,7 @@ def analyse(sweep: Sweep, index: int, out: np.ndarray | None = None) -> tuple[mu
         "peak_error_cells": [e / plan.grid.cell_size for e in errors_m],
         "closed_form": closed_form,
         "c_identity": c_identity,
-        # strict JSON has no Infinity (e.g. the loss of a lossless background)
-        "diagnostics": [
-            {k: v if isinstance(v, str) or math.isfinite(v) else None for k, v in asdict(d).items()}
-            for d in diags
-        ],
+        "diagnostics": validate_scene(scene, k_aw),
     }
     try:
         json.dumps(record, allow_nan=False)

@@ -58,7 +58,7 @@ from .errors import (
     NumericalError,
     SingularityError,
 )
-from .forward import ScatteringMatrix, incident_field_matrix
+from .forward import incident_field_matrix
 from .scene import _SYMMETRY_TOL, AntennaArray
 from .specfun import ray_interpolants
 
@@ -106,31 +106,22 @@ _GRAM_FLOOR = 1e-4
 _READ_ROWS = 1 << 14
 
 
-@dataclass(frozen=True)
-class SubspaceDecomposition:
-    """Singular values (descending) and left singular vectors (columns) of K."""
-
-    singular_values: np.ndarray
-    left_vectors: np.ndarray
-
-
-def svd_leading(k_mat) -> SubspaceDecomposition:
-    """All singular values and left singular vectors of the data matrix.
-
-    Accepts a ScatteringMatrix or a plain complex square ndarray.
-    """
-    entries = k_mat.entries if isinstance(k_mat, ScatteringMatrix) else np.asarray(k_mat)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+def svd_leading(k_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(singular_values, left_vectors) of the square data matrix: all its
+    singular values, descending, and its left singular vectors as columns,
+    both read-only."""
+    k_mat = np.asarray(k_mat)
+    if k_mat.ndim != 2 or k_mat.shape[0] != k_mat.shape[1]:
         raise DomainError("a square matrix is required")
-    if entries.shape[0] < 3:
+    if k_mat.shape[0] < 3:
         raise DomainError("subspace decomposition needs at least a 3x3 matrix")
     try:
-        vecs, taus, _ = np.linalg.svd(entries)
+        vecs, taus, _ = np.linalg.svd(k_mat)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular value decomposition failed: {exc}") from exc
     taus.flags.writeable = False
     vecs.flags.writeable = False
-    return SubspaceDecomposition(singular_values=taus, left_vectors=vecs)
+    return taus, vecs
 
 
 def signal_subspace_dim(singular_values, threshold_ratio: float = DEFAULT_THRESHOLD_RATIO) -> int:
@@ -171,7 +162,7 @@ def _exact_rows(ray, positions: np.ndarray, points: np.ndarray) -> np.ndarray:
 def _image_norms(conj_bases: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """|w - U_g U_g^H w| for every unit row w of rows (points, N) and every
     basis U_g of the stack conj_bases (N, images, M) of conj(U_g), shape
-    (images, points): the pair of the imaging walk.
+    (images, points): the kernel of the walk `SymmetryPlan.over_domain`.
 
     By the Gram identity |P_noise w|^2 = |w|^2 - |U_g^H w|^2 = 1 - |U_g^H w|^2,
     every image's norm comes from the products w^T conj(U_g), taken for
@@ -295,27 +286,28 @@ class SymmetryPlan:
     perms: np.ndarray
     chunks: tuple[slice, ...]
 
-    def over_domain(self, rows_of, partners: np.ndarray, pair, out=None) -> np.ndarray:
-        """pair(moved, rows) at every unmasked cell, in mask order, in out
-        (one float per unmasked cell) or a new array.
+    def over_domain(self, rows_of, basis: np.ndarray, out=None) -> np.ndarray:
+        """The projection norms `_image_norms` of the rows w(r) against
+        basis (N, M) at every unmasked cell, in mask order, in out (one
+        float per unmasked cell) or a new array.
 
-        rows_of(points) builds the rows w(r) (points, N) of one chunk of
-        representatives at a time. partners, its first axis over the
-        antennas, is pulled back by every pi_g at once: moved (N, |G|, ...)
-        holds partner_g = moved[:, j] with partner_g[pi_g] = partners for
-        the j-th element g. As w(g . r) = w(r)[pi_g], pair(partner_g, rows)
-        is the value at the cells g . r for any pair that a common
-        permutation of the antennas leaves unchanged (a projection norm);
-        pair(moved, rows) gives these for every g, shape (|G|, points), and
-        one scatter per chunk stores them.
+        rows_of(points) builds the unit rows w(r) (points, N) of one chunk
+        of representatives at a time. conj(basis) is pulled back by every
+        pi_g at once: moved (N, |G|, M) holds conj(U_g) = moved[:, j] with
+        U_g[pi_g] = basis for the j-th element g. As w(g . r) = w(r)[pi_g]
+        and a common permutation of the antennas leaves a projection norm
+        unchanged, the norm of w(r) against U_g is the one at g . r;
+        _image_norms(moved, rows) gives these for every g, shape
+        (|G|, points), and one scatter per chunk stores them.
         """
         if out is None:
             out = np.empty(np.count_nonzero(self.grid.mask))
+        conj = basis.conj()
         count = len(self.perms)
-        moved = np.empty((partners.shape[0], count) + partners.shape[1:], dtype=partners.dtype)
-        moved[self.perms.T, np.arange(count)] = partners[:, None]
+        moved = np.empty((conj.shape[0], count, conj.shape[1]), dtype=conj.dtype)
+        moved[self.perms.T, np.arange(count)] = conj[:, None]
         for chunk in self.chunks:
-            out[self.cells[:, chunk]] = pair(moved, rows_of(self.points[chunk]))
+            out[self.cells[:, chunk]] = _image_norms(moved, rows_of(self.points[chunk]))
         return out
 
 
@@ -499,7 +491,7 @@ def imaging_map(
         raise ConfigurationError(f"imaging grid resolution must be >= {MIN_RESOLUTION}")
     if plan.array.count != basis.shape[0]:
         raise DomainError("antenna count does not match the signal basis")
-    norms = plan.over_domain(steering, basis.conj(), _image_norms, out)
+    norms = plan.over_domain(steering, basis, out)
     if not np.all(np.isfinite(norms)):
         raise NumericalError(
             f"non-finite projection norm: the steering field at k_aw = {k_aw:.6g} "

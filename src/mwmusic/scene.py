@@ -80,58 +80,39 @@ def wavenumber(medium: Medium, omega: float) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class AntennaArray:
-    """Antenna ring: radius R, count N, positions a_n (N, 2) and angles theta_n (N,)."""
+    """Antenna ring: radius R and positions a_n (N, 2) on the circle |a| = R."""
 
     radius: float
-    count: int
     positions: np.ndarray
-    angles: np.ndarray
 
     def __eq__(self, other):
         if not isinstance(other, AntennaArray):
             return NotImplemented
-        return (
-            self.radius == other.radius
-            and self.count == other.count
-            and np.array_equal(self.positions, other.positions)
-            and np.array_equal(self.angles, other.angles)
-        )
+        return self.radius == other.radius and np.array_equal(self.positions, other.positions)
 
     def __post_init__(self):
-        if self.count < 3:
-            raise ConfigurationError("at least 3 antennas are required")
         if _finite(self.radius, "radius") <= 0:
             raise ConfigurationError("array radius must be > 0")
         pos = np.asarray(self.positions, dtype=float)
-        ang = np.asarray(self.angles, dtype=float)
-        if pos.shape != (self.count, 2) or ang.shape != (self.count,):
-            raise ConfigurationError("positions/angles shapes do not match count")
+        if pos.ndim != 2 or pos.shape[1] != 2 or len(pos) < 3:
+            raise ConfigurationError(f"positions must have shape (N, 2), N >= 3, got {pos.shape}")
         radii = np.hypot(pos[:, 0], pos[:, 1])
         if not np.allclose(radii, self.radius, rtol=1e-12, atol=0.0):
             raise ConfigurationError("all antennas must sit on the array circle")
-        if not np.isfinite(ang).all():
-            raise ConfigurationError("antenna angles must be finite")
-        # the package computes with the positions alone; each angle must
-        # name its antenna's, so distinct angles mean distinct positions
-        offsets = np.hypot(
-            self.radius * np.cos(ang) - pos[:, 0], self.radius * np.sin(ang) - pos[:, 1]
-        )
-        if offsets.max() > 1e-12 * self.radius:
-            raise ConfigurationError("antenna positions must be R (cos theta_n, sin theta_n)")
         # on the circle the nearest pair are neighbours in angle, the last
         # and the first included; argsort, not np.unique: numpy 2.x imports
         # numpy.ma there
-        ring = pos[np.argsort(np.mod(ang, 2 * np.pi))]
+        ring = pos[np.argsort(np.arctan2(pos[:, 1], pos[:, 0]))]
         chords = np.hypot(*(ring - np.roll(ring, 1, axis=0)).T)
         if chords.min() <= 2 * _SYMMETRY_TOL * self.radius:
-            raise ConfigurationError(
-                "antenna angles must be pairwise distinct and the antennas "
-                f"more than {2 * _SYMMETRY_TOL:g} R apart"
-            )
+            raise ConfigurationError(f"antennas must be more than {2 * _SYMMETRY_TOL:g} R apart")
         pos.flags.writeable = False
-        ang.flags.writeable = False
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "angles", ang)
+
+    @property
+    def count(self) -> int:
+        """Number of antennas N."""
+        return len(self.positions)
 
     @property
     def directions(self) -> np.ndarray:
@@ -145,10 +126,9 @@ def uniform_circular_array(count: int, radius: float) -> AntennaArray:
         raise ConfigurationError(f"count must be >= 3, got {count}")
     if not math.isfinite(radius) or radius <= 0:
         raise ConfigurationError(f"radius must be finite and > 0, got {radius!r}")
-    n = np.arange(1, count + 1)
-    angles = 2.0 * np.pi * n / count
+    angles = 2.0 * np.pi * np.arange(1, count + 1) / count
     positions = radius * np.column_stack([np.cos(angles), np.sin(angles)])
-    return AntennaArray(radius=float(radius), count=int(count), positions=positions, angles=angles)
+    return AntennaArray(radius=float(radius), positions=positions)
 
 
 @dataclass(frozen=True)
@@ -242,19 +222,22 @@ def contrast(anomaly: Anomaly, background: Medium, omega: float) -> complex:
     return complex((ea - eb) / eb, (sa - sb) / (omega * eb))
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    """One validation outcome; status is 'pass' or 'warn', never fatal."""
+def _diagnostic(condition: str, passed: bool, measured: float, threshold: float, detail: str) -> dict:
+    """One validation outcome as report.json holds it; status is 'pass' or
+    'warn', never fatal. Strict JSON has no Infinity (e.g. the loss ratio of
+    a lossless background), so a non-finite number is None."""
+    return {
+        "condition": condition,
+        "status": "pass" if passed else "warn",
+        "measured": measured if math.isfinite(measured) else None,
+        "threshold": threshold if math.isfinite(threshold) else None,
+        "detail": detail,
+    }
 
-    condition: str
-    status: str
-    measured: float
-    threshold: float
-    detail: str
 
-
-def validate_scene(scene: Scene, k_aw: complex) -> list[Diagnostic]:
-    """Check the applicability conditions of the imaging model.
+def validate_scene(scene: Scene, k_aw: complex) -> list[dict]:
+    """Check the applicability conditions of the imaging model; one dict
+    per condition (`_diagnostic`).
 
     (a) low-loss background: omega eps_b >= LOSS_FACTOR * sigma_b;
     (b) electrically small anomalies: 2 alpha sqrt(eps*/eps_b) below the
@@ -269,7 +252,6 @@ def validate_scene(scene: Scene, k_aw: complex) -> list[Diagnostic]:
 
     Diagnostics only; nothing here raises for a physically questionable scene.
     """
-    out: list[Diagnostic] = []
     omega = scene.omega
     k_bw = scene.background_wavenumber()
 
@@ -277,14 +259,9 @@ def validate_scene(scene: Scene, k_aw: complex) -> list[Diagnostic]:
     we = omega * scene.background.permittivity
     sb = scene.background.conductivity
     ratio = math.inf if sb == 0 else we / sb
-    out.append(
-        Diagnostic(
-            condition="background_loss",
-            status="pass" if ratio >= LOSS_FACTOR else "warn",
-            measured=ratio,
-            threshold=LOSS_FACTOR,
-            detail=f"omega*eps_b/sigma_b = {ratio:.3g} (want >= {LOSS_FACTOR:g})",
-        )
+    loss = _diagnostic(
+        "background_loss", ratio >= LOSS_FACTOR, ratio, LOSS_FACTOR,
+        f"omega*eps_b/sigma_b = {ratio:.3g} (want >= {LOSS_FACTOR:g})",
     )
 
     # (b) anomaly size against the wavelength
@@ -292,14 +269,9 @@ def validate_scene(scene: Scene, k_aw: complex) -> list[Diagnostic]:
     worst = 0.0
     for an in scene.anomalies:
         worst = max(worst, 2.0 * an.radius * math.sqrt(an.medium.permittivity / scene.background.permittivity))
-    out.append(
-        Diagnostic(
-            condition="anomaly_size",
-            status="pass" if worst < wavelength else "warn",
-            measured=worst,
-            threshold=wavelength,
-            detail=f"max 2a*sqrt(eps*/eps_b) = {worst:.4g} m vs wavelength {wavelength:.4g} m",
-        )
+    size = _diagnostic(
+        "anomaly_size", worst < wavelength, worst, wavelength,
+        f"max 2a*sqrt(eps*/eps_b) = {worst:.4g} m vs wavelength {wavelength:.4g} m",
     )
 
     # (c) far-field margin
@@ -310,19 +282,12 @@ def validate_scene(scene: Scene, k_aw: complex) -> list[Diagnostic]:
         c = np.asarray(an.center)
         closest = min(closest, float(np.min(np.hypot(*(pos - c).T))))
     grid_frac = _far_field_grid_fraction(scene, margin)
-    out.append(
-        Diagnostic(
-            condition="far_field",
-            status="pass" if closest >= margin else "warn",
-            measured=closest,
-            threshold=margin,
-            detail=(
-                f"min antenna-to-anomaly distance {closest:.4g} m vs margin {margin:.4g} m; "
-                f"{100.0 * grid_frac:.0f}% of interior grid points satisfy the margin"
-            ),
-        )
+    far_field = _diagnostic(
+        "far_field", closest >= margin, closest, margin,
+        f"min antenna-to-anomaly distance {closest:.4g} m vs margin {margin:.4g} m; "
+        f"{100.0 * grid_frac:.0f}% of interior grid points satisfy the margin",
     )
-    return out
+    return [loss, size, far_field]
 
 
 def _far_field_grid_fraction(scene: Scene, margin: float) -> float:

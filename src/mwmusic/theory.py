@@ -38,10 +38,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
-from .forward import ASYMPTOTIC, ScatteringMatrix
-from .music import (
-    _READ_ROWS, PLANE_WAVE, ImageMap, SymmetryPlan, _image_norms, _unit_phasors, steering_evaluators
-)
+from .music import _READ_ROWS, PLANE_WAVE, ImageMap, SymmetryPlan, _unit_phasors, steering_evaluators
 from .scene import Medium, Scene, contrast, wavenumber
 # not used here: the traced benchmark wraps these two names in this module
 from .specfun import bessel_j_grid, jacobi_anger_truncation  # noqa: F401
@@ -78,7 +75,7 @@ def closed_form_norm_map(plan: SymmetryPlan, k_bw: complex, k_aw: complex, r_sta
     """
     s = _unit_phasors(k_bw, np.asarray([r_star], dtype=float), plan.array.directions)[0]
     (rows_of,) = steering_evaluators([k_aw], plan, PLANE_WAVE)
-    norms = plan.over_domain(rows_of, s.conj()[:, None], _image_norms)
+    norms = plan.over_domain(rows_of, s[:, None])
     n = plan.array.count
     norms *= (n * n - 2 * n) / (n * n - 2 * n + 1)
     return plan.grid.raster(norms)
@@ -159,9 +156,7 @@ def _mask_cell(mask: np.ndarray, index: int) -> tuple[int, int]:
     return iy, int(np.flatnonzero(mask[iy])[index - before])
 
 
-def c_identity_check(
-    k_asym: ScatteringMatrix, scene: Scene, k_bw: complex, tau1: float
-) -> float:
+def c_identity_check(scene: Scene, k_bw: complex, tau1: float) -> float:
     """C (N-1)^2 with C = |a^2 O k_bw e^{-2 i k_bw R} / (32 R omega mu tau_1)|^2.
 
     The far-field data matrix is (a^2 O k_bw e^{-2 i k_bw R} / (32 R omega mu))
@@ -185,11 +180,9 @@ def c_identity_check(
     (0.9007 at N=8 and 0.8855 at N=16 for the reference configuration).
     lambda_1 = N-1 exactly when Im(k_bw) = 0 or r* = 0.
 
-    Requires a single-anomaly scene and far-field-mode data; tau1 is the
-    leading singular value of that data matrix.
+    Requires a single-anomaly scene; tau1 is the leading singular value of
+    its far-field-mode (`forward.ASYMPTOTIC`) data matrix.
     """
-    if k_asym.mode != ASYMPTOTIC:
-        raise DomainError("the identity applies to the far-field-mode data matrix")
     if len(scene.anomalies) != 1:
         raise DomainError("the identity applies to single-anomaly scenes")
     if not (math.isfinite(tau1) and tau1 > 0):

@@ -45,6 +45,11 @@ def make_d2() -> sc.Anomaly:
     )
 
 
+def uniform_angles(count: int = N_ANTENNAS) -> np.ndarray:
+    """The antenna angles theta_n = 2 pi n / N of `uniform_circular_array`."""
+    return 2.0 * np.pi * np.arange(1, count + 1) / count
+
+
 def make_scene(n_anomalies: int = 1, count: int = N_ANTENNAS) -> sc.Scene:
     anomalies = (make_d1(), make_d2())[:n_anomalies]
     return sc.Scene(
@@ -74,10 +79,10 @@ def steering(k_aw, plan, variant=mu.EXACT_FIELD):
 def image_from_data(data, k_aw, array, grid, variant=mu.EXACT_FIELD, signal_dim=None):
     """Decompose the data and image it from the leading signal_dim left
     singular vectors (the threshold rule when signal_dim is None)."""
-    dec = mu.svd_leading(data)
-    m = mu.signal_subspace_dim(dec.singular_values) if signal_dim is None else signal_dim
+    taus, vecs = mu.svd_leading(data)
+    m = mu.signal_subspace_dim(taus) if signal_dim is None else signal_dim
     plan = mu.symmetry_plan(grid, array)
-    return mu.imaging_map(dec.left_vectors[:, :m], k_aw, plan, steering(k_aw, plan, variant))
+    return mu.imaging_map(vecs[:, :m], k_aw, plan, steering(k_aw, plan, variant))
 
 
 @pytest.fixture

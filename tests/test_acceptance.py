@@ -18,7 +18,7 @@ from mwmusic import scene as sc
 from mwmusic import specfun
 from mwmusic import theory as th
 
-from conftest import bessel_j_row, image_from_data, make_scene
+from conftest import bessel_j_row, image_from_data, make_scene, uniform_angles
 from oracles import argmax_point, far_field_normalization, onesided_jacobi_singular_values
 
 
@@ -186,15 +186,15 @@ def test_a7_c_identity():
     def stated_value(scene):
         k_bw = scene.background_wavenumber()
         mat = fw.scattering_matrix(scene, k_bw, fw.ASYMPTOTIC)
-        tau1 = float(mu.svd_leading(mat).singular_values[0])
-        return th.c_identity_check(mat, scene, k_bw, tau1)
+        tau1 = float(mu.svd_leading(mat)[0][0])
+        return th.c_identity_check(scene, k_bw, tau1)
 
     stated, corrected, lossless = {}, {}, {}
     for count in (8, 16):
         scene = make_scene(1, count=count)
         stated[count] = stated_value(scene)
         lam1 = far_field_normalization(
-            scene.array.angles, scene.anomalies[0].center, scene.background_wavenumber()
+            uniform_angles(count), scene.anomalies[0].center, scene.background_wavenumber()
         )
         corrected[count] = stated[count] * (lam1 / (count - 1)) ** 2
         clear = replace(scene, background=replace(scene.background, conductivity=0.0))
@@ -253,9 +253,9 @@ def test_a9_linear_algebra_oracle():
     for _ in range(50):
         n = int(rng.integers(4, 17))
         mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        dec = mu.svd_leading(mat)
+        taus, _ = mu.svd_leading(mat)
         ref = onesided_jacobi_singular_values(mat)
-        worst = max(worst, float(np.max(np.abs(dec.singular_values - ref)) / ref[0]))
+        worst = max(worst, float(np.max(np.abs(taus - ref)) / ref[0]))
     elapsed = time.perf_counter() - t0
     _criterion(
         "A9",
@@ -314,7 +314,7 @@ def test_a11_determinism_and_scale_invariance(tmp_path):
     rng = np.random.default_rng(7)
     c = complex(rng.standard_normal(), rng.standard_normal())
     scaled = image_from_data(
-        fw.ScatteringMatrix(n=data.n, entries=c * data.entries, mode=data.mode),
+        c * data,
         k_bw,
         scene.array,
         grid,

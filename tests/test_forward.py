@@ -110,10 +110,10 @@ class TestBornSparam:
             anomalies=(neutral,),
             frequency=1e9,
         )
-        assert fw.scattering_matrix(scn, scn.background_wavenumber()).entries[0, 5] == 0
+        assert fw.scattering_matrix(scn, scn.background_wavenumber())[0, 5] == 0
 
     def test_transmit_receive_swap(self, single_scene):
-        entries = fw.scattering_matrix(single_scene, single_scene.background_wavenumber()).entries
+        entries = fw.scattering_matrix(single_scene, single_scene.background_wavenumber())
         assert entries[3, 7] == entries[7, 3]
 
     def test_against_independent_formula_path(self, single_scene):
@@ -128,7 +128,7 @@ class TestBornSparam:
             d = math.dist(single_scene.array.positions[idx], an.center)
             us.append(0.25j * hankel2_0_oracle(k * d))
         ref = pref * o_val * us[0] * us[1]
-        got = fw.scattering_matrix(single_scene, k).entries[1, 2]
+        got = fw.scattering_matrix(single_scene, k)[1, 2]
         assert abs(got - ref) <= 1e-12 * abs(ref)
 
     def test_multi_anomaly_superposition(self, double_scene, single_scene):
@@ -140,20 +140,12 @@ class TestBornSparam:
             anomalies=double_scene.anomalies[1:],
             frequency=double_scene.frequency,
         )
-        total = fw.scattering_matrix(double_scene, k).entries[0, 4]
+        total = fw.scattering_matrix(double_scene, k)[0, 4]
         parts = (
-            fw.scattering_matrix(single_scene, k).entries[0, 4]
-            + fw.scattering_matrix(only_d2, k).entries[0, 4]
+            fw.scattering_matrix(single_scene, k)[0, 4]
+            + fw.scattering_matrix(only_d2, k)[0, 4]
         )
         assert total == pytest.approx(parts, rel=1e-14, abs=0)
-
-    def test_diagonal_rejected(self, single_scene):
-        # monostatic entries are not data: a nonzero diagonal is refused
-        mat = fw.scattering_matrix(single_scene, single_scene.background_wavenumber())
-        entries = mat.entries.copy()
-        entries[4, 4] = 1.0
-        with pytest.raises(DomainError):
-            fw.ScatteringMatrix(n=mat.n, entries=entries, mode=mat.mode)
 
 
 class TestScatteringMatrix:
@@ -166,15 +158,16 @@ class TestScatteringMatrix:
             frequency=1e9,
         )
         mat = fw.scattering_matrix(scn, scn.background_wavenumber())
-        assert np.all(mat.entries == 0)
+        assert np.all(mat == 0)
 
     def test_exact_symmetry_and_zero_diagonal(self, double_scene):
         k = double_scene.background_wavenumber()
         for mode in fw.MODES:
             mat = fw.scattering_matrix(double_scene, k, mode)
-            assert np.array_equal(mat.entries, mat.entries.T)
-            assert np.all(np.diagonal(mat.entries) == 0)
-            assert mat.mode == mode
+            assert np.array_equal(mat, mat.T)
+            assert np.all(np.diagonal(mat) == 0)
+            with pytest.raises(ValueError):
+                mat[0, 1] = 0
 
     def test_rank_one_before_diagonal_removal(self, single_scene):
         # the far-field model without the zeroed diagonal is an exact outer
@@ -195,8 +188,8 @@ class TestScatteringMatrix:
         # between full_hankel and asymptotic data measured max 0.929 for the
         # reference configuration (Fresnel-zone array). Recorded bound 1.0.
         k = single_scene.background_wavenumber()
-        full = fw.scattering_matrix(single_scene, k, fw.FULL_HANKEL).entries
-        asym = fw.scattering_matrix(single_scene, k, fw.ASYMPTOTIC).entries
+        full = fw.scattering_matrix(single_scene, k, fw.FULL_HANKEL)
+        asym = fw.scattering_matrix(single_scene, k, fw.ASYMPTOTIC)
         off = ~np.eye(16, dtype=bool)
         rel = np.abs(asym[off] - full[off]) / np.abs(full[off])
         assert rel.max() <= 1.0
@@ -214,8 +207,8 @@ class TestScatteringMatrix:
         s1 = sc.Scene(background=bg, anomalies=(base,), **common)
         s2 = sc.Scene(background=bg, anomalies=(scaled,), **common)
         k = s1.background_wavenumber()
-        k1 = fw.scattering_matrix(s1, k).entries
-        k2 = fw.scattering_matrix(s2, k).entries
+        k1 = fw.scattering_matrix(s1, k)
+        k2 = fw.scattering_matrix(s2, k)
         off = ~np.eye(16, dtype=bool)
         assert np.allclose(k2[off], 2 * k1[off], rtol=1e-13, atol=0)
 
@@ -240,8 +233,8 @@ class TestScatteringMatrix:
         s1 = sc.Scene(background=bg, anomalies=(sc.Anomaly((0.01, 0.03), 0.01, base_med),), **common)
         s2 = sc.Scene(background=bg, anomalies=(sc.Anomaly((0.01, 0.03), 0.01, rot_med),), **common)
         k = s1.background_wavenumber()
-        k1 = fw.scattering_matrix(s1, k).entries
-        k2 = fw.scattering_matrix(s2, k).entries
+        k1 = fw.scattering_matrix(s1, k)
+        k2 = fw.scattering_matrix(s2, k)
         off = ~np.eye(16, dtype=bool)
         assert np.allclose(k2[off], 1j * k1[off], rtol=1e-12, atol=0)
 
@@ -258,25 +251,27 @@ class TestAddNoise:
         a = fw.add_noise(mat, 20.0, seed=11)
         b = fw.add_noise(mat, 20.0, seed=11)
         c = fw.add_noise(mat, 20.0, seed=12)
-        assert np.array_equal(a.entries, b.entries)
-        assert not np.array_equal(a.entries, c.entries)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_noise_is_symmetric_with_zero_diagonal(self, single_scene):
         k = single_scene.background_wavenumber()
         mat = fw.scattering_matrix(single_scene, k)
         noisy = fw.add_noise(mat, 10.0, seed=3)
-        assert np.array_equal(noisy.entries, noisy.entries.T)
-        assert np.all(np.diagonal(noisy.entries) == 0)
+        assert np.array_equal(noisy, noisy.T)
+        assert np.all(np.diagonal(noisy) == 0)
+        with pytest.raises(ValueError):
+            noisy[0, 1] = 0
 
     def test_empirical_snr(self, single_scene):
         k = single_scene.background_wavenumber()
         mat = fw.scattering_matrix(single_scene, k)
-        off = ~np.eye(mat.n, dtype=bool)
-        sig = np.mean(np.abs(mat.entries[off]) ** 2)
+        off = ~np.eye(len(mat), dtype=bool)
+        sig = np.mean(np.abs(mat[off]) ** 2)
         noise_acc = 0.0
         for seed in range(100):
             noisy = fw.add_noise(mat, 20.0, seed=seed)
-            noise_acc += np.mean(np.abs((noisy.entries - mat.entries)[off]) ** 2)
+            noise_acc += np.mean(np.abs((noisy - mat)[off]) ** 2)
         measured_db = 10 * math.log10(sig / (noise_acc / 100))
         assert abs(measured_db - 20.0) <= 1.0
 
@@ -285,4 +280,13 @@ class TestAddNoise:
         mat = fw.scattering_matrix(single_scene, k)
         with pytest.raises(DomainError):
             fw.add_noise(mat, float("nan"), seed=0)
+
+    @pytest.mark.parametrize("snr_db", [-math.inf, -4000.0, 4000.0])
+    def test_snr_beyond_the_limit_rejected(self, single_scene, snr_db):
+        # 10^(snr_db/10) would be 0 or overflow
+        mat = fw.scattering_matrix(single_scene, single_scene.background_wavenumber())
+        with pytest.raises(DomainError, match="snr_db"):
+            fw.add_noise(mat, snr_db, seed=0)
+        fw.add_noise(mat, fw.SNR_DB_LIMIT, seed=0)
+        fw.add_noise(mat, -fw.SNR_DB_LIMIT, seed=0)
 

@@ -7,9 +7,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwmusic import cli, forward as fw, harness, music as mu, scene as sc, specfun
 from mwmusic.errors import ConfigurationError, NumericalError
@@ -604,6 +607,16 @@ class TestCli:
         assert capsys.readouterr().out.count(" far_field: ") == 6
         assert len(scenes) == 1
 
+    def test_noiseless_run_takes_a_negative_seed(self, tmp_path):
+        # the seed draws nothing without noise; the benchmark passes its
+        # own seed into every workload's config
+        cfg = tmp_path / "seeded.ini"
+        cfg.write_text("[noise]\nseed = -1\n")
+        out = tmp_path / "seeded-out"
+        argv = ["run", str(cfg), "--out", str(out), "--resolution", "16", "--seed", "-7"]
+        assert cli.main(argv) == 0
+        assert json.loads((out / "report.json").read_text())["config"]["seed"] == -7
+
     def test_bad_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[sweep]\nratios = hello\n")
@@ -810,6 +823,40 @@ class TestInputFailuresExit2:
         assert cli.main(["run", str(config), "--out", str(out), "--resolution", "32"]) == 2
         _one_error_line(capsys, "wavenumber")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("noise,names", [
+        ("snr_db = -inf", ("snr_db", "-inf")),  # 10^(snr_db/10) is 0
+        ("snr_db = -4000", ("snr_db", "-4000")),  # ... underflows to 0
+        ("snr_db = 4000", ("snr_db", "4000")),  # ... overflows
+        ("snr_db = 20\nseed = -1", ("seed", "-1")),  # numpy takes no negative seed
+    ], ids=["minus-inf", "minus-4000", "4000", "negative-seed"])
+    def test_unusable_noise(self, tmp_path, capsys, command, noise, names):
+        config = tmp_path / "noisy.ini"
+        config.write_text(f"[noise]\n{noise}\n")
+        out = tmp_path / "noisy-out"
+        argv = [command, str(config)]
+        if command == "run":
+            argv += ["--out", str(out), "--resolution", "16"]
+        assert cli.main(argv) == 2
+        _one_error_line(capsys, *names)
+        assert not out.exists()
+
+
+class TestExitCodes:
+    """Every failure maps to exit code 2 or 3: any snr_db and any seed
+    either run or fail cleanly, and a failed run leaves no directory."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(snr_db=st.floats(), seed=st.integers())
+    def test_any_snr_and_seed(self, snr_db, seed):
+        with tempfile.TemporaryDirectory() as root:
+            config = Path(root) / "noisy.ini"
+            config.write_text(f"[noise]\nsnr_db = {snr_db!r}\nseed = {seed}\n")
+            out = Path(root) / "out"
+            code = cli.main(["run", str(config), "--out", str(out), "--resolution", "16"])
+            assert code in (0, 2, 3)
+            assert code == 0 or not out.exists()
 
 
 class TestMemory:

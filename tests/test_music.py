@@ -42,8 +42,8 @@ def _grid(resolution=128):
 
 class TestSvdLeading:
     def test_zero_matrix(self):
-        dec = mu.svd_leading(np.zeros((6, 6), dtype=complex))
-        assert np.all(dec.singular_values == 0)
+        taus, _ = mu.svd_leading(np.zeros((6, 6), dtype=complex))
+        assert np.all(taus == 0)
 
     def test_rank_one_symmetric(self):
         # The SVD acts on K itself, not on K K^H, so nothing is squared:
@@ -51,41 +51,41 @@ class TestSvdLeading:
         # (measured 8.5e-17 tau_1 here).
         rng = np.random.default_rng(0)
         x = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-        dec = mu.svd_leading(np.outer(x, x))
+        taus, vecs = mu.svd_leading(np.outer(x, x))
         nrm2 = float(np.sum(np.abs(x) ** 2))
-        assert dec.singular_values[0] == pytest.approx(nrm2, rel=1e-12)
-        assert np.all(dec.singular_values[1:] <= 1e-13 * dec.singular_values[0])
-        overlap = abs(np.vdot(dec.left_vectors[:, 0], x / np.linalg.norm(x)))
+        assert taus[0] == pytest.approx(nrm2, rel=1e-12)
+        assert np.all(taus[1:] <= 1e-13 * taus[0])
+        overlap = abs(np.vdot(vecs[:, 0], x / np.linalg.norm(x)))
         assert overlap == pytest.approx(1.0, abs=1e-10)
 
     def test_random_matrix_against_onesided_oracle(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        dec = mu.svd_leading(a)
+        taus, _ = mu.svd_leading(a)
         ref = onesided_jacobi_singular_values(a)
-        assert np.max(np.abs(dec.singular_values - ref)) <= 1e-10 * ref[0]
+        assert np.max(np.abs(taus - ref)) <= 1e-10 * ref[0]
 
     def test_eigen_residual_and_orthonormality(self, double_scene):
         k = double_scene.background_wavenumber()
         mat = fw.scattering_matrix(double_scene, k)
-        dec = mu.svd_leading(mat)
-        gram = mat.entries @ mat.entries.conj().T
-        tau1 = dec.singular_values[0]
-        for j in range(mat.n):
-            u = dec.left_vectors[:, j]
-            resid = np.linalg.norm(gram @ u - dec.singular_values[j] ** 2 * u)
+        taus, vecs = mu.svd_leading(mat)
+        gram = mat @ mat.conj().T
+        tau1 = taus[0]
+        for j in range(len(mat)):
+            u = vecs[:, j]
+            resid = np.linalg.norm(gram @ u - taus[j] ** 2 * u)
             assert resid <= 1e-8 * tau1**2
-        eye_dev = np.abs(dec.left_vectors.conj().T @ dec.left_vectors - np.eye(mat.n))
+        eye_dev = np.abs(vecs.conj().T @ vecs - np.eye(len(mat)))
         assert np.max(eye_dev) <= 1e-10
 
     def test_descending_order(self, single_scene):
         k = single_scene.background_wavenumber()
-        dec = mu.svd_leading(fw.scattering_matrix(single_scene, k))
-        assert np.all(np.diff(dec.singular_values) <= 0)
+        taus, _ = mu.svd_leading(fw.scattering_matrix(single_scene, k))
+        assert np.all(np.diff(taus) <= 0)
 
     def test_nan_entry_raises(self, single_scene):
         k = single_scene.background_wavenumber()
-        entries = fw.scattering_matrix(single_scene, k).entries.copy()
+        entries = fw.scattering_matrix(single_scene, k).copy()
         entries[2, 5] = np.nan
         with pytest.raises(NumericalError):
             mu.svd_leading(entries)
@@ -116,11 +116,9 @@ class TestSignalSubspaceDim:
         # retains part of it: recomputed dimensions are 6 (full_hankel) and
         # 7 (asymptotic), not the naive one-per-anomaly count.
         k = double_scene.background_wavenumber()
-        taus_full = mu.svd_leading(fw.scattering_matrix(double_scene, k)).singular_values
+        taus_full = mu.svd_leading(fw.scattering_matrix(double_scene, k))[0]
         assert mu.signal_subspace_dim(taus_full) == 6
-        taus_asym = mu.svd_leading(
-            fw.scattering_matrix(double_scene, k, fw.ASYMPTOTIC)
-        ).singular_values
+        taus_asym = mu.svd_leading(fw.scattering_matrix(double_scene, k, fw.ASYMPTOTIC))[0]
         assert mu.signal_subspace_dim(taus_asym) == 7
         # the two anomaly directions always dominate the cluster
         assert taus_full[1] / taus_full[0] > 0.5
@@ -170,14 +168,14 @@ class TestTestVector:
 
 
 class TestProjectionNorm:
-    # the imaging walk's pair with the identity alone
+    # the imaging walk's kernel with the identity alone
     @staticmethod
     def _norm(basis, w):
         return mu._image_norms(basis.conj()[:, None, :], np.atleast_2d(w))[0, 0]
 
     def _basis(self, scene, m=1):
         k = scene.background_wavenumber()
-        return mu.svd_leading(fw.scattering_matrix(scene, k)).left_vectors[:, :m]
+        return mu.svd_leading(fw.scattering_matrix(scene, k))[1][:, :m]
 
     def test_signal_vector_maps_to_zero(self, single_scene):
         basis = self._basis(single_scene)
@@ -211,14 +209,14 @@ _WORKLOAD_GRIDS = [(112, 16, "fig-mu-single"), (160, 16, "fig-sigma-double"), (4
 
 def _pulled_back(basis, plan):
     """The stack conj(U_g) (N, |G|, M) that `SymmetryPlan.over_domain`
-    hands the imaging pair."""
+    hands `music._image_norms`."""
     moved = np.empty((basis.shape[0], len(plan.perms), basis.shape[1]), dtype=complex)
     moved[plan.perms.T, np.arange(len(plan.perms))] = basis.conj()[:, None]
     return moved
 
 
 class TestImageNorms:
-    # The Gram form 1 - |U^H w|^2 of the imaging pair against the residual
+    # The Gram form 1 - |U^H w|^2 of the imaging kernel against the residual
     # form of projection_norm, on the full-grid steering tables of every
     # ratio of the workload's sweep, both variants. Above the floor of 1e-4
     # the Gram form loses at most ~1e-12 relative; measured worst 8.9e-14
@@ -229,7 +227,7 @@ class TestImageNorms:
         kind, ratios, _ = harness.PRESETS[preset]
         scn = make_scene(2, count=count)
         k_bw = scn.background_wavenumber()
-        basis = mu.svd_leading(fw.scattering_matrix(scn, k_bw)).left_vectors[:, :m]
+        basis = mu.svd_leading(fw.scattering_matrix(scn, k_bw))[1][:, :m]
         points = cell_centers(_grid(resolution))
         for ratio in ratios:
             k_aw = _mismatched(scn, kind, ratio)
@@ -314,10 +312,10 @@ def _mismatched(scn, kind, ratio):
 
 def _nudged_array(count=16):
     """A uniform ring with one antenna moved by 1e-3 rad: no symmetry left."""
-    angles = sc.uniform_circular_array(count, 0.09).angles.copy()
+    angles = 2 * np.pi * np.arange(1, count + 1) / count
     angles[3] += 1e-3
     positions = 0.09 * np.column_stack([np.cos(angles), np.sin(angles)])
-    return sc.AntennaArray(radius=0.09, count=count, positions=positions, angles=angles)
+    return sc.AntennaArray(radius=0.09, positions=positions)
 
 
 class TestSymmetryPlan:
@@ -337,7 +335,7 @@ class TestSymmetryPlan:
         angles = np.array([0.0, 1e-10, np.pi / 2, np.pi, 3 * np.pi / 2])
         positions = np.column_stack([np.cos(angles), np.sin(angles)])
         with pytest.raises(ConfigurationError, match="R apart"):
-            sc.AntennaArray(radius=1.0, count=5, positions=positions, angles=angles)
+            sc.AntennaArray(radius=1.0, positions=positions)
 
     @pytest.mark.parametrize("count,resolution", _SYMMETRY_CASES)
     def test_group_order(self, count, resolution):
@@ -373,8 +371,8 @@ class TestSymmetryPlan:
         grid, array, plan = _plan(count, resolution)
         arrays = [getattr(plan, f.name) for f in dataclasses.fields(plan)]
         arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-        arrays += [grid.ticks, grid.mask, array.positions, array.angles]
-        assert len(arrays) == 7
+        arrays += [grid.ticks, grid.mask, array.positions]
+        assert len(arrays) == 6
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -398,8 +396,7 @@ class TestSymmetryPlan:
             frequency=base.frequency,
         )
         k = scn.background_wavenumber()
-        dec = mu.svd_leading(fw.scattering_matrix(scn, k))
-        basis = dec.left_vectors[:, :n_anomalies]
+        basis = mu.svd_leading(fw.scattering_matrix(scn, k))[1][:, :n_anomalies]
         grid = _grid(64)
         plan = mu.symmetry_plan(grid, scn.array)
         image = mu.imaging_map(basis, k, plan, steering(k, plan, variant))
@@ -426,7 +423,7 @@ class TestSymmetryPlan:
         scn = make_scene(2, count=count)
         k_bw = scn.background_wavenumber()
         k_aw = _mismatched(scn, "permeability", 2.0)
-        basis = mu.svd_leading(fw.scattering_matrix(scn, k_bw)).left_vectors[:, :2]
+        basis = mu.svd_leading(fw.scattering_matrix(scn, k_bw))[1][:, :2]
         grid = _grid(113)
         plan = mu.symmetry_plan(grid, scn.array)
         for variant, bound in ((mu.EXACT_FIELD, 4e-10), (mu.PLANE_WAVE, 1e-13)):
@@ -467,7 +464,7 @@ class TestChunks:
         scn = _scene_with(_CHUNK_ARRAYS[array_name](), n_anomalies)
         k_bw = scn.background_wavenumber()
         k_aw = _mismatched(scn, "permeability", 2.0)
-        basis = mu.svd_leading(fw.scattering_matrix(scn, k_bw)).left_vectors[:, :n_anomalies]
+        basis = mu.svd_leading(fw.scattering_matrix(scn, k_bw))[1][:, :n_anomalies]
         grid = _grid(61)
         maps = []
         for entries in (10**9, 3 * scn.array.count):
@@ -560,7 +557,7 @@ class TestChunks:
         scn = make_scene(1)
         k_bw = scn.background_wavenumber()
         k_aw = _mismatched(scn, "permeability", 2.0)
-        basis = mu.svd_leading(fw.scattering_matrix(scn, k_bw)).left_vectors[:, :1]
+        basis = mu.svd_leading(fw.scattering_matrix(scn, k_bw))[1][:, :1]
         maps, closed, chunks = [], [], []
         for entries in (mu._CHUNK_ENTRIES, 8192):
             monkeypatch.setattr(mu, "_CHUNK_ENTRIES", entries)
@@ -579,7 +576,7 @@ class TestChunks:
         # none, however many chunks the domain takes
         scn = make_scene(1)
         k = scn.background_wavenumber()
-        basis = mu.svd_leading(fw.scattering_matrix(scn, k)).left_vectors[:, :1]
+        basis = mu.svd_leading(fw.scattering_matrix(scn, k))[1][:, :1]
         calls = []
         hankel = specfun._hankel2_0
         monkeypatch.setattr(specfun, "_hankel2_0", lambda z: calls.append(1) or hankel(z))
@@ -635,7 +632,7 @@ class TestImagingMap:
         grid = _grid(64)
         base = image_from_data(mat, k, single_scene.array, grid)
         c = -0.37 + 1.91j
-        scaled_mat = fw.ScatteringMatrix(n=mat.n, entries=c * mat.entries, mode=mat.mode)
+        scaled_mat = c * mat
         scaled = image_from_data(scaled_mat, k, single_scene.array, grid)
         mask = grid.mask
         assert np.max(np.abs(scaled.values[mask] - base.values[mask]) / base.values[mask]) <= 1e-9
@@ -687,7 +684,7 @@ class TestImagingMap:
         # conductivity x1e5 gives Im(k_aw) ~ 8.9e3 /m, so the exact field
         # overflows across the ring instead of yielding a NaN norm map
         k = single_scene.background_wavenumber()
-        dec = mu.svd_leading(fw.scattering_matrix(single_scene, k))
+        _, vecs = mu.svd_leading(fw.scattering_matrix(single_scene, k))
         k_aw = sc.wavenumber(
             sc.Medium(
                 single_scene.background.permittivity,
@@ -698,7 +695,7 @@ class TestImagingMap:
         )
         with pytest.raises(NumericalError), pytest.warns(RuntimeWarning):
             plan = mu.symmetry_plan(_grid(16), single_scene.array)
-            mu.imaging_map(dec.left_vectors[:, :1], k_aw, plan, steering(k_aw, plan))
+            mu.imaging_map(vecs[:, :1], k_aw, plan, steering(k_aw, plan))
 
     def test_raw_norm_bounded(self, single_scene):
         k = single_scene.background_wavenumber()
@@ -1149,7 +1146,7 @@ class TestMemory:
     def test_default_map_at_1024(self):
         scn = make_scene(1)
         k = scn.background_wavenumber()
-        basis = mu.svd_leading(fw.scattering_matrix(scn, k)).left_vectors[:, :1]
+        basis = mu.svd_leading(fw.scattering_matrix(scn, k))[1][:, :1]
         plan = mu.symmetry_plan(mu.grid_for_roi(scn.roi_radius, 1024), scn.array)
         tracemalloc.start()
         try:

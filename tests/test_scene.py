@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mwmusic import scene as sc
 from mwmusic.errors import ConfigurationError, DomainError
 
-from conftest import EPS0, MU_B, make_background, make_d1, make_scene
+from conftest import EPS0, MU_B, make_background, make_d1, make_scene, uniform_angles
 from oracles import far_field_grid_fraction
 
 OMEGA = 2 * math.pi * 1.0e9
@@ -101,7 +101,8 @@ class TestUniformCircularArray:
         arr = sc.uniform_circular_array(count, radius)
         assert np.all(np.abs(np.hypot(*arr.positions.T) - radius) <= 1e-15 * radius)
         assert np.linalg.norm(arr.positions.sum(axis=0)) <= 1e-12 * radius
-        assert np.unique(arr.angles).size == count
+        assert arr.count == count
+        assert np.unique(np.arctan2(arr.positions[:, 1], arr.positions[:, 0])).size == count
 
     def test_too_few_antennas(self):
         with pytest.raises(ConfigurationError):
@@ -114,41 +115,17 @@ class TestUniformCircularArray:
 
 
 class TestAntennaArrayChecks:
-    """The package computes with the positions alone; each angle must name
-    its antenna's position, and no two antennas may share one."""
+    """The package computes with the positions alone; no two antennas may
+    share one."""
 
     @staticmethod
-    def _ring(angles, radius=1.0, positions=None):
+    def _ring(angles, radius=1.0):
         angles = np.asarray(angles, dtype=float)
-        if positions is None:
-            positions = radius * np.column_stack([np.cos(angles), np.sin(angles)])
-        return sc.AntennaArray(
-            radius=radius, count=len(angles), positions=positions, angles=angles
-        )
+        positions = radius * np.column_stack([np.cos(angles), np.sin(angles)])
+        return sc.AntennaArray(radius=radius, positions=positions)
 
     def test_uniform_ring_accepted(self):
-        ring = sc.uniform_circular_array(8, 1.0)
-        self._ring(ring.angles)
-        # an angle names a position modulo 2 pi
-        self._ring(ring.angles - 2 * np.pi, positions=ring.positions)
-
-    def test_nan_angle_rejected(self):
-        ring = sc.uniform_circular_array(8, 1.0)
-        angles = ring.angles.copy()
-        angles[3] = np.nan
-        with pytest.raises(ConfigurationError, match="angles must be finite"):
-            self._ring(angles, positions=ring.positions)
-
-    def test_angle_off_its_position_rejected(self):
-        ring = sc.uniform_circular_array(8, 1.0)
-        angles = ring.angles.copy()
-        angles[0] = 1.0
-        with pytest.raises(ConfigurationError, match=r"R \(cos theta_n, sin theta_n\)"):
-            self._ring(angles, positions=ring.positions)
-
-    def test_angles_equal_mod_2pi_rejected(self):
-        with pytest.raises(ConfigurationError, match="angles must be pairwise distinct"):
-            self._ring([0.0, 2 * np.pi, 2.0, 4.0])
+        assert self._ring(uniform_angles(8)) == sc.uniform_circular_array(8, 1.0)
 
     @pytest.mark.parametrize("gap,accepted", [(1e-10, False), (1.9e-9, False), (2.1e-9, True)])
     def test_nearest_pair_across_angle_zero(self, gap, accepted):
@@ -161,13 +138,18 @@ class TestAntennaArrayChecks:
             with pytest.raises(ConfigurationError, match="R apart"):
                 self._ring(angles)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (4,), (3, 3)])
+    def test_positions_not_n_by_2_rejected(self, shape):
+        with pytest.raises(ConfigurationError, match="shape"):
+            sc.AntennaArray(radius=1.0, positions=np.ones(shape))
+
     def test_coincident_antennas_rejected(self):
-        # antenna 1 moved onto antenna 0 keeps its own, distinct angle
+        # antenna 1 moved onto antenna 0
         ring = sc.uniform_circular_array(8, 1.0)
         positions = ring.positions.copy()
         positions[1] = positions[0]
-        with pytest.raises(ConfigurationError):
-            self._ring(ring.angles, positions=positions)
+        with pytest.raises(ConfigurationError, match="R apart"):
+            sc.AntennaArray(radius=1.0, positions=positions)
 
 
 class TestContrast:
@@ -204,8 +186,8 @@ class TestSceneValidation:
     def test_reference_scene_all_pass(self, single_scene):
         k_aw = single_scene.background_wavenumber()
         diags = sc.validate_scene(single_scene, k_aw)
-        assert [d.condition for d in diags] == ["background_loss", "anomaly_size", "far_field"]
-        assert all(d.status == "pass" for d in diags)
+        assert [d["condition"] for d in diags] == ["background_loss", "anomaly_size", "far_field"]
+        assert all(d["status"] == "pass" for d in diags)
 
     def test_loss_condition_warns(self):
         bg = sc.Medium(permittivity=20 * EPS0, conductivity=OMEGA * 20 * EPS0)
@@ -217,7 +199,7 @@ class TestSceneValidation:
             frequency=1.0e9,
         )
         diags = sc.validate_scene(scn, scn.background_wavenumber())
-        assert diags[0].status == "warn"
+        assert diags[0]["status"] == "warn"
 
     def test_size_condition_warns(self):
         # wavelength is ~0.067 m; a near-ROI-sized anomaly breaks the bound
@@ -234,8 +216,8 @@ class TestSceneValidation:
             frequency=1.0e9,
         )
         diags = sc.validate_scene(scn, scn.background_wavenumber())
-        assert diags[1].status == "warn"
-        assert diags[1].threshold == pytest.approx(0.0668, abs=2e-4)
+        assert diags[1]["status"] == "warn"
+        assert diags[1]["threshold"] == pytest.approx(0.0668, abs=2e-4)
 
     def test_far_field_warns_for_rim_anomaly(self):
         rim = sc.Anomaly(center=(0.08, 0.0), radius=0.004, medium=sc.Medium(55 * EPS0, 1.2))
@@ -247,7 +229,7 @@ class TestSceneValidation:
             frequency=1.0e9,
         )
         diags = sc.validate_scene(scn, scn.background_wavenumber())
-        assert diags[2].status == "warn"
+        assert diags[2]["status"] == "warn"
 
     def test_diagnostics_never_raise(self, double_scene):
         k_aw = sc.wavenumber(sc.Medium(2000 * EPS0, 50.0), OMEGA)
@@ -271,9 +253,9 @@ class TestSceneValidation:
                 sc.Medium(bg.permittivity, bg.conductivity, ratio * bg.permeability), OMEGA
             )
             diag = sc.validate_scene(double_scene, k_aw)[2]
-            percent = 100.0 * far_field_grid_fraction(double_scene, diag.threshold)
+            percent = 100.0 * far_field_grid_fraction(double_scene, diag["threshold"])
             want = f"{percent:.0f}% of interior grid points satisfy the margin"
-            assert diag.detail.endswith(want)
+            assert diag["detail"].endswith(want)
 
     def test_empty_scene_diagnostics_pass(self):
         scn = sc.Scene(
@@ -284,7 +266,22 @@ class TestSceneValidation:
             frequency=1.0e9,
         )
         diags = sc.validate_scene(scn, scn.background_wavenumber())
-        assert all(d.status == "pass" for d in diags)
+        assert all(d["status"] == "pass" for d in diags)
+        # no anomaly is nearest to the array: strict JSON has no Infinity
+        assert diags[2]["measured"] is None
+
+    def test_lossless_loss_ratio_is_none(self):
+        bg = sc.Medium(permittivity=20 * EPS0, conductivity=0.0)
+        scn = sc.Scene(
+            background=bg,
+            roi_radius=0.085,
+            array=sc.uniform_circular_array(16, 0.09),
+            anomalies=(make_d1(),),
+            frequency=1.0e9,
+        )
+        loss = sc.validate_scene(scn, scn.background_wavenumber())[0]
+        assert loss["status"] == "pass"
+        assert loss["measured"] is None and loss["threshold"] == sc.LOSS_FACTOR
 
 
 class TestSceneStructure:

@@ -11,7 +11,7 @@ from mwmusic import scene as sc
 from mwmusic import theory as th
 from mwmusic.errors import DegenerateDataError, DomainError
 
-from conftest import D1_CENTER, image_from_data, make_scene
+from conftest import D1_CENTER, image_from_data, make_scene, uniform_angles
 from oracles import (
     bessel_series_norm_factor,
     bessel_series_terms,
@@ -95,7 +95,7 @@ class TestErrorSeries:
         k = sc.wavenumber(lossless, single_scene.omega)
         assert k.imag == 0
         r_star = (0.01, 0.03)
-        j0, error = bessel_series_terms(k, k, r_star, r_star, single_scene.array.angles)
+        j0, error = bessel_series_terms(k, k, r_star, r_star, uniform_angles())
         assert error == 0
         assert j0 == 1
         assert _g(single_scene.array, (k, k, r_star), r_star) == pytest.approx(1.0, abs=1e-12)
@@ -106,7 +106,7 @@ class TestErrorSeries:
         # series that must still normalize to 1.
         waves = _waves(single_scene)
         k, _, r_star = waves
-        angles = single_scene.array.angles
+        angles = uniform_angles()
         j0, error = bessel_series_terms(k, k, r_star, r_star, angles)
         assert error != 0
         series = bessel_series_norm_factor(k, k, r_star, r_star, angles)
@@ -120,7 +120,7 @@ class TestNormFactor:
         # Bessel-harmonic series at 200 random samples
         rng = np.random.default_rng(17)
         kinds = ("permeability", "permittivity", "conductivity")
-        angles = single_scene.array.angles
+        angles = uniform_angles()
         worst = 0.0
         for trial in range(200):
             waves = _waves(single_scene, kinds[trial % 3], float(rng.uniform(0.2, 5.0)))
@@ -199,10 +199,7 @@ class TestClosedFormMap:
         rng = np.random.default_rng(8)
         perm = rng.permutation(single_scene.array.count)
         shuffled = sc.AntennaArray(
-            radius=single_scene.array.radius,
-            count=single_scene.array.count,
-            positions=single_scene.array.positions[perm],
-            angles=single_scene.array.angles[perm],
+            radius=single_scene.array.radius, positions=single_scene.array.positions[perm]
         )
         other = th.closed_form_norm_map(mu.symmetry_plan(grid, shuffled), *waves)
         mask = grid.mask
@@ -354,8 +351,8 @@ class TestCIdentity:
         scene = make_scene(1, count=count)
         k_bw = scene.background_wavenumber()
         mat = fw.scattering_matrix(scene, k_bw, fw.ASYMPTOTIC)
-        tau1 = float(mu.svd_leading(mat).singular_values[0])
-        return th.c_identity_check(mat, scene, k_bw, tau1)
+        tau1 = float(mu.svd_leading(mat)[0][0])
+        return th.c_identity_check(scene, k_bw, tau1)
 
     def test_reference_values(self):
         # Recomputed for the reference lossy background: the modulus spread
@@ -373,7 +370,7 @@ class TestCIdentity:
         k = base.background_wavenumber()
         k_clear = sc.wavenumber(replace(base.background, conductivity=0.0), base.omega)
         for count in (8, 16):
-            angles = make_scene(1, count=count).array.angles
+            angles = uniform_angles(count)
             lam1 = far_field_normalization(angles, D1_CENTER, k)
             assert self._value(count) == pytest.approx(((count - 1) / lam1) ** 2, abs=1e-10)
             assert far_field_normalization(angles, D1_CENTER, k_clear) == count - 1
@@ -390,8 +387,8 @@ class TestCIdentity:
         )
         k_bw = scene.background_wavenumber()
         mat = fw.scattering_matrix(scene, k_bw, fw.ASYMPTOTIC)
-        tau1 = float(mu.svd_leading(mat).singular_values[0])
-        assert th.c_identity_check(mat, scene, k_bw, tau1) == pytest.approx(1.0, abs=1e-10)
+        tau1 = float(mu.svd_leading(mat)[0][0])
+        assert th.c_identity_check(scene, k_bw, tau1) == pytest.approx(1.0, abs=1e-10)
 
     def test_scale_invariance_in_anomaly_radius(self):
         base = make_scene(1)
@@ -406,18 +403,13 @@ class TestCIdentity:
                 frequency=base.frequency,
             )
             mat = fw.scattering_matrix(scene, k_bw, fw.ASYMPTOTIC)
-            tau1 = float(mu.svd_leading(mat).singular_values[0])
-            vals.append(th.c_identity_check(mat, scene, k_bw, tau1))
+            tau1 = float(mu.svd_leading(mat)[0][0])
+            vals.append(th.c_identity_check(scene, k_bw, tau1))
         assert abs(vals[1] - vals[0]) <= 1e-6 * vals[0]
 
     def test_errors(self, single_scene, double_scene):
         k_bw = single_scene.background_wavenumber()
-        full_mat = fw.scattering_matrix(single_scene, k_bw, fw.FULL_HANKEL)
-        with pytest.raises(DomainError):
-            th.c_identity_check(full_mat, single_scene, k_bw, 1.0)
-        asym = fw.scattering_matrix(single_scene, k_bw, fw.ASYMPTOTIC)
         with pytest.raises(DegenerateDataError):
-            th.c_identity_check(asym, single_scene, k_bw, 0.0)
-        asym2 = fw.scattering_matrix(double_scene, k_bw, fw.ASYMPTOTIC)
+            th.c_identity_check(single_scene, k_bw, 0.0)
         with pytest.raises(DomainError):
-            th.c_identity_check(asym2, double_scene, k_bw, 1.0)
+            th.c_identity_check(double_scene, k_bw, 1.0)
