@@ -8,8 +8,10 @@ change between wavenumbers. A map takes its steering rows from an
 evaluator of its caller (`steering_evaluators`): the exact-field rows come
 from `forward.incident_field_matrix` with a ray interpolant, all of a
 sweep's interpolants from one evaluation of their nodes, and the
-plane-wave rows from `_unit_phasors`, which the closed form in `theory`
-shares.
+plane-wave rows from `_plane_wave_rows`, which the closed form in `theory`
+shares. A plane-wave entry e^{i k theta_n . r} on the grid factors over
+the axes, so its phasors come from two per-axis tables of res x N complex
+exponentials per wavenumber, not one exponential per cell and antenna.
 
 The centred grid and the circular array share a dihedral symmetry group G
 (`symmetry_plan`): a mirror or rotation g of a cell only permutes the
@@ -138,16 +140,33 @@ def signal_subspace_dim(singular_values, threshold_ratio: float = DEFAULT_THRESH
     return int(max(1, np.count_nonzero(taus >= threshold_ratio * taus[0])))
 
 
-def _unit_phasors(k: complex, points: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Rows e^{i k theta_n . r} for each point, scaled to unit length.
+def _plane_wave_rows(tables: list, k: complex, directions, xs, ys, points) -> np.ndarray:
+    """Unit rows e^{i k theta_n . r} (points, N) of points on the lattice
+    xs x ys (each ascending), theta_n = (c_n, s_n) = directions[n].
 
-    The largest modulus of each row is divided out before the exponential,
-    so a lossy k cannot overflow it; the scale cancels in the normalization.
+    An entry is e^{i Re k x c_n} e^{i Re k y s_n} e^{-Im k (x c_n + y s_n)}:
+    its phasors and exponent terms come from per-axis tables over xs and
+    ys, one complex exponential per tick and antenna, held in tables with
+    their k and rebuilt for another k. A point finds its table rows by its
+    exact tick indices, so it must be a lattice point. The modulus is one
+    real exponential of the exponent less its row maximum, so a lossy k
+    cannot overflow it, scaled to unit row length.
     """
-    phase = 1j * k * (points @ directions.T)
-    phase -= phase.real.max(axis=1, keepdims=True)
-    rows = np.exp(phase, out=phase)
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    if not tables or tables[0] != k:
+        tables[:] = [k]
+        for ticks, cos in ((xs, directions[:, 0]), (ys, directions[:, 1])):
+            phase = np.exp(1j * (k.real * np.multiply.outer(ticks, cos)))
+            tables += [phase, -k.imag * np.multiply.outer(cos, ticks)]
+    _, phase_x, loss_x, phase_y, loss_y = tables
+    ix = np.searchsorted(xs, points[:, 0])
+    iy = np.searchsorted(ys, points[:, 1])
+    # antennas along the first axis, where the row reductions are fastest
+    modulus = loss_x.take(ix, axis=1) + loss_y.take(iy, axis=1)
+    modulus -= modulus.max(axis=0)
+    np.exp(modulus, out=modulus)
+    modulus /= np.sqrt(np.square(modulus).sum(axis=0))
+    rows = phase_x.take(ix, axis=0) * phase_y.take(iy, axis=0)
+    rows *= modulus.T
     return rows
 
 
@@ -441,15 +460,19 @@ def steering_evaluators(ks, plan: SymmetryPlan, variant: str) -> list:
     """The steering evaluator of `imaging_map` for each k of ks over plan:
     points -> their unit steering rows, of the exact field at the antennas
     (`_exact_rows`) or of the far-field phases e^{i k (a_n/|a_n|) . r}
-    (`_unit_phasors`). The exact-field interpolants of all the ks come from
-    one evaluation of their nodes (`specfun.ray_interpolants`) over the
+    (`_plane_wave_rows`). The exact-field interpolants of all the ks come
+    from one evaluation of their nodes (`specfun.ray_interpolants`) over the
     distance range of the whole domain, so a row does not depend on its
     chunk; for a k whose interpolant cannot be formed the entry is the
-    exception imaging with it raises (NumericalError past |k| d = 1e6).
+    exception imaging with it raises (NumericalError past |k| d = 1e6). The
+    plane-wave evaluators share one set of per-axis tables over the grid's
+    ticks, that of the k last asked for: a sweep holds 48 res N bytes of
+    them whatever its ratio count.
     """
     array = plan.array
     if variant == PLANE_WAVE:
-        return [partial(_unit_phasors, k, directions=array.directions) for k in ks]
+        tables, ticks = [], plan.grid.ticks
+        return [partial(_plane_wave_rows, tables, k, array.directions, ticks, ticks) for k in ks]
     if variant != EXACT_FIELD:
         raise DomainError(f"unknown test-vector variant {variant!r}")
     out = []
@@ -651,6 +674,9 @@ def read_map_csv(path, roi_radius: float) -> ImageMap:
                 )
             if not math.isclose(-lo, hi, rel_tol=1e-12):
                 raise DomainError(f"{path}: bounds must be symmetric")
+            # the range of `scene.wavenumber`; the comparisons refuse NaN too
+            if not (0 < k_aw.real < math.inf and 0 <= k_aw.imag < math.inf):
+                raise DomainError(f"{path}: k_aw must be finite with Re k > 0 and Im k >= 0, got {k_aw}")
             grid = ImagingGrid(resolution=resolution, half_extent=hi, roi_radius=roi_radius)
             values = np.full((resolution, resolution), np.nan)
             runs = _row_runs(grid.mask)

@@ -164,12 +164,13 @@ class Scene:
         if _finite(self.frequency, "frequency") <= 0:
             raise ConfigurationError("frequency must be > 0")
         try:
-            finite = cmath.isfinite(self.background_wavenumber())
+            k = self.background_wavenumber()
         except OverflowError:
-            finite = False
-        if not finite:
+            k = complex("inf")
+        # a k of 0 (omega^2 mu underflows) would divide by 0 in `validate_scene`
+        if not cmath.isfinite(k) or k == 0:
             raise ConfigurationError(
-                f"the background wavenumber at {self.frequency:g} Hz is not finite"
+                f"the background wavenumber at {self.frequency:g} Hz is {'0' if k == 0 else 'not finite'}"
             )
         if self.array.radius <= self.roi_radius:
             raise ConfigurationError("antennas must be placed outside the region of interest")

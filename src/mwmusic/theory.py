@@ -12,7 +12,9 @@ so the reciprocal map peaks where g reaches 1, near Re(k_bw/k_aw) r*. The
 root sqrt(1 - g^2) is the projection norm of the unit row w(r) off the unit
 signal row s, so this module computes it with the imaging kernel
 (`music._image_norms`), s as a one-column basis, on the plane-wave rows of
-the steering (`music._unit_phasors`, overflow-safe for lossy wavenumbers)
+the steering, from per-axis tables of e^{i Re k x c_n} and e^{i Re k y s_n}
+with theta_n = (c_n, s_n) (`music._plane_wave_rows`, overflow-safe for
+lossy wavenumbers; s is its row on the one-point lattice {x*} x {y*}),
 and in the same walk over the fundamental domain of a `music.SymmetryPlan`
 (`SymmetryPlan.over_domain`); near the minimum the kernel's residual form
 keeps it exact. The paper states the same quantity as a Bessel-harmonic
@@ -38,7 +40,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
-from .music import _READ_ROWS, PLANE_WAVE, ImageMap, SymmetryPlan, _unit_phasors, steering_evaluators
+from .music import _READ_ROWS, PLANE_WAVE, ImageMap, SymmetryPlan, _plane_wave_rows, steering_evaluators
 from .scene import Medium, Scene, contrast, wavenumber
 # not used here: the traced benchmark wraps these two names in this module
 from .specfun import bessel_j_grid, jacobi_anger_truncation  # noqa: F401
@@ -71,9 +73,10 @@ def closed_form_norm_map(plan: SymmetryPlan, k_bw: complex, k_aw: complex, r_sta
     imaging kernel (`music._image_norms`) in the plan's walk over its
     fundamental domain (`SymmetryPlan.over_domain`), as the norms of
     `music.imaging_map` do, and is exact near its minimum through the
-    kernel's residual form.
+    kernel's residual form. The rows' per-axis tables live for the call.
     """
-    s = _unit_phasors(k_bw, np.asarray([r_star], dtype=float), plan.array.directions)[0]
+    point = np.asarray([r_star], dtype=float)
+    s = _plane_wave_rows([], k_bw, plan.array.directions, point[:, 0], point[:, 1], point)[0]
     (rows_of,) = steering_evaluators([k_aw], plan, PLANE_WAVE)
     norms = plan.over_domain(rows_of, s[:, None])
     n = plan.array.count

@@ -10,11 +10,14 @@ reference formats one cell at a time with NumPy scalar indexing. The
 direct full-grid maps reuse the package's row builders but evaluate every
 masked cell (`cell_centers`, from a meshgrid) from one whole table, with
 the exact-field interpolant built over that table's own distance range
-(`table_ray`), without the symmetry plan the package images through; their
+(`table_ray`) and the plane-wave tables over the cells' own coordinates,
+without the symmetry plan the package images through; their
 projection norms are checked against the residual form |w - U U^H w|
 (`projection_norm`), which the package replaces by a Gram identity; one
 point of the closed form is summed over the antennas at 50 digits
-(`closed_form_norm_oracle`). The peak references walk every cell; the
+(`closed_form_norm_oracle`), and its direct map takes one complex
+exponential per plane-wave entry (`unit_phasors`), where the package
+multiplies per-axis tables. The peak references walk every cell; the
 far-field diagnostic is recomputed from its whole distance table for each
 margin.
 """
@@ -280,11 +283,28 @@ def table_ray(k: complex, d):
     return ray_interpolant(k, float(np.min(d)), float(np.max(d)))
 
 
+def unit_phasors(k: complex, points, directions) -> np.ndarray:
+    """Rows e^{i k theta_n . r} for each point, scaled to unit length, one
+    complex exponential per entry: the reference of the package's per-axis
+    tables (`music._plane_wave_rows`).
+
+    The largest modulus of each row is divided out before the exponential,
+    so a lossy k cannot overflow it; the scale cancels in the normalization.
+    """
+    phase = 1j * k * (np.asarray(points, dtype=float) @ directions.T)
+    phase -= phase.real.max(axis=1, keepdims=True)
+    rows = np.exp(phase, out=phase)
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows
+
+
 def direct_rows(k_aw, points, array, variant) -> np.ndarray:
-    """Steering rows of the points, exact-field ones from the interpolant
-    over the table's own distance range."""
+    """Steering rows of the points, plane-wave ones from the package's
+    builder on the lattice of the points' own coordinates, exact-field ones
+    from the interpolant over the table's own distance range."""
     if variant == mu.PLANE_WAVE:
-        return mu._unit_phasors(k_aw, points, array.directions)
+        xs, ys = (np.unique(points[:, axis]) for axis in (0, 1))
+        return mu._plane_wave_rows([], k_aw, array.directions, xs, ys, points)
     ray = table_ray(k_aw, fw._distances(points, array.positions))
     return mu._exact_rows(ray, array.positions, points)
 
@@ -307,10 +327,9 @@ def direct_norms(basis, k_aw, array, grid, variant) -> np.ndarray:
 
 def direct_norm_factor(points, array, k_bw, k_aw, r_star) -> np.ndarray:
     """g = |s^H w| / (|s| |w|), clamped into [0, 1], at each point from one
-    table of unit rows."""
-    dirs = array.directions
-    s = mu._unit_phasors(k_bw, np.asarray([r_star], dtype=float), dirs)[0]
-    w = mu._unit_phasors(k_aw, np.asarray(points, dtype=float), dirs)
+    table of unit rows (`unit_phasors`)."""
+    s = unit_phasors(k_bw, [r_star], array.directions)[0]
+    w = unit_phasors(k_aw, points, array.directions)
     return np.minimum(np.abs(w @ s.conj()), 1.0)
 
 

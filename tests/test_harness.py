@@ -1,4 +1,5 @@
 import codecs
+import contextlib
 import dataclasses
 import functools
 import io
@@ -11,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mwmusic import cli, forward as fw, harness, music as mu, scene as sc, specfun
@@ -735,6 +736,25 @@ def _one_error_line(capsys, *names):
     assert all(name in err[0] for name in names), err
 
 
+@functools.cache
+def _norm_csv_16() -> str:
+    """The text of the projection-norm CSV of a default run at 16^2."""
+    with tempfile.TemporaryDirectory() as root:
+        config, out = Path(root) / "empty.ini", Path(root) / "out"
+        config.write_text("")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["run", str(config), "--out", str(out), "--resolution", "16"]) == 0
+        return (out / "norm-permeability-1.csv").read_text()
+
+
+def _with_k_aw(text: str, k_aw: str) -> str:
+    """A map CSV's text with the k_aw header line's values replaced."""
+    return "".join(
+        f"# k_aw,{k_aw}\n" if line.startswith("# k_aw,") else line
+        for line in text.splitlines(keepends=True)
+    )
+
+
 def _opens_utf8():
     with open(os.devnull, encoding=io.text_encoding(None)) as fh:
         return codecs.lookup(fh.encoding).name == "utf-8"
@@ -783,6 +803,33 @@ class TestInputFailuresExit2:
         )
         assert cli.main(["compare", str(csv), str(empty_config)]) == 2
         _one_error_line(capsys, str(csv), "resolution")
+
+    @pytest.mark.parametrize("k_aw", ["nan,0.0", "inf,0.0", "0.0,0.0", "-94.0,-8.0"])
+    def test_compare_csv_wavenumber_out_of_range(self, empty_config, tmp_path, capsys, k_aw):
+        # no scene has such a wavenumber: the comparison printed NaN metrics,
+        # or metrics against a meaningless closed form, and exited 0
+        csv = tmp_path / "norm.csv"
+        csv.write_text(_with_k_aw(_norm_csv_16(), k_aw))
+        assert cli.main(["compare", str(csv), str(empty_config)]) == 2
+        _one_error_line(capsys, str(csv), "k_aw")
+
+    @pytest.mark.parametrize("command", ["validate", "run", "compare"])
+    def test_underflowing_frequency(self, tmp_path, capsys, command):
+        # omega^2 underflows and k_bw is 0: validate divided by it, run
+        # failed on H_0^(2) at 0 and compare compared against k_bw = 0
+        config = tmp_path / "cold.ini"
+        config.write_text("[scene]\nfrequency_hz = 1e-160\n")
+        csv = tmp_path / "norm.csv"
+        csv.write_text(_norm_csv_16())
+        out = tmp_path / "cold-out"
+        argv = {
+            "validate": ["validate", str(config)],
+            "run": ["run", str(config), "--out", str(out), "--resolution", "16"],
+            "compare": ["compare", str(csv), str(config)],
+        }[command]
+        assert cli.main(argv) == 2
+        _one_error_line(capsys, "wavenumber at 1e-160 Hz is 0")
+        assert not out.exists()
 
     @pytest.mark.parametrize("out", ["file", "file/sub"])
     def test_out_not_a_directory(self, empty_config, tmp_path, capsys, out):
@@ -857,6 +904,41 @@ class TestExitCodes:
             code = cli.main(["run", str(config), "--out", str(out), "--resolution", "16"])
             assert code in (0, 2, 3)
             assert code == 0 or not out.exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(frequency=st.floats(min_value=0.0, exclude_min=True))
+    @example(frequency=5e-324)  # the least subnormal
+    @example(frequency=1e-160)  # k_bw underflows to 0
+    @example(frequency=1e300)  # omega^2 overflows
+    def test_any_frequency(self, frequency):
+        with tempfile.TemporaryDirectory() as root:
+            config = Path(root) / "f.ini"
+            config.write_text(f"[scene]\nfrequency_hz = {frequency!r}\n")
+            code, printed = _quiet_main(["validate", str(config)])
+        assert code in (0, 2, 3)
+        assert "nan" not in printed
+
+    @settings(max_examples=100, deadline=None)
+    @given(k_aw=st.tuples(st.floats(), st.floats()))
+    @example(k_aw=(math.nan, 0.0))
+    @example(k_aw=(math.inf, 0.0))
+    @example(k_aw=(-math.inf, math.inf))
+    @example(k_aw=(0.0, 0.0))
+    def test_any_csv_wavenumber(self, k_aw):
+        with tempfile.TemporaryDirectory() as root:
+            config, csv = Path(root) / "empty.ini", Path(root) / "norm.csv"
+            config.write_text("")
+            csv.write_text(_with_k_aw(_norm_csv_16(), f"{k_aw[0]!r},{k_aw[1]!r}"))
+            code, printed = _quiet_main(["compare", str(csv), str(config)])
+        assert code in (0, 2, 3)
+        assert "nan" not in printed
+
+
+def _quiet_main(argv) -> tuple[int, str]:
+    """cli.main's exit code and what it printed on standard output: the
+    results, where an error prints on standard error."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv), out.getvalue()
 
 
 class TestMemory:

@@ -33,6 +33,7 @@ from oracles import (
     onesided_jacobi_singular_values,
     projection_norm,
     ray_interpolant,
+    unit_phasors,
 )
 
 
@@ -165,6 +166,67 @@ class TestTestVector:
         ray = ray_interpolant(k, 0.01, 0.2)
         with pytest.raises(DomainError):
             mu._exact_rows(ray, array.positions, array.positions[:1])
+
+
+def _domain_rows(k, plan):
+    """The production plane-wave rows of the plan's representatives, walked
+    chunk by chunk as `SymmetryPlan.over_domain` walks them."""
+    rows_of = steering(k, plan, mu.PLANE_WAVE)
+    return np.concatenate([rows_of(plan.points[chunk]) for chunk in plan.chunks])
+
+
+class TestPlaneWaveRows:
+    # The per-axis tables of `music._plane_wave_rows` against one complex
+    # exponential per entry (`unit_phasors`) over the fundamental domain at
+    # 128^2. The builder rounds the phase Re k (x c_n + y s_n) as two terms,
+    # so rows differ by the rounding of the phase: measured worst 3.4e-15
+    # over every ratio of the six presets, 1.8e-13 and 5.7e-13 at
+    # conductivity x1e5 and x1e6, whose phases reach ~750 and ~2400 rad.
+    @pytest.mark.parametrize("kind,ratios", sorted({v[:2] for v in harness.PRESETS.values()}))
+    def test_preset_ratios_match_the_reference(self, kind, ratios):
+        scn = make_scene(1)
+        plan = mu.symmetry_plan(_grid(128), scn.array)
+        for ratio in ratios:
+            k = _mismatched(scn, kind, ratio)
+            want = unit_phasors(k, plan.points, scn.array.directions)
+            assert np.max(np.abs(_domain_rows(k, plan) - want)) <= 1e-14
+
+    @pytest.mark.parametrize("ratio,bound", [(1e5, 1e-12), (1e6, 2e-12)])
+    def test_high_loss_rows_finite_with_unit_norm(self, ratio, bound):
+        # e^{-Im k theta . r} alone overflows here: the shift of each row's
+        # exponent by its maximum keeps the rows finite
+        scn = make_scene(1)
+        plan = mu.symmetry_plan(_grid(128), scn.array)
+        k = _mismatched(scn, "conductivity", ratio)
+        rows = _domain_rows(k, plan)
+        assert np.all(np.isfinite(rows))
+        assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) <= 1e-14
+        assert np.max(np.abs(rows - unit_phasors(k, plan.points, scn.array.directions))) <= bound
+
+    @pytest.mark.parametrize("point", [(0.0123456789, -0.0301234), (-0.07, 0.031)])
+    def test_off_grid_point_on_its_own_lattice(self, point):
+        # the closed form's signal row: r* alone as the lattice {x*} x {y*};
+        # measured worst 3.5e-16
+        scn = make_scene(1)
+        k = scn.background_wavenumber()
+        x, y = np.array(point[:1]), np.array(point[1:])
+        got = mu._plane_wave_rows([], k, scn.array.directions, x, y, np.array([point]))
+        assert np.max(np.abs(got - unit_phasors(k, [point], scn.array.directions))) <= 1e-15
+
+    def test_one_set_of_tables_per_evaluator_list(self):
+        # the evaluators of a sweep share one set of tables, rebuilt for the
+        # k whose rows are asked for, so memory does not grow with the ratios
+        scn = make_scene(1)
+        plan = mu.symmetry_plan(_grid(64), scn.array)
+        ks = [_mismatched(scn, "permeability", r) for r in (1.0, 2.0)]
+        first, second = mu.steering_evaluators(ks, plan, mu.PLANE_WAVE)
+        points = plan.points[plan.chunks[0]]
+        before = first(points)
+        second(points)
+        tables = first.args[0]
+        assert tables is second.args[0] and tables[0] == ks[1]
+        assert np.array_equal(first(points), before)
+        assert tables[0] == ks[0]
 
 
 class TestProjectionNorm:
@@ -411,7 +473,7 @@ class TestSymmetryPlan:
         grid = _grid(64)
         got = th.closed_form_norm_map(mu.symmetry_plan(grid, array), k_bw, k_aw, (0.01, 0.03))
         # the closed form is the imaging kernel's norm off the unit signal row
-        s = mu._unit_phasors(k_bw, np.array([[0.01, 0.03]]), array.directions)[0]
+        s = direct_rows(k_bw, np.array([[0.01, 0.03]]), array, mu.PLANE_WAVE)[0]
         want = norm_prefactor(array.count) * direct_norms(s[:, None], k_aw, array, grid, mu.PLANE_WAVE)
         assert np.array_equal(got, grid.raster(want), equal_nan=True)
 
@@ -1141,17 +1203,24 @@ class TestMemory:
     # finiteness check gathering bools, 29.4 MB while it gathered the
     # unmasked floats, 35.7 MB with the cells-sized temporaries of np.where
     # and np.minimum. 16 MB of it are the two res^2 layers the map keeps.
+    # The plane-wave map measured 24.8 MB, its per-axis tables 0.8 MB of it.
     PEAK_MB = 27
 
     def test_default_map_at_1024(self):
+        assert self._peak(mu.EXACT_FIELD) <= self.PEAK_MB * 2**20
+
+    def test_plane_wave_map_at_1024(self):
+        assert self._peak(mu.PLANE_WAVE) <= self.PEAK_MB * 2**20
+
+    @staticmethod
+    def _peak(variant) -> int:
         scn = make_scene(1)
         k = scn.background_wavenumber()
         basis = mu.svd_leading(fw.scattering_matrix(scn, k))[1][:, :1]
         plan = mu.symmetry_plan(mu.grid_for_roi(scn.roi_radius, 1024), scn.array)
         tracemalloc.start()
         try:
-            mu.imaging_map(basis, k, plan, steering(k, plan))
-            peak = tracemalloc.get_traced_memory()[1]
+            mu.imaging_map(basis, k, plan, steering(k, plan, variant))
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= self.PEAK_MB * 2**20
