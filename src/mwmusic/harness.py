@@ -510,11 +510,6 @@ class _Writer:
             raise OSError(f"the writer exited with status {code}")
 
 
-def _geometry(scene: Scene, grid: mu.ImagingGrid) -> tuple[complex, mu.SymmetryPlan]:
-    """The background wavenumber, and the plan of the maps over grid."""
-    return scene.background_wavenumber(), mu.symmetry_plan(grid, scene.array)
-
-
 def sweep_wavenumber(config: ExperimentConfig, ratio: float) -> complex:
     """The assumed wavenumber of the sweep of config at ratio."""
     scene = config.scene
@@ -528,7 +523,8 @@ def prepare(config: ExperimentConfig) -> Sweep:
     exact-field ones from one evaluation of their interpolants' nodes
     (`music.steering_evaluators`)."""
     scene = config.scene
-    k_bw, plan = _geometry(scene, mu.grid_for_roi(scene.roi_radius, config.resolution))
+    k_bw = scene.background_wavenumber()
+    plan = mu.symmetry_plan(mu.grid_for_roi(scene.roi_radius, config.resolution), scene.array)
     data = fw.scattering_matrix(scene, k_bw, config.forward_mode)
     if config.snr_db != fw.NOISELESS:
         data = fw.add_noise(data, config.snr_db, config.seed)
@@ -569,7 +565,9 @@ def analyse(sweep: Sweep, index: int, out: np.ndarray | None = None) -> tuple[mu
         # the closed form corresponds to the one-direction projector, so the
         # comparison map always uses U[:, :1] alone
         norm_image = image if m_used == 1 else mu.imaging_map(vecs[:, :1], k_aw, plan, steering)
-        closed_form = th.compare_maps(norm_image, plan, k_bw, k_aw, scene.anomalies[0].center)
+        closed_form = th.compare_maps(
+            norm_image, scene.array, k_bw, k_aw, scene.anomalies[0].center
+        )
     record = {
         "ratio": float(config.ratios[index]),
         "k_aw": [k_aw.real, k_aw.imag],
@@ -678,6 +676,7 @@ def compare_saved_map(csv_path, config: ExperimentConfig) -> dict:
     if len(scene.anomalies) != 1:
         raise ConfigurationError("theory comparison needs a single-anomaly scene")
     loaded = mu.read_map_csv(csv_path, roi_radius=scene.roi_radius)
-    k_bw, plan = _geometry(scene, loaded.grid)
     # compare_maps reads the values layer when a map has no raw_norm layer
-    return th.compare_maps(loaded, plan, k_bw, loaded.k_aw, scene.anomalies[0].center)
+    return th.compare_maps(
+        loaded, scene.array, scene.background_wavenumber(), loaded.k_aw, scene.anomalies[0].center
+    )

@@ -8,10 +8,11 @@ change between wavenumbers. A map takes its steering rows from an
 evaluator of its caller (`steering_evaluators`): the exact-field rows come
 from `forward.incident_field_matrix` with a ray interpolant, all of a
 sweep's interpolants from one evaluation of their nodes, and the
-plane-wave rows from `_plane_wave_rows`, which the closed form in `theory`
-shares. A plane-wave entry e^{i k theta_n . r} on the grid factors over
-the axes, so its phasors come from two per-axis tables of res x N complex
-exponentials per wavenumber, not one exponential per cell and antenna.
+plane-wave rows from `_plane_wave_rows`. A plane-wave entry
+e^{i k theta_n . r} on the grid factors over the axes, so its phasors come
+from two per-axis tables of res x N complex exponentials per wavenumber
+(`_axis_tables`), not one exponential per cell and antenna; the closed form
+in `theory` takes its products from the same tables.
 
 The centred grid and the circular array share a dihedral symmetry group G
 (`symmetry_plan`): a mirror or rotation g of a cell only permutes the
@@ -26,15 +27,16 @@ through the same code with G = {identity}.
 Everything that depends only on the grid and the array (the domain and
 its chunks) is one `SymmetryPlan`. A sweep builds it once and passes it to
 every map; per wavenumber only the steering rows are computed. The plan owns
-the walk over its domain (`SymmetryPlan.over_domain`), which the imaging
-map and the closed form in `theory` share: rows for one chunk of
-_CHUNK_ENTRIES table entries at a time, few enough that the walk keeps to
-one BLAS thread, paired with a basis pulled back by every group
-element at once. With the CSV writer streaming one grid row at a time and
-the reader one block of _READ_ROWS rows, the transient memory of a map does
-not grow with the grid. A map's layers are built from its projection norms
-by `map_from_norms`, which a process that receives only the norms calls
-too.
+the walk over its domain (`SymmetryPlan.over_domain`) that the imaging map
+takes: rows for one chunk of _CHUNK_ENTRIES table entries at a time, few
+enough that the walk keeps to one BLAS thread, paired with a basis pulled
+back by every group element at once. The closed form does not walk it: it
+needs the unit rows, in the same chunks, only of the few cells near its
+minimum or where its per-axis tables underflow. With the CSV writer
+streaming one grid row at a time and the reader one block of _READ_ROWS
+rows, the transient memory of a map does not grow with the grid. A map's
+layers are built from its projection norms by `map_from_norms`, which a
+process that receives only the norms calls too.
 
 The CSV writer and reader take the coordinate texts from one helper and
 walk the unmasked cells in the same row runs. The reader parses only the
@@ -79,13 +81,12 @@ MAX_RESOLUTION = 2048
 # so a map's transient memory does not grow with the grid, and below the
 # size at which a product of the walk wakes OpenBLAS threads: with the
 # OpenBLAS build of the 2-core host this was tuned on, a rows @ vector
-# product (the imaging walk's at M = 1 without symmetry, the closed form's
-# then) runs on two threads from 4096 table entries on (process CPU over
-# wall time 1.78-1.93 at 4096, 4112 and 8192 entries, 1.00 at 4080 and 0.97
-# at 4032),
-# and the threads spin after each product on the core a sweep's writer
-# process uses. The boundary is a property of the BLAS build; the rows and
-# norms do not depend on the chunk size
+# product (the imaging walk's at M = 1 without symmetry, and the closed
+# form's on its unit rows) runs on two threads from 4096 table entries on
+# (process CPU over wall time 1.78-1.93 at 4096, 4112 and 8192 entries, 1.00
+# at 4080 and 0.97 at 4032), and the threads spin after each product on the
+# core a sweep's writer process uses. The boundary is a property of the BLAS
+# build; the rows and norms do not depend on the chunk size
 _CHUNK_ENTRIES = 4095
 
 # columns of one product of the imaging walk (`_image_norms`): a rows @
@@ -140,24 +141,32 @@ def signal_subspace_dim(singular_values, threshold_ratio: float = DEFAULT_THRESH
     return int(max(1, np.count_nonzero(taus >= threshold_ratio * taus[0])))
 
 
-def _plane_wave_rows(tables: list, k: complex, directions, xs, ys, points) -> np.ndarray:
-    """Unit rows e^{i k theta_n . r} (points, N) of points on the lattice
-    xs x ys (each ascending), theta_n = (c_n, s_n) = directions[n].
-
-    An entry is e^{i Re k x c_n} e^{i Re k y s_n} e^{-Im k (x c_n + y s_n)}:
-    its phasors and exponent terms come from per-axis tables over xs and
-    ys, one complex exponential per tick and antenna, held in tables with
-    their k and rebuilt for another k. A point finds its table rows by its
-    exact tick indices, so it must be a lattice point. The modulus is one
-    real exponential of the exponent less its row maximum, so a lossy k
-    cannot overflow it, scaled to unit row length.
-    """
+def _axis_tables(tables: list, k: complex, directions, xs, ys) -> list:
+    """The per-axis tables of e^{i k theta_n . r} over the lattice xs x ys,
+    theta_n = (c_n, s_n) = directions[n]: the phasors e^{i Re k x c_n}
+    (xs, N) and the exponents -Im k x c_n (N, xs), then the same over ys
+    with s_n. They are held in tables with their k, one complex exponential
+    per tick and antenna, and rebuilt for another k."""
     if not tables or tables[0] != k:
         tables[:] = [k]
         for ticks, cos in ((xs, directions[:, 0]), (ys, directions[:, 1])):
             phase = np.exp(1j * (k.real * np.multiply.outer(ticks, cos)))
             tables += [phase, -k.imag * np.multiply.outer(cos, ticks)]
-    _, phase_x, loss_x, phase_y, loss_y = tables
+    return tables[1:]
+
+
+def _plane_wave_rows(tables: list, k: complex, directions, xs, ys, points) -> np.ndarray:
+    """Unit rows e^{i k theta_n . r} (points, N) of points on the lattice
+    xs x ys (each ascending), theta_n = (c_n, s_n) = directions[n].
+
+    An entry is e^{i Re k x c_n} e^{i Re k y s_n} e^{-Im k (x c_n + y s_n)}:
+    its phasors and exponent terms come from the per-axis tables
+    (`_axis_tables`). A point finds its table rows by its exact tick
+    indices, so it must be a lattice point. The modulus is one real
+    exponential of the exponent less its row maximum, so a lossy k cannot
+    overflow it, scaled to unit row length.
+    """
+    phase_x, loss_x, phase_y, loss_y = _axis_tables(tables, k, directions, xs, ys)
     ix = np.searchsorted(xs, points[:, 0])
     iy = np.searchsorted(ys, points[:, 1])
     # antennas along the first axis, where the row reductions are fastest
@@ -181,7 +190,8 @@ def _exact_rows(ray, positions: np.ndarray, points: np.ndarray) -> np.ndarray:
 def _image_norms(conj_bases: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """|w - U_g U_g^H w| for every unit row w of rows (points, N) and every
     basis U_g of the stack conj_bases (N, images, M) of conj(U_g), shape
-    (images, points): the kernel of the walk `SymmetryPlan.over_domain`.
+    (images, points): the kernel of the walk `SymmetryPlan.over_domain`
+    and of the closed form's unit rows.
 
     By the Gram identity |P_noise w|^2 = |w|^2 - |U_g^H w|^2 = 1 - |U_g^H w|^2,
     every image's norm comes from the products w^T conj(U_g), taken for
@@ -548,18 +558,21 @@ def map_from_norms(
 def write_map_csv(image: ImageMap, path, which: str = "values") -> None:
     """CSV with a resolution/bounds/k_aw header and one x,y,value row per
     unmasked cell (y rows ascending, x fastest) of the layer `which`,
-    "values" or "raw_norm". The body is written one grid row at a time."""
+    "values" or "raw_norm". The body is written one grid row at a time. A
+    map without k_aw raises DomainError before the file is created, as
+    `read_map_csv` could not read it back."""
     if which not in ("values", "raw_norm"):
         raise DomainError(f"unknown map layer {which!r}; expected 'values' or 'raw_norm'")
     grid = image.grid
     data = getattr(image, which)
     if data is None:
         raise DomainError(f"image has no {which!r} layer")
-    k_re, k_im = (image.k_aw.real, image.k_aw.imag) if image.k_aw is not None else (0.0, 0.0)
+    if image.k_aw is None:
+        raise DomainError("image has no k_aw for the CSV header")
     header = (
         f"# resolution,{grid.resolution}\n"
         f"# bounds,{float(-grid.half_extent)!r},{float(grid.half_extent)!r}\n"
-        f"# k_aw,{float(k_re)!r},{float(k_im)!r}\n"
+        f"# k_aw,{float(image.k_aw.real)!r},{float(image.k_aw.imag)!r}\n"
         "x,y,value\n"
     )
     ticks = _tick_texts(grid)

@@ -8,16 +8,18 @@ projection norm is then
     |P_noise W(r)| ~ (N^2-2N)/(N^2-2N+1) * sqrt(1 - g(r)^2),
     g(r) = |s^H w(r)| / (|s| |w(r)|),
 
-so the reciprocal map peaks where g reaches 1, near Re(k_bw/k_aw) r*. The
-root sqrt(1 - g^2) is the projection norm of the unit row w(r) off the unit
-signal row s, so this module computes it with the imaging kernel
-(`music._image_norms`), s as a one-column basis, on the plane-wave rows of
-the steering, from per-axis tables of e^{i Re k x c_n} and e^{i Re k y s_n}
-with theta_n = (c_n, s_n) (`music._plane_wave_rows`, overflow-safe for
-lossy wavenumbers; s is its row on the one-point lattice {x*} x {y*}),
-and in the same walk over the fundamental domain of a `music.SymmetryPlan`
-(`SymmetryPlan.over_domain`); near the minimum the kernel's residual form
-keeps it exact. The paper states the same quantity as a Bessel-harmonic
+so the reciprocal map peaks where g reaches 1, near Re(k_bw/k_aw) r*. With
+theta_n = (c_n, s_n) a plane-wave entry factors over the axes,
+e^{i k theta_n . r} = X_n(x) Y_n(y), so over a block of grid cells s^H w
+and |w|^2 are two small matrix products of the per-axis tables that the
+plane-wave rows are built from (`music._axis_tables`); s is the unit row
+of `music._plane_wave_rows` on the one-point lattice {x*} x {y*}. The
+cells where 1 - g^2 cancels, near the minimum, and those whose per-axis
+scaling underflows under a strongly lossy k_aw, take their unit rows
+instead: sqrt(1 - g^2) is the projection norm of the unit row w(r) off s,
+and the imaging kernel (`music._image_norms`) with s as a one-column basis
+keeps it exact through its residual form. The closed form needs no
+symmetry plan. The paper states the same quantity as a Bessel-harmonic
 series: with z = k_aw r - conj(k_bw) r*, rho = sqrt(z . z) and
 e^{i phi} = (z_x + i z_y) / rho, the Jacobi-Anger expansion (DLMF 10.12)
 of each term gives
@@ -40,12 +42,30 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
-from .music import _READ_ROWS, PLANE_WAVE, ImageMap, SymmetryPlan, _plane_wave_rows, steering_evaluators
-from .scene import Medium, Scene, contrast, wavenumber
+from .music import (
+    _GRAM_FLOOR,
+    _READ_ROWS,
+    ImageMap,
+    ImagingGrid,
+    _axis_tables,
+    _chunks,
+    _image_norms,
+    _plane_wave_rows,
+)
+from .scene import AntennaArray, Medium, Scene, contrast, wavenumber
 # not used here: the traced benchmark wraps these two names in this module
 from .specfun import bessel_j_grid, jacobi_anger_truncation  # noqa: F401
 
 MISMATCH_KINDS = ("permeability", "permittivity", "conductivity")
+
+# the volume (rows x antennas x columns) from which a matrix product wakes
+# OpenBLAS threads (see music._PRODUCT_COLUMNS); the closed form's products
+# stay below it, so a sweep's writer keeps the other core
+_THREAD_VOLUME = 65536
+# the scaled |w|^2 of a cell below which the closed form takes its unit row:
+# above it the terms that underflow (each off by at most 2^-1075) move the
+# sum by at most N 2^-105 relative
+_SCALE_FLOOR = 2.0**-970
 
 
 def mismatched_wavenumber(background: Medium, omega: float, kind: str, ratio: float) -> complex:
@@ -63,25 +83,78 @@ def mismatched_wavenumber(background: Medium, omega: float, kind: str, ratio: fl
     return k
 
 
-def closed_form_norm_map(plan: SymmetryPlan, k_bw: complex, k_aw: complex, r_star) -> np.ndarray:
-    """Predicted |P_noise W| over plan.grid (NaN at masked cells) for the
-    anomaly at r_star, imaged with k_aw in the background k_bw by the
-    antennas of plan.array.
+def closed_form_norm_map(
+    grid: ImagingGrid, array: AntennaArray, k_bw: complex, k_aw: complex, r_star
+) -> np.ndarray:
+    """Predicted |P_noise W| over grid (NaN at masked cells) for the anomaly
+    at r_star, imaged with k_aw in the background k_bw by the antennas of
+    array.
 
-    sqrt(1 - g(r)^2) is the projection norm of the unit row w(r) against
-    the unit signal row s as a one-column basis, so it comes from the
-    imaging kernel (`music._image_norms`) in the plan's walk over its
-    fundamental domain (`SymmetryPlan.over_domain`), as the norms of
-    `music.imaging_map` do, and is exact near its minimum through the
-    kernel's residual form. The rows' per-axis tables live for the call.
+    Over each block of cells (`_blocks`), s^H w and |w|^2 are products of
+    the per-axis tables (`music._axis_tables`): conj(s_n) Y_n(y) with
+    X_n(x), and |Y_n(y)|^2 with |X_n(x)|^2, each axis scaled per tick by
+    its largest modulus, which cancels in g. Where 1 - g^2 < _GRAM_FLOOR
+    (near the minimum) or the scaled |w|^2 < _SCALE_FLOOR (a strongly lossy
+    k_aw), a cell's norm is the imaging kernel's (`music._image_norms`) for
+    its unit row (`music._plane_wave_rows`) off s, in the walk's chunks.
     """
+    dirs = array.directions
+    n = array.count
     point = np.asarray([r_star], dtype=float)
-    s = _plane_wave_rows([], k_bw, plan.array.directions, point[:, 0], point[:, 1], point)[0]
-    (rows_of,) = steering_evaluators([k_aw], plan, PLANE_WAVE)
-    norms = plan.over_domain(rows_of, s[:, None])
-    n = plan.array.count
-    norms *= (n * n - 2 * n) / (n * n - 2 * n + 1)
-    return plan.grid.raster(norms)
+    conj_s = _plane_wave_rows([], k_bw, dirs, point[:, 0], point[:, 1], point)[0].conj()
+    ticks = grid.ticks
+    tables: list = []
+    phase_x, loss_x, phase_y, loss_y = _axis_tables(tables, k_aw, dirs, ticks, ticks)
+    # |X_n(x)| and |Y_n(y)| over the antennas, each tick's largest 1
+    size_x = np.exp(loss_x - loss_x.max(axis=0)).T
+    size_y = np.exp(loss_y - loss_y.max(axis=0)).T
+    wave_x = phase_x * size_x
+    signal_y = phase_y * size_y
+    signal_y *= conj_s
+    np.square(size_x, out=size_x)
+    np.square(size_y, out=size_y)
+    mask = grid.mask
+    out = np.empty(mask.shape)
+    for rows, cols in _blocks(grid.resolution, n):
+        block = out[rows, cols]
+        coefs = signal_y[rows] @ wave_x[cols].T
+        parts = np.square(coefs.view(np.float64), out=coefs.view(np.float64))
+        np.add(parts[:, 0::2], parts[:, 1::2], out=block)
+        size = size_y[rows] @ size_x[cols].T
+        low = size < _SCALE_FLOOR
+        np.divide(block, size, out=block, where=~low)
+        np.subtract(1.0, block, out=block)
+        low |= block < _GRAM_FLOOR
+        np.sqrt(block, out=block, where=~low)
+        low &= mask[rows, cols]
+        if low.any():
+            iy, ix = np.nonzero(low)
+            points = np.column_stack([ticks[ix + cols.start], ticks[iy + rows.start]])
+            for chunk in _chunks(len(points), n):
+                unit = _plane_wave_rows(tables, k_aw, dirs, ticks, ticks, points[chunk])
+                block[iy[chunk], ix[chunk]] = _image_norms(conj_s[:, None, None], unit)[0]
+    out *= (n * n - 2 * n) / (n * n - 2 * n + 1)
+    out[~mask] = np.nan
+    return out
+
+
+def _blocks(resolution: int, antennas: int) -> list[tuple[slice, slice]]:
+    """(rows, columns) of the grid in the blocks of `closed_form_norm_map`'s
+    products, a fixed tiling for each resolution and antenna count. A block
+    row holds below _THREAD_VOLUME / 3 table entries, so three rows stay
+    below _THREAD_VOLUME, and the rows are shared out evenly, so that no
+    block of a grid of two or more rows has one row (with fewer than 21846
+    antennas): a one-row product is a matrix-vector product, whose threads
+    wake from 4096 entries on."""
+    widest = max(1, (_THREAD_VOLUME - 1) // (3 * antennas))
+    col_parts = -(-resolution // widest)
+    cols = -(-resolution // col_parts)
+    row_parts = -(-resolution // max(1, (_THREAD_VOLUME - 1) // (antennas * cols)))
+    return [
+        (slice(resolution * i // row_parts, resolution * (i + 1) // row_parts),
+         slice(resolution * j // col_parts, resolution * (j + 1) // col_parts))
+        for i in range(row_parts) for j in range(col_parts)
+    ]
 
 
 def predicted_peak(k_bw: complex, k_aw: complex, r_star) -> tuple[float, float]:
@@ -98,25 +171,24 @@ def predicted_peak(k_bw: complex, k_aw: complex, r_star) -> tuple[float, float]:
 
 
 def compare_maps(
-    empirical: ImageMap, plan: SymmetryPlan, k_bw: complex, k_aw: complex, r_star
+    empirical: ImageMap, array: AntennaArray, k_bw: complex, k_aw: complex, r_star
 ) -> dict:
     """Agreement between measured projection norms and the closed-form
-    prediction (`closed_form_norm_map` of the other arguments) over the
-    unmasked cells: the dict of rms, max_abs, argmin_distance_cells (between
-    the two minima) and pearson, in that order.
+    prediction (`closed_form_norm_map` over the map's grid with the other
+    arguments) over the unmasked cells: the dict of rms, max_abs,
+    argmin_distance_cells (between the two minima) and pearson, in that
+    order.
 
     The empirical map must carry the raw projection norms (values in [0, 1]),
-    not the clipped reciprocal map, over plan.grid.
+    not the clipped reciprocal map.
     """
-    grid = plan.grid
-    if empirical.grid != grid:
-        raise DomainError("empirical map and comparison grid do not match")
+    grid = empirical.grid
     emp = empirical.raw_norm if empirical.raw_norm is not None else empirical.values
     mask = grid.mask
     emp_vals = emp[mask]
     if np.any(emp_vals > 1.0 + 1e-9) or np.any(emp_vals < 0.0):
         raise DomainError("expected a projection-norm map with values in [0, 1]")
-    theo_vals = closed_form_norm_map(plan, k_bw, k_aw, r_star)[mask]
+    theo_vals = closed_form_norm_map(grid, array, k_bw, k_aw, r_star)[mask]
     pearson = _pearson(emp_vals, theo_vals)
     diff = emp_vals - theo_vals
     np.abs(diff, out=diff)

@@ -231,11 +231,10 @@ def map_csv_text(image, which: str = "values") -> str:
     x fastest."""
     grid = image.grid
     data = image.values if which == "values" else image.raw_norm
-    k_re, k_im = (image.k_aw.real, image.k_aw.imag) if image.k_aw is not None else (0.0, 0.0)
     lines = [
         f"# resolution,{grid.resolution}",
         f"# bounds,{float(-grid.half_extent)!r},{float(grid.half_extent)!r}",
-        f"# k_aw,{float(k_re)!r},{float(k_im)!r}",
+        f"# k_aw,{float(image.k_aw.real)!r},{float(image.k_aw.imag)!r}",
         "x,y,value",
     ]
     ticks = grid.ticks

@@ -343,9 +343,9 @@ class TestRunExperiment:
     @pytest.mark.parametrize("variant,ranges", [(mu.EXACT_FIELD, 1), (mu.PLANE_WAVE, 0)])
     @pytest.mark.parametrize("preset", ["fig-mu-single", "fig-mu-double"])
     def test_one_plan_per_sweep(self, empty_config, tmp_path, monkeypatch, preset, variant, ranges):
-        # every map of the six ratios, and the closed form of the single
-        # anomaly, share the plan built before the ratio loop; its distance
-        # range is found once, and only for exact-field steering
+        # every map of the six ratios shares the plan built before the ratio
+        # loop (the closed form of the single anomaly needs none); its
+        # distance range is found once, and only for exact-field steering
         plans, found = [], []
         symmetry_plan, distance_range = mu.symmetry_plan, mu._distance_range
 
@@ -728,6 +728,24 @@ class TestCli:
         )
         assert code == 0
         assert "rms:" in capsys.readouterr().out
+
+    def test_compare_builds_no_plan(self, empty_config, tmp_path, capsys, monkeypatch):
+        # the closed form needs no symmetry plan: compare prints the run's
+        # four closed_form values without one
+        out = tmp_path / "noplan"
+        argv = ["run", str(empty_config), "--out", str(out), "--resolution", "32"]
+        assert cli.main(argv) == 0
+        (record,) = json.loads((out / "report.json").read_text())["records"]
+        capsys.readouterr()
+
+        def refuse(*_):
+            raise AssertionError("compare built a symmetry plan")
+
+        monkeypatch.setattr(mu, "symmetry_plan", refuse)
+        assert cli.main(["compare", str(out / "norm-permeability-1.csv"), str(empty_config)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        printed = {key: float(value) for key, value in (line.split(": ") for line in lines)}
+        assert printed == record["closed_form"]
 
 
 def _one_error_line(capsys, *names):

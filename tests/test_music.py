@@ -29,7 +29,6 @@ from oracles import (
     greedy_peaks,
     map_csv_text,
     map_csv_values,
-    norm_prefactor,
     onesided_jacobi_singular_values,
     projection_norm,
     ray_interpolant,
@@ -465,21 +464,20 @@ class TestSymmetryPlan:
         want = direct_norms(basis, k, scn.array, grid, variant)
         assert np.array_equal(image.raw_norm[grid.mask], want)
 
-    def test_asymmetric_array_closed_form_bit_identical(self):
+    def test_asymmetric_array_closed_form_matches_direct(self):
         scn = make_scene(1)
         k_bw = scn.background_wavenumber()
         k_aw = _mismatched(scn, "permittivity", 2.0)
         array = _nudged_array()
         grid = _grid(64)
-        got = th.closed_form_norm_map(mu.symmetry_plan(grid, array), k_bw, k_aw, (0.01, 0.03))
-        # the closed form is the imaging kernel's norm off the unit signal row
-        s = direct_rows(k_bw, np.array([[0.01, 0.03]]), array, mu.PLANE_WAVE)[0]
-        want = norm_prefactor(array.count) * direct_norms(s[:, None], k_aw, array, grid, mu.PLANE_WAVE)
-        assert np.array_equal(got, grid.raster(want), equal_nan=True)
+        got = th.closed_form_norm_map(grid, array, k_bw, k_aw, (0.01, 0.03))
+        want = direct_closed_form_norm_map(grid, array, k_bw, k_aw, (0.01, 0.03))
+        assert np.array_equal(np.isnan(got), ~grid.mask)
+        assert np.max(np.abs(got - want)[grid.mask]) <= 1e-13
 
     # The norm is 1-Lipschitz in the unit row, so the exact field inherits the
     # rows' 4e-10 (measured worst 5.5e-12 at N = 10); plane-wave rows and the
-    # closed form agree at rounding level (measured worst 1.8e-15 and 4.9e-15).
+    # closed form agree at rounding level (measured worst 1.8e-15 and 1.4e-14).
     @pytest.mark.parametrize("count", [16, 7, 10])
     def test_symmetric_maps_match_direct(self, count):
         scn = make_scene(2, count=count)
@@ -492,7 +490,7 @@ class TestSymmetryPlan:
             image = mu.imaging_map(basis, k_aw, plan, steering(k_aw, plan, variant))
             want = direct_norms(basis, k_aw, scn.array, grid, variant)
             assert np.max(np.abs(image.raw_norm[grid.mask] - want)) <= bound
-        got = th.closed_form_norm_map(plan, k_bw, k_aw, (0.01, 0.03))[grid.mask]
+        got = th.closed_form_norm_map(grid, scn.array, k_bw, k_aw, (0.01, 0.03))[grid.mask]
         want = direct_closed_form_norm_map(grid, scn.array, k_bw, k_aw, (0.01, 0.03))[grid.mask]
         assert np.max(np.abs(got - want)) <= 1e-13
 
@@ -512,6 +510,27 @@ _CHUNK_ARRAYS = {
     "ring16": lambda: sc.uniform_circular_array(16, 0.09),
     "nudged16": _nudged_array,
 }
+
+
+def _product_logger(products: list) -> type:
+    """An ndarray view type that appends the operand shapes of every matrix
+    product taken of its arrays, or of any array computed from them (in
+    place too), to products."""
+
+    class Logged(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                products.append((inputs[0].shape, inputs[1].shape))
+            inputs = [np.asarray(x) for x in inputs]
+            outs = kwargs.get("out")
+            if outs:
+                kwargs["out"] = tuple(np.asarray(x) for x in outs)
+            if isinstance(kwargs.get("where"), np.ndarray):
+                kwargs["where"] = np.asarray(kwargs["where"])
+            result = getattr(ufunc, method)(*inputs, **kwargs)
+            return outs[0] if outs else result.view(Logged)
+
+    return Logged
 
 
 class TestChunks:
@@ -546,7 +565,7 @@ class TestChunks:
         maps = []
         for entries in (10**9, 3 * array.count):
             monkeypatch.setattr(mu, "_CHUNK_ENTRIES", entries)
-            maps.append(th.closed_form_norm_map(mu.symmetry_plan(grid, array), *waves))
+            maps.append(th.closed_form_norm_map(grid, array, *waves))
         assert np.array_equal(maps[1], maps[0], equal_nan=True)
 
     # the squared-distance screen must find the extremes of the np.hypot table
@@ -577,19 +596,7 @@ class TestChunks:
         assert all(len(plan.points[chunk]) * count < 4096 for chunk in plan.chunks)
 
         products = []
-
-        class Logged(np.ndarray):
-            # logs the operand shapes of every product taken of the rows or
-            # of any array computed from them
-            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                if ufunc is np.matmul:
-                    products.append((inputs[0].shape, inputs[1].shape))
-                inputs = [np.asarray(x) for x in inputs]
-                if "out" in kwargs:
-                    kwargs["out"] = tuple(np.asarray(x) for x in kwargs["out"])
-                result = getattr(ufunc, method)(*inputs, **kwargs)
-                return result.view(Logged) if "out" not in kwargs else result
-
+        Logged = _product_logger(products)
         k = make_scene(1, count=count).background_wavenumber()
         rows_of = steering(k, plan)
         # the first column of each basis is the steering row of the first
@@ -613,9 +620,47 @@ class TestChunks:
                 else:
                     assert columns in (count, m) and points * count < 4096
 
+    # the closed form's products of per-axis tables: a matrix product stays
+    # below the volume of 65536, and a product with one row or one column,
+    # a matrix-vector product, below 4096 entries; its blocks tile the grid
+    @pytest.mark.parametrize("count", [3, 16, 64, 100])
+    def test_closed_form_below_the_blas_thread_boundary(self, monkeypatch, count):
+        products = []
+        Logged = _product_logger(products)
+        tables = mu._axis_tables
+        logged = lambda *args: [a.view(Logged) for a in tables(*args)]  # noqa: E731
+        monkeypatch.setattr(mu, "_axis_tables", logged)
+        monkeypatch.setattr(th, "_axis_tables", logged)
+        scn = make_scene(1, count=count)
+        k_bw = scn.background_wavenumber()
+        # conductivity x1e6 takes most cells of the small grid to their unit
+        # rows and the kernel's products (`_image_norms`)
+        lossy = _mismatched(scn, "conductivity", 1e6)
+        for resolution, k_aw in ((61, lossy), (2048, k_bw)):
+            products.clear()
+            th.closed_form_norm_map(_grid(resolution), scn.array, k_bw, k_aw, (0.01, 0.03))
+            blocks = th._blocks(resolution, count)
+            cells = sum((b.stop - b.start) * (c.stop - c.start) for b, c in blocks)
+            assert cells == resolution**2
+            assert len(products) >= 2 * len(blocks)
+            assert k_aw != lossy or any(columns == 1 for _, (_, columns) in products)
+            for (rows, inner), (_, columns) in products:
+                if rows == 1 or columns == 1:
+                    assert rows * inner * columns < 4096
+                else:
+                    assert rows * inner * columns < 65536
+        # the tiling of other grids: two rows or more per block, each below
+        # the volume
+        for resolution in (16, 17, 1023, 2047):
+            blocks = th._blocks(resolution, count)
+            sizes = [(b.stop - b.start, c.stop - c.start) for b, c in blocks]
+            assert sum(rows * columns for rows, columns in sizes) == resolution**2
+            assert all(rows >= 2 and rows * count * columns < 65536 for rows, columns in sizes)
+
     def test_walk_independent_of_the_chunk_size(self, monkeypatch):
-        # a 112^2 fig-mu-single map and its closed form, walked in chunks of
-        # 8192 entries, on two BLAS threads, and of _CHUNK_ENTRIES, on one
+        # a 112^2 fig-mu-single map and its closed form's unit rows, walked
+        # in chunks of 8192 entries, on two BLAS threads, and of
+        # _CHUNK_ENTRIES, on one
         scn = make_scene(1)
         k_bw = scn.background_wavenumber()
         k_aw = _mismatched(scn, "permeability", 2.0)
@@ -625,7 +670,7 @@ class TestChunks:
             monkeypatch.setattr(mu, "_CHUNK_ENTRIES", entries)
             plan = mu.symmetry_plan(_grid(112), scn.array)
             maps.append(mu.imaging_map(basis, k_aw, plan, steering(k_aw, plan)))
-            closed.append(th.closed_form_norm_map(plan, k_bw, k_aw, (0.01, 0.03)))
+            closed.append(th.closed_form_norm_map(plan.grid, scn.array, k_bw, k_aw, (0.01, 0.03)))
             chunks.append(len(plan.chunks))
         assert chunks[0] > chunks[1] > 1
         assert np.array_equal(maps[1].raw_norm, maps[0].raw_norm, equal_nan=True)
@@ -1129,6 +1174,14 @@ class TestImageMapIO:
             mu.write_map_csv(self._image(), path, which="norm")
         assert not path.exists()
 
+    def test_csv_without_k_aw_rejected(self, tmp_path):
+        # its header could not be read back (`read_map_csv` needs Re k > 0)
+        path = tmp_path / "map.csv"
+        image = self._image()
+        with pytest.raises(DomainError, match="no k_aw"):
+            mu.write_map_csv(mu.ImageMap(grid=image.grid, values=image.values), path)
+        assert not path.exists()
+
     def test_csv_writer_memory(self, tmp_path):
         # the body is written one grid row at a time: the traced peak at
         # 1024^2 (824k rows, ~40 MB of text) stays within 1 MB; building the
@@ -1211,6 +1264,22 @@ class TestMemory:
 
     def test_plane_wave_map_at_1024(self):
         assert self._peak(mu.PLANE_WAVE) <= self.PEAK_MB * 2**20
+
+    def test_closed_form_at_1024(self):
+        # the closed form holds its per-axis tables and one block beside its
+        # raster: 11.6 MB measured with the grid's mask built inside the
+        # trace, 8 MB of it the raster
+        scn = make_scene(1)
+        k_bw = scn.background_wavenumber()
+        k_aw = _mismatched(scn, "permeability", 2.0)
+        grid = mu.grid_for_roi(scn.roi_radius, 1024)
+        tracemalloc.start()
+        try:
+            th.closed_form_norm_map(grid, scn.array, k_bw, k_aw, (0.01, 0.03))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAK_MB * 2**20
 
     @staticmethod
     def _peak(variant) -> int:
