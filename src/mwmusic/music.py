@@ -3,40 +3,31 @@ noise-space projection, and the reciprocal-projection map over a grid.
 
 The decomposition is one LAPACK singular value decomposition of K itself.
 A sweep decomposes its data matrix once and images every trial wavenumber
-from the same retained signal basis U[:, :M]; only the steering vectors
-change between wavenumbers. A map takes its steering rows from an
-evaluator of its caller (`steering_evaluators`): the exact-field rows come
-from `forward.incident_field_matrix` with a ray interpolant, all of a
-sweep's interpolants from one evaluation of their nodes, and the
-plane-wave rows from `_plane_wave_rows`. A plane-wave entry
-e^{i k theta_n . r} on the grid factors over the axes, so its phasors come
-from two per-axis tables of res x N complex exponentials per wavenumber
-(`_axis_tables`), not one exponential per cell and antenna; the closed form
-in `theory` takes its products from the same tables.
+from the same retained signal basis U[:, :M]. A map takes the projection
+norms of its steering rows from an evaluator of its caller
+(`steering_evaluators`), one per wavenumber.
 
-The centred grid and the circular array share a dihedral symmetry group G
-(`symmetry_plan`): a mirror or rotation g of a cell only permutes the
-antennas, w(g . r) = w(r)[pi_g]. A permutation is unitary, so the
-projection norm at g . r is that of w(r) against the basis with its rows
-permuted. The steering rows are therefore built on one fundamental domain,
-1/|G| of the cells, and projected onto the bases of every group element
-together, through the Gram identity |P_noise w|^2 = 1 - |U_g^H w|^2 for a
-unit row w (`_image_norms`); an array without symmetry images every cell
-through the same code with G = {identity}.
+Exact-field rows come from `forward.incident_field_matrix` with a ray
+interpolant. The centred grid and the circular array share a dihedral
+symmetry group G (`symmetry_plan`): a mirror or rotation g of a cell only
+permutes the antennas, w(g . r) = w(r)[pi_g], and a permutation is unitary.
+So these rows are built on one fundamental domain, 1/|G| of the cells, and
+projected onto the bases of every group element together, through the Gram
+identity |P_noise w|^2 = 1 - |U_g^H w|^2 for a unit row w (`_image_norms`).
+The domain and its chunks are one `SymmetryPlan`, built once per sweep,
+which owns the walk over them (`SymmetryPlan.over_domain`).
 
-Everything that depends only on the grid and the array (the domain and
-its chunks) is one `SymmetryPlan`. A sweep builds it once and passes it to
-every map; per wavenumber only the steering rows are computed. The plan owns
-the walk over its domain (`SymmetryPlan.over_domain`) that the imaging map
-takes: rows for one chunk of _CHUNK_ENTRIES table entries at a time, few
-enough that the walk keeps to one BLAS thread, paired with a basis pulled
-back by every group element at once. The closed form does not walk it: it
-needs the unit rows, in the same chunks, only of the few cells near its
-minimum or where its per-axis tables underflow. With the CSV writer
-streaming one grid row at a time and the reader one block of _READ_ROWS
-rows, the transient memory of a map does not grow with the grid. A map's
-layers are built from its projection norms by `map_from_norms`, which a
-process that receives only the norms calls too.
+A plane-wave entry e^{i k theta_n . r} factors over the axes into
+X_n(x) Y_n(y), two per-axis tables of res x N exponentials (`_axis_tables`).
+Its norms need no walk: over each block of cells every U_m^H w and |w|^2
+are small products of the tables (`_plane_wave_norms`), and only the cells
+near the signal space or whose tables underflow take their unit rows
+(`_plane_wave_rows`) through `_image_norms`. This is the one plane-wave norm
+path; the closed form in `theory` is it with a one-column basis. No product
+of a map reaches the volume _THREAD_VOLUME that wakes OpenBLAS's threads,
+and its transient memory does not grow with the grid. A map's layers are
+built from its norms by `map_from_norms`, which a process that receives
+only the norms calls too.
 
 The CSV writer and reader take the coordinate texts from one helper and
 walk the unmasked cells in the same row runs. The reader parses only the
@@ -77,31 +68,29 @@ DEFAULT_THRESHOLD_RATIO = 0.1
 MIN_RESOLUTION = 16
 MAX_RESOLUTION = 2048
 
-# table entries (points x antennas) per chunk of a grid's fundamental domain,
-# so a map's transient memory does not grow with the grid, and below the
-# size at which a product of the walk wakes OpenBLAS threads: with the
-# OpenBLAS build of the 2-core host this was tuned on, a rows @ vector
-# product (the imaging walk's at M = 1 without symmetry, and the closed
-# form's on its unit rows) runs on two threads from 4096 table entries on
-# (process CPU over wall time 1.78-1.93 at 4096, 4112 and 8192 entries, 1.00
-# at 4080 and 0.97 at 4032), and the threads spin after each product on the
-# core a sweep's writer process uses. The boundary is a property of the BLAS
-# build; the rows and norms do not depend on the chunk size
+# the volume (rows x inner x columns) from which a matrix product runs on
+# two OpenBLAS threads with the build of the 2-core host this was tuned on
+# (none at 255 x 16 x 16, two at 256 x 16 x 16); the threads spin after
+# each product on the core of a sweep's writer, so every product of a map
+# stays below it
+_THREAD_VOLUME = 65536
+# table entries (points x antennas) per chunk of rows, below the 4096 from
+# which a rows @ vector product wakes the threads (process CPU over wall
+# time 1.78-1.93 at 4096, 4112 and 8192 entries, 1.00 at 4080); the rows
+# and norms do not depend on it
 _CHUNK_ENTRIES = 4095
-
-# columns of one product of the imaging walk (`_image_norms`): a rows @
-# matrix product runs on two OpenBLAS threads from a volume of points x
-# antennas x columns = 65536 on (with the same build: no time on the worker
-# threads at 255 x 16 x 16, workers spinning at 256 x 16 x 16), and a
-# chunk's table stays below 4096 entries, so 16 columns keep it below. A
-# product takes the bases of 16 // M images (one when M > 16) whatever the
-# chunk's size: a grouping that followed the chunk would make a norm depend
-# on the chunk its row falls in
-_PRODUCT_COLUMNS = 16
+# columns of one product of `_image_norms`, which a chunk keeps below the
+# volume: the bases of 16 // M images (one when M > 16), whatever the
+# chunk's size, so that no norm depends on the chunk its row falls in
+_PRODUCT_COLUMNS = _THREAD_VOLUME // (_CHUNK_ENTRIES + 1)
 # the share of |w|^2 below which the Gram form of a norm is recomputed in
 # the residual form: above it the Gram form keeps the norm within ~1e-12
 # relative (worst 7.7e-13 over the six presets)
 _GRAM_FLOOR = 1e-4
+# the scaled |w|^2 below which a plane-wave cell takes its unit row: above
+# it the terms that underflow (each off by at most 2^-1075) move the sum by
+# at most N 2^-105 relative
+_SCALE_FLOOR = 2.0**-970
 
 # rows per block of the CSV reader: the rows of a block are parsed and
 # scattered into the raster before the next block is read. `theory` sums
@@ -141,34 +130,29 @@ def signal_subspace_dim(singular_values, threshold_ratio: float = DEFAULT_THRESH
     return int(max(1, np.count_nonzero(taus >= threshold_ratio * taus[0])))
 
 
-def _axis_tables(tables: list, k: complex, directions, xs, ys) -> list:
+def _axis_tables(k: complex, directions, xs, ys) -> tuple:
     """The per-axis tables of e^{i k theta_n . r} over the lattice xs x ys,
     theta_n = (c_n, s_n) = directions[n]: the phasors e^{i Re k x c_n}
     (xs, N) and the exponents -Im k x c_n (N, xs), then the same over ys
-    with s_n. They are held in tables with their k, one complex exponential
-    per tick and antenna, and rebuilt for another k."""
-    if not tables or tables[0] != k:
-        tables[:] = [k]
-        for ticks, cos in ((xs, directions[:, 0]), (ys, directions[:, 1])):
-            phase = np.exp(1j * (k.real * np.multiply.outer(ticks, cos)))
-            tables += [phase, -k.imag * np.multiply.outer(cos, ticks)]
-    return tables[1:]
+    with s_n; one complex exponential per tick and antenna."""
+    tables = []
+    for ticks, cos in ((xs, directions[:, 0]), (ys, directions[:, 1])):
+        phase = np.exp(1j * (k.real * np.multiply.outer(ticks, cos)))
+        tables += [phase, -k.imag * np.multiply.outer(cos, ticks)]
+    return tuple(tables)
 
 
-def _plane_wave_rows(tables: list, k: complex, directions, xs, ys, points) -> np.ndarray:
-    """Unit rows e^{i k theta_n . r} (points, N) of points on the lattice
-    xs x ys (each ascending), theta_n = (c_n, s_n) = directions[n].
+def _plane_wave_rows(tables: tuple, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+    """Unit rows e^{i k theta_n . r} (points, N) of the lattice points
+    (xs[ix], ys[iy]) of the per-axis tables (`_axis_tables`) of k over
+    xs x ys, theta_n = (c_n, s_n).
 
     An entry is e^{i Re k x c_n} e^{i Re k y s_n} e^{-Im k (x c_n + y s_n)}:
-    its phasors and exponent terms come from the per-axis tables
-    (`_axis_tables`). A point finds its table rows by its exact tick
-    indices, so it must be a lattice point. The modulus is one real
-    exponential of the exponent less its row maximum, so a lossy k cannot
-    overflow it, scaled to unit row length.
+    its phasors and exponent terms are the table rows of the point's tick
+    indices. The modulus is one real exponential of the exponent less its
+    row maximum, so a lossy k cannot overflow it, scaled to unit row length.
     """
-    phase_x, loss_x, phase_y, loss_y = _axis_tables(tables, k, directions, xs, ys)
-    ix = np.searchsorted(xs, points[:, 0])
-    iy = np.searchsorted(ys, points[:, 1])
+    phase_x, loss_x, phase_y, loss_y = tables
     # antennas along the first axis, where the row reductions are fastest
     modulus = loss_x.take(ix, axis=1) + loss_y.take(iy, axis=1)
     modulus -= modulus.max(axis=0)
@@ -191,7 +175,7 @@ def _image_norms(conj_bases: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """|w - U_g U_g^H w| for every unit row w of rows (points, N) and every
     basis U_g of the stack conj_bases (N, images, M) of conj(U_g), shape
     (images, points): the kernel of the walk `SymmetryPlan.over_domain`
-    and of the closed form's unit rows.
+    and of the unit rows that a plane-wave map takes (`_plane_wave_norms`).
 
     By the Gram identity |P_noise w|^2 = |w|^2 - |U_g^H w|^2 = 1 - |U_g^H w|^2,
     every image's norm comes from the products w^T conj(U_g), taken for
@@ -199,8 +183,8 @@ def _image_norms(conj_bases: np.ndarray, rows: np.ndarray) -> np.ndarray:
     falls below _GRAM_FLOOR, near the signal space, it has lost digits to
     cancellation, and the norm is recomputed there in the residual form
     |w - U_g U_g^H w| from the same products. A basis of N columns spans
-    every row, and its norms are 0. This is the only projection-norm kernel
-    of the package; the tests hold it to the residual form alone.
+    every row, and its norms are 0. The tests hold it to the residual form
+    alone.
     """
     n, images, m = conj_bases.shape
     if m >= n:
@@ -225,6 +209,90 @@ def _image_norms(conj_bases: np.ndarray, rows: np.ndarray) -> np.ndarray:
             resid = resid.view(np.float64)
             block[g, near] = np.sqrt(np.square(resid, out=resid).sum(axis=1))
     return out
+
+
+def _plane_wave_norms(
+    k: complex, directions, grid: ImagingGrid, basis: np.ndarray, out=None
+) -> np.ndarray:
+    """|w - U U^H w| for the unit plane-wave row w(r) of k (`_plane_wave_rows`)
+    and the signal basis U (N, M) at every unmasked cell of grid, in mask
+    order, in out (one float per unmasked cell) or a new array.
+
+    As e^{i k theta_n . r} = X_n(x) Y_n(y), over a block of cells (`_blocks`)
+    every U_m^H w and |w|^2 are products of the per-axis tables: conj(U_nm)
+    Y_n(y) with X_n(x) for each column m, and |Y_n(y)|^2 with |X_n(x)|^2,
+    each axis scaled per tick by its largest modulus, which cancels in
+    sqrt(1 - sum_m |U_m^H w|^2 / |w|^2). Where that difference falls below
+    _GRAM_FLOOR or the scaled |w|^2 below _SCALE_FLOOR (a strongly lossy k),
+    a cell takes the norm of `_image_norms` for its unit row, in chunks of
+    _CHUNK_ENTRIES table entries (0 for a basis of N columns, which spans
+    every row). A band of grid rows goes into out once its blocks are done.
+    """
+    n = basis.shape[0]
+    mask = grid.mask
+    if out is None:
+        out = np.empty(np.count_nonzero(mask))
+    ticks = grid.ticks
+    tables = _axis_tables(k, directions, ticks, ticks)
+    phase_x, loss_x, phase_y, loss_y = tables
+    # |X_n(x)| and |Y_n(y)| over the antennas, each tick's largest 1
+    size_x = np.exp(loss_x - loss_x.max(axis=0)).T
+    size_y = np.exp(loss_y - loss_y.max(axis=0)).T
+    wave_x = phase_x * size_x
+    wave_y = phase_y * size_y
+    np.square(size_x, out=size_x)
+    np.square(size_y, out=size_y)
+    conj = basis.conj()
+    res = grid.resolution
+    start = 0
+    for rows, cols in _blocks(res, n):
+        if cols.start == 0:
+            band = np.empty((rows.stop - rows.start, res))
+        block = band[:, cols]
+        for j, u in enumerate(conj.T):
+            coefs = (wave_y[rows] * u) @ wave_x[cols].T
+            parts = np.square(coefs.view(np.float64), out=coefs.view(np.float64))
+            if j == 0:
+                np.add(parts[:, 0::2], parts[:, 1::2], out=block)
+            else:
+                block += parts[:, 0::2] + parts[:, 1::2]
+        size = size_y[rows] @ size_x[cols].T
+        low = size < _SCALE_FLOOR
+        np.divide(block, size, out=block, where=~low)
+        np.subtract(1.0, block, out=block)
+        low |= block < _GRAM_FLOOR
+        np.sqrt(block, out=block, where=~low)
+        low &= mask[rows, cols]
+        if low.any():
+            iy, ix = np.nonzero(low)
+            for chunk in _chunks(len(iy), n):
+                unit = _plane_wave_rows(tables, ix[chunk] + cols.start, iy[chunk] + rows.start)
+                block[iy[chunk], ix[chunk]] = _image_norms(conj[:, None, :], unit)[0]
+        if cols.stop == res:
+            kept = mask[rows]
+            stop = start + np.count_nonzero(kept)
+            out[start:stop] = band[kept]
+            start = stop
+    return out
+
+
+def _blocks(resolution: int, antennas: int) -> list[tuple[slice, slice]]:
+    """(rows, columns) of the grid in the blocks of `_plane_wave_norms`'
+    products, row by row, a fixed tiling for each resolution and antenna
+    count. A block row holds below _THREAD_VOLUME / 3 table entries, so
+    three rows stay below _THREAD_VOLUME, and the rows are shared out
+    evenly, so that no block of a grid of two or more rows has one row
+    (with fewer than 21846 antennas): a one-row product is a matrix-vector
+    product, whose threads wake from 4096 entries on."""
+    widest = max(1, (_THREAD_VOLUME - 1) // (3 * antennas))
+    col_parts = -(-resolution // widest)
+    cols = -(-resolution // col_parts)
+    row_parts = -(-resolution // max(1, (_THREAD_VOLUME - 1) // (antennas * cols)))
+    return [
+        (slice(resolution * i // row_parts, resolution * (i + 1) // row_parts),
+         slice(resolution * j // col_parts, resolution * (j + 1) // col_parts))
+        for i in range(row_parts) for j in range(col_parts)
+    ]
 
 
 @dataclass(frozen=True)
@@ -280,7 +348,7 @@ def grid_for_roi(roi_radius: float, resolution: int) -> ImagingGrid:
 
 
 # ---------------------------------------------------------------------------
-# Symmetry of grid and array: steering rows on one fundamental domain.
+# Symmetry of grid and array: exact-field rows on one fundamental domain.
 # ---------------------------------------------------------------------------
 
 # generators tried: y -> -y, x -> -x and x <-> y, each as its matrix on
@@ -303,9 +371,9 @@ class SymmetryPlan:
     index of g . rep for every representative, and perms[j] the antenna
     permutation pi_g with w(g . r) = w(r)[pi_g], for any steering or unit
     row w built from distances to, or directions of, the antennas. chunks
-    are the slices of the representatives a map walks, _CHUNK_ENTRIES
-    table entries each; `over_domain` is that walk. Every array is
-    read-only: one plan serves every map of a sweep.
+    are the slices of the representatives an exact-field map walks,
+    _CHUNK_ENTRIES table entries each; `over_domain` is that walk. Every
+    array is read-only: one plan serves every map of a sweep.
     """
 
     grid: ImagingGrid
@@ -468,21 +536,22 @@ class ImageMap:
 
 def steering_evaluators(ks, plan: SymmetryPlan, variant: str) -> list:
     """The steering evaluator of `imaging_map` for each k of ks over plan:
-    points -> their unit steering rows, of the exact field at the antennas
-    (`_exact_rows`) or of the far-field phases e^{i k (a_n/|a_n|) . r}
-    (`_plane_wave_rows`). The exact-field interpolants of all the ks come
-    from one evaluation of their nodes (`specfun.ray_interpolants`) over the
-    distance range of the whole domain, so a row does not depend on its
-    chunk; for a k whose interpolant cannot be formed the entry is the
-    exception imaging with it raises (NumericalError past |k| d = 1e6). The
-    plane-wave evaluators share one set of per-axis tables over the grid's
-    ticks, that of the k last asked for: a sweep holds 48 res N bytes of
-    them whatever its ratio count.
+    (basis, out=None) -> the projection norms of the unit steering rows of
+    k against basis (N, M) at the unmasked cells of plan.grid, in mask
+    order, in out when given.
+
+    Exact-field rows (`_exact_rows`) are walked over the plan's domain
+    (`SymmetryPlan.over_domain`), their interpolants from one evaluation of
+    the nodes of all the ks (`specfun.ray_interpolants`) over the distance
+    range of the whole domain, so a row does not depend on its chunk; for a
+    k whose interpolant cannot be formed the entry is the exception imaging
+    with it raises (NumericalError past |k| d = 1e6). The far-field rows
+    e^{i k (a_n/|a_n|) . r} take `_plane_wave_norms`, which builds the
+    tables of its own k at each call.
     """
     array = plan.array
     if variant == PLANE_WAVE:
-        tables, ticks = [], plan.grid.ticks
-        return [partial(_plane_wave_rows, tables, k, array.directions, ticks, ticks) for k in ks]
+        return [partial(_plane_wave_norms, k, array.directions, plan.grid) for k in ks]
     if variant != EXACT_FIELD:
         raise DomainError(f"unknown test-vector variant {variant!r}")
     out = []
@@ -493,7 +562,7 @@ def steering_evaluators(ks, plan: SymmetryPlan, variant: str) -> list:
             out.append(NumericalError(f"steering field at k_aw = {k:.6g}: {ray}"))
             out[-1].__cause__ = ray
         else:
-            out.append(partial(_exact_rows, ray, array.positions))
+            out.append(partial(plan.over_domain, partial(_exact_rows, ray, array.positions)))
     return out
 
 
@@ -502,14 +571,9 @@ def imaging_map(
 ) -> ImageMap:
     """Reciprocal projection-norm map 1 / |P_noise W(r)| over the unmasked
     cells of plan.grid, with the noise projector defined by the signal basis
-    U[:, :M] (N, M) and the unit steering rows W(r) = steering(points) of
-    k_aw (`steering_evaluators`) from the antennas of plan.array.
-
-    The steering rows are built on the plan's representatives only, one of
-    its chunks at a time (`SymmetryPlan.over_domain`); the norms at the
-    images g . r are |w(r) - U_g U_g^H w(r)|, with U_g the basis rows
-    scattered by pi_g, all from products of the rows with the stacked
-    conj(U_g) (`_image_norms`). The norms, in mask order, are computed into
+    U[:, :M] (N, M) and the unit steering rows W(r) of k_aw from the
+    antennas of plan.array, whose norms steering(basis, out) gives
+    (`steering_evaluators`). The norms, in mask order, are computed into
     out when it is given (a float array of one entry per unmasked cell) and
     are left there.
 
@@ -524,7 +588,7 @@ def imaging_map(
         raise ConfigurationError(f"imaging grid resolution must be >= {MIN_RESOLUTION}")
     if plan.array.count != basis.shape[0]:
         raise DomainError("antenna count does not match the signal basis")
-    norms = plan.over_domain(steering, basis, out)
+    norms = steering(basis, out)
     if not np.all(np.isfinite(norms)):
         raise NumericalError(
             f"non-finite projection norm: the steering field at k_aw = {k_aw:.6g} "

@@ -8,19 +8,15 @@ projection norm is then
     |P_noise W(r)| ~ (N^2-2N)/(N^2-2N+1) * sqrt(1 - g(r)^2),
     g(r) = |s^H w(r)| / (|s| |w(r)|),
 
-so the reciprocal map peaks where g reaches 1, near Re(k_bw/k_aw) r*. With
-theta_n = (c_n, s_n) a plane-wave entry factors over the axes,
-e^{i k theta_n . r} = X_n(x) Y_n(y), so over a block of grid cells s^H w
-and |w|^2 are two small matrix products of the per-axis tables that the
-plane-wave rows are built from (`music._axis_tables`); s is the unit row
-of `music._plane_wave_rows` on the one-point lattice {x*} x {y*}. The
-cells where 1 - g^2 cancels, near the minimum, and those whose per-axis
-scaling underflows under a strongly lossy k_aw, take their unit rows
-instead: sqrt(1 - g^2) is the projection norm of the unit row w(r) off s,
-and the imaging kernel (`music._image_norms`) with s as a one-column basis
-keeps it exact through its residual form. The closed form needs no
-symmetry plan. The paper states the same quantity as a Bessel-harmonic
-series: with z = k_aw r - conj(k_bw) r*, rho = sqrt(z . z) and
+so the reciprocal map peaks where g reaches 1, near Re(k_bw/k_aw) r*.
+sqrt(1 - g^2) is the projection norm of the unit plane-wave row w(r) off
+the one-column basis s, so the closed form is the prefactor times the
+plane-wave map of `--variant plane` against s (`music._plane_wave_norms`):
+the per-axis products of its tables over the grid, with the imaging
+kernel's residual form at the cells near the minimum. s is the unit row of
+`music._plane_wave_rows` on the one-point lattice {x*} x {y*}. The closed
+form needs no symmetry plan. The paper states the same quantity as a
+Bessel-harmonic series: with z = k_aw r - conj(k_bw) r*, rho = sqrt(z . z) and
 e^{i phi} = (z_x + i z_y) / rho, the Jacobi-Anger expansion (DLMF 10.12)
 of each term gives
 
@@ -43,13 +39,11 @@ import numpy as np
 
 from .errors import DegenerateDataError, DomainError
 from .music import (
-    _GRAM_FLOOR,
     _READ_ROWS,
     ImageMap,
     ImagingGrid,
     _axis_tables,
-    _chunks,
-    _image_norms,
+    _plane_wave_norms,
     _plane_wave_rows,
 )
 from .scene import AntennaArray, Medium, Scene, contrast, wavenumber
@@ -57,15 +51,6 @@ from .scene import AntennaArray, Medium, Scene, contrast, wavenumber
 from .specfun import bessel_j_grid, jacobi_anger_truncation  # noqa: F401
 
 MISMATCH_KINDS = ("permeability", "permittivity", "conductivity")
-
-# the volume (rows x antennas x columns) from which a matrix product wakes
-# OpenBLAS threads (see music._PRODUCT_COLUMNS); the closed form's products
-# stay below it, so a sweep's writer keeps the other core
-_THREAD_VOLUME = 65536
-# the scaled |w|^2 of a cell below which the closed form takes its unit row:
-# above it the terms that underflow (each off by at most 2^-1075) move the
-# sum by at most N 2^-105 relative
-_SCALE_FLOOR = 2.0**-970
 
 
 def mismatched_wavenumber(background: Medium, omega: float, kind: str, ratio: float) -> complex:
@@ -88,73 +73,18 @@ def closed_form_norm_map(
 ) -> np.ndarray:
     """Predicted |P_noise W| over grid (NaN at masked cells) for the anomaly
     at r_star, imaged with k_aw in the background k_bw by the antennas of
-    array.
-
-    Over each block of cells (`_blocks`), s^H w and |w|^2 are products of
-    the per-axis tables (`music._axis_tables`): conj(s_n) Y_n(y) with
-    X_n(x), and |Y_n(y)|^2 with |X_n(x)|^2, each axis scaled per tick by
-    its largest modulus, which cancels in g. Where 1 - g^2 < _GRAM_FLOOR
-    (near the minimum) or the scaled |w|^2 < _SCALE_FLOOR (a strongly lossy
-    k_aw), a cell's norm is the imaging kernel's (`music._image_norms`) for
-    its unit row (`music._plane_wave_rows`) off s, in the walk's chunks.
+    array: the prefactor (N^2-2N)/(N^2-2N+1) times the plane-wave map of
+    k_aw against the one-column basis s (`music._plane_wave_norms`), s the
+    unit plane-wave row of k_bw at r_star (`music._plane_wave_rows` on the
+    one-point lattice {x*} x {y*}).
     """
-    dirs = array.directions
     n = array.count
-    point = np.asarray([r_star], dtype=float)
-    conj_s = _plane_wave_rows([], k_bw, dirs, point[:, 0], point[:, 1], point)[0].conj()
-    ticks = grid.ticks
-    tables: list = []
-    phase_x, loss_x, phase_y, loss_y = _axis_tables(tables, k_aw, dirs, ticks, ticks)
-    # |X_n(x)| and |Y_n(y)| over the antennas, each tick's largest 1
-    size_x = np.exp(loss_x - loss_x.max(axis=0)).T
-    size_y = np.exp(loss_y - loss_y.max(axis=0)).T
-    wave_x = phase_x * size_x
-    signal_y = phase_y * size_y
-    signal_y *= conj_s
-    np.square(size_x, out=size_x)
-    np.square(size_y, out=size_y)
-    mask = grid.mask
-    out = np.empty(mask.shape)
-    for rows, cols in _blocks(grid.resolution, n):
-        block = out[rows, cols]
-        coefs = signal_y[rows] @ wave_x[cols].T
-        parts = np.square(coefs.view(np.float64), out=coefs.view(np.float64))
-        np.add(parts[:, 0::2], parts[:, 1::2], out=block)
-        size = size_y[rows] @ size_x[cols].T
-        low = size < _SCALE_FLOOR
-        np.divide(block, size, out=block, where=~low)
-        np.subtract(1.0, block, out=block)
-        low |= block < _GRAM_FLOOR
-        np.sqrt(block, out=block, where=~low)
-        low &= mask[rows, cols]
-        if low.any():
-            iy, ix = np.nonzero(low)
-            points = np.column_stack([ticks[ix + cols.start], ticks[iy + rows.start]])
-            for chunk in _chunks(len(points), n):
-                unit = _plane_wave_rows(tables, k_aw, dirs, ticks, ticks, points[chunk])
-                block[iy[chunk], ix[chunk]] = _image_norms(conj_s[:, None, None], unit)[0]
-    out *= (n * n - 2 * n) / (n * n - 2 * n + 1)
-    out[~mask] = np.nan
-    return out
-
-
-def _blocks(resolution: int, antennas: int) -> list[tuple[slice, slice]]:
-    """(rows, columns) of the grid in the blocks of `closed_form_norm_map`'s
-    products, a fixed tiling for each resolution and antenna count. A block
-    row holds below _THREAD_VOLUME / 3 table entries, so three rows stay
-    below _THREAD_VOLUME, and the rows are shared out evenly, so that no
-    block of a grid of two or more rows has one row (with fewer than 21846
-    antennas): a one-row product is a matrix-vector product, whose threads
-    wake from 4096 entries on."""
-    widest = max(1, (_THREAD_VOLUME - 1) // (3 * antennas))
-    col_parts = -(-resolution // widest)
-    cols = -(-resolution // col_parts)
-    row_parts = -(-resolution // max(1, (_THREAD_VOLUME - 1) // (antennas * cols)))
-    return [
-        (slice(resolution * i // row_parts, resolution * (i + 1) // row_parts),
-         slice(resolution * j // col_parts, resolution * (j + 1) // col_parts))
-        for i in range(row_parts) for j in range(col_parts)
-    ]
+    x, y = (np.asarray([float(c)]) for c in r_star)
+    at = np.zeros(1, dtype=np.intp)
+    s = _plane_wave_rows(_axis_tables(k_bw, array.directions, x, y), at, at)
+    norms = _plane_wave_norms(k_aw, array.directions, grid, s.T)
+    norms *= (n * n - 2 * n) / (n * n - 2 * n + 1)
+    return grid.raster(norms)
 
 
 def predicted_peak(k_bw: complex, k_aw: complex, r_star) -> tuple[float, float]:

@@ -303,7 +303,9 @@ def direct_rows(k_aw, points, array, variant) -> np.ndarray:
     from the interpolant over the table's own distance range."""
     if variant == mu.PLANE_WAVE:
         xs, ys = (np.unique(points[:, axis]) for axis in (0, 1))
-        return mu._plane_wave_rows([], k_aw, array.directions, xs, ys, points)
+        tables = mu._axis_tables(k_aw, array.directions, xs, ys)
+        ix, iy = np.searchsorted(xs, points[:, 0]), np.searchsorted(ys, points[:, 1])
+        return mu._plane_wave_rows(tables, ix, iy)
     ray = table_ray(k_aw, fw._distances(points, array.positions))
     return mu._exact_rows(ray, array.positions, points)
 
@@ -318,7 +320,7 @@ def projection_norm(basis: np.ndarray, w) -> np.ndarray:
 
 def direct_norms(basis, k_aw, array, grid, variant) -> np.ndarray:
     """Projection norm of every masked cell (mask order) from one steering
-    table over the whole grid, through the imaging walk's pair
+    table over the whole grid, through the imaging kernel
     (`music._image_norms`) with the identity alone."""
     rows = direct_rows(k_aw, cell_centers(grid), array, variant)
     return mu._image_norms(basis.conj()[:, None, :], rows)[0]

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -168,10 +169,12 @@ class TestTestVector:
 
 
 def _domain_rows(k, plan):
-    """The production plane-wave rows of the plan's representatives, walked
-    chunk by chunk as `SymmetryPlan.over_domain` walks them."""
-    rows_of = steering(k, plan, mu.PLANE_WAVE)
-    return np.concatenate([rows_of(plan.points[chunk]) for chunk in plan.chunks])
+    """The production plane-wave rows of the plan's representatives, from
+    the per-axis tables over the grid's ticks."""
+    ticks = plan.grid.ticks
+    tables = mu._axis_tables(k, plan.array.directions, ticks, ticks)
+    ix, iy = (np.searchsorted(ticks, plan.points[:, axis]) for axis in (0, 1))
+    return mu._plane_wave_rows(tables, ix, iy)
 
 
 class TestPlaneWaveRows:
@@ -208,24 +211,9 @@ class TestPlaneWaveRows:
         # measured worst 3.5e-16
         scn = make_scene(1)
         k = scn.background_wavenumber()
-        x, y = np.array(point[:1]), np.array(point[1:])
-        got = mu._plane_wave_rows([], k, scn.array.directions, x, y, np.array([point]))
+        x, y, at = np.array(point[:1]), np.array(point[1:]), np.zeros(1, dtype=int)
+        got = mu._plane_wave_rows(mu._axis_tables(k, scn.array.directions, x, y), at, at)
         assert np.max(np.abs(got - unit_phasors(k, [point], scn.array.directions))) <= 1e-15
-
-    def test_one_set_of_tables_per_evaluator_list(self):
-        # the evaluators of a sweep share one set of tables, rebuilt for the
-        # k whose rows are asked for, so memory does not grow with the ratios
-        scn = make_scene(1)
-        plan = mu.symmetry_plan(_grid(64), scn.array)
-        ks = [_mismatched(scn, "permeability", r) for r in (1.0, 2.0)]
-        first, second = mu.steering_evaluators(ks, plan, mu.PLANE_WAVE)
-        points = plan.points[plan.chunks[0]]
-        before = first(points)
-        second(points)
-        tables = first.args[0]
-        assert tables is second.args[0] and tables[0] == ks[1]
-        assert np.array_equal(first(points), before)
-        assert tables[0] == ks[0]
 
 
 class TestProjectionNorm:
@@ -445,7 +433,9 @@ class TestSymmetryPlan:
         assert plan.cells.shape[0] == 1
         assert np.array_equal(plan.cells[0], np.arange(np.count_nonzero(grid.mask)))
 
-    @pytest.mark.parametrize("variant", mu.VARIANTS)
+    # exact field only: a plane-wave map takes no plan walk, and
+    # TestPlaneWaveMap holds it on this array to the residual form
+    @pytest.mark.parametrize("variant", [mu.EXACT_FIELD])
     @pytest.mark.parametrize("n_anomalies", [1, 2])
     def test_asymmetric_array_images_bit_identically(self, variant, n_anomalies):
         base = make_scene(n_anomalies)
@@ -476,8 +466,9 @@ class TestSymmetryPlan:
         assert np.max(np.abs(got - want)[grid.mask]) <= 1e-13
 
     # The norm is 1-Lipschitz in the unit row, so the exact field inherits the
-    # rows' 4e-10 (measured worst 5.5e-12 at N = 10); plane-wave rows and the
-    # closed form agree at rounding level (measured worst 1.8e-15 and 1.4e-14).
+    # rows' 4e-10 (measured worst 5.5e-12 at N = 10); the plane-wave map's
+    # per-axis products and the closed form agree at rounding level
+    # (measured worst 1.1e-15 and 1.4e-14).
     @pytest.mark.parametrize("count", [16, 7, 10])
     def test_symmetric_maps_match_direct(self, count):
         scn = make_scene(2, count=count)
@@ -533,6 +524,29 @@ def _product_logger(products: list) -> type:
     return Logged
 
 
+class TestPlaneWaveMap:
+    # A plane-wave map (`_plane_wave_norms`: per-axis products, the unit
+    # rows of the cells near the signal space through the imaging kernel)
+    # against the residual form |w - U U^H w| of the full-grid rows
+    # (`projection_norm` of `direct_rows`) at 128^2, relative: measured
+    # worst 2.4e-14 over the preset ratios and 9.1e-14 at conductivity
+    # x1e6, both at M = 6 on the nudged array
+    @pytest.mark.parametrize("array_name", sorted(_CHUNK_ARRAYS))
+    @pytest.mark.parametrize("m", [1, 2, 6])
+    def test_matches_the_residual_form(self, array_name, m):
+        scn = _scene_with(_CHUNK_ARRAYS[array_name](), 2)
+        basis = mu.svd_leading(fw.scattering_matrix(scn, scn.background_wavenumber()))[1][:, :m]
+        grid = _grid(128)
+        plan = mu.symmetry_plan(grid, scn.array)
+        presets = sorted({v[:2] for v in harness.PRESETS.values()})
+        cases = [(kind, r, 5e-14) for kind, ratios in presets for r in ratios]
+        for kind, ratio, bound in cases + [("conductivity", 1e6, 2e-13)]:
+            k_aw = _mismatched(scn, kind, ratio)
+            image = mu.imaging_map(basis, k_aw, plan, steering(k_aw, plan, mu.PLANE_WAVE))
+            want = projection_norm(basis, direct_rows(k_aw, cell_centers(grid), scn.array, mu.PLANE_WAVE))
+            assert np.max(np.abs(image.raw_norm[grid.mask] - want) / want) <= bound
+
+
 class TestChunks:
     # Three representatives per chunk (the last chunk shorter) against one
     # chunk over the whole domain: every row and every norm comes from that
@@ -556,17 +570,34 @@ class TestChunks:
         assert np.array_equal(chunked.raw_norm, whole.raw_norm, equal_nan=True)
         assert np.array_equal(chunked.values, whole.values, equal_nan=True)
 
+    # conductivity x1e6 sends cells of the 61^2 grid to their unit rows
+    # (`_plane_wave_norms`), which are taken in one chunk per block or in
+    # chunks of three cells: the closed form and a plane-wave map at M = 2
+    # must not depend on that
     @pytest.mark.parametrize("array_name", sorted(_CHUNK_ARRAYS))
     def test_closed_form_bit_identical(self, monkeypatch, array_name):
-        array = _CHUNK_ARRAYS[array_name]()
-        scn = make_scene(1)
-        waves = (scn.background_wavenumber(), _mismatched(scn, "permittivity", 2.0), (0.01, 0.03))
+        scn = _scene_with(_CHUNK_ARRAYS[array_name](), 2)
+        k_bw = scn.background_wavenumber()
+        k_aw = _mismatched(scn, "conductivity", 1e6)
+        basis = mu.svd_leading(fw.scattering_matrix(scn, k_bw))[1][:, :2]
         grid = _grid(61)
-        maps = []
-        for entries in (10**9, 3 * array.count):
+        plan = mu.symmetry_plan(grid, scn.array)
+        routed = []
+        rows = mu._plane_wave_rows
+        monkeypatch.setattr(mu, "_plane_wave_rows", lambda *a: routed.append(len(a[-1])) or rows(*a))
+        maps, calls, cells = [], [], []
+        for entries in (10**9, 3 * scn.array.count):
             monkeypatch.setattr(mu, "_CHUNK_ENTRIES", entries)
-            maps.append(th.closed_form_norm_map(grid, array, *waves))
-        assert np.array_equal(maps[1], maps[0], equal_nan=True)
+            routed.clear()
+            maps.append(th.closed_form_norm_map(grid, scn.array, k_bw, k_aw, (0.01, 0.03)))
+            image = mu.imaging_map(basis, k_aw, plan, steering(k_aw, plan, mu.PLANE_WAVE))
+            maps.append(image.raw_norm)
+            calls.append(len(routed))
+            cells.append(sum(routed))
+        # the same cells in both, in more calls when the chunks are small
+        assert cells[0] == cells[1] > 0 and calls[1] > calls[0]
+        assert np.array_equal(maps[2], maps[0], equal_nan=True)
+        assert np.array_equal(maps[3], maps[1], equal_nan=True)
 
     # the squared-distance screen must find the extremes of the np.hypot table
     # exactly: the interpolant's panel layout, and so every steering row,
@@ -598,7 +629,9 @@ class TestChunks:
         products = []
         Logged = _product_logger(products)
         k = make_scene(1, count=count).background_wavenumber()
-        rows_of = steering(k, plan)
+        ray = ray_interpolant(k, *mu._distance_range(plan.points, plan.array, plan.chunks))
+        rows_of = partial(mu._exact_rows, ray, plan.array.positions)
+        logged = partial(plan.over_domain, lambda points: rows_of(points).view(Logged))
         # the first column of each basis is the steering row of the first
         # representative, which therefore falls below the Gram floor
         row = rows_of(plan.points[:1])
@@ -606,7 +639,7 @@ class TestChunks:
         for m in (m for m in (1, 2, 6, 16, 32) if m <= count):
             basis, _ = np.linalg.qr(np.column_stack([row.T, rng.standard_normal((count, m - 1))]))
             products.clear()
-            mu.imaging_map(basis, k, plan, lambda points: rows_of(points).view(Logged))
+            mu.imaging_map(basis, k, plan, logged)
             if m == count:
                 # the basis spans every row: no product is taken
                 assert products == []
@@ -620,30 +653,39 @@ class TestChunks:
                 else:
                     assert columns in (count, m) and points * count < 4096
 
-    # the closed form's products of per-axis tables: a matrix product stays
-    # below the volume of 65536, and a product with one row or one column,
-    # a matrix-vector product, below 4096 entries; its blocks tile the grid
+    # the products of a plane-wave map's per-axis tables, for the closed
+    # form and for plane-wave maps at M = 1, 2, 6 and 16: a matrix product
+    # stays below the volume of 65536, and a product with one row or one
+    # column, a matrix-vector product, below 4096 entries; the blocks tile
+    # the grid
     @pytest.mark.parametrize("count", [3, 16, 64, 100])
     def test_closed_form_below_the_blas_thread_boundary(self, monkeypatch, count):
         products = []
         Logged = _product_logger(products)
         tables = mu._axis_tables
-        logged = lambda *args: [a.view(Logged) for a in tables(*args)]  # noqa: E731
-        monkeypatch.setattr(mu, "_axis_tables", logged)
-        monkeypatch.setattr(th, "_axis_tables", logged)
-        scn = make_scene(1, count=count)
+        monkeypatch.setattr(mu, "_axis_tables", lambda *a: [t.view(Logged) for t in tables(*a)])
+        scn = make_scene(2, count=count)
         k_bw = scn.background_wavenumber()
+        vecs = mu.svd_leading(fw.scattering_matrix(scn, k_bw))[1]
         # conductivity x1e6 takes most cells of the small grid to their unit
         # rows and the kernel's products (`_image_norms`)
         lossy = _mismatched(scn, "conductivity", 1e6)
-        for resolution, k_aw in ((61, lossy), (2048, k_bw)):
+        maps = [(61, lossy, None), (2048, k_bw, None)]
+        maps += [(resolution, k_aw, m) for resolution, k_aw in ((61, lossy), (256, k_bw))
+                 for m in (1, 2, 6, 16) if m < count]
+        for resolution, k_aw, m in maps:
             products.clear()
-            th.closed_form_norm_map(_grid(resolution), scn.array, k_bw, k_aw, (0.01, 0.03))
-            blocks = th._blocks(resolution, count)
+            grid = _grid(resolution)
+            if m is None:
+                th.closed_form_norm_map(grid, scn.array, k_bw, k_aw, (0.01, 0.03))
+            else:
+                plan = mu.symmetry_plan(grid, scn.array)
+                mu.imaging_map(vecs[:, :m], k_aw, plan, steering(k_aw, plan, mu.PLANE_WAVE))
+            blocks = mu._blocks(resolution, count)
             cells = sum((b.stop - b.start) * (c.stop - c.start) for b, c in blocks)
             assert cells == resolution**2
-            assert len(products) >= 2 * len(blocks)
-            assert k_aw != lossy or any(columns == 1 for _, (_, columns) in products)
+            assert len(products) >= ((m or 1) + 1) * len(blocks)
+            assert k_aw != lossy or any(columns == (m or 1) for _, (_, columns) in products)
             for (rows, inner), (_, columns) in products:
                 if rows == 1 or columns == 1:
                     assert rows * inner * columns < 4096
@@ -652,7 +694,7 @@ class TestChunks:
         # the tiling of other grids: two rows or more per block, each below
         # the volume
         for resolution in (16, 17, 1023, 2047):
-            blocks = th._blocks(resolution, count)
+            blocks = mu._blocks(resolution, count)
             sizes = [(b.stop - b.start, c.stop - c.start) for b, c in blocks]
             assert sum(rows * columns for rows, columns in sizes) == resolution**2
             assert all(rows >= 2 and rows * count * columns < 65536 for rows, columns in sizes)
@@ -689,9 +731,9 @@ class TestChunks:
         monkeypatch.setattr(specfun, "_hankel2_0", lambda z: calls.append(1) or hankel(z))
         monkeypatch.setattr(mu, "_CHUNK_ENTRIES", 3 * scn.array.count)
         plan = mu.symmetry_plan(_grid(61), scn.array)
-        rows_of = steering(k, plan)
+        evaluator = steering(k, plan)
         assert len(calls) == 1
-        mu.imaging_map(basis, k, plan, rows_of)
+        mu.imaging_map(basis, k, plan, evaluator)
         assert len(calls) == 1
 
 
@@ -1256,7 +1298,8 @@ class TestMemory:
     # finiteness check gathering bools, 29.4 MB while it gathered the
     # unmasked floats, 35.7 MB with the cells-sized temporaries of np.where
     # and np.minimum. 16 MB of it are the two res^2 layers the map keeps.
-    # The plane-wave map measured 24.8 MB, its per-axis tables 0.8 MB of it.
+    # The plane-wave map measured 24.1 MB (24.8 MB while it walked its rows
+    # over the plan).
     PEAK_MB = 27
 
     def test_default_map_at_1024(self):
@@ -1266,9 +1309,10 @@ class TestMemory:
         assert self._peak(mu.PLANE_WAVE) <= self.PEAK_MB * 2**20
 
     def test_closed_form_at_1024(self):
-        # the closed form holds its per-axis tables and one block beside its
-        # raster: 11.6 MB measured with the grid's mask built inside the
-        # trace, 8 MB of it the raster
+        # the closed form holds its per-axis tables and one band beside its
+        # mask-order norms and then its raster: 15.3 MB measured with the
+        # grid's mask built inside the trace, 8 MB of it the raster and 6.3
+        # MB the norms (11.6 MB when it wrote the raster directly)
         scn = make_scene(1)
         k_bw = scn.background_wavenumber()
         k_aw = _mismatched(scn, "permeability", 2.0)
