@@ -34,7 +34,6 @@ from .music import (
     PLANE_WAVE,
     ImageMap,
     ImagingGrid,
-    SymmetryPlan,
     extract_peaks,
     grid_for_roi,
     imaging_map,
@@ -42,7 +41,6 @@ from .music import (
     signal_subspace_dim,
     steering_evaluators,
     svd_leading,
-    symmetry_plan,
     write_map_csv,
     write_map_pgm,
 )

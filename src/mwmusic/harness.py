@@ -4,11 +4,11 @@ A run sweeps one mismatched background parameter over a list of ratios,
 images the same synthetic data with each wrong wavenumber, and writes per
 ratio a reciprocal-map CSV, a projection-norm CSV, and a PGM rendering,
 plus one JSON report. `prepare` does the work no ratio changes once per
-sweep (the data and its decomposition, the plan of the maps, and the
-steering evaluators of every ratio), `analyse` images one ratio and
-returns its map and its record, and `run_experiment` writes the
-artifacts. A report and its records are the plain dicts report.json
-holds. Runs are deterministic for a fixed config and seed; wall-clock
+sweep (the data and its decomposition, the imaging grid, and the
+steering evaluators of every ratio), `analyse` images one ratio, sets a
+single anomaly's map against the closed form and returns the map and its
+record, and `run_experiment` writes the artifacts. A report and its
+records are the plain dicts report.json holds. Runs are deterministic for a fixed config and seed; wall-clock
 timings are printed but kept out of the artifacts so repeated runs stay
 byte-identical.
 
@@ -90,7 +90,7 @@ import numpy as np
 from . import forward as fw
 from . import music as mu
 from . import theory as th
-from .errors import ConfigurationError, DomainError, MwMusicError, NumericalError
+from .errors import ConfigurationError, DegenerateDataError, DomainError, MwMusicError, NumericalError
 from .scene import (
     BACKGROUND_PERMEABILITY,
     VACUUM_PERMITTIVITY,
@@ -166,8 +166,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"forward_mode must be one of {fw.MODES}")
         if self.test_variant not in mu.VARIANTS:
             raise ConfigurationError(f"test_vector must be one of {mu.VARIANTS}")
-        if self.signal_dim is not None and not (1 <= self.signal_dim <= self.scene.array.count):
-            raise ConfigurationError("signal_dim must lie in [1, antenna count]")
+        if self.signal_dim is not None and not (1 <= self.signal_dim < self.scene.array.count):
+            raise ConfigurationError("signal_dim must lie in [1, antenna count - 1]")
         if not (0.0 <= self.threshold_ratio <= 1.0):
             raise ConfigurationError("threshold_ratio must lie in [0, 1]")
         if self.snr_db != fw.NOISELESS:
@@ -289,10 +289,11 @@ def load_config(path, preset: str | None = None, **overrides) -> ExperimentConfi
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 
-# what `prepare` computes once for every map of a sweep; evaluators maps each
-# k_aw to its steering evaluator, or to the exception `analyse` raises then
+# what `prepare` computes once for every map of a sweep: grid is the imaging
+# grid of every map, and evaluators maps each k_aw to its steering evaluator
+# over it, or to the exception `analyse` raises then
 Sweep = namedtuple(
-    "Sweep", "config k_bw plan singular_values left_vectors signal_dim c_identity evaluators"
+    "Sweep", "config k_bw grid singular_values left_vectors signal_dim c_identity evaluators"
 )
 
 
@@ -518,13 +519,14 @@ def sweep_wavenumber(config: ExperimentConfig, ratio: float) -> complex:
 
 def prepare(config: ExperimentConfig) -> Sweep:
     """The work of a sweep that no ratio changes: the data and its one
-    decomposition (`music.svd_leading`), the plan, the C identity of a
-    single anomaly, and every ratio's k_aw and steering evaluator, the
-    exact-field ones from one evaluation of their interpolants' nodes
-    (`music.steering_evaluators`)."""
+    decomposition (`music.svd_leading`), the imaging grid, the C identity
+    of a single anomaly, and every ratio's k_aw and steering evaluator from
+    one call of `music.steering_evaluators`, so that an exact-field sweep
+    builds one symmetry plan and evaluates its interpolants' nodes once;
+    DegenerateDataError when the threshold keeps every singular value."""
     scene = config.scene
     k_bw = scene.background_wavenumber()
-    plan = mu.symmetry_plan(mu.grid_for_roi(scene.roi_radius, config.resolution), scene.array)
+    grid = mu.grid_for_roi(scene.roi_radius, config.resolution)
     data = fw.scattering_matrix(scene, k_bw, config.forward_mode)
     if config.snr_db != fw.NOISELESS:
         data = fw.add_noise(data, config.snr_db, config.seed)
@@ -537,37 +539,35 @@ def prepare(config: ExperimentConfig) -> Sweep:
     m_used = config.signal_dim
     if m_used is None:
         m_used = mu.signal_subspace_dim(taus, config.threshold_ratio)
+    if m_used == len(taus):
+        raise DegenerateDataError(f"no noise subspace: all {m_used} singular values pass the threshold")
     ks = []
     for ratio in config.ratios:
         # a wavenumber that cannot be formed fails at its ratio's turn
         with contextlib.suppress(DomainError):
             ks.append(sweep_wavenumber(config, ratio))
-    evaluators = dict(zip(ks, mu.steering_evaluators(ks, plan, config.test_variant)))
-    return Sweep(config, k_bw, plan, taus, vecs, m_used, c_identity, evaluators)
+    evaluators = dict(zip(ks, mu.steering_evaluators(ks, grid, scene.array, config.test_variant)))
+    return Sweep(config, k_bw, grid, taus, vecs, m_used, c_identity, evaluators)
 
 
 def analyse(sweep: Sweep, index: int, out: np.ndarray | None = None) -> tuple[mu.ImageMap, dict]:
     """The map of config.ratios[index] of a prepared sweep, its norms in out
-    when given (`music.imaging_map`), and its record of report.json;
-    NumericalError when a value of the record is not finite."""
-    config, k_bw, plan, taus, vecs, m_used, c_identity, evaluators = sweep
+    when given (`music.imaging_map`), and its record of report.json, whose
+    closed_form compares that map, the one the norm CSV holds, for a single
+    anomaly; NumericalError when a value of the record is not finite."""
+    config, k_bw, grid, taus, vecs, m_used, c_identity, evaluators = sweep
     scene = config.scene
     k_aw = sweep_wavenumber(config, config.ratios[index])
     steering = evaluators[k_aw]
     if isinstance(steering, Exception):
         raise steering
-    image = mu.imaging_map(vecs[:, :m_used], k_aw, plan, steering, out)
+    image = mu.imaging_map(vecs[:, :m_used], k_aw, grid, scene.array, steering, out)
     peaks = mu.extract_peaks(image, max(len(scene.anomalies), 1))
     predicted = [th.predicted_peak(k_bw, k_aw, an.center) for an in scene.anomalies]
     errors_m = _match_peaks(predicted, peaks)
     closed_form = None
     if len(scene.anomalies) == 1:
-        # the closed form corresponds to the one-direction projector, so the
-        # comparison map always uses U[:, :1] alone
-        norm_image = image if m_used == 1 else mu.imaging_map(vecs[:, :1], k_aw, plan, steering)
-        closed_form = th.compare_maps(
-            norm_image, scene.array, k_bw, k_aw, scene.anomalies[0].center
-        )
+        closed_form = th.compare_maps(image, scene.array, k_bw, k_aw, scene.anomalies[0].center)
     record = {
         "ratio": float(config.ratios[index]),
         "k_aw": [k_aw.real, k_aw.imag],
@@ -576,7 +576,7 @@ def analyse(sweep: Sweep, index: int, out: np.ndarray | None = None) -> tuple[mu
         "peaks": [[x, y, value] for (x, y), value in peaks],
         "predicted_peaks": [list(p) for p in predicted],
         "peak_error_m": errors_m,
-        "peak_error_cells": [e / plan.grid.cell_size for e in errors_m],
+        "peak_error_cells": [e / grid.cell_size for e in errors_m],
         "closed_form": closed_form,
         "c_identity": c_identity,
         "diagnostics": validate_scene(scene, k_aw),
@@ -609,7 +609,7 @@ def run_experiment(config: ExperimentConfig, log=print) -> dict:
     records: list[dict] = []
     try:
         sweep = prepare(config)
-        grid = sweep.plan.grid
+        grid = sweep.grid
         if hasattr(os, "fork") and int(grid.mask.sum()) >= _FORK_MIN_CELLS:
             writer = _Writer(grid, out_dir)
         for index, ratio in enumerate(config.ratios):

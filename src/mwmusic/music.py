@@ -14,12 +14,13 @@ permutes the antennas, w(g . r) = w(r)[pi_g], and a permutation is unitary.
 So these rows are built on one fundamental domain, 1/|G| of the cells, and
 projected onto the bases of every group element together, through the Gram
 identity |P_noise w|^2 = 1 - |U_g^H w|^2 for a unit row w (`_image_norms`).
-The domain and its chunks are one `SymmetryPlan`, built once per sweep,
-which owns the walk over them (`SymmetryPlan.over_domain`).
+The domain and its chunks are one `SymmetryPlan`, which owns the walk over
+them (`SymmetryPlan.over_domain`); `steering_evaluators` builds it once
+for all the wavenumbers of an exact-field sweep, and nothing else does.
 
 A plane-wave entry e^{i k theta_n . r} factors over the axes into
 X_n(x) Y_n(y), two per-axis tables of res x N exponentials (`_axis_tables`).
-Its norms need no walk: over each block of cells every U_m^H w and |w|^2
+Its norms need no plan: over each block of cells every U_m^H w and |w|^2
 are small products of the tables (`_plane_wave_norms`), and only the cells
 near the signal space or whose tables underflow take their unit rows
 (`_plane_wave_rows`) through `_image_norms`. This is the one plane-wave norm
@@ -362,9 +363,9 @@ _GENERATORS = (
 
 @dataclass(frozen=True, eq=False)
 class SymmetryPlan:
-    """The geometry of a sweep: one fundamental domain of the symmetry group
-    G shared by an imaging grid and an antenna array, and what the maps over
-    it need that no wavenumber changes.
+    """The geometry of an exact-field sweep: one fundamental domain of the
+    symmetry group G shared by an imaging grid and an antenna array, and
+    what the maps over it need that no wavenumber changes.
 
     points holds the representative cell centres (reps, 2). For the j-th
     element g of G (the identity first), cells[j] holds the mask-order
@@ -377,7 +378,6 @@ class SymmetryPlan:
     """
 
     grid: ImagingGrid
-    array: AntennaArray
     points: np.ndarray
     cells: np.ndarray
     perms: np.ndarray
@@ -426,7 +426,7 @@ def symmetry_plan(grid: ImagingGrid, array: AntennaArray) -> SymmetryPlan:
     """Fundamental domain, cell maps and antenna permutations of the group
     generated by those of y -> -y, x -> -x and x <-> y that map both the
     masked cells and the antenna positions onto themselves, with the
-    domain's chunks; built once per sweep.
+    domain's chunks; built once per exact-field sweep (`steering_evaluators`).
 
     A uniform circular array gives |G| = 8 for N = 0 mod 4, 4 for
     N = 2 mod 4 and 2 for odd N; an asymmetric array gives the identity
@@ -467,7 +467,6 @@ def symmetry_plan(grid: ImagingGrid, array: AntennaArray) -> SymmetryPlan:
         a.flags.writeable = False
     return SymmetryPlan(
         grid=grid,
-        array=array,
         points=points,
         cells=cells,
         perms=perms,
@@ -534,26 +533,27 @@ class ImageMap:
             object.__setattr__(self, "raw_norm", r)
 
 
-def steering_evaluators(ks, plan: SymmetryPlan, variant: str) -> list:
-    """The steering evaluator of `imaging_map` for each k of ks over plan:
-    (basis, out=None) -> the projection norms of the unit steering rows of
-    k against basis (N, M) at the unmasked cells of plan.grid, in mask
-    order, in out when given.
+def steering_evaluators(ks, grid: ImagingGrid, array: AntennaArray, variant: str) -> list:
+    """The steering evaluator of `imaging_map` for each k of ks over grid
+    and the antennas of array: (basis, out=None) -> the projection norms of
+    the unit steering rows of k against basis (N, M) at the unmasked cells
+    of grid, in mask order, in out when given.
 
-    Exact-field rows (`_exact_rows`) are walked over the plan's domain
-    (`SymmetryPlan.over_domain`), their interpolants from one evaluation of
-    the nodes of all the ks (`specfun.ray_interpolants`) over the distance
-    range of the whole domain, so a row does not depend on its chunk; for a
-    k whose interpolant cannot be formed the entry is the exception imaging
-    with it raises (NumericalError past |k| d = 1e6). The far-field rows
+    Exact-field rows (`_exact_rows`) are walked over the domain of the one
+    symmetry plan built here for all the ks (`SymmetryPlan.over_domain`),
+    their interpolants from one evaluation of the nodes of all the ks
+    (`specfun.ray_interpolants`) over the distance range of the whole
+    domain, so a row does not depend on its chunk; for a k whose
+    interpolant cannot be formed the entry is the exception imaging with
+    it raises (NumericalError past |k| d = 1e6). The far-field rows
     e^{i k (a_n/|a_n|) . r} take `_plane_wave_norms`, which builds the
-    tables of its own k at each call.
+    tables of its own k at each call and needs no plan.
     """
-    array = plan.array
     if variant == PLANE_WAVE:
-        return [partial(_plane_wave_norms, k, array.directions, plan.grid) for k in ks]
+        return [partial(_plane_wave_norms, k, array.directions, grid) for k in ks]
     if variant != EXACT_FIELD:
         raise DomainError(f"unknown test-vector variant {variant!r}")
+    plan = symmetry_plan(grid, array)
     out = []
     for k, ray in zip(ks, ray_interpolants(ks, *_distance_range(plan.points, array, plan.chunks))):
         if isinstance(ray, SingularityError):
@@ -567,15 +567,15 @@ def steering_evaluators(ks, plan: SymmetryPlan, variant: str) -> list:
 
 
 def imaging_map(
-    basis: np.ndarray, k_aw: complex, plan: SymmetryPlan, steering, out: np.ndarray | None = None
+    basis: np.ndarray, k_aw: complex, grid: ImagingGrid, array: AntennaArray, steering, out=None
 ) -> ImageMap:
     """Reciprocal projection-norm map 1 / |P_noise W(r)| over the unmasked
-    cells of plan.grid, with the noise projector defined by the signal basis
+    cells of grid, with the noise projector defined by the signal basis
     U[:, :M] (N, M) and the unit steering rows W(r) of k_aw from the
-    antennas of plan.array, whose norms steering(basis, out) gives
-    (`steering_evaluators`). The norms, in mask order, are computed into
-    out when it is given (a float array of one entry per unmasked cell) and
-    are left there.
+    antennas of array, whose norms steering(basis, out) gives
+    (`steering_evaluators` of the same grid and array). The norms, in mask
+    order, are computed into out when it is given (a float array of one
+    entry per unmasked cell) and are left there.
 
     Values are clipped at DEFAULT_CEILING where the norm underflows; the
     unclipped norms are retained in raw_norm for quantitative comparison
@@ -583,10 +583,9 @@ def imaging_map(
     (the exact-field table overflows once Im(k_aw) times the distance passes
     ~709).
     """
-    grid = plan.grid
     if grid.resolution < MIN_RESOLUTION:
         raise ConfigurationError(f"imaging grid resolution must be >= {MIN_RESOLUTION}")
-    if plan.array.count != basis.shape[0]:
+    if array.count != basis.shape[0]:
         raise DomainError("antenna count does not match the signal basis")
     norms = steering(basis, out)
     if not np.all(np.isfinite(norms)):

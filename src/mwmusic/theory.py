@@ -71,11 +71,12 @@ def mismatched_wavenumber(background: Medium, omega: float, kind: str, ratio: fl
 def closed_form_norm_map(
     grid: ImagingGrid, array: AntennaArray, k_bw: complex, k_aw: complex, r_star
 ) -> np.ndarray:
-    """Predicted |P_noise W| over grid (NaN at masked cells) for the anomaly
-    at r_star, imaged with k_aw in the background k_bw by the antennas of
-    array: the prefactor (N^2-2N)/(N^2-2N+1) times the plane-wave map of
-    k_aw against the one-column basis s (`music._plane_wave_norms`), s the
-    unit plane-wave row of k_bw at r_star (`music._plane_wave_rows` on the
+    """Predicted |P_noise W| at the unmasked cells of grid, in mask order
+    (`ImagingGrid.raster` lays them out), for the anomaly at r_star, imaged
+    with k_aw in the background k_bw by the antennas of array: the
+    prefactor (N^2-2N)/(N^2-2N+1) times the plane-wave norms of k_aw
+    against the one-column basis s (`music._plane_wave_norms`), s the unit
+    plane-wave row of k_bw at r_star (`music._plane_wave_rows` on the
     one-point lattice {x*} x {y*}).
     """
     n = array.count
@@ -84,7 +85,7 @@ def closed_form_norm_map(
     s = _plane_wave_rows(_axis_tables(k_bw, array.directions, x, y), at, at)
     norms = _plane_wave_norms(k_aw, array.directions, grid, s.T)
     norms *= (n * n - 2 * n) / (n * n - 2 * n + 1)
-    return grid.raster(norms)
+    return norms
 
 
 def predicted_peak(k_bw: complex, k_aw: complex, r_star) -> tuple[float, float]:
@@ -118,7 +119,7 @@ def compare_maps(
     emp_vals = emp[mask]
     if np.any(emp_vals > 1.0 + 1e-9) or np.any(emp_vals < 0.0):
         raise DomainError("expected a projection-norm map with values in [0, 1]")
-    theo_vals = closed_form_norm_map(grid, array, k_bw, k_aw, r_star)[mask]
+    theo_vals = closed_form_norm_map(grid, array, k_bw, k_aw, r_star)
     pearson = _pearson(emp_vals, theo_vals)
     diff = emp_vals - theo_vals
     np.abs(diff, out=diff)

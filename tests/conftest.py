@@ -67,13 +67,18 @@ def bessel_j_row(x: float, q_max: int) -> np.ndarray:
     return specfun.bessel_j_grid(np.asarray([x], dtype=float), q_max)[0]
 
 
-def steering(k_aw, plan, variant=mu.EXACT_FIELD):
+def steering(k_aw, grid, array, variant=mu.EXACT_FIELD):
     """The steering evaluator of `music.imaging_map` for the one wavenumber
-    k_aw over plan, or the failure of its interpolant raised."""
-    (rows,) = mu.steering_evaluators([k_aw], plan, variant)
+    k_aw over grid and array, or the failure of its interpolant raised."""
+    (rows,) = mu.steering_evaluators([k_aw], grid, array, variant)
     if isinstance(rows, Exception):
         raise rows
     return rows
+
+
+def image_of(basis, k_aw, grid, array, variant=mu.EXACT_FIELD):
+    """The `music.imaging_map` of basis with the steering evaluator of k_aw."""
+    return mu.imaging_map(basis, k_aw, grid, array, steering(k_aw, grid, array, variant))
 
 
 def image_from_data(data, k_aw, array, grid, variant=mu.EXACT_FIELD, signal_dim=None):
@@ -81,8 +86,7 @@ def image_from_data(data, k_aw, array, grid, variant=mu.EXACT_FIELD, signal_dim=
     singular vectors (the threshold rule when signal_dim is None)."""
     taus, vecs = mu.svd_leading(data)
     m = mu.signal_subspace_dim(taus) if signal_dim is None else signal_dim
-    plan = mu.symmetry_plan(grid, array)
-    return mu.imaging_map(vecs[:, :m], k_aw, plan, steering(k_aw, plan, variant))
+    return image_of(vecs[:, :m], k_aw, grid, array, variant)
 
 
 @pytest.fixture

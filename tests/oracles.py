@@ -340,11 +340,10 @@ def norm_prefactor(count: int) -> float:
 
 
 def direct_closed_form_norm_map(grid, array, k_bw, k_aw, r_star) -> np.ndarray:
-    """The closed-form norm map from one table of unit rows over the whole grid."""
+    """The closed-form norms at the unmasked cells of grid, in mask order,
+    from one table of unit rows over the whole grid."""
     g = direct_norm_factor(cell_centers(grid), array, k_bw, k_aw, r_star)
-    out = np.full((grid.resolution, grid.resolution), np.nan)
-    out[grid.mask] = norm_prefactor(array.count) * np.sqrt(np.clip(1.0 - g * g, 0.0, None))
-    return out
+    return norm_prefactor(array.count) * np.sqrt(np.clip(1.0 - g * g, 0.0, None))
 
 
 def closed_form_norm_oracle(array, k_bw: complex, k_aw: complex, r_star, r) -> float:

@@ -340,12 +340,13 @@ class TestRunExperiment:
         assert all(shape[0] == 6 for shape in seen)
 
 
-    @pytest.mark.parametrize("variant,ranges", [(mu.EXACT_FIELD, 1), (mu.PLANE_WAVE, 0)])
+    @pytest.mark.parametrize("variant,built", [(mu.EXACT_FIELD, 1), (mu.PLANE_WAVE, 0)])
     @pytest.mark.parametrize("preset", ["fig-mu-single", "fig-mu-double"])
-    def test_one_plan_per_sweep(self, empty_config, tmp_path, monkeypatch, preset, variant, ranges):
-        # every map of the six ratios shares the plan built before the ratio
-        # loop (the closed form of the single anomaly needs none); its
-        # distance range is found once, and only for exact-field steering
+    def test_one_plan_per_sweep(self, empty_config, tmp_path, monkeypatch, preset, variant, built):
+        # every exact-field map of the six ratios shares the one plan its
+        # steering evaluators are built over, with its distance range found
+        # once; plane-wave maps and the closed form of the single anomaly
+        # need no plan, so a plane-wave sweep builds none
         plans, found = [], []
         symmetry_plan, distance_range = mu.symmetry_plan, mu._distance_range
 
@@ -361,8 +362,8 @@ class TestRunExperiment:
         )
         report = harness.run_experiment(config, log=lambda *_: None)
         assert len(report["records"]) == 6
-        assert len(plans) == 1
-        assert len(found) == ranges
+        assert len(plans) == built
+        assert len(found) == built
 
 
 def _no_child_left():
@@ -728,6 +729,53 @@ class TestCli:
         )
         assert code == 0
         assert "rms:" in capsys.readouterr().out
+
+    def test_compare_reproduces_the_report_for_m_above_one(self, tmp_path, capsys):
+        # the report compares the rank-M map the norm CSV holds, so compare
+        # on that CSV prints the report's closed_form for any M
+        cfg = tmp_path / "m2.ini"
+        cfg.write_text("[imaging]\nsignal_dim = 2\n")
+        out = tmp_path / "m2-out"
+        assert cli.main(["run", str(cfg), "--out", str(out), "--resolution", "32"]) == 0
+        (record,) = json.loads((out / "report.json").read_text())["records"]
+        assert record["signal_dim"] == 2
+        capsys.readouterr()
+        assert cli.main(["compare", str(out / "norm-permeability-1.csv"), str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        printed = {key: float(value) for key, value in (line.split(": ") for line in lines)}
+        assert printed == record["closed_form"]
+
+    # with the default threshold the zero diagonal of the data keeps every
+    # singular value at 8 and 9 antennas (M = N), and 7 of them at 10; a
+    # threshold of 0 keeps every one at 16
+    @pytest.mark.parametrize("ini,code", [
+        ("[array]\ncount = 8\n", 3),
+        ("[array]\ncount = 9\n", 3),
+        ("[imaging]\nthreshold_ratio = 0\n", 3),
+        ("[array]\ncount = 10\n", 0),
+    ], ids=["N8", "N9", "threshold-0", "N10"])
+    def test_empty_noise_space_exits_3(self, tmp_path, capsys, ini, code):
+        cfg = tmp_path / "noise.ini"
+        cfg.write_text(ini)
+        out = tmp_path / "noise-out"
+        assert cli.main(["run", str(cfg), "--out", str(out), "--resolution", "32"]) == code
+        if code:
+            assert capsys.readouterr().err.startswith("numerical failure: no noise subspace")
+            assert not out.exists()
+        else:
+            (record,) = json.loads((out / "report.json").read_text())["records"]
+            assert record["signal_dim"] == 7
+
+    @pytest.mark.parametrize("signal_dim", [0, 15, 16, 17])
+    def test_signal_dim_range(self, tmp_path, capsys, signal_dim):
+        cfg = tmp_path / "dim.ini"
+        cfg.write_text(f"[imaging]\nsignal_dim = {signal_dim}\n")
+        out = tmp_path / "dim-out"
+        code = cli.main(["run", str(cfg), "--out", str(out), "--resolution", "32"])
+        assert code == (0 if signal_dim == 15 else 2)
+        if code:
+            _one_error_line(capsys, "signal_dim must lie in [1, antenna count - 1]")
+            assert not out.exists()
 
     def test_compare_builds_no_plan(self, empty_config, tmp_path, capsys, monkeypatch):
         # the closed form needs no symmetry plan: compare prints the run's

@@ -20,7 +20,7 @@ from mwmusic.errors import (
     NumericalError,
 )
 
-from conftest import image_from_data, make_scene, steering
+from conftest import image_from_data, image_of, make_scene, steering
 from oracles import (
     argmax_point,
     cell_centers,
@@ -168,11 +168,11 @@ class TestTestVector:
             mu._exact_rows(ray, array.positions, array.positions[:1])
 
 
-def _domain_rows(k, plan):
+def _domain_rows(k, plan, array):
     """The production plane-wave rows of the plan's representatives, from
     the per-axis tables over the grid's ticks."""
     ticks = plan.grid.ticks
-    tables = mu._axis_tables(k, plan.array.directions, ticks, ticks)
+    tables = mu._axis_tables(k, array.directions, ticks, ticks)
     ix, iy = (np.searchsorted(ticks, plan.points[:, axis]) for axis in (0, 1))
     return mu._plane_wave_rows(tables, ix, iy)
 
@@ -191,7 +191,7 @@ class TestPlaneWaveRows:
         for ratio in ratios:
             k = _mismatched(scn, kind, ratio)
             want = unit_phasors(k, plan.points, scn.array.directions)
-            assert np.max(np.abs(_domain_rows(k, plan) - want)) <= 1e-14
+            assert np.max(np.abs(_domain_rows(k, plan, scn.array) - want)) <= 1e-14
 
     @pytest.mark.parametrize("ratio,bound", [(1e5, 1e-12), (1e6, 2e-12)])
     def test_high_loss_rows_finite_with_unit_norm(self, ratio, bound):
@@ -200,7 +200,7 @@ class TestPlaneWaveRows:
         scn = make_scene(1)
         plan = mu.symmetry_plan(_grid(128), scn.array)
         k = _mismatched(scn, "conductivity", ratio)
-        rows = _domain_rows(k, plan)
+        rows = _domain_rows(k, plan, scn.array)
         assert np.all(np.isfinite(rows))
         assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) <= 1e-14
         assert np.max(np.abs(rows - unit_phasors(k, plan.points, scn.array.directions))) <= bound
@@ -449,8 +449,7 @@ class TestSymmetryPlan:
         k = scn.background_wavenumber()
         basis = mu.svd_leading(fw.scattering_matrix(scn, k))[1][:, :n_anomalies]
         grid = _grid(64)
-        plan = mu.symmetry_plan(grid, scn.array)
-        image = mu.imaging_map(basis, k, plan, steering(k, plan, variant))
+        image = image_of(basis, k, grid, scn.array, variant)
         want = direct_norms(basis, k, scn.array, grid, variant)
         assert np.array_equal(image.raw_norm[grid.mask], want)
 
@@ -462,8 +461,8 @@ class TestSymmetryPlan:
         grid = _grid(64)
         got = th.closed_form_norm_map(grid, array, k_bw, k_aw, (0.01, 0.03))
         want = direct_closed_form_norm_map(grid, array, k_bw, k_aw, (0.01, 0.03))
-        assert np.array_equal(np.isnan(got), ~grid.mask)
-        assert np.max(np.abs(got - want)[grid.mask]) <= 1e-13
+        assert got.shape == (np.count_nonzero(grid.mask),)
+        assert np.max(np.abs(got - want)) <= 1e-13
 
     # The norm is 1-Lipschitz in the unit row, so the exact field inherits the
     # rows' 4e-10 (measured worst 5.5e-12 at N = 10); the plane-wave map's
@@ -476,13 +475,12 @@ class TestSymmetryPlan:
         k_aw = _mismatched(scn, "permeability", 2.0)
         basis = mu.svd_leading(fw.scattering_matrix(scn, k_bw))[1][:, :2]
         grid = _grid(113)
-        plan = mu.symmetry_plan(grid, scn.array)
         for variant, bound in ((mu.EXACT_FIELD, 4e-10), (mu.PLANE_WAVE, 1e-13)):
-            image = mu.imaging_map(basis, k_aw, plan, steering(k_aw, plan, variant))
+            image = image_of(basis, k_aw, grid, scn.array, variant)
             want = direct_norms(basis, k_aw, scn.array, grid, variant)
             assert np.max(np.abs(image.raw_norm[grid.mask] - want)) <= bound
-        got = th.closed_form_norm_map(grid, scn.array, k_bw, k_aw, (0.01, 0.03))[grid.mask]
-        want = direct_closed_form_norm_map(grid, scn.array, k_bw, k_aw, (0.01, 0.03))[grid.mask]
+        got = th.closed_form_norm_map(grid, scn.array, k_bw, k_aw, (0.01, 0.03))
+        want = direct_closed_form_norm_map(grid, scn.array, k_bw, k_aw, (0.01, 0.03))
         assert np.max(np.abs(got - want)) <= 1e-13
 
 
@@ -537,12 +535,11 @@ class TestPlaneWaveMap:
         scn = _scene_with(_CHUNK_ARRAYS[array_name](), 2)
         basis = mu.svd_leading(fw.scattering_matrix(scn, scn.background_wavenumber()))[1][:, :m]
         grid = _grid(128)
-        plan = mu.symmetry_plan(grid, scn.array)
         presets = sorted({v[:2] for v in harness.PRESETS.values()})
         cases = [(kind, r, 5e-14) for kind, ratios in presets for r in ratios]
         for kind, ratio, bound in cases + [("conductivity", 1e6, 2e-13)]:
             k_aw = _mismatched(scn, kind, ratio)
-            image = mu.imaging_map(basis, k_aw, plan, steering(k_aw, plan, mu.PLANE_WAVE))
+            image = image_of(basis, k_aw, grid, scn.array, mu.PLANE_WAVE)
             want = projection_norm(basis, direct_rows(k_aw, cell_centers(grid), scn.array, mu.PLANE_WAVE))
             assert np.max(np.abs(image.raw_norm[grid.mask] - want) / want) <= bound
 
@@ -564,8 +561,7 @@ class TestChunks:
         maps = []
         for entries in (10**9, 3 * scn.array.count):
             monkeypatch.setattr(mu, "_CHUNK_ENTRIES", entries)
-            plan = mu.symmetry_plan(grid, scn.array)
-            maps.append(mu.imaging_map(basis, k_aw, plan, steering(k_aw, plan, variant)))
+            maps.append(image_of(basis, k_aw, grid, scn.array, variant))
         whole, chunked = maps
         assert np.array_equal(chunked.raw_norm, whole.raw_norm, equal_nan=True)
         assert np.array_equal(chunked.values, whole.values, equal_nan=True)
@@ -581,7 +577,6 @@ class TestChunks:
         k_aw = _mismatched(scn, "conductivity", 1e6)
         basis = mu.svd_leading(fw.scattering_matrix(scn, k_bw))[1][:, :2]
         grid = _grid(61)
-        plan = mu.symmetry_plan(grid, scn.array)
         routed = []
         rows = mu._plane_wave_rows
         monkeypatch.setattr(mu, "_plane_wave_rows", lambda *a: routed.append(len(a[-1])) or rows(*a))
@@ -590,8 +585,7 @@ class TestChunks:
             monkeypatch.setattr(mu, "_CHUNK_ENTRIES", entries)
             routed.clear()
             maps.append(th.closed_form_norm_map(grid, scn.array, k_bw, k_aw, (0.01, 0.03)))
-            image = mu.imaging_map(basis, k_aw, plan, steering(k_aw, plan, mu.PLANE_WAVE))
-            maps.append(image.raw_norm)
+            maps.append(image_of(basis, k_aw, grid, scn.array, mu.PLANE_WAVE).raw_norm)
             calls.append(len(routed))
             cells.append(sum(routed))
         # the same cells in both, in more calls when the chunks are small
@@ -622,15 +616,16 @@ class TestChunks:
     # still projected one image per product
     @pytest.mark.parametrize("count", [4, 16, 64, 100])
     def test_chunks_below_the_blas_thread_boundary(self, count):
-        plan = mu.symmetry_plan(_grid(128), sc.uniform_circular_array(count, 0.09))
+        array = sc.uniform_circular_array(count, 0.09)
+        plan = mu.symmetry_plan(_grid(128), array)
         assert sum(len(plan.points[chunk]) for chunk in plan.chunks) == len(plan.points)
         assert all(len(plan.points[chunk]) * count < 4096 for chunk in plan.chunks)
 
         products = []
         Logged = _product_logger(products)
         k = make_scene(1, count=count).background_wavenumber()
-        ray = ray_interpolant(k, *mu._distance_range(plan.points, plan.array, plan.chunks))
-        rows_of = partial(mu._exact_rows, ray, plan.array.positions)
+        ray = ray_interpolant(k, *mu._distance_range(plan.points, array, plan.chunks))
+        rows_of = partial(mu._exact_rows, ray, array.positions)
         logged = partial(plan.over_domain, lambda points: rows_of(points).view(Logged))
         # the first column of each basis is the steering row of the first
         # representative, which therefore falls below the Gram floor
@@ -639,7 +634,7 @@ class TestChunks:
         for m in (m for m in (1, 2, 6, 16, 32) if m <= count):
             basis, _ = np.linalg.qr(np.column_stack([row.T, rng.standard_normal((count, m - 1))]))
             products.clear()
-            mu.imaging_map(basis, k, plan, logged)
+            mu.imaging_map(basis, k, plan.grid, array, logged)
             if m == count:
                 # the basis spans every row: no product is taken
                 assert products == []
@@ -679,8 +674,7 @@ class TestChunks:
             if m is None:
                 th.closed_form_norm_map(grid, scn.array, k_bw, k_aw, (0.01, 0.03))
             else:
-                plan = mu.symmetry_plan(grid, scn.array)
-                mu.imaging_map(vecs[:, :m], k_aw, plan, steering(k_aw, plan, mu.PLANE_WAVE))
+                image_of(vecs[:, :m], k_aw, grid, scn.array, mu.PLANE_WAVE)
             blocks = mu._blocks(resolution, count)
             cells = sum((b.stop - b.start) * (c.stop - c.start) for b, c in blocks)
             assert cells == resolution**2
@@ -710,10 +704,10 @@ class TestChunks:
         maps, closed, chunks = [], [], []
         for entries in (mu._CHUNK_ENTRIES, 8192):
             monkeypatch.setattr(mu, "_CHUNK_ENTRIES", entries)
-            plan = mu.symmetry_plan(_grid(112), scn.array)
-            maps.append(mu.imaging_map(basis, k_aw, plan, steering(k_aw, plan)))
-            closed.append(th.closed_form_norm_map(plan.grid, scn.array, k_bw, k_aw, (0.01, 0.03)))
-            chunks.append(len(plan.chunks))
+            grid = _grid(112)
+            maps.append(image_of(basis, k_aw, grid, scn.array))
+            closed.append(th.closed_form_norm_map(grid, scn.array, k_bw, k_aw, (0.01, 0.03)))
+            chunks.append(len(mu.symmetry_plan(grid, scn.array).chunks))
         assert chunks[0] > chunks[1] > 1
         assert np.array_equal(maps[1].raw_norm, maps[0].raw_norm, equal_nan=True)
         assert np.array_equal(maps[1].values, maps[0].values, equal_nan=True)
@@ -730,10 +724,10 @@ class TestChunks:
         hankel = specfun._hankel2_0
         monkeypatch.setattr(specfun, "_hankel2_0", lambda z: calls.append(1) or hankel(z))
         monkeypatch.setattr(mu, "_CHUNK_ENTRIES", 3 * scn.array.count)
-        plan = mu.symmetry_plan(_grid(61), scn.array)
-        evaluator = steering(k, plan)
+        grid = _grid(61)
+        evaluator = steering(k, grid, scn.array)
         assert len(calls) == 1
-        mu.imaging_map(basis, k, plan, evaluator)
+        mu.imaging_map(basis, k, grid, scn.array, evaluator)
         assert len(calls) == 1
 
 
@@ -826,8 +820,7 @@ class TestImagingMap:
         k = single_scene.background_wavenumber()
         basis = np.eye(12, 1, dtype=complex)
         with pytest.raises(DomainError):
-            plan = mu.symmetry_plan(_grid(32), single_scene.array)
-            mu.imaging_map(basis, k, plan, steering(k, plan))
+            image_of(basis, k, _grid(32), single_scene.array)
 
     def test_overflowing_steering_raises(self, single_scene):
         # conductivity x1e5 gives Im(k_aw) ~ 8.9e3 /m, so the exact field
@@ -843,8 +836,7 @@ class TestImagingMap:
             single_scene.omega,
         )
         with pytest.raises(NumericalError), pytest.warns(RuntimeWarning):
-            plan = mu.symmetry_plan(_grid(16), single_scene.array)
-            mu.imaging_map(vecs[:, :1], k_aw, plan, steering(k_aw, plan))
+            image_of(vecs[:, :1], k_aw, _grid(16), single_scene.array)
 
     def test_raw_norm_bounded(self, single_scene):
         k = single_scene.background_wavenumber()
@@ -1197,8 +1189,7 @@ class TestImageMapIO:
         k = scn.background_wavenumber()
         grid = _grid(32)
         w = direct_rows(k, np.array([grid.point_of(20, 12)]), scn.array, mu.EXACT_FIELD)
-        plan = mu.symmetry_plan(grid, scn.array)
-        return mu.imaging_map(w.T, k, plan, steering(k, plan))
+        return image_of(w.T, k, grid, scn.array)
 
     @pytest.mark.parametrize("which", ["values", "raw_norm"])
     @pytest.mark.parametrize("clipped", [False, True], ids=["plain", "clipped"])
@@ -1294,13 +1285,16 @@ class TestImageMapIO:
 
 class TestMemory:
     # tracemalloc peak of one default map (one anomaly, M = 1, exact field)
-    # at 1024^2, its plan built beforehand: 24.1 MB measured with the map's
-    # finiteness check gathering bools, 29.4 MB while it gathered the
-    # unmasked floats, 35.7 MB with the cells-sized temporaries of np.where
-    # and np.minimum. 16 MB of it are the two res^2 layers the map keeps.
-    # The plane-wave map measured 24.1 MB (24.8 MB while it walked its rows
-    # over the plan).
+    # at 1024^2, its steering evaluator built beforehand, as a sweep builds
+    # them before its first map: 24.1 MB measured with the map's finiteness
+    # check gathering bools, 29.4 MB while it gathered the unmasked floats,
+    # 35.7 MB with the cells-sized temporaries of np.where and np.minimum.
+    # 16 MB of it are the two res^2 layers the map keeps. The plane-wave map
+    # measured 24.1 MB (24.8 MB while it walked its rows over a plan).
     PEAK_MB = 27
+    # tracemalloc peak of the exact-field evaluator of one k at 1024^2, its
+    # symmetry plan and the grid's mask included: 31.8 MB measured
+    EVALUATOR_PEAK_MB = 36
 
     def test_default_map_at_1024(self):
         assert self._peak(mu.EXACT_FIELD) <= self.PEAK_MB * 2**20
@@ -1308,11 +1302,23 @@ class TestMemory:
     def test_plane_wave_map_at_1024(self):
         assert self._peak(mu.PLANE_WAVE) <= self.PEAK_MB * 2**20
 
+    def test_exact_field_evaluator_at_1024(self):
+        scn = make_scene(1)
+        k = scn.background_wavenumber()
+        grid = mu.grid_for_roi(scn.roi_radius, 1024)
+        tracemalloc.start()
+        try:
+            mu.steering_evaluators([k], grid, scn.array, mu.EXACT_FIELD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.EVALUATOR_PEAK_MB * 2**20
+
     def test_closed_form_at_1024(self):
         # the closed form holds its per-axis tables and one band beside its
-        # mask-order norms and then its raster: 15.3 MB measured with the
-        # grid's mask built inside the trace, 8 MB of it the raster and 6.3
-        # MB the norms (11.6 MB when it wrote the raster directly)
+        # mask-order norms: 9.0 MB measured with the grid's mask built inside
+        # the trace, 6.3 MB of it the norms (15.3 MB while it also returned
+        # them as a res^2 raster)
         scn = make_scene(1)
         k_bw = scn.background_wavenumber()
         k_aw = _mismatched(scn, "permeability", 2.0)
@@ -1330,10 +1336,12 @@ class TestMemory:
         scn = make_scene(1)
         k = scn.background_wavenumber()
         basis = mu.svd_leading(fw.scattering_matrix(scn, k))[1][:, :1]
-        plan = mu.symmetry_plan(mu.grid_for_roi(scn.roi_radius, 1024), scn.array)
+        grid = mu.grid_for_roi(scn.roi_radius, 1024)
+        evaluator = steering(k, grid, scn.array, variant)
+        grid.mask  # cached before the trace, as a sweep caches it before its first map
         tracemalloc.start()
         try:
-            mu.imaging_map(basis, k, plan, steering(k, plan, variant))
+            mu.imaging_map(basis, k, grid, scn.array, evaluator)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
