@@ -8,9 +8,12 @@ sweep (the data and its decomposition, the imaging grid, and the
 steering evaluators of every ratio), `analyse` images one ratio, sets a
 single anomaly's map against the closed form and returns the map and its
 record, and `run_experiment` writes the artifacts. A report and its
-records are the plain dicts report.json holds. Runs are deterministic for a fixed config and seed; wall-clock
-timings are printed but kept out of the artifacts so repeated runs stay
-byte-identical.
+records are the plain dicts report.json holds.
+
+Runs are deterministic for a fixed config and seed. Wall-clock timings
+are printed but kept out of the artifacts, so repeated runs stay
+byte-identical. The files of a ratio are named by its label
+(`_artifact_label`), which no two ratios of a sweep may share.
 
 A sweep whose maps have at least _FORK_MIN_CELLS unmasked cells forks one
 writer process (`_Writer`) once its first map is imaged, so the sweep keeps
@@ -20,10 +23,10 @@ images the next. The writer takes all three files of a map when it has
 nothing else queued and another map follows; otherwise it takes the
 reciprocal-map CSV, and the run writes the projection-norm CSV and the PGM
 meanwhile. Smaller maps, and platforms without os.fork, write inline; the
-bytes are the same either way, as both paths build the map with
-`music.map_from_norms` and call the same writers. The writer is reaped
-before report.json is written, before a failed or interrupted run removes
-its artifacts, and before run_experiment returns or raises.
+bytes are the same either way, as both paths hold the map as its
+mask-order norms (`music.ImageMap`) and call the same writers. The writer
+is reaped before report.json is written, before a failed or interrupted
+run removes its artifacts, and before run_experiment returns or raises.
 
 Config file format (INI; every key optional, defaults reproduce the
 reference configuration):
@@ -159,9 +162,16 @@ class ExperimentConfig:
             raise ConfigurationError(f"sweep kind must be one of {th.MISMATCH_KINDS}")
         if not self.ratios:
             raise ConfigurationError("the sweep needs at least one ratio")
+        labelled = {}  # the ratio of each artifact label
         for ratio in self.ratios:
             if not (math.isfinite(ratio) and ratio > 0):
                 raise ConfigurationError(f"ratios must be finite and > 0, got {ratio!r}")
+            label = _artifact_label(self.sweep_kind, ratio)
+            if label in labelled:
+                raise ConfigurationError(
+                    f"ratios {labelled[label]!r} and {ratio!r} share the artifact label {label!r}"
+                )
+            labelled[label] = ratio
         if self.forward_mode not in fw.MODES:
             raise ConfigurationError(f"forward_mode must be one of {fw.MODES}")
         if self.test_variant not in mu.VARIANTS:
@@ -179,6 +189,11 @@ class ExperimentConfig:
             if self.seed < 0:
                 raise ConfigurationError(f"the seed of noisy data must be >= 0, got {self.seed}")
         object.__setattr__(self, "out_dir", Path(self.out_dir))
+
+
+def _artifact_label(kind: str, ratio: float) -> str:
+    """The label in the file names of the maps of ratio (`_artifacts`)."""
+    return f"{kind}-{ratio:g}"
 
 
 def _get(parser: configparser.ConfigParser, section: str, key: str, cast, default=None):
@@ -352,7 +367,7 @@ def _artifacts(out_dir: Path, label: str):
         (out_dir / f"map-{label}.csv", lambda image, path: mu.write_map_csv(image, path)),
         (
             out_dir / f"norm-{label}.csv",
-            lambda image, path: mu.write_map_csv(image, path, which="raw_norm"),
+            lambda image, path: mu.write_map_csv(image, path, which="norms"),
         ),
         (out_dir / f"map-{label}.pgm", lambda image, path: mu.write_map_pgm(image, path)),
     )
@@ -365,12 +380,12 @@ class _Writer:
     memory, each of one float per unmasked cell, alternate between the
     maps. `submit` hands the map to the writer by its slot, k_aw, the label
     of its files and how many of them the writer takes (`_artifacts`) over
-    a pipe of job lines; the writer rebuilds the layers those files need
-    from the norms with `music.map_from_norms`, as `imaging_map` does, so
-    the bytes are those of the inline path. It answers each job on a
-    second pipe with "." or, when a file cannot be written, with the index
-    of that file and its errno, and exits; the run raises the inline path's
-    OSError from them. The run images into a slot only once the writer has
+    a pipe of job lines; the writer wraps the slot's norms in the map
+    (`music.ImageMap`) that `imaging_map` returns for them and calls the
+    same writers, so the bytes are those of the inline path. It answers
+    each job on a second pipe with "." or, when a file cannot be written,
+    with the index of that file and its errno, and exits; the run raises
+    the inline path's OSError from them. The run images into a slot only once the writer has
     answered the job that held it.
 
     The first job forks the writer, after the first map is imaged, when
@@ -428,11 +443,8 @@ class _Writer:
             for line in lines:
                 slot, k_re, k_im, taken, label = line.split()
                 files = _artifacts(self._out_dir, label.decode())[:int(taken)]
-                # the raw-norm layer only for a job that takes the norm CSV
-                image = mu.map_from_norms(
-                    self._grid, self._slots[int(slot)], complex(float(k_re), float(k_im)),
-                    raw=len(files) > 1,
-                )
+                k_aw = complex(float(k_re), float(k_im))
+                image = mu.ImageMap(self._grid, self._slots[int(slot)], k_aw)
                 for index, (path, write) in enumerate(files):
                     try:
                         write(image, path)
@@ -615,7 +627,7 @@ def run_experiment(config: ExperimentConfig, log=print) -> dict:
         for index, ratio in enumerate(config.ratios):
             t0 = time.perf_counter()
             image, record = analyse(sweep, index, writer.slot() if writer else None)
-            label = f"{config.sweep_kind}-{ratio:g}"
+            label = _artifact_label(config.sweep_kind, ratio)
             artifacts = _artifacts(out_dir, label)
             written += [path for path, _ in artifacts]
             # the writer takes the whole map while it has nothing else to
@@ -676,7 +688,6 @@ def compare_saved_map(csv_path, config: ExperimentConfig) -> dict:
     if len(scene.anomalies) != 1:
         raise ConfigurationError("theory comparison needs a single-anomaly scene")
     loaded = mu.read_map_csv(csv_path, roi_radius=scene.roi_radius)
-    # compare_maps reads the values layer when a map has no raw_norm layer
     return th.compare_maps(
         loaded, scene.array, scene.background_wavenumber(), loaded.k_aw, scene.anomalies[0].center
     )

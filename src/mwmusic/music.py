@@ -26,9 +26,12 @@ near the signal space or whose tables underflow take their unit rows
 (`_plane_wave_rows`) through `_image_norms`. This is the one plane-wave norm
 path; the closed form in `theory` is it with a one-column basis. No product
 of a map reaches the volume _THREAD_VOLUME that wakes OpenBLAS's threads,
-and its transient memory does not grow with the grid. A map's layers are
-built from its norms by `map_from_norms`, which a process that receives
-only the norms calls too.
+and its transient memory does not grow with the grid.
+
+A map (`ImageMap`) is its projection norms in mask order, one per unmasked
+cell, as both steering paths and the closed form give them; the imaging
+function min(1/norm, DEFAULT_CEILING) is derived from them in the same
+order. Only peak extraction and the PGM lay a map out on the grid.
 
 The CSV writer and reader take the coordinate texts from one helper and
 walk the unmasked cells in the same row runs. The reader parses only the
@@ -332,13 +335,6 @@ class ImagingGrid:
         m.flags.writeable = False
         return m
 
-    def raster(self, values) -> np.ndarray:
-        """The (res, res) array with values, in mask order (y rows, x
-        fastest), at the unmasked cells and NaN at the masked ones."""
-        out = np.full((self.resolution, self.resolution), np.nan)
-        out[self.mask] = values
-        return out
-
     def point_of(self, iy: int, ix: int) -> tuple[float, float]:
         return (float(self.ticks[ix]), float(self.ticks[iy]))
 
@@ -503,34 +499,35 @@ def _distance_range(points: np.ndarray, array: AntennaArray, chunks) -> tuple[fl
 
 @dataclass(frozen=True)
 class ImageMap:
-    """Scalar field over the grid; masked cells carry NaN.
+    """A map over grid imaged with k_aw: its projection norms |P_noise w(r)|,
+    one per unmasked cell in mask order (y rows, x fastest).
 
-    values holds the reciprocal-projection map (clipped at the ceiling);
-    raw_norm, when present, holds the unclipped projection norms.
+    norms is a read-only view of the array given, not a copy of it; values,
+    the imaging function min(1/norm, DEFAULT_CEILING) in the same order, is
+    derived from it once, on first use.
     """
 
     grid: ImagingGrid
-    values: np.ndarray
-    raw_norm: np.ndarray | None = None
-    k_aw: complex | None = None
+    norms: np.ndarray
+    k_aw: complex
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        shape = (self.grid.resolution, self.grid.resolution)
-        if v.shape != shape:
-            raise DomainError(f"values must have shape {shape}")
-        # gather bools, not floats: a float copy of the unmasked cells would
-        # set the memory peak of a large map
-        if not np.isfinite(v)[self.grid.mask].all():
-            raise DomainError("unmasked map values must be finite")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-        if self.raw_norm is not None:
-            r = np.asarray(self.raw_norm, dtype=float)
-            if r.shape != shape:
-                raise DomainError(f"raw_norm must have shape {shape}")
-            r.flags.writeable = False
-            object.__setattr__(self, "raw_norm", r)
+        norms = np.asarray(self.norms, dtype=float).view()
+        cells = np.count_nonzero(self.grid.mask)
+        if norms.shape != (cells,):
+            raise DomainError(f"norms must hold one value per unmasked cell, shape ({cells},)")
+        norms.flags.writeable = False
+        object.__setattr__(self, "norms", norms)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The reciprocal norms clipped at DEFAULT_CEILING (a norm of 0
+        gives the ceiling), in mask order, read-only."""
+        with np.errstate(divide="ignore"):
+            values = np.divide(1.0, self.norms)
+        np.minimum(values, DEFAULT_CEILING, out=values)
+        values.flags.writeable = False
+        return values
 
 
 def steering_evaluators(ks, grid: ImagingGrid, array: AntennaArray, variant: str) -> list:
@@ -569,19 +566,16 @@ def steering_evaluators(ks, grid: ImagingGrid, array: AntennaArray, variant: str
 def imaging_map(
     basis: np.ndarray, k_aw: complex, grid: ImagingGrid, array: AntennaArray, steering, out=None
 ) -> ImageMap:
-    """Reciprocal projection-norm map 1 / |P_noise W(r)| over the unmasked
-    cells of grid, with the noise projector defined by the signal basis
-    U[:, :M] (N, M) and the unit steering rows W(r) of k_aw from the
-    antennas of array, whose norms steering(basis, out) gives
+    """The map of k_aw over grid (`ImageMap`): the projection norms
+    |P_noise W(r)| at its unmasked cells, with the noise projector defined
+    by the signal basis U[:, :M] (N, M) and the unit steering rows W(r) of
+    k_aw from the antennas of array, whose norms steering(basis, out) gives
     (`steering_evaluators` of the same grid and array). The norms, in mask
     order, are computed into out when it is given (a float array of one
-    entry per unmasked cell) and are left there.
+    entry per unmasked cell), and the map holds them there.
 
-    Values are clipped at DEFAULT_CEILING where the norm underflows; the
-    unclipped norms are retained in raw_norm for quantitative comparison
-    (`map_from_norms`). Raises NumericalError when a norm is not finite
-    (the exact-field table overflows once Im(k_aw) times the distance passes
-    ~709).
+    Raises NumericalError when a norm is not finite (the exact-field table
+    overflows once Im(k_aw) times the distance passes ~709).
     """
     if grid.resolution < MIN_RESOLUTION:
         raise ConfigurationError(f"imaging grid resolution must be >= {MIN_RESOLUTION}")
@@ -593,24 +587,7 @@ def imaging_map(
             f"non-finite projection norm: the steering field at k_aw = {k_aw:.6g} "
             "is not finite"
         )
-    return map_from_norms(grid, norms, k_aw)
-
-
-def map_from_norms(
-    grid: ImagingGrid, norms: np.ndarray, k_aw: complex, raw: bool = True
-) -> ImageMap:
-    """The ImageMap of finite projection norms >= +0 given in mask order:
-    values holds their reciprocals clipped at DEFAULT_CEILING (a norm of 0
-    gives the ceiling) and, when raw, raw_norm holds the norms. norms is
-    left as it is.
-    """
-    values = grid.raster(norms)
-    raw_norm = values.copy() if raw else None
-    # the masked cells stay NaN through the reciprocal and the clip
-    with np.errstate(divide="ignore"):
-        np.divide(1.0, values, out=values)
-    np.minimum(values, DEFAULT_CEILING, out=values)
-    return ImageMap(grid=grid, values=values, raw_norm=raw_norm, k_aw=k_aw)
+    return ImageMap(grid, norms, k_aw)
 
 
 # ---------------------------------------------------------------------------
@@ -620,18 +597,12 @@ def map_from_norms(
 
 def write_map_csv(image: ImageMap, path, which: str = "values") -> None:
     """CSV with a resolution/bounds/k_aw header and one x,y,value row per
-    unmasked cell (y rows ascending, x fastest) of the layer `which`,
-    "values" or "raw_norm". The body is written one grid row at a time. A
-    map without k_aw raises DomainError before the file is created, as
-    `read_map_csv` could not read it back."""
-    if which not in ("values", "raw_norm"):
-        raise DomainError(f"unknown map layer {which!r}; expected 'values' or 'raw_norm'")
+    unmasked cell (y rows ascending, x fastest) of the map's "values" or
+    "norms", as `which` names. The body is written one grid row at a time."""
+    if which not in ("values", "norms"):
+        raise DomainError(f"unknown map layer {which!r}; expected 'values' or 'norms'")
     grid = image.grid
     data = getattr(image, which)
-    if data is None:
-        raise DomainError(f"image has no {which!r} layer")
-    if image.k_aw is None:
-        raise DomainError("image has no k_aw for the CSV header")
     header = (
         f"# resolution,{grid.resolution}\n"
         f"# bounds,{float(-grid.half_extent)!r},{float(grid.half_extent)!r}\n"
@@ -642,12 +613,14 @@ def write_map_csv(image: ImageMap, path, which: str = "values") -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header)
         rows, firsts, counts = _row_runs(grid.mask)
+        start = 0  # the mask-order index of the run's first cell
         for iy, lo, count in zip(rows.tolist(), firsts.tolist(), counts.tolist()):
             y_str = ticks[iy]
             fh.write("".join([
                 f"{x},{y_str},{v!r}\n"
-                for x, v in zip(ticks[lo:lo + count], data[iy, lo:lo + count].tolist())
+                for x, v in zip(ticks[lo:lo + count], data[start:start + count].tolist())
             ]))
+            start += count
 
 
 def _tick_texts(grid: ImagingGrid) -> list[str]:
@@ -711,18 +684,19 @@ def _written_block(fh, start: int, runs, words: np.ndarray, values: np.ndarray) 
 
 
 def read_map_csv(path, roi_radius: float) -> ImageMap:
-    """Rebuild an ImageMap (values layer only) written by write_map_csv.
+    """The ImageMap of a map CSV written by write_map_csv, the file's values
+    as its norms (in mask order).
 
-    The body is read in blocks of _READ_ROWS rows, each put into the raster
-    before the next is read, so the rows are never held at once. A block
-    whose coordinate texts are those write_map_csv writes for the next
-    cells of the grid (`_written_block`) is parsed with the texts left as
-    bytes. At the first block that is not, as in a file with shuffled or
-    perturbed rows, a config of another ROI radius or a bad row, the body
-    is read again from its first row by numpy as floats, each row going to
-    the cell nearest its point; the rows of a written map read either way
-    give the same values. A file that holds a NUL character is read as
-    floats from the start.
+    The body is read in blocks of _READ_ROWS rows, each put into a raster
+    of the grid before the next is read, so the rows are never held at
+    once. A block whose coordinate texts are those write_map_csv writes for
+    the next cells of the grid (`_written_block`) is parsed with the texts
+    left as bytes. At the first block that is not, as in a file with
+    shuffled or perturbed rows, a config of another ROI radius or a bad
+    row, the body is read again from its first row by numpy as floats, each
+    row going to the cell nearest its point; the rows of a written map read
+    either way give the same values. A file that holds a NUL character is
+    read as floats from the start.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -782,7 +756,7 @@ def read_map_csv(path, roi_radius: float) -> ImageMap:
         raise DomainError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
     if not np.array_equal(np.isfinite(values), grid.mask):
         raise DomainError(f"{path}: rows do not cover exactly the unmasked cells with finite values")
-    return ImageMap(grid=grid, values=values, k_aw=k_aw)
+    return ImageMap(grid, values[grid.mask], k_aw)
 
 
 def _plain_block(fh, start: int, grid: ImagingGrid, values: np.ndarray, path) -> int:
@@ -813,7 +787,8 @@ def _plain_block(fh, start: int, grid: ImagingGrid, values: np.ndarray, path) ->
 
 
 def write_map_pgm(image: ImageMap, path) -> None:
-    """8-bit binary PGM (P5), min-max normalized over unmasked cells.
+    """8-bit binary PGM (P5) of the map's values, min-max normalized over
+    the unmasked cells.
 
     Rows run top to bottom with y descending (image convention); masked
     cells are black; a constant map renders as all-255.
@@ -823,14 +798,17 @@ def write_map_pgm(image: ImageMap, path) -> None:
     mask = grid.mask
     if not mask.any():
         raise DomainError("image has no unmasked cells")
-    vmin = float(np.min(vals[mask]))
-    vmax = float(np.max(vals[mask]))
+    vmin = float(np.min(vals))
+    vmax = float(np.max(vals))
     pixels = np.zeros((grid.resolution, grid.resolution), dtype=np.uint8)
     if vmax == vmin:
         pixels[mask] = 255
     else:
-        scaled = np.rint(255.0 * (vals[mask] - vmin) / (vmax - vmin))
-        pixels[mask] = scaled.astype(np.uint8)
+        # 255 (v - vmin) / (vmax - vmin), in one temporary
+        scaled = np.subtract(vals, vmin)
+        scaled *= 255.0
+        scaled /= vmax - vmin
+        pixels[mask] = np.rint(scaled, out=scaled).astype(np.uint8)
     flipped = pixels[::-1, :]  # top row carries the largest y
     header = f"P5\n{grid.resolution} {grid.resolution}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
@@ -839,7 +817,8 @@ def write_map_pgm(image: ImageMap, path) -> None:
 
 
 def extract_peaks(image: ImageMap, count: int) -> list[tuple[tuple[float, float], float]]:
-    """Greedy maxima with non-maximum suppression over a 4-cell radius.
+    """Greedy maxima of the map's values with non-maximum suppression over
+    a 4-cell radius.
 
     Ties break lexicographically by (row, column); at most `count` peaks are
     returned, sorted by value descending. Each round takes the first argmax
@@ -851,8 +830,10 @@ def extract_peaks(image: ImageMap, count: int) -> list[tuple[tuple[float, float]
     mask = image.grid.mask
     if not mask.any():
         raise DomainError("image has no unmasked cells")
-    open_values = np.where(mask, image.values, -np.inf)
     res = image.grid.resolution
+    # the values of the cells still open, -inf at the closed and masked ones
+    open_values = np.full((res, res), -np.inf)
+    open_values[mask] = image.values
     reach = 4  # the suppression radius, in cells
     out: list[tuple[tuple[float, float], float]] = []
     for _ in range(count):

@@ -72,7 +72,7 @@ def closed_form_norm_map(
     grid: ImagingGrid, array: AntennaArray, k_bw: complex, k_aw: complex, r_star
 ) -> np.ndarray:
     """Predicted |P_noise W| at the unmasked cells of grid, in mask order
-    (`ImagingGrid.raster` lays them out), for the anomaly at r_star, imaged
+    (as `ImageMap.norms` holds a map's), for the anomaly at r_star, imaged
     with k_aw in the background k_bw by the antennas of array: the
     prefactor (N^2-2N)/(N^2-2N+1) times the plane-wave norms of k_aw
     against the one-column basis s (`music._plane_wave_norms`), s the unit
@@ -104,19 +104,18 @@ def predicted_peak(k_bw: complex, k_aw: complex, r_star) -> tuple[float, float]:
 def compare_maps(
     empirical: ImageMap, array: AntennaArray, k_bw: complex, k_aw: complex, r_star
 ) -> dict:
-    """Agreement between measured projection norms and the closed-form
+    """Agreement between the projection norms of a map and the closed-form
     prediction (`closed_form_norm_map` over the map's grid with the other
     arguments) over the unmasked cells: the dict of rms, max_abs,
     argmin_distance_cells (between the two minima) and pearson, in that
     order.
 
-    The empirical map must carry the raw projection norms (values in [0, 1]),
-    not the clipped reciprocal map.
+    The norms must lie in [0, 1], which refuses the reciprocal map of a
+    `map-*.csv` read as norms.
     """
     grid = empirical.grid
-    emp = empirical.raw_norm if empirical.raw_norm is not None else empirical.values
     mask = grid.mask
-    emp_vals = emp[mask]
+    emp_vals = empirical.norms
     if np.any(emp_vals > 1.0 + 1e-9) or np.any(emp_vals < 0.0):
         raise DomainError("expected a projection-norm map with values in [0, 1]")
     theo_vals = closed_form_norm_map(grid, array, k_bw, k_aw, r_star)

@@ -67,6 +67,14 @@ def bessel_j_row(x: float, q_max: int) -> np.ndarray:
     return specfun.bessel_j_grid(np.asarray([x], dtype=float), q_max)[0]
 
 
+def raster(grid, values) -> np.ndarray:
+    """The (res, res) array with values, in mask order (y rows, x fastest),
+    at the unmasked cells of grid and NaN at the masked ones."""
+    out = np.full((grid.resolution, grid.resolution), np.nan)
+    out[grid.mask] = values
+    return out
+
+
 def steering(k_aw, grid, array, variant=mu.EXACT_FIELD):
     """The steering evaluator of `music.imaging_map` for the one wavenumber
     k_aw over grid and array, or the failure of its interpolant raised."""

@@ -230,7 +230,7 @@ def map_csv_text(image, which: str = "values") -> str:
     repr(x),repr(y),repr(value) row per unmasked cell, y rows ascending and
     x fastest."""
     grid = image.grid
-    data = image.values if which == "values" else image.raw_norm
+    data = iter(getattr(image, which).tolist())
     lines = [
         f"# resolution,{grid.resolution}",
         f"# bounds,{float(-grid.half_extent)!r},{float(grid.half_extent)!r}",
@@ -242,15 +242,14 @@ def map_csv_text(image, which: str = "values") -> str:
     for iy in range(grid.resolution):
         for ix in range(grid.resolution):
             if mask[iy, ix]:
-                lines.append(
-                    f"{float(ticks[ix])!r},{float(ticks[iy])!r},{float(data[iy, ix])!r}"
-                )
+                lines.append(f"{float(ticks[ix])!r},{float(ticks[iy])!r},{next(data)!r}")
     return "\n".join(lines) + "\n"
 
 
 def map_csv_values(text: str, grid) -> np.ndarray:
-    """The values raster of a map CSV body, row by row: each x,y,value row
-    lands in the cell whose centre is nearest, the rest stay NaN."""
+    """The values of a map CSV body at the unmasked cells of grid, in mask
+    order, row by row: each x,y,value row lands in the cell whose centre is
+    nearest, and a cell that no row lands in stays NaN."""
     values = np.full((grid.resolution, grid.resolution), np.nan)
     body = text.split("x,y,value\n", 1)[1]
     for line in body.splitlines():
@@ -258,7 +257,7 @@ def map_csv_values(text: str, grid) -> np.ndarray:
         ix = int(round((x + grid.half_extent) / grid.cell_size - 0.5))
         iy = int(round((y + grid.half_extent) / grid.cell_size - 0.5))
         values[iy, ix] = v
-    return values
+    return values[grid.mask]
 
 
 def cell_centers(grid) -> np.ndarray:
@@ -366,8 +365,7 @@ def argmax_point(image) -> tuple[float, float]:
     """The centre of the largest unmasked cell of image.values, the first
     in row-major order on a tie, from a walk over every cell."""
     best = None
-    for iy, ix in zip(*np.nonzero(image.grid.mask)):
-        value = float(image.values[iy, ix])
+    for iy, ix, value in zip(*np.nonzero(image.grid.mask), image.values.tolist()):
         if best is None or value > best[0]:
             best = (value, int(iy), int(ix))
     return image.grid.point_of(best[1], best[2])
@@ -378,8 +376,8 @@ def greedy_peaks(image, count: int) -> list:
     descending, then row, then column: a cell is kept unless it lies within
     squared cell distance 16 of a cell kept before it."""
     mask = image.grid.mask
-    iy, ix = np.nonzero(mask)
-    vals = image.values[iy, ix]
+    iy, ix = np.nonzero(mask)  # in mask order, as the values are
+    vals = image.values
     order = np.lexsort((ix, iy, -vals))
     picked: list[tuple[int, int]] = []
     out = []

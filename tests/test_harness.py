@@ -848,6 +848,20 @@ class TestInputFailuresExit2:
         _one_error_line(capsys, str(config))
         assert list(tmp_path.iterdir()) == [config]
 
+    @pytest.mark.parametrize("ratios,label", [
+        ("1.0000001, 1.0000002", "'permeability-1'"),
+        ("2, 0.5, 2", "'permeability-2'"),
+    ], ids=["same-label", "duplicate"])
+    def test_ratios_sharing_an_artifact_label(self, tmp_path, capsys, ratios, label):
+        # the two ratios would write one set of files twice, the run and its
+        # writer process the same norm CSV at once
+        config = tmp_path / "config.ini"
+        config.write_text(f"[sweep]\nratios = {ratios}\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(config), "--out", str(out), "--resolution", "40"]) == 2
+        _one_error_line(capsys, label)
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-ascii"])
     def test_unreadable_compare_csv(self, empty_config, tmp_path, capsys, kind):
         csv = tmp_path / "norm.csv"

@@ -20,7 +20,7 @@ from mwmusic.errors import (
     NumericalError,
 )
 
-from conftest import image_from_data, image_of, make_scene, steering
+from conftest import image_from_data, image_of, make_scene, raster, steering
 from oracles import (
     argmax_point,
     cell_centers,
@@ -39,6 +39,10 @@ from oracles import (
 
 def _grid(resolution=128):
     return mu.grid_for_roi(0.085, resolution)
+
+
+# the k_aw of a map built from given norms: the reference background's
+_K_AW = 94.0 + 8.0j
 
 
 class TestSvdLeading:
@@ -451,7 +455,7 @@ class TestSymmetryPlan:
         grid = _grid(64)
         image = image_of(basis, k, grid, scn.array, variant)
         want = direct_norms(basis, k, scn.array, grid, variant)
-        assert np.array_equal(image.raw_norm[grid.mask], want)
+        assert np.array_equal(image.norms, want)
 
     def test_asymmetric_array_closed_form_matches_direct(self):
         scn = make_scene(1)
@@ -478,7 +482,7 @@ class TestSymmetryPlan:
         for variant, bound in ((mu.EXACT_FIELD, 4e-10), (mu.PLANE_WAVE, 1e-13)):
             image = image_of(basis, k_aw, grid, scn.array, variant)
             want = direct_norms(basis, k_aw, scn.array, grid, variant)
-            assert np.max(np.abs(image.raw_norm[grid.mask] - want)) <= bound
+            assert np.max(np.abs(image.norms - want)) <= bound
         got = th.closed_form_norm_map(grid, scn.array, k_bw, k_aw, (0.01, 0.03))
         want = direct_closed_form_norm_map(grid, scn.array, k_bw, k_aw, (0.01, 0.03))
         assert np.max(np.abs(got - want)) <= 1e-13
@@ -541,7 +545,7 @@ class TestPlaneWaveMap:
             k_aw = _mismatched(scn, kind, ratio)
             image = image_of(basis, k_aw, grid, scn.array, mu.PLANE_WAVE)
             want = projection_norm(basis, direct_rows(k_aw, cell_centers(grid), scn.array, mu.PLANE_WAVE))
-            assert np.max(np.abs(image.raw_norm[grid.mask] - want) / want) <= bound
+            assert np.max(np.abs(image.norms - want) / want) <= bound
 
 
 class TestChunks:
@@ -563,8 +567,8 @@ class TestChunks:
             monkeypatch.setattr(mu, "_CHUNK_ENTRIES", entries)
             maps.append(image_of(basis, k_aw, grid, scn.array, variant))
         whole, chunked = maps
-        assert np.array_equal(chunked.raw_norm, whole.raw_norm, equal_nan=True)
-        assert np.array_equal(chunked.values, whole.values, equal_nan=True)
+        assert np.array_equal(chunked.norms, whole.norms)
+        assert np.array_equal(chunked.values, whole.values)
 
     # conductivity x1e6 sends cells of the 61^2 grid to their unit rows
     # (`_plane_wave_norms`), which are taken in one chunk per block or in
@@ -585,7 +589,7 @@ class TestChunks:
             monkeypatch.setattr(mu, "_CHUNK_ENTRIES", entries)
             routed.clear()
             maps.append(th.closed_form_norm_map(grid, scn.array, k_bw, k_aw, (0.01, 0.03)))
-            maps.append(image_of(basis, k_aw, grid, scn.array, mu.PLANE_WAVE).raw_norm)
+            maps.append(image_of(basis, k_aw, grid, scn.array, mu.PLANE_WAVE).norms)
             calls.append(len(routed))
             cells.append(sum(routed))
         # the same cells in both, in more calls when the chunks are small
@@ -709,8 +713,8 @@ class TestChunks:
             closed.append(th.closed_form_norm_map(grid, scn.array, k_bw, k_aw, (0.01, 0.03)))
             chunks.append(len(mu.symmetry_plan(grid, scn.array).chunks))
         assert chunks[0] > chunks[1] > 1
-        assert np.array_equal(maps[1].raw_norm, maps[0].raw_norm, equal_nan=True)
-        assert np.array_equal(maps[1].values, maps[0].values, equal_nan=True)
+        assert np.array_equal(maps[1].norms, maps[0].norms)
+        assert np.array_equal(maps[1].values, maps[0].values)
         assert np.array_equal(closed[1], closed[0], equal_nan=True)
 
     def test_interpolant_built_once(self, monkeypatch):
@@ -767,7 +771,7 @@ class TestImagingMap:
         image = image_from_data(
             fw.scattering_matrix(single_scene, k), k, single_scene.array, _grid(64)
         )
-        assert np.nanmin(image.values) >= 1.0 - 1e-9
+        assert np.min(image.values) >= 1.0 - 1e-9
 
     def test_scale_invariance(self, single_scene):
         k = single_scene.background_wavenumber()
@@ -777,8 +781,7 @@ class TestImagingMap:
         c = -0.37 + 1.91j
         scaled_mat = c * mat
         scaled = image_from_data(scaled_mat, k, single_scene.array, grid)
-        mask = grid.mask
-        assert np.max(np.abs(scaled.values[mask] - base.values[mask]) / base.values[mask]) <= 1e-9
+        assert np.max(np.abs(scaled.values - base.values) / base.values) <= 1e-9
 
     def test_full_signal_dim_is_flat_at_ceiling(self, single_scene):
         k = single_scene.background_wavenumber()
@@ -789,7 +792,7 @@ class TestImagingMap:
             _grid(32),
             signal_dim=16,
         )
-        assert np.all(image.values[image.grid.mask] == mu.DEFAULT_CEILING)
+        assert np.all(image.values == mu.DEFAULT_CEILING)
 
     def test_rotational_covariance(self):
         base = make_scene(1)
@@ -843,23 +846,32 @@ class TestImagingMap:
         image = image_from_data(
             fw.scattering_matrix(single_scene, k), k, single_scene.array, _grid(64)
         )
-        vals = image.raw_norm[image.grid.mask]
+        vals = image.norms
         assert np.all(vals >= 0.0)
         assert np.all(vals <= 1.0 + 1e-12)
 
-    def test_map_from_norms_without_raw_layer(self):
-        # a writer that takes only the reciprocal-map CSV builds no raw-norm
-        # raster; its values layer is the full map's, bit for bit
+    def test_map_holds_the_norms_in_out(self, single_scene):
+        # the map is its mask-order norms: a read-only view of the buffer
+        # they were computed into, not a copy; its values derive from them
+        k = single_scene.background_wavenumber()
+        basis = mu.svd_leading(fw.scattering_matrix(single_scene, k))[1][:, :1]
+        grid = _grid(32)
+        buf = np.empty(np.count_nonzero(grid.mask))
+        evaluator = steering(k, grid, single_scene.array)
+        image = mu.imaging_map(basis, k, grid, single_scene.array, evaluator, buf)
+        assert np.shares_memory(image.norms, buf)
+        assert not image.norms.flags.writeable and buf.flags.writeable
+        assert np.array_equal(image.norms, image_of(basis, k, grid, single_scene.array).norms)
+        assert not image.values.flags.writeable
+        assert np.array_equal(image.values, np.minimum(1.0 / buf, mu.DEFAULT_CEILING))
+
+    def test_norms_of_one_per_unmasked_cell(self):
         grid = _grid(32)
         cells = np.count_nonzero(grid.mask)
-        norms = np.linspace(0.0, 1.0, cells) ** 3  # a norm of 0 gives the ceiling
-        full = mu.map_from_norms(grid, norms, 1.5 - 0.2j)
-        bare = mu.map_from_norms(grid, norms, 1.5 - 0.2j, raw=False)
-        assert bare.raw_norm is None
-        assert np.array_equal(bare.values, full.values, equal_nan=True)
-        assert np.array_equal(full.raw_norm, grid.raster(norms), equal_nan=True)
-        assert full.values[grid.mask].max() == mu.DEFAULT_CEILING
-        assert np.array_equal(norms, np.linspace(0.0, 1.0, cells) ** 3)
+        with pytest.raises(DomainError, match=f"shape \\({cells},\\)"):
+            mu.ImageMap(grid, np.ones(cells + 1), _K_AW)
+        with pytest.raises(DomainError):
+            mu.ImageMap(grid, raster(grid, np.ones(cells)), _K_AW)
 
 
 class TestExtractPeaks:
@@ -885,20 +897,19 @@ class TestExtractPeaks:
 
     def test_constant_map_tie_break(self):
         grid = _grid(24)
-        values = np.where(grid.mask, 3.5, np.nan)
-        image = mu.ImageMap(grid=grid, values=values)
+        image = mu.ImageMap(grid, np.full(np.count_nonzero(grid.mask), 1 / 3.5), _K_AW)
         peaks = mu.extract_peaks(image, 1)
         iy, ix = np.argwhere(grid.mask)[0]
         assert peaks[0][0] == grid.point_of(int(iy), int(ix))
 
     def test_suppression_radius(self):
         grid = _grid(24)
-        values = np.where(grid.mask, 1.0, np.nan)
+        norms = raster(grid, 1.0)
         # two maxima 3 cells apart: the second must be suppressed
-        values[12, 12] = 5.0
-        values[12, 15] = 4.0
-        values[12, 18] = 3.0
-        image = mu.ImageMap(grid=grid, values=values)
+        norms[12, 12] = 1 / 5.0
+        norms[12, 15] = 1 / 4.0
+        norms[12, 18] = 1 / 3.0
+        image = mu.ImageMap(grid, norms[grid.mask], _K_AW)
         peaks = mu.extract_peaks(image, 3)
         assert peaks[0][0] == grid.point_of(12, 12)
         assert peaks[1][0] == grid.point_of(12, 18)
@@ -910,8 +921,8 @@ class TestExtractPeaks:
     def test_matches_greedy_reference(self, levels, resolution):
         grid = _grid(resolution)
         rng = np.random.default_rng(levels * resolution)
-        values = np.where(grid.mask, rng.integers(0, levels, grid.mask.shape) / 7.0, np.nan)
-        image = mu.ImageMap(grid=grid, values=values)
+        norms = (rng.integers(0, levels, grid.mask.shape)[grid.mask] + 1) / 7.0
+        image = mu.ImageMap(grid, norms, _K_AW)
         most = len(greedy_peaks(image, grid.mask.size))
         assert most < np.count_nonzero(grid.mask)
         for count in (1, 2, 3, most - 1, most, most + 1, grid.mask.size):
@@ -941,16 +952,14 @@ class TestImageMapIO:
         back = mu.read_map_csv(path, roi_radius=0.085)
         assert back.grid == image.grid
         assert back.k_aw == image.k_aw
-        mask = image.grid.mask
-        assert np.array_equal(back.values[mask], image.values[mask])
+        assert np.array_equal(back.norms, image.values)
 
     def test_csv_norm_layer(self, tmp_path):
         image = self._image()
         path = tmp_path / "norm.csv"
-        mu.write_map_csv(image, path, which="raw_norm")
+        mu.write_map_csv(image, path, which="norms")
         back = mu.read_map_csv(path, roi_radius=0.085)
-        mask = image.grid.mask
-        assert np.array_equal(back.values[mask], image.raw_norm[mask])
+        assert np.array_equal(back.norms, image.norms)
 
     @pytest.mark.parametrize("where", ["written", "perturbed"])
     def test_csv_nul_after_a_text_refused(self, tmp_path, where):
@@ -960,7 +969,7 @@ class TestImageMapIO:
         # plain path
         image = self._image()
         path = tmp_path / "norm.csv"
-        mu.write_map_csv(image, path, which="raw_norm")
+        mu.write_map_csv(image, path, which="norms")
         lines = path.read_text().splitlines(keepends=True)
         x, rest = lines[4].split(",", 1)
         lines[4] = f"{x}\x00,{rest}"
@@ -990,8 +999,8 @@ class TestImageMapIO:
         mu.write_map_csv(image, path)
         text = self._perturb(path, image.grid)
         back = mu.read_map_csv(path, roi_radius=0.085)
-        assert np.array_equal(back.values, map_csv_values(text, image.grid), equal_nan=True)
-        assert np.array_equal(back.values, image.values, equal_nan=True)
+        assert np.array_equal(back.norms, map_csv_values(text, image.grid))
+        assert np.array_equal(back.norms, image.values)
 
     def test_csv_read_in_blocks_matches_row_loop(self, tmp_path, monkeypatch):
         # shuffled and perturbed rows, five to a block
@@ -1001,8 +1010,8 @@ class TestImageMapIO:
         mu.write_map_csv(image, path)
         text = self._perturb(path, image.grid)
         back = mu.read_map_csv(path, roi_radius=0.085)
-        assert np.array_equal(back.values, map_csv_values(text, image.grid), equal_nan=True)
-        assert np.array_equal(back.values, image.values, equal_nan=True)
+        assert np.array_equal(back.norms, map_csv_values(text, image.grid))
+        assert np.array_equal(back.norms, image.values)
 
     @staticmethod
     def _spy_blocks(monkeypatch):
@@ -1034,7 +1043,7 @@ class TestImageMapIO:
         mu.write_map_csv(image, path)
         back = mu.read_map_csv(path, roi_radius=0.085)
         assert written == [True]
-        assert np.array_equal(back.values, image.values, equal_nan=True)
+        assert np.array_equal(back.norms, image.values)
 
     @pytest.mark.parametrize("perturbed", [False, True], ids=["written", "perturbed"])
     def test_csv_cache_kept_while_texts_repeat(self, tmp_path, monkeypatch, perturbed):
@@ -1052,8 +1061,8 @@ class TestImageMapIO:
             assert written == [False]
         else:
             assert written == [True] * (np.count_nonzero(image.grid.mask) // 1024 + 1)
-        assert np.array_equal(back.values, map_csv_values(text, image.grid), equal_nan=True)
-        assert np.array_equal(back.values, image.values, equal_nan=True)
+        assert np.array_equal(back.norms, map_csv_values(text, image.grid))
+        assert np.array_equal(back.norms, image.values)
 
     def test_csv_underscore_refused_in_a_later_cached_block(self, tmp_path, monkeypatch):
         # numpy's parser refuses "0.0_1", which float() would read; the
@@ -1097,7 +1106,7 @@ class TestImageMapIO:
         path.write_text("\n".join(lines) + "\n")
         back = mu.read_map_csv(path, roi_radius=0.085)
         assert written == [False]
-        assert np.array_equal(back.values, image.values, equal_nan=True)
+        assert np.array_equal(back.norms, image.values)
 
     @pytest.mark.parametrize("block", [7, None], ids=["short-last", "empty-last"])
     def test_csv_round_trip_in_blocks(self, tmp_path, monkeypatch, block):
@@ -1114,7 +1123,7 @@ class TestImageMapIO:
         assert written == [True] * (cells // (block or cells) + 1)
         assert back.grid == image.grid
         assert back.k_aw == image.k_aw
-        assert np.array_equal(back.values, image.values, equal_nan=True)
+        assert np.array_equal(back.norms, image.values)
 
     @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks"])
     def test_csv_body_without_final_newline(self, tmp_path, monkeypatch, block):
@@ -1125,7 +1134,7 @@ class TestImageMapIO:
         mu.write_map_csv(image, path)
         path.write_text(path.read_text().rstrip("\n"))
         back = mu.read_map_csv(path, roi_radius=0.085)
-        assert np.array_equal(back.values, image.values, equal_nan=True)
+        assert np.array_equal(back.norms, image.values)
 
     # an edit of the written lines and the check of read_map_csv it must trip;
     # lines 0-3 are the resolution, bounds and k_aw rows and x,y,value
@@ -1191,41 +1200,33 @@ class TestImageMapIO:
         w = direct_rows(k, np.array([grid.point_of(20, 12)]), scn.array, mu.EXACT_FIELD)
         return image_of(w.T, k, grid, scn.array)
 
-    @pytest.mark.parametrize("which", ["values", "raw_norm"])
+    @pytest.mark.parametrize("which", ["values", "norms"])
     @pytest.mark.parametrize("clipped", [False, True], ids=["plain", "clipped"])
     def test_csv_bytes_match_reference(self, tmp_path, which, clipped):
         image = self._clipped_image() if clipped else self._image()
         if clipped:
-            assert image.values[20, 12] == mu.DEFAULT_CEILING
+            assert raster(image.grid, image.values)[20, 12] == mu.DEFAULT_CEILING
         path = tmp_path / "map.csv"
         mu.write_map_csv(image, path, which=which)
         assert path.read_bytes() == map_csv_text(image, which).encode("ascii")
 
     def test_csv_unknown_layer_rejected(self, tmp_path):
         path = tmp_path / "map.csv"
-        with pytest.raises(DomainError, match="unknown map layer 'norm'"):
-            mu.write_map_csv(self._image(), path, which="norm")
-        assert not path.exists()
-
-    def test_csv_without_k_aw_rejected(self, tmp_path):
-        # its header could not be read back (`read_map_csv` needs Re k > 0)
-        path = tmp_path / "map.csv"
-        image = self._image()
-        with pytest.raises(DomainError, match="no k_aw"):
-            mu.write_map_csv(mu.ImageMap(grid=image.grid, values=image.values), path)
+        for which in ("norm", "raw_norm"):
+            with pytest.raises(DomainError, match=f"unknown map layer '{which}'"):
+                mu.write_map_csv(self._image(), path, which=which)
         assert not path.exists()
 
     def test_csv_writer_memory(self, tmp_path):
         # the body is written one grid row at a time: the traced peak at
         # 1024^2 (824k rows, ~40 MB of text) stays within 1 MB; building the
-        # values caches the grid's ticks and mask before tracing starts
+        # map caches the grid's ticks and mask before tracing starts
         grid = _grid(1024)
         rng = np.random.default_rng(3)
-        values = np.where(grid.mask, rng.uniform(0.0, 1.0, (1024, 1024)), np.nan)
-        image = mu.ImageMap(grid=grid, values=values, k_aw=94.0 + 8.0j)
+        image = mu.ImageMap(grid, rng.uniform(0.0, 1.0, (1024, 1024))[grid.mask], _K_AW)
         tracemalloc.start()
         try:
-            mu.write_map_csv(image, tmp_path / "map.csv")
+            mu.write_map_csv(image, tmp_path / "map.csv", which="norms")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1240,9 +1241,9 @@ class TestImageMapIO:
         monkeypatch.setattr(mu, "_READ_ROWS", 2048)
         grid = _grid(256)
         rng = np.random.default_rng(3)
-        values = np.where(grid.mask, rng.uniform(0.0, 1.0, (256, 256)), np.nan)
+        norms = rng.uniform(0.0, 1.0, (256, 256))[grid.mask]
         path = tmp_path / "map.csv"
-        mu.write_map_csv(mu.ImageMap(grid=grid, values=values, k_aw=94.0 + 8.0j), path)
+        mu.write_map_csv(mu.ImageMap(grid, norms, _K_AW), path, which="norms")
         if perturbed:
             self._perturb(path, grid)
         tracemalloc.start()
@@ -1251,7 +1252,7 @@ class TestImageMapIO:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(back.values, values, equal_nan=True)
+        assert np.array_equal(back.norms, norms)
         assert peak <= 2 * 2**20
 
     def test_pgm_layout(self, tmp_path):
@@ -1265,8 +1266,7 @@ class TestImageMapIO:
 
     def test_pgm_constant_map_saturates(self, tmp_path):
         grid = _grid(20)
-        values = np.where(grid.mask, 2.0, np.nan)
-        image = mu.ImageMap(grid=grid, values=values)
+        image = mu.ImageMap(grid, np.full(np.count_nonzero(grid.mask), 0.5), _K_AW)
         path = tmp_path / "const.pgm"
         mu.write_map_pgm(image, path)
         blob = path.read_bytes()
@@ -1286,12 +1286,17 @@ class TestImageMapIO:
 class TestMemory:
     # tracemalloc peak of one default map (one anomaly, M = 1, exact field)
     # at 1024^2, its steering evaluator built beforehand, as a sweep builds
-    # them before its first map: 24.1 MB measured with the map's finiteness
-    # check gathering bools, 29.4 MB while it gathered the unmasked floats,
-    # 35.7 MB with the cells-sized temporaries of np.where and np.minimum.
-    # 16 MB of it are the two res^2 layers the map keeps. The plane-wave map
-    # measured 24.1 MB (24.8 MB while it walked its rows over a plan).
+    # them before its first map: 7.1 MB measured, 6.3 MB of it the
+    # mask-order norms the map keeps; 24.1 MB while the map also kept two
+    # res^2 layers, 35.7 MB with the cells-sized temporaries of np.where and
+    # np.minimum. The plane-wave map measured 8.0 MB (24.1 MB with the
+    # layers).
     PEAK_MB = 27
+    # tracemalloc peak of that map, its peak extraction and its PGM at
+    # 1024^2: 20.9 MB measured, the norms, their reciprocals and the one
+    # res^2 raster the peaks are searched in; 29.6 MB while the map kept
+    # two res^2 layers and the PGM scaled in three temporaries
+    RENDERED_PEAK_MB = 24
     # tracemalloc peak of the exact-field evaluator of one k at 1024^2, its
     # symmetry plan and the grid's mask included: 31.8 MB measured
     EVALUATOR_PEAK_MB = 36
@@ -1301,6 +1306,13 @@ class TestMemory:
 
     def test_plane_wave_map_at_1024(self):
         assert self._peak(mu.PLANE_WAVE) <= self.PEAK_MB * 2**20
+
+    def test_map_peaks_and_pgm_at_1024(self, tmp_path):
+        def render(image):
+            mu.extract_peaks(image, 1)
+            mu.write_map_pgm(image, tmp_path / "map.pgm")
+
+        assert self._peak(mu.EXACT_FIELD, render) <= self.RENDERED_PEAK_MB * 2**20
 
     def test_exact_field_evaluator_at_1024(self):
         scn = make_scene(1)
@@ -1332,7 +1344,8 @@ class TestMemory:
         assert peak <= self.PEAK_MB * 2**20
 
     @staticmethod
-    def _peak(variant) -> int:
+    def _peak(variant, then=lambda image: None) -> int:
+        """The traced peak of one map at 1024^2 and then(map)."""
         scn = make_scene(1)
         k = scn.background_wavenumber()
         basis = mu.svd_leading(fw.scattering_matrix(scn, k))[1][:, :1]
@@ -1341,7 +1354,7 @@ class TestMemory:
         grid.mask  # cached before the trace, as a sweep caches it before its first map
         tracemalloc.start()
         try:
-            mu.imaging_map(basis, k, grid, scn.array, evaluator)
+            then(mu.imaging_map(basis, k, grid, scn.array, evaluator))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -11,7 +11,7 @@ from mwmusic import scene as sc
 from mwmusic import theory as th
 from mwmusic.errors import DegenerateDataError, DomainError
 
-from conftest import D1_CENTER, image_from_data, make_scene, uniform_angles
+from conftest import D1_CENTER, image_from_data, make_scene, raster, uniform_angles
 from oracles import (
     bessel_series_norm_factor,
     bessel_series_terms,
@@ -180,7 +180,7 @@ class TestClosedFormMap:
         r = grid.point_of(3, 2)
         assert math.dist(r, D1_CENTER) <= 1e-6
         want = closed_form_norm_oracle(single_scene.array, *waves, r)
-        assert abs(grid.raster(norm)[3, 2] - want) <= 1e-15
+        assert abs(raster(grid, norm)[3, 2] - want) <= 1e-15
 
     def test_finite_for_high_loss(self, single_scene):
         # conductivity x1e6 gives Im(k_aw) ~ 2.8e4 /m, so e^{-Im(k) theta . r}
@@ -277,8 +277,7 @@ class TestCompareMaps:
         grid = mu.grid_for_roi(0.085, 64)
         waves = _waves(single_scene)
         theo_norm = th.closed_form_norm_map(grid, single_scene.array, *waves)
-        values = np.where(grid.mask, 1.0, np.nan)
-        image = mu.ImageMap(grid=grid, values=values, raw_norm=grid.raster(theo_norm))
+        image = mu.ImageMap(grid, theo_norm, waves[1])
         cmp = th.compare_maps(image, single_scene.array, *waves)
         assert list(cmp) == ["rms", "max_abs", "argmin_distance_cells", "pearson"]
         assert cmp["rms"] == 0.0
@@ -320,21 +319,21 @@ class TestCompareMaps:
         image = image_from_data(mat, k_bw, single_scene.array, grid, signal_dim=1)
         waves = _waves(single_scene, "permeability", 0.5)
         theo = th.closed_form_norm_map(grid, single_scene.array, *waves)
-        mask = grid.mask
-        for emp in (image.raw_norm, grid.raster(1.0 - theo)):
-            cmp = th.compare_maps(mu.ImageMap(grid=grid, values=emp), single_scene.array, *waves)
-            want = np.corrcoef(emp[mask], theo)[0, 1]
+        for emp in (image.norms, 1.0 - theo):
+            cmp = th.compare_maps(mu.ImageMap(grid, emp, waves[1]), single_scene.array, *waves)
+            want = np.corrcoef(emp, theo)[0, 1]
             assert abs(cmp["pearson"] - want) <= 1e-12
 
     def test_memory_at_512(self, single_scene):
         # tracemalloc peak of one comparison at 512^2 (206k cells), the closed
-        # form included: 4.8 MB with its norms in mask order and the Pearson
-        # sums taken blockwise, 5.1 MB while the norms also went into a
-        # raster, 7.9 MB while np.corrcoef copied both vectors
+        # form included: 4.7 MB with both maps' norms in mask order as they
+        # are and the Pearson sums taken blockwise, 4.8 MB while the map's
+        # norms were gathered from a raster, 5.1 MB while the closed form's
+        # also went into one, 7.9 MB while np.corrcoef copied both vectors
         grid = mu.grid_for_roi(0.085, 512)
         waves = _waves(single_scene)
         theo_norm = th.closed_form_norm_map(grid, single_scene.array, *waves)
-        image = mu.ImageMap(grid=grid, values=grid.raster(theo_norm))
+        image = mu.ImageMap(grid, theo_norm, waves[1])
         tracemalloc.start()
         try:
             th.compare_maps(image, single_scene.array, *waves)
@@ -344,12 +343,13 @@ class TestCompareMaps:
         assert peak <= 6 * 2**20
 
     def test_reciprocal_map_rejected(self, single_scene):
-        # handing the clipped reciprocal map instead of the norm map fails fast
+        # the clipped reciprocal map taken as norms, as `read_map_csv` reads
+        # a map-*.csv, fails fast
         grid = mu.grid_for_roi(0.085, 64)
         k_bw = single_scene.background_wavenumber()
         mat = fw.scattering_matrix(single_scene, k_bw)
         image = image_from_data(mat, k_bw, single_scene.array, grid)
-        stripped = mu.ImageMap(grid=grid, values=image.values, k_aw=image.k_aw)
+        stripped = mu.ImageMap(grid, image.values, image.k_aw)
         with pytest.raises(DomainError):
             th.compare_maps(stripped, single_scene.array, *_waves(single_scene))
 
