@@ -4,11 +4,12 @@ A run sweeps one mismatched background parameter over a list of ratios,
 images the same synthetic data with each wrong wavenumber, and writes per
 ratio a reciprocal-map CSV, a projection-norm CSV, and a PGM rendering,
 plus one JSON report. `prepare` does the work no ratio changes once per
-sweep (the data and its decomposition, the imaging grid, and the
-steering evaluators of every ratio), `analyse` images one ratio, sets a
-single anomaly's map against the closed form and returns the map and its
-record, and `run_experiment` writes the artifacts. A report and its
-records are the plain dicts report.json holds.
+sweep (the data and its decomposition, the imaging grid, and the k_aw
+and steering evaluator of every ratio), so a ratio that cannot be imaged
+fails the sweep there, before any file is written; `analyse` images one
+ratio, sets a single anomaly's map against the closed form and returns
+the map and its record, and `run_experiment` writes the artifacts. A
+report and its records are the plain dicts report.json holds.
 
 Runs are deterministic for a fixed config and seed. Wall-clock timings
 are printed but kept out of the artifacts, so repeated runs stay
@@ -93,7 +94,7 @@ import numpy as np
 from . import forward as fw
 from . import music as mu
 from . import theory as th
-from .errors import ConfigurationError, DegenerateDataError, DomainError, MwMusicError, NumericalError
+from .errors import ConfigurationError, DegenerateDataError, MwMusicError, NumericalError
 from .scene import (
     BACKGROUND_PERMEABILITY,
     VACUUM_PERMITTIVITY,
@@ -305,10 +306,10 @@ def load_config(path, preset: str | None = None, **overrides) -> ExperimentConfi
 
 
 # what `prepare` computes once for every map of a sweep: grid is the imaging
-# grid of every map, and evaluators maps each k_aw to its steering evaluator
-# over it, or to the exception `analyse` raises then
+# grid of every map, ks the k_aw of each ratio and evaluators its steering
+# evaluator over grid, both in the order of config.ratios
 Sweep = namedtuple(
-    "Sweep", "config k_bw grid singular_values left_vectors signal_dim c_identity evaluators"
+    "Sweep", "config k_bw grid singular_values left_vectors signal_dim c_identity ks evaluators"
 )
 
 
@@ -534,8 +535,10 @@ def prepare(config: ExperimentConfig) -> Sweep:
     decomposition (`music.svd_leading`), the imaging grid, the C identity
     of a single anomaly, and every ratio's k_aw and steering evaluator from
     one call of `music.steering_evaluators`, so that an exact-field sweep
-    builds one symmetry plan and evaluates its interpolants' nodes once;
-    DegenerateDataError when the threshold keeps every singular value."""
+    builds one symmetry plan and evaluates its interpolants' nodes once.
+    A sweep fails here, before its first map, when the threshold keeps
+    every singular value (DegenerateDataError), or with the error of the
+    first ratio whose k_aw or steering cannot be formed."""
     scene = config.scene
     k_bw = scene.background_wavenumber()
     grid = mu.grid_for_roi(scene.roi_radius, config.resolution)
@@ -553,13 +556,9 @@ def prepare(config: ExperimentConfig) -> Sweep:
         m_used = mu.signal_subspace_dim(taus, config.threshold_ratio)
     if m_used == len(taus):
         raise DegenerateDataError(f"no noise subspace: all {m_used} singular values pass the threshold")
-    ks = []
-    for ratio in config.ratios:
-        # a wavenumber that cannot be formed fails at its ratio's turn
-        with contextlib.suppress(DomainError):
-            ks.append(sweep_wavenumber(config, ratio))
-    evaluators = dict(zip(ks, mu.steering_evaluators(ks, grid, scene.array, config.test_variant)))
-    return Sweep(config, k_bw, grid, taus, vecs, m_used, c_identity, evaluators)
+    ks = tuple(sweep_wavenumber(config, ratio) for ratio in config.ratios)
+    evaluators = tuple(mu.steering_evaluators(ks, grid, scene.array, config.test_variant))
+    return Sweep(config, k_bw, grid, taus, vecs, m_used, c_identity, ks, evaluators)
 
 
 def analyse(sweep: Sweep, index: int, out: np.ndarray | None = None) -> tuple[mu.ImageMap, dict]:
@@ -567,13 +566,10 @@ def analyse(sweep: Sweep, index: int, out: np.ndarray | None = None) -> tuple[mu
     when given (`music.imaging_map`), and its record of report.json, whose
     closed_form compares that map, the one the norm CSV holds, for a single
     anomaly; NumericalError when a value of the record is not finite."""
-    config, k_bw, grid, taus, vecs, m_used, c_identity, evaluators = sweep
+    config, k_bw, grid, taus, vecs, m_used, c_identity, ks, evaluators = sweep
     scene = config.scene
-    k_aw = sweep_wavenumber(config, config.ratios[index])
-    steering = evaluators[k_aw]
-    if isinstance(steering, Exception):
-        raise steering
-    image = mu.imaging_map(vecs[:, :m_used], k_aw, grid, scene.array, steering, out)
+    k_aw = ks[index]
+    image = mu.imaging_map(vecs[:, :m_used], k_aw, grid, scene.array, evaluators[index], out)
     peaks = mu.extract_peaks(image, max(len(scene.anomalies), 1))
     predicted = [th.predicted_peak(k_bw, k_aw, an.center) for an in scene.anomalies]
     errors_m = _match_peaks(predicted, peaks)

@@ -186,13 +186,10 @@ def _image_norms(conj_bases: np.ndarray, rows: np.ndarray) -> np.ndarray:
     _PRODUCT_COLUMNS columns of the stack at a time. Where that difference
     falls below _GRAM_FLOOR, near the signal space, it has lost digits to
     cancellation, and the norm is recomputed there in the residual form
-    |w - U_g U_g^H w| from the same products. A basis of N columns spans
-    every row, and its norms are 0. The tests hold it to the residual form
-    alone.
+    |w - U_g U_g^H w| from the same products. The tests hold it to the
+    residual form alone.
     """
     n, images, m = conj_bases.shape
-    if m >= n:
-        return np.zeros((images, len(rows)))
     columns = conj_bases.reshape(n, images * m)
     step = max(1, _PRODUCT_COLUMNS // m)
     out = np.empty((images, len(rows)))
@@ -229,8 +226,8 @@ def _plane_wave_norms(
     sqrt(1 - sum_m |U_m^H w|^2 / |w|^2). Where that difference falls below
     _GRAM_FLOOR or the scaled |w|^2 below _SCALE_FLOOR (a strongly lossy k),
     a cell takes the norm of `_image_norms` for its unit row, in chunks of
-    _CHUNK_ENTRIES table entries (0 for a basis of N columns, which spans
-    every row). A band of grid rows goes into out once its blocks are done.
+    _CHUNK_ENTRIES table entries. A band of grid rows goes into out once
+    its blocks are done.
     """
     n = basis.shape[0]
     mask = grid.mask
@@ -540,27 +537,25 @@ def steering_evaluators(ks, grid: ImagingGrid, array: AntennaArray, variant: str
     symmetry plan built here for all the ks (`SymmetryPlan.over_domain`),
     their interpolants from one evaluation of the nodes of all the ks
     (`specfun.ray_interpolants`) over the distance range of the whole
-    domain, so a row does not depend on its chunk; for a k whose
-    interpolant cannot be formed the entry is the exception imaging with
-    it raises (NumericalError past |k| d = 1e6). The far-field rows
-    e^{i k (a_n/|a_n|) . r} take `_plane_wave_norms`, which builds the
-    tables of its own k at each call and needs no plan.
+    domain, so a row does not depend on its chunk. When the interpolant of
+    a k cannot be formed (|k| d past 1e6, or node values that overflow),
+    this raises NumericalError naming the first such k; a SingularityError
+    passes through. The far-field rows e^{i k (a_n/|a_n|) . r} take
+    `_plane_wave_norms`, which builds the tables of its own k at each call
+    and needs no plan.
     """
     if variant == PLANE_WAVE:
         return [partial(_plane_wave_norms, k, array.directions, grid) for k in ks]
     if variant != EXACT_FIELD:
         raise DomainError(f"unknown test-vector variant {variant!r}")
     plan = symmetry_plan(grid, array)
-    out = []
-    for k, ray in zip(ks, ray_interpolants(ks, *_distance_range(plan.points, array, plan.chunks))):
-        if isinstance(ray, SingularityError):
-            out.append(ray)
-        elif isinstance(ray, DomainError):
-            out.append(NumericalError(f"steering field at k_aw = {k:.6g}: {ray}"))
-            out[-1].__cause__ = ray
-        else:
-            out.append(partial(plan.over_domain, partial(_exact_rows, ray, array.positions)))
-    return out
+    try:
+        rays = ray_interpolants(ks, *_distance_range(plan.points, array, plan.chunks))
+    except SingularityError:
+        raise
+    except DomainError as exc:
+        raise NumericalError(f"steering field at k_aw = {exc}") from exc
+    return [partial(plan.over_domain, partial(_exact_rows, ray, array.positions)) for ray in rays]
 
 
 def imaging_map(
@@ -574,13 +569,16 @@ def imaging_map(
     order, are computed into out when it is given (a float array of one
     entry per unmasked cell), and the map holds them there.
 
-    Raises NumericalError when a norm is not finite (the exact-field table
-    overflows once Im(k_aw) times the distance passes ~709).
+    Raises DomainError for a basis of N or more columns, which leaves no
+    noise subspace, and NumericalError when a norm is not finite (the
+    exact-field table overflows once Im(k_aw) times the distance passes ~709).
     """
     if grid.resolution < MIN_RESOLUTION:
         raise ConfigurationError(f"imaging grid resolution must be >= {MIN_RESOLUTION}")
     if array.count != basis.shape[0]:
         raise DomainError("antenna count does not match the signal basis")
+    if basis.shape[1] >= basis.shape[0]:
+        raise DomainError(f"no noise subspace: {basis.shape[1]} columns for {array.count} antennas")
     norms = steering(basis, out)
     if not np.all(np.isfinite(norms)):
         raise NumericalError(

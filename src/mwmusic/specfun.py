@@ -174,8 +174,7 @@ _RAY_TRANSFORM[0] *= 0.5
 
 def ray_interpolants(ks, d_min: float, d_max: float) -> list:
     """Evaluator d -> H_0^(2)(k d) for each complex k of ks over distances
-    in [d_min, d_max], built once and applied to any number of tables; or,
-    for a k whose ray leaves the domain of hankel2_0, its DomainError.
+    in [d_min, d_max], built once and applied to any number of tables.
 
     Every argument lies on the ray k * [d_min, d_max], so the smooth factor
     g(d) = H_0^(2)(k d) e^{ikd} (DLMF 10.17.6) is interpolated: [log d_min,
@@ -185,32 +184,36 @@ def ray_interpolants(ks, d_min: float, d_max: float) -> list:
     e^{-ikd}. An evaluator is meant for distances inside the range; the
     panel layout, and so every value, depends on the range and its k alone:
     the nodes of all the ks are one `_hankel2_0` call, a row per k.
+
+    Raises the DomainError (or SingularityError) of the first k whose ray
+    leaves the domain of hankel2_0, then a DomainError for the first k
+    with a node value that is not finite (H_0^(2) overflows once Im(k) d
+    passes ~709); either message begins with that k.
     """
-    out = []
+    ks = [complex(k) for k in ks]
     for k in ks:
-        k = complex(k)
         try:
             # the nodes lie strictly between these two arguments on the ray
             _hankel_arg_modulus(np.array([k * d_min, k * d_max]))
-            out.append(k)
         except DomainError as exc:
-            out.append(exc)
-    formed = [k for k in out if not isinstance(k, DomainError)]
-    if not formed:
-        return out
+            raise type(exc)(f"{k:.6g}: {exc}") from exc
     t_hi = math.log(d_max)
     t_lo = min(math.log(d_min), t_hi - _RAY_MIN_SPAN)
     width = (t_hi - t_lo) / _RAY_PANELS
 
     left = t_lo + width * np.arange(_RAY_PANELS)
     d_nodes = np.exp(left[None, :] + (0.5 * width) * (_RAY_NODES[:, None] + 1.0))
-    z_nodes = np.stack([(k * d_nodes).ravel() for k in formed])
-    g_nodes = _hankel2_0(z_nodes) * np.exp(1j * z_nodes)
+    z_nodes = np.stack([(k * d_nodes).ravel() for k in ks])
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_nodes = _hankel2_0(z_nodes) * np.exp(1j * z_nodes)
+    finite = np.isfinite(g_nodes).all(axis=1)
+    if not finite.all():
+        k = ks[np.argmin(finite)]
+        raise DomainError(f"{k:.6g}: H_0^(2)(k d) overflows at the nodes of its interpolant")
     # row m of a k's coefficients: the order-m coefficient of every panel
-    coefs = iter([_RAY_TRANSFORM @ g.reshape(d_nodes.shape) for g in g_nodes])
     return [
-        k if isinstance(k, DomainError) else _ray_evaluator(k, next(coefs), t_lo, width)
-        for k in out
+        _ray_evaluator(k, _RAY_TRANSFORM @ g.reshape(d_nodes.shape), t_lo, width)
+        for k, g in zip(ks, g_nodes)
     ]
 
 

@@ -267,11 +267,8 @@ def cell_centers(grid) -> np.ndarray:
 
 
 def ray_interpolant(k: complex, d_min: float, d_max: float):
-    """The evaluator of `specfun.ray_interpolants` for the one wavenumber k,
-    or its DomainError raised."""
+    """The evaluator of `specfun.ray_interpolants` for the one wavenumber k."""
     (ray,) = ray_interpolants([k], d_min, d_max)
-    if isinstance(ray, Exception):
-        raise ray
     return ray
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -203,18 +204,21 @@ class TestRunExperiment:
                       "map-permeability-1.pgm", "report.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
-    def test_partial_artifacts_removed_on_failure(self, tmp_path):
-        # ratio 1e10 scales k_aw by 1e5, so the steering Hankel arguments
-        # leave the supported range (a NumericalError of the imaging) and the
-        # sweep fails after the first ratio has written its files
+    def test_partial_artifacts_removed_on_failure(self, tmp_path, monkeypatch):
+        # the second ratio's record fails after the first ratio has written
+        # its files, which the failed sweep removes
+        _fail_after_first_record(monkeypatch)
         path = tmp_path / "fail.ini"
-        path.write_text("[sweep]\nkind = permeability\nratios = 1, 1e10\n")
+        path.write_text("[sweep]\nkind = permeability\nratios = 1, 2\n")
         config = harness.load_config(path, resolution=32, out_dir=tmp_path / "broken")
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="non-finite report value"):
             harness.run_experiment(config, log=lambda *_: None)
         leftover = [p.name for p in (tmp_path / "broken").glob("*") if p.suffix != ""]
         assert leftover == []
 
+    # ratio 1e10 scales k_aw by 1e5, so the steering Hankel arguments leave
+    # the supported range: the sweep fails in `prepare`, after the output
+    # directory is made and before any map
     def test_failed_run_removes_directories_it_created(self, tmp_path):
         path = tmp_path / "fail.ini"
         path.write_text("[sweep]\nkind = permeability\nratios = 1, 1e10\n")
@@ -366,6 +370,19 @@ class TestRunExperiment:
         assert len(found) == built
 
 
+def _fail_after_first_record(monkeypatch):
+    """Give every record after the first a NaN predicted peak, so that the
+    `analyse` of a sweep's second ratio fails (NumericalError) once the
+    first ratio's map is imaged and its files are handed on."""
+    predicted, calls = harness.th.predicted_peak, []
+
+    def nan_after_first(k_bw, k_aw, center):
+        calls.append(k_aw)
+        return predicted(k_bw, k_aw, center) if len(calls) == 1 else (math.nan, math.nan)
+
+    monkeypatch.setattr(harness.th, "predicted_peak", nan_after_first)
+
+
 def _no_child_left():
     # every child of this process has been reaped
     with pytest.raises(ChildProcessError):
@@ -506,9 +523,9 @@ class TestForkedWriter:
 
     def test_partial_artifacts_removed_while_writer_runs(self, tmp_path, monkeypatch):
         # as test_partial_artifacts_removed_on_failure, with the first ratio's
-        # files handed to the writer when the second ratio fails: the sweep
-        # prepares the steering of both ratios, and the second fails at its
-        # own turn, after the first map forked the writer
+        # files handed to the writer when the second ratio's record fails,
+        # after the first map forked the writer
+        _fail_after_first_record(monkeypatch)
         pids, logged = [], []
         fork = os.fork
 
@@ -520,16 +537,43 @@ class TestForkedWriter:
 
         monkeypatch.setattr(os, "fork", counting)
         path = tmp_path / "fail.ini"
-        path.write_text("[sweep]\nkind = permeability\nratios = 1, 1e10\n")
+        path.write_text("[sweep]\nkind = permeability\nratios = 1, 2\n")
         out = tmp_path / "existing"
         out.mkdir()
         config = harness.load_config(path, resolution=self.ABOVE, out_dir=out)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="non-finite report value"):
             harness.run_experiment(config, log=logged.append)
         assert list(out.iterdir()) == []
         _no_child_left()
         assert len(pids) == 1
         assert len(logged) == 1 and logged[0].startswith("[permeability-1]")
+
+    def test_unformable_ratio_fails_before_any_map(self, tmp_path, monkeypatch):
+        # ratio 1e10 scales k_aw by 1e5, past the range of hankel2_0 on the
+        # steering rays: at 40^2, above the fork threshold, the sweep fails
+        # in `prepare`, so it images no map, forks no writer, logs no ratio
+        # and leaves no directory
+        calls, logged = [], []
+        imaging_map, fork = mu.imaging_map, os.fork
+
+        def counted(real, name):
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(mu, "imaging_map", counted(imaging_map, "imaging_map"))
+        monkeypatch.setattr(os, "fork", counted(fork, "fork"))
+        path = tmp_path / "fail.ini"
+        path.write_text("[sweep]\nkind = permeability\nratios = 1, 1e10\n")
+        out = tmp_path / "new"
+        config = harness.load_config(path, resolution=40, out_dir=out)
+        assert _cells(40) >= harness._FORK_MIN_CELLS
+        with pytest.raises(NumericalError, match=r"^steering field at k_aw = .*: hankel2_0 supports"):
+            harness.run_experiment(config, log=logged.append)
+        assert calls == [] and logged == []
+        assert not out.exists()
+        _no_child_left()
 
     def test_interrupt_reaps_writer(self, empty_config, tmp_path, monkeypatch):
         # an interrupt while the run writes the norm CSV of its one map
@@ -636,8 +680,8 @@ class TestCli:
         assert not (tmp_path / "t").exists()
 
     def test_failed_run_leaves_no_directory(self, tmp_path):
-        # a steering argument out of range fails the second ratio after the
-        # first has written its artifacts
+        # a steering argument out of range fails the sweep before its first
+        # map, and the directory the run created goes
         bad = tmp_path / "range.ini"
         bad.write_text("[sweep]\nratios = 1, 1e10\n")
         out = tmp_path / "range-out"
@@ -666,17 +710,23 @@ class TestCli:
         "[anomaly:D2]\ncenter_x_m = -0.04\ncenter_y_m = -0.02\n"
         "rel_permittivity = 45\nconductivity_s_per_m = 1.0\n",
     ], ids=["D1", "D1-D2"])
-    def test_overflowing_steering_exits_3(self, tmp_path, anomalies):
+    def test_overflowing_steering_exits_3(self, tmp_path, capsys, anomalies):
         # conductivity x1e5 makes Im(k_aw) times the antenna distance pass
-        # ~709, so the exact-field steering overflows; the run must stop
-        # instead of imaging NaN norms
+        # ~709, so the exact-field steering overflows at its interpolant's
+        # nodes; the run stops in `prepare` with one line on stderr and no
+        # RuntimeWarning, instead of imaging NaN norms
         bad = tmp_path / "lossy.ini"
         bad.write_text("[sweep]\nkind = conductivity\nratios = 1e5\n" + anomalies)
         out = tmp_path / "lossy-out"
-        with pytest.warns(RuntimeWarning):
-            code = cli.main(["run", str(bad), "--out", str(out), "--resolution", "32"])
+        capsys.readouterr()
+        code = cli.main(["run", str(bad), "--out", str(out), "--resolution", "32"])
         assert code == 3
         assert not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(
+            r"numerical failure: steering field at k_aw = \S+: H_0\^\(2\)\(k d\) overflows "
+            r"at the nodes of its interpolant", line
+        )
 
     def test_plane_wave_survives_high_loss(self, tmp_path):
         # e^{i k theta . r} alone would overflow at conductivity x1e6; the

@@ -638,11 +638,13 @@ class TestChunks:
         for m in (m for m in (1, 2, 6, 16, 32) if m <= count):
             basis, _ = np.linalg.qr(np.column_stack([row.T, rng.standard_normal((count, m - 1))]))
             products.clear()
-            mu.imaging_map(basis, k, plan.grid, array, logged)
             if m == count:
-                # the basis spans every row: no product is taken
+                # the basis spans every row: no noise space, no product
+                with pytest.raises(DomainError, match="no noise subspace"):
+                    mu.imaging_map(basis, k, plan.grid, array, logged)
                 assert products == []
                 continue
+            mu.imaging_map(basis, k, plan.grid, array, logged)
             # the residual form's products (points, M) @ (M, N) ran too
             assert any(inner == m for (_, inner), _ in products)
             for (points, inner), (_, columns) in products:
@@ -783,16 +785,13 @@ class TestImagingMap:
         scaled = image_from_data(scaled_mat, k, single_scene.array, grid)
         assert np.max(np.abs(scaled.values - base.values) / base.values) <= 1e-9
 
-    def test_full_signal_dim_is_flat_at_ceiling(self, single_scene):
+    def test_full_signal_dim_leaves_no_noise_space(self, single_scene):
+        # a basis of all 16 columns spans every steering row: no map
         k = single_scene.background_wavenumber()
-        image = image_from_data(
-            fw.scattering_matrix(single_scene, k),
-            k,
-            single_scene.array,
-            _grid(32),
-            signal_dim=16,
-        )
-        assert np.all(image.values == mu.DEFAULT_CEILING)
+        data = fw.scattering_matrix(single_scene, k)
+        for variant in (mu.EXACT_FIELD, mu.PLANE_WAVE):
+            with pytest.raises(DomainError, match="no noise subspace"):
+                image_from_data(data, k, single_scene.array, _grid(32), variant, signal_dim=16)
 
     def test_rotational_covariance(self):
         base = make_scene(1)
@@ -827,7 +826,8 @@ class TestImagingMap:
 
     def test_overflowing_steering_raises(self, single_scene):
         # conductivity x1e5 gives Im(k_aw) ~ 8.9e3 /m, so the exact field
-        # overflows across the ring instead of yielding a NaN norm map
+        # overflows across the ring instead of yielding a NaN norm map; its
+        # interpolant's nodes already do, so no RuntimeWarning comes first
         k = single_scene.background_wavenumber()
         _, vecs = mu.svd_leading(fw.scattering_matrix(single_scene, k))
         k_aw = sc.wavenumber(
@@ -838,7 +838,7 @@ class TestImagingMap:
             ),
             single_scene.omega,
         )
-        with pytest.raises(NumericalError), pytest.warns(RuntimeWarning):
+        with pytest.raises(NumericalError, match=r"^steering field at k_aw = 8887\.3\+8886\.8j: "):
             image_of(vecs[:, :1], k_aw, _grid(16), single_scene.array)
 
     def test_raw_norm_bounded(self, single_scene):

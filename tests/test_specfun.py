@@ -221,14 +221,24 @@ class TestHankel2RayEdges:
         for k, together in zip(ks, specfun.ray_interpolants(ks, d.min(), d.max())):
             assert together(d).tobytes() == table_ray(k, d)(d).tobytes()
 
-    def test_failed_wavenumber_leaves_the_others(self):
-        # a k out of range is its own entry; the sweep's other rays form
+    def test_failed_wavenumber_is_named(self):
+        # a k out of range fails the whole call, and the error names it
         ks = [94.0 + 8.0j, 1.0e5 * (94.0 + 8.0j), 188.0 + 4.0j]
-        rays = specfun.ray_interpolants(ks, 0.05, 0.2)
-        assert isinstance(rays[1], DomainError)
+        with pytest.raises(DomainError, match=r"^9\.4e\+06\+800000j: hankel2_0 supports"):
+            specfun.ray_interpolants(ks, 0.05, 0.2)
+        # a distance of 0 puts the singular point on every ray: the first k
+        with pytest.raises(SingularityError, match=r"^94\+8j: "):
+            specfun.ray_interpolants(ks, 0.0, 0.2)
+
+    def test_overflowing_nodes_named(self):
+        # Im(k) d_max = 1000 overflows H_0^(2) at the far nodes; the error
+        # names that k, and no RuntimeWarning comes before it
+        ks = [94.0 + 8.0j, 100.0 + 5000.0j]
+        with pytest.raises(DomainError, match=r"^100\+5000j: H_0\^\(2\)\(k d\) overflows"):
+            specfun.ray_interpolants(ks, 0.05, 0.2)
+        # Im(k) d_max = 400 stays finite
         d = np.linspace(0.05, 0.2, 7)
-        for k, ray in zip(ks[::2], rays[::2]):
-            assert ray(d).tobytes() == ray_interpolant(k, 0.05, 0.2)(d).tobytes()
+        assert np.all(np.isfinite(ray_interpolant(100.0 + 2000.0j, 0.05, 0.2)(d)))
 
     def test_all_equal_distances(self):
         # every distance from the array centre is the ring radius
