@@ -86,6 +86,10 @@ def main(argv=None) -> int:
                 for diag in validate_scene(config.scene, k_aw):
                     print(f"[{config.sweep_kind}={ratio:g}] {diag['condition']}: "
                           f"{diag['status']} ({diag['detail']})")
+            floor = 1.0 / (config.scene.array.count - 1)  # loss only raises it
+            if config.signal_dim is None and config.threshold_ratio <= floor:
+                print(f"warn: threshold_ratio {config.threshold_ratio:g} <= 1/(N - 1) = {floor:.3g}, "
+                      "the least tau_2/tau_1 of one anomaly's zero-diagonal data; set signal_dim")
             return 0
         if args.command == "compare":
             config = _load(args)

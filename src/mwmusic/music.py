@@ -57,7 +57,7 @@ from .errors import (
     NumericalError,
     SingularityError,
 )
-from .forward import incident_field_matrix
+from .forward import _distances, incident_field_matrix
 from .scene import _SYMMETRY_TOL, AntennaArray
 from .specfun import ray_interpolants
 
@@ -170,8 +170,12 @@ def _plane_wave_rows(tables: tuple, ix: np.ndarray, iy: np.ndarray) -> np.ndarra
 def _exact_rows(ray, positions: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Unit rows (points, N) of the point-source field at each antenna
     from `ray`, the interpolant of one wavenumber over a distance range that
-    covers the points (`incident_field_matrix`)."""
+    covers the points (`incident_field_matrix`). As in `_plane_wave_rows`, a
+    row is scaled before its norm: by the power of two that takes its largest
+    |Re| or |Im| into [1/2, 1), which is exact and keeps its squares finite."""
     rows = incident_field_matrix(ray, points, positions)
+    _, exp = np.frexp(np.abs(rows.view(np.float64)).max(axis=1, keepdims=True))
+    rows *= np.ldexp(1.0, -exp)
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
@@ -474,23 +478,13 @@ def _chunks(points: int, antennas: int) -> tuple[slice, ...]:
 
 
 def _distance_range(points: np.ndarray, array: AntennaArray, chunks) -> tuple[float, float]:
-    """Smallest and largest entry of the distance table of the points and the
-    antennas, one chunk of points at a time, without holding the table.
-
-    Squared distances, several times cheaper than np.hypot, pick the candidate
-    entries within 1e-9 of either extreme, far above the few ulps by which
-    the two forms differ; np.hypot, as in the table, decides among them.
-    """
-    pos = array.positions
+    """Smallest and largest entry of the table of `forward._distances` of the
+    points and the antennas, one chunk of points at a time."""
     lo, hi = math.inf, 0.0
     for chunk in chunks:
-        dx = points[chunk, None, 0] - pos[None, :, 0]
-        dy = points[chunk, None, 1] - pos[None, :, 1]
-        sq = dx * dx + dy * dy
-        near = sq <= sq.min() * (1.0 + 1e-9)
-        far = sq >= sq.max() * (1.0 - 1e-9)
-        lo = min(lo, float(np.hypot(dx[near], dy[near]).min()))
-        hi = max(hi, float(np.hypot(dx[far], dy[far]).max()))
+        table = _distances(points[chunk], array.positions)
+        lo = min(lo, float(table.min()))
+        hi = max(hi, float(table.max()))
     return lo, hi
 
 
@@ -570,8 +564,7 @@ def imaging_map(
     entry per unmasked cell), and the map holds them there.
 
     Raises DomainError for a basis of N or more columns, which leaves no
-    noise subspace, and NumericalError when a norm is not finite (the
-    exact-field table overflows once Im(k_aw) times the distance passes ~709).
+    noise subspace, and NumericalError when a norm is not finite.
     """
     if grid.resolution < MIN_RESOLUTION:
         raise ConfigurationError(f"imaging grid resolution must be >= {MIN_RESOLUTION}")

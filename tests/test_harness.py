@@ -615,6 +615,14 @@ class TestCompareSavedMap:
             harness.compare_saved_map(tmp_path / "r" / "map-permeability-1.csv", config)
 
 
+# D1 moved and a lossy D2: the two-anomaly scene of the lossy CLI runs
+_D1_D2 = (
+    "[anomaly:D1]\ncenter_x_m = 0.01\ncenter_y_m = 0.03\n"
+    "[anomaly:D2]\ncenter_x_m = -0.04\ncenter_y_m = -0.02\n"
+    "rel_permittivity = 45\nconductivity_s_per_m = 1.0\n"
+)
+
+
 class TestCli:
     def test_run_and_exit_codes(self, empty_config, tmp_path, capsys):
         code = cli.main(
@@ -634,6 +642,22 @@ class TestCli:
         assert cli.main(["validate", str(empty_config)]) == 0
         out = capsys.readouterr().out
         assert "background_loss" in out and "far_field" in out
+
+    # tau_2/tau_1 of one anomaly's zero-diagonal data is at least 1/(N - 1):
+    # validate warns when the threshold rule is to split at or below it
+    @pytest.mark.parametrize("ini,warned", [
+        ("[array]\ncount = 8\n", True),
+        ("[array]\ncount = 9\n", True),
+        ("[array]\ncount = 10\n", True),
+        ("[array]\ncount = 16\n", False),
+        ("[array]\ncount = 8\n[imaging]\nsignal_dim = 1\n", False),
+    ], ids=["N8", "N9", "N10", "N16", "N8-signal_dim"])
+    def test_validate_warns_below_the_diagonal_floor(self, tmp_path, capsys, ini, warned):
+        cfg = tmp_path / "floor.ini"
+        cfg.write_text(ini)
+        assert cli.main(["validate", str(cfg)]) == 0
+        warns = [line for line in capsys.readouterr().out.splitlines() if line.startswith("warn:")]
+        assert len(warns) == warned
 
     def test_validate_measures_far_field_table_once(self, tmp_path, monkeypatch, capsys):
         # only the margin depends on the ratio: one table for six ratios
@@ -704,12 +728,7 @@ class TestCli:
         assert cli.main(["run", str(bad), "--out", str(out), "--resolution", "32"]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("anomalies", [
-        "",
-        "[anomaly:D1]\ncenter_x_m = 0.01\ncenter_y_m = 0.03\n"
-        "[anomaly:D2]\ncenter_x_m = -0.04\ncenter_y_m = -0.02\n"
-        "rel_permittivity = 45\nconductivity_s_per_m = 1.0\n",
-    ], ids=["D1", "D1-D2"])
+    @pytest.mark.parametrize("anomalies", ["", _D1_D2], ids=["D1", "D1-D2"])
     def test_overflowing_steering_exits_3(self, tmp_path, capsys, anomalies):
         # conductivity x1e5 makes Im(k_aw) times the antenna distance pass
         # ~709, so the exact-field steering overflows at its interpolant's
@@ -727,6 +746,21 @@ class TestCli:
             r"numerical failure: steering field at k_aw = \S+: H_0\^\(2\)\(k d\) overflows "
             r"at the nodes of its interpolant", line
         )
+
+    @pytest.mark.parametrize("anomalies", ["", _D1_D2], ids=["D1", "D1-D2"])
+    def test_lossy_exact_field_images(self, tmp_path, capsys, anomalies):
+        # conductivity x2e4 keeps the table finite at 32^2 while the squares
+        # of its rows overflow (Im(k_aw) d_max past ~355): each row is scaled
+        # by a power of two before its norm, so the map is not flat, the
+        # report finite and stderr empty (RuntimeWarnings fail the test)
+        cfg = tmp_path / "lossy.ini"
+        cfg.write_text("[sweep]\nkind = conductivity\nratios = 2e4\n" + anomalies)
+        out = tmp_path / "lossy-out"
+        capsys.readouterr()
+        assert cli.main(["run", str(cfg), "--out", str(out), "--resolution", "32"]) == 0
+        assert capsys.readouterr().err == ""
+        body = (out / "norm-conductivity-20000.csv").read_text().splitlines()[4:]
+        assert len({line.split(",")[2] for line in body}) > 1
 
     def test_plane_wave_survives_high_loss(self, tmp_path):
         # e^{i k theta . r} alone would overflow at conductivity x1e6; the

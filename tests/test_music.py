@@ -171,6 +171,34 @@ class TestTestVector:
         with pytest.raises(DomainError):
             mu._exact_rows(ray, array.positions, array.positions[:1])
 
+    @pytest.mark.parametrize("preset", ["fig-mu-single", "fig-eps-single", "fig-sigma-single"])
+    def test_exact_rows_scaled_bit_identically(self, preset):
+        # a row is scaled by a power of two before its norm, which moves no
+        # bit wherever the unscaled table's norm is finite
+        kind, ratios, _ = harness.PRESETS[preset]
+        scene = make_scene(1)
+        _, array, plan = _plan(16, 64)
+        distances = mu._distance_range(plan.points, array, plan.chunks)
+        for ratio in ratios:
+            k = th.mismatched_wavenumber(scene.background, scene.omega, kind, ratio)
+            ray = ray_interpolant(k, *distances)
+            for chunk in plan.chunks:
+                points = plan.points[chunk]
+                rows = fw.incident_field_matrix(ray, points, array.positions)
+                want = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+                assert mu._exact_rows(ray, array.positions, points).tobytes() == want.tobytes()
+
+    def test_exact_rows_of_a_huge_table(self, single_scene):
+        # entries near 1e200, whose squares overflow the unscaled norm: the
+        # rows still come out unit rows in the direction of the table's
+        array = single_scene.array
+        ray = ray_interpolant(single_scene.background_wavenumber(), 0.005, 0.18)
+        pts = _disk_points(np.random.default_rng(4), 0.084, 50)
+        rows = mu._exact_rows(lambda d: 4e200 * ray(d), array.positions, pts)
+        assert np.all(np.abs(rows) > 0)
+        assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) <= 1e-15
+        assert np.max(np.abs(rows - mu._exact_rows(ray, array.positions, pts))) <= 1e-15
+
 
 def _domain_rows(k, plan, array):
     """The production plane-wave rows of the plan's representatives, from
@@ -597,9 +625,9 @@ class TestChunks:
         assert np.array_equal(maps[2], maps[0], equal_nan=True)
         assert np.array_equal(maps[3], maps[1], equal_nan=True)
 
-    # the squared-distance screen must find the extremes of the np.hypot table
-    # exactly: the interpolant's panel layout, and so every steering row,
-    # follows them
+    # the range of the chunks must be the extremes of the whole table of
+    # `forward._distances` exactly: the interpolant's panel layout, and so
+    # every steering row, follows them
     @pytest.mark.parametrize("count,resolution", _SYMMETRY_CASES)
     @pytest.mark.parametrize("radius", [0.09, 0.0851])
     def test_distance_range_exact(self, count, resolution, radius):
