@@ -11,6 +11,13 @@ mode). The data matrix is the read-only complex N x N ndarray of these
 values, symmetric with an identically zero diagonal by construction
 (monostatic entries are not part of the data).
 
+The wavenumber is `scene.wavenumber`'s, k^2 = omega^2 mu (eps + i sigma /
+omega) with Im k >= 0 (the e^{-i omega t} sign), and it is paired with
+(i/4) H_0^(2)(k d) ~ e^{-ikd}, the outgoing wave of the e^{+i omega t}
+sign. So in a lossy background the field grows with distance, as
+e^{Im(k) d}: on the reference scene |H_0^(2)(k_bw d)| is 0.56 at 5 cm and
+0.98 at 20 cm. The far-field reduction follows the same pairing.
+
 Every field is one table over points x antennas. The data matrix takes
 its (anomalies x antennas) table from one exact `hankel2_0` call on the
 distance table, or from `asymptotic_field_matrix`; the exact-field

@@ -40,7 +40,7 @@ reference configuration):
     background_permeability_h_per_m = 1.257e-6
 
     [array]
-    count = 16
+    count = 16                    ; 3 to 1024
     radius_m = 0.09
 
     [anomaly:D1]                  ; one section per anomaly, any label
@@ -118,6 +118,18 @@ DEFAULT_BG_CONDUCTIVITY = 0.2
 D1 = dict(center=(0.01, 0.03), radius=0.01, rel_permittivity=55.0, conductivity=1.2)
 D2 = dict(center=(-0.04, -0.02), radius=0.01, rel_permittivity=45.0, conductivity=1.0)
 
+# most antennas a run accepts. The data matrix and its SVD grow as N^2 in
+# memory and N^3 in time: a one-ratio default run with 1024 antennas peaks
+# at 182 MB at 32^2 and 512^2 (425 MB at 2048^2), one with 2048 at ~650 MB
+# at 32^2, and from there on a run ends in an out-of-memory kill, which is
+# no exit code (fresh processes on a 2-core host; the README's table)
+MAX_ANTENNA_COUNT = 1024
+
+
+def _check_antenna_count(count: int) -> None:
+    if count > MAX_ANTENNA_COUNT:
+        raise ConfigurationError(f"[array] count must be at most {MAX_ANTENNA_COUNT}, got {count}")
+
 # unmasked cells from which a sweep's maps are written by a forked writer.
 # The writer costs the sweep one fork and a few pipe messages per map; in
 # fresh-process fig-mu-single sweeps on a 2-core host (15 alternating pairs)
@@ -159,6 +171,7 @@ class ExperimentConfig:
                 f"resolution must lie in [{mu.MIN_RESOLUTION}, {mu.MAX_RESOLUTION}], "
                 f"got {self.resolution}"
             )
+        _check_antenna_count(self.scene.array.count)
         if self.sweep_kind not in th.MISMATCH_KINDS:
             raise ConfigurationError(f"sweep kind must be one of {th.MISMATCH_KINDS}")
         if not self.ratios:
@@ -268,6 +281,9 @@ def load_config(path, preset: str | None = None, **overrides) -> ExperimentConfi
     sigma = _get(parser, "scene", "background_conductivity_s_per_m", float, DEFAULT_BG_CONDUCTIVITY)
     mu_b = _get(parser, "scene", "background_permeability_h_per_m", float, BACKGROUND_PERMEABILITY)
     count = _get(parser, "array", "count", int, DEFAULT_ARRAY_COUNT)
+    # before the array's positions are allocated: a count of 1e9 would take
+    # tens of GB there, and end in an out-of-memory kill rather than exit 2
+    _check_antenna_count(count)
     radius = _get(parser, "array", "radius_m", float, DEFAULT_ARRAY_RADIUS)
     fields = {name: _get(parser, *key) for name, key in _FIELD_KEYS.items()}
     anomalies = [
@@ -545,11 +561,7 @@ def prepare(config: ExperimentConfig) -> Sweep:
     data = fw.scattering_matrix(scene, k_bw, config.forward_mode)
     if config.snr_db != fw.NOISELESS:
         data = fw.add_noise(data, config.snr_db, config.seed)
-    c_identity = None
-    if len(scene.anomalies) == 1:
-        asym = fw.scattering_matrix(scene, k_bw, fw.ASYMPTOTIC)
-        tau1_asym = float(mu.svd_leading(asym)[0][0])
-        c_identity = th.c_identity_check(scene, k_bw, tau1_asym)
+    c_identity = th.c_identity_check(scene, k_bw) if len(scene.anomalies) == 1 else None
     taus, vecs = mu.svd_leading(data)
     m_used = config.signal_dim
     if m_used is None:

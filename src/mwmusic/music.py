@@ -532,8 +532,9 @@ def steering_evaluators(ks, grid: ImagingGrid, array: AntennaArray, variant: str
     their interpolants from one evaluation of the nodes of all the ks
     (`specfun.ray_interpolants`) over the distance range of the whole
     domain, so a row does not depend on its chunk. When the interpolant of
-    a k cannot be formed (|k| d past 1e6, or node values that overflow),
-    this raises NumericalError naming the first such k; a SingularityError
+    a k cannot be formed (|k| d past 1e6, node values that overflow, or
+    e^{-ikd} that overflows at the largest distance), this raises
+    NumericalError naming the first such k; a SingularityError
     passes through. The far-field rows e^{i k (a_n/|a_n|) . r} take
     `_plane_wave_norms`, which builds the tables of its own k at each call
     and needs no plan.

@@ -165,6 +165,8 @@ _RAY_MIN_SPAN = 1e-6
 # depends on how a table is cut (evaluated as one block, a table of 16384 or
 # more entries differs from its 4095-entry pieces by up to 2e-16)
 _RAY_BLOCK = 8192
+# Im(k) d past which e^{-ikd} overflows a double
+_LOG_MAX = math.log(np.finfo(float).max)
 _RAY_ANGLES = np.pi * (np.arange(_RAY_DEGREE + 1) + 0.5) / (_RAY_DEGREE + 1)
 _RAY_NODES = np.cos(_RAY_ANGLES)
 # node values -> Chebyshev coefficients (discrete cosine transform)
@@ -190,7 +192,9 @@ def ray_interpolants(ks, d_min: float, d_max: float) -> list:
     Raises the DomainError (or SingularityError) of the first k whose ray
     leaves the domain of hankel2_0, then a DomainError for the first k
     with a node value that is not finite (H_0^(2) overflows once Im(k) d
-    passes ~709); either message begins with that k.
+    passes ~709), then one for the first k whose factor e^{-ikd} overflows
+    at d_max (Im(k) d_max past log of the largest double, 709.78); each
+    message begins with that k.
     """
     ks = [complex(k) for k in ks]
     for k in ks:
@@ -212,6 +216,11 @@ def ray_interpolants(ks, d_min: float, d_max: float) -> list:
     if not finite.all():
         k = ks[np.argmin(finite)]
         raise DomainError(f"{k:.6g}: H_0^(2)(k d) overflows at the nodes of its interpolant")
+    # the nodes stop short of d_max, where the factor |e^{-ikd}| = e^{Im(k) d}
+    # of every evaluation is largest
+    for k in ks:
+        if k.imag * d_max > _LOG_MAX:
+            raise DomainError(f"{k:.6g}: e^(-ikd) overflows at the range's largest distance")
     # row m of a k's coefficients: the order-m coefficient of every panel
     return [
         _ray_evaluator(k, _RAY_TRANSFORM @ g.reshape(d_nodes.shape), t_lo, width)

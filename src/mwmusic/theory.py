@@ -37,7 +37,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import DegenerateDataError, DomainError
+from .errors import DomainError
 from .music import (
     _READ_ROWS,
     ImageMap,
@@ -46,7 +46,7 @@ from .music import (
     _plane_wave_norms,
     _plane_wave_rows,
 )
-from .scene import AntennaArray, Medium, Scene, contrast, wavenumber
+from .scene import AntennaArray, Medium, Scene, wavenumber
 # not used here: the traced benchmark wraps these two names in this module
 from .specfun import bessel_j_grid, jacobi_anger_truncation  # noqa: F401
 
@@ -161,46 +161,37 @@ def _mask_cell(mask: np.ndarray, index: int) -> tuple[int, int]:
     return iy, int(np.flatnonzero(mask[iy])[index - before])
 
 
-def c_identity_check(scene: Scene, k_bw: complex, tau1: float) -> float:
-    """C (N-1)^2 with C = |a^2 O k_bw e^{-2 i k_bw R} / (32 R omega mu tau_1)|^2.
+def c_identity_check(scene: Scene, k_bw: complex) -> float:
+    """C (N-1)^2 of a single-anomaly scene in the background k_bw, with
+    C = |coef / tau_1|^2 and tau_1 the leading singular value of its
+    far-field (`forward.ASYMPTOTIC`) data matrix coef * D (J - I) D, where
+    coef = a^2 O k_bw e^{-2 i k_bw R} / (32 R omega mu),
+    D = diag(e^{i k_bw theta_n . r*}) and J is the all-ones matrix.
 
-    The far-field data matrix is (a^2 O k_bw e^{-2 i k_bw R} / (32 R omega mu))
-    times a phase matrix whose leading singular value is N-1 for a real
-    wavenumber, which makes the product exactly 1 in that regime. The
-    propagation factor e^{-2 i k_bw R} must stay inside the modulus: it is
-    unimodular only for lossless backgrounds, and dropping it for a lossy
-    background multiplies the result by e^{-4 Im(k) R} (about 0.049 for the
-    reference configuration). For lossy backgrounds the remaining deviation
-    from 1 measures the modulus spread e^{-2 Im(k) theta_n . r*} that the
-    rank-one normalization ignores; it vanishes for an anomaly at the origin.
-
-    Exact lossy form: the phase matrix is D (J - I) D with
-    D = diag(e^{i k_bw theta_n . r*}) and J the all-ones matrix. With
-    w_n = |D_nn| = e^{-Im(k_bw) theta_n . r*} its leading singular value is
-    lambda_1, the root of the secular equation
+    With w_n = |D_nn| = e^{-Im(k_bw) theta_n . r*}, tau_1 = |coef| lambda_1,
+    where lambda_1 is the root of the secular equation (Golub 1973)
 
         sum_n w_n^2 / (lambda + w_n^2) = 1,
 
-    so tau_1 = |coef| lambda_1 and the returned value is ((N-1)/lambda_1)^2
-    (0.9007 at N=8 and 0.8855 at N=16 for the reference configuration).
-    lambda_1 = N-1 exactly when Im(k_bw) = 0 or r* = 0.
-
-    Requires a single-anomaly scene; tau1 is the leading singular value of
-    its far-field-mode (`forward.ASYMPTOTIC`) data matrix.
+    so the value is ((N-1)/lambda_1)^2, with neither the matrix nor its
+    SVD. The left side minus 1, f, falls and is convex on lambda > 0, and
+    f >= 0 at S - max w^2 (S = sum w_n^2), so Newton's method from there
+    rises to the root without passing it; it stops at the first step that
+    does not rise (4-5 steps for N from 8 to 1024). lambda_1 = N-1 and the
+    value is 1 when Im(k_bw) = 0 or r* = 0; on the lossy reference
+    configuration it is 0.9007 at N=8 and 0.8855 at N=16, the modulus
+    spread of the lossy plane waves that the rank-one normalization ignores.
     """
     if len(scene.anomalies) != 1:
         raise DomainError("the identity applies to single-anomaly scenes")
-    if not (math.isfinite(tau1) and tau1 > 0):
-        raise DegenerateDataError("tau_1 must be positive")
-    an = scene.anomalies[0]
-    omega = scene.omega
-    o_val = contrast(an, scene.background, omega)
-    big_r = scene.array.radius
-    coef = (
-        an.radius**2
-        * o_val
-        * k_bw
-        * np.exp(-2j * k_bw * big_r)
-        / (32.0 * big_r * omega * scene.background.permeability * tau1)
-    )
-    return abs(coef) ** 2 * (scene.array.count - 1) ** 2
+    r_star = np.asarray(scene.anomalies[0].center, dtype=float)
+    w2 = np.exp(-2.0 * complex(k_bw).imag * (scene.array.directions @ r_star))
+    lam = w2.sum() - w2.max()
+    while True:
+        shifted = lam + w2
+        terms = w2 / shifted
+        # -f / f', with f' = -sum w_n^2 / (lambda + w_n^2)^2
+        step = (terms.sum() - 1.0) / np.sum(terms / shifted)
+        if not lam + step > lam:
+            return float(((scene.array.count - 1) / lam) ** 2)
+        lam += step

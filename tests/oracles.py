@@ -19,7 +19,9 @@ point of the closed form is summed over the antennas at 50 digits
 exponential per plane-wave entry (`unit_phasors`), where the package
 multiplies per-axis tables. The peak references walk every cell; the
 far-field diagnostic is recomputed from its whole distance table for each
-margin.
+margin. The normalization identity C(N-1)^2 is taken from the SVD of the
+far-field data matrix (`c_identity_svd`), where the package solves the
+secular equation of its leading singular value.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 
 from mwmusic import forward as fw
 from mwmusic import music as mu
+from mwmusic.scene import contrast
 from mwmusic.specfun import ray_interpolants
 
 
@@ -223,6 +226,30 @@ def far_field_normalization(angles, r_star, k: complex) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def c_identity_svd(scene, k_bw: complex) -> float:
+    """C (N-1)^2 with C = |a^2 O k_bw e^{-2 i k_bw R} / (32 R omega mu tau_1)|^2,
+    tau_1 the leading singular value of the far-field (`forward.ASYMPTOTIC`)
+    data matrix of the single-anomaly scene, from LAPACK's SVD of that
+    matrix: the form `theory.c_identity_check` takes from the secular
+    equation instead.
+
+    The propagation factor e^{-2 i k_bw R} stays inside the modulus: it is
+    unimodular only for lossless backgrounds.
+    """
+    (an,) = scene.anomalies
+    omega = scene.omega
+    big_r = scene.array.radius
+    tau1 = float(np.linalg.svd(fw.scattering_matrix(scene, k_bw, fw.ASYMPTOTIC))[1][0])
+    coef = (
+        an.radius**2
+        * contrast(an, scene.background, omega)
+        * k_bw
+        * np.exp(-2j * k_bw * big_r)
+        / (32.0 * big_r * omega * scene.background.permeability * tau1)
+    )
+    return abs(coef) ** 2 * (scene.array.count - 1) ** 2
 
 
 def map_csv_text(image, which: str = "values") -> str:

@@ -41,6 +41,17 @@ class TestIncidentField:
         v = fw.incident_field_matrix(table_ray(k, fw._distances(pts, src)), pts, src)
         assert abs(v[0, 0]) == pytest.approx(abs(v[1, 0]), rel=1e-13, abs=0)
 
+    def test_lossy_field_grows_with_distance(self):
+        # scene.wavenumber takes Im k >= 0 (the e^{-i omega t} sign) and the
+        # field is (i/4) H_0^(2)(k d) ~ e^{-ikd} (the e^{+i omega t} sign), so
+        # in the lossy reference background |u| grows as e^{Im(k) d}: a
+        # change of either convention must change this test on purpose
+        k = _k_bw()
+        assert k.imag > 8.0
+        moduli = np.abs(hankel2_0(k * np.array([0.05, 0.1, 0.2])))
+        assert moduli[0] < moduli[1] < moduli[2]
+        assert moduli[[0, 2]] == pytest.approx([0.56, 0.98], abs=0.01)
+
     def test_coincident_points_rejected(self):
         ray = ray_interpolant(_k_bw(), 0.01, 0.1)
         with pytest.raises(SingularityError):

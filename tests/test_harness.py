@@ -150,6 +150,24 @@ directory = artifacts
         with pytest.raises(ConfigurationError):
             harness.load_config(empty_config, ratio=(2.0,))
 
+    def test_antenna_count_bound_loads(self, tmp_path):
+        path = tmp_path / "many.ini"
+        path.write_text(f"[array]\ncount = {harness.MAX_ANTENNA_COUNT}\n")
+        assert harness.MAX_ANTENNA_COUNT == 1024
+        assert harness.load_config(path).scene.array.count == 1024
+
+    def test_antenna_count_refused_before_the_array(self, tmp_path, monkeypatch):
+        # a count of 1e9 would allocate tens of GB of positions: the bound
+        # is checked on the parsed count, before the array is built
+        def unbuilt(count, radius):
+            raise AssertionError("array built")
+
+        monkeypatch.setattr(harness, "uniform_circular_array", unbuilt)
+        path = tmp_path / "huge.ini"
+        path.write_text("[array]\ncount = 1000000000\n")
+        with pytest.raises(ConfigurationError, match=r"at most 1024, got 1000000000$"):
+            harness.load_config(path)
+
     def test_overrides_apply_after_the_preset(self, empty_config):
         config = harness.load_config(empty_config, preset="fig-sigma-double", ratios=(2.0,))
         assert config.ratios == (2.0,)
@@ -305,10 +323,10 @@ class TestRunExperiment:
         assert rec["closed_form"] is None
         assert rec["c_identity"] is None
 
-    @pytest.mark.parametrize("preset,calls", [("fig-mu-single", 2), ("fig-mu-double", 1)])
+    @pytest.mark.parametrize("preset,calls", [("fig-mu-single", 1), ("fig-mu-double", 1)])
     def test_decomposes_once_per_sweep(self, empty_config, tmp_path, monkeypatch, preset, calls):
-        # one anomaly: the data matrix plus the far-field matrix of the C
-        # identity; two anomalies: the data matrix only, however many ratios
+        # the data matrix only, however many ratios and anomalies: the C
+        # identity of one anomaly comes from its secular equation
         seen = []
         svd_leading = mu.svd_leading
 
@@ -323,6 +341,24 @@ class TestRunExperiment:
         report = harness.run_experiment(config, log=lambda *_: None)
         assert len(report["records"]) == 6
         assert len(seen) == calls
+
+    def test_prepare_builds_one_data_matrix(self, empty_config, tmp_path, monkeypatch):
+        # a single-anomaly sweep forms its data matrix and decomposes it once;
+        # the far-field matrix of the C identity is not built
+        calls = {"scattering_matrix": [], "svd_leading": []}
+        for module, name in ((fw, "scattering_matrix"), (mu, "svd_leading")):
+            def counting(*args, _name=name, _inner=getattr(module, name)):
+                calls[_name].append(args)
+                return _inner(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        config = harness.load_config(
+            empty_config, preset="fig-mu-single", resolution=16, out_dir=tmp_path / "one"
+        )
+        sweep = harness.prepare(config)
+        assert sweep.c_identity == pytest.approx(0.8855, abs=0.002)
+        assert len(calls["svd_leading"]) == 1
+        assert [args[2:] for args in calls["scattering_matrix"]] == [(fw.FULL_HANKEL,)]
 
     @pytest.mark.parametrize("variant,evaluations", [(mu.EXACT_FIELD, 1), (mu.PLANE_WAVE, 0)])
     def test_one_node_evaluation_per_sweep(
@@ -747,6 +783,24 @@ class TestCli:
             r"at the nodes of its interpolant", line
         )
 
+    def test_overflowing_range_end_exits_3_in_one_line(self, tmp_path, capsys):
+        # conductivity x2.1e4 at 32^2: the interpolant's nodes stop short of
+        # d_max and stay finite, but Im(k_aw) d_max = 710.2 overflows the
+        # factor e^{-ikd} there; the run stops in `prepare` with one line,
+        # no RuntimeWarning (they fail the test) and no output directory
+        bad = tmp_path / "lossy.ini"
+        bad.write_text("[sweep]\nkind = conductivity\nratios = 2.1e4\n" + _D1_D2)
+        out = tmp_path / "lossy-out"
+        capsys.readouterr()
+        code = cli.main(["run", str(bad), "--out", str(out), "--resolution", "32"])
+        assert code == 3
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(
+            r"numerical failure: steering field at k_aw = \S+: e\^\(-ikd\) overflows "
+            r"at the range's largest distance", line
+        )
+
     @pytest.mark.parametrize("anomalies", ["", _D1_D2], ids=["D1", "D1-D2"])
     def test_lossy_exact_field_images(self, tmp_path, capsys, anomalies):
         # conductivity x2e4 keeps the table finite at 32^2 while the squares
@@ -1015,6 +1069,20 @@ class TestInputFailuresExit2:
             argv += ["--out", str(out), "--resolution", "32"]
         assert cli.main(argv) == 2
         _one_error_line(capsys, "wavenumber", "not finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_antenna_count_past_the_bound(self, tmp_path, capsys, command):
+        # the data matrix and its SVD grow as N^2 and N^3: past 1024
+        # antennas the run is refused before any computation
+        config = tmp_path / "many.ini"
+        config.write_text(f"[array]\ncount = {harness.MAX_ANTENNA_COUNT + 1}\n")
+        out = tmp_path / "many-out"
+        argv = [command, str(config)]
+        if command == "run":
+            argv += ["--out", str(out), "--resolution", "32"]
+        assert cli.main(argv) == 2
+        _one_error_line(capsys, "[array] count must be at most 1024, got 1025")
         assert not out.exists()
 
     def test_unwritable_artifact(self, empty_config, tmp_path, capsys):

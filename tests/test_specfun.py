@@ -240,6 +240,17 @@ class TestHankel2RayEdges:
         d = np.linspace(0.05, 0.2, 7)
         assert np.all(np.isfinite(ray_interpolant(100.0 + 2000.0j, 0.05, 0.2)(d)))
 
+    def test_overflowing_range_end_named(self):
+        # Im(k) d_max = 710.0 with Im(k) d = 709.4 at the last node of the
+        # range [1 mm, 0.2 m]: the nodes are finite, e^{-ikd} at d_max is not
+        # (past log of the largest double, 709.78); Im(k) d_max = 700 builds
+        assert specfun._LOG_MAX == pytest.approx(709.78, abs=0.01)
+        ks = [94.0 + 8.0j, 100.0 + 3550.0j]
+        with pytest.raises(DomainError, match=r"^100\+3550j: e\^\(-ikd\) overflows at the range's"):
+            specfun.ray_interpolants(ks, 0.001, 0.2)
+        d = np.linspace(0.001, 0.2, 7)
+        assert np.all(np.isfinite(ray_interpolant(100.0 + 3500.0j, 0.001, 0.2)(d)))
+
     def test_table_cut_bit_identical(self):
         # an evaluator's values do not depend on how its table is cut: a
         # 20000-entry table evaluated whole and in the _CHUNK_ENTRIES pieces

@@ -9,12 +9,13 @@ from mwmusic import forward as fw
 from mwmusic import music as mu
 from mwmusic import scene as sc
 from mwmusic import theory as th
-from mwmusic.errors import DegenerateDataError, DomainError
+from mwmusic.errors import DomainError
 
 from conftest import D1_CENTER, image_from_data, make_scene, raster, uniform_angles
 from oracles import (
     bessel_series_norm_factor,
     bessel_series_terms,
+    c_identity_svd,
     cell_centers,
     closed_form_norm_oracle,
     direct_closed_form_norm_map,
@@ -357,10 +358,7 @@ class TestCompareMaps:
 class TestCIdentity:
     def _value(self, count):
         scene = make_scene(1, count=count)
-        k_bw = scene.background_wavenumber()
-        mat = fw.scattering_matrix(scene, k_bw, fw.ASYMPTOTIC)
-        tau1 = float(mu.svd_leading(mat)[0][0])
-        return th.c_identity_check(scene, k_bw, tau1)
+        return th.c_identity_check(scene, scene.background_wavenumber())
 
     def test_reference_values(self):
         # Recomputed for the reference lossy background: the modulus spread
@@ -369,6 +367,15 @@ class TestCIdentity:
         assert self._value(8) == pytest.approx(0.9007, abs=0.002)
         assert self._value(16) == pytest.approx(0.8855, abs=0.002)
 
+    @pytest.mark.parametrize("count", [8, 16, 64, 256])
+    def test_matches_svd_form(self, count):
+        # tau_1 from LAPACK's SVD of the far-field data matrix, as the value
+        # was computed before the secular equation
+        scene = make_scene(1, count=count)
+        k_bw = scene.background_wavenumber()
+        expected = c_identity_svd(scene, k_bw)
+        assert self._value(count) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
     def test_matches_secular_normalization(self):
         # tau_1 = |coef| lambda_1 with lambda_1 the root of
         # sum_n w_n^2 / (lambda + w_n^2) = 1, w_n = e^{-Im(k) theta_n . r*},
@@ -376,13 +383,18 @@ class TestCIdentity:
         # 0.9007 and 0.8855 of test_reference_values come from.
         base = make_scene(1)
         k = base.background_wavenumber()
-        k_clear = sc.wavenumber(replace(base.background, conductivity=0.0), base.omega)
-        for count in (8, 16):
+        clear = replace(base.background, conductivity=0.0)
+        k_clear = sc.wavenumber(clear, base.omega)
+        for count in (8, 16, 64, 256):
             angles = uniform_angles(count)
             lam1 = far_field_normalization(angles, D1_CENTER, k)
-            assert self._value(count) == pytest.approx(((count - 1) / lam1) ** 2, abs=1e-10)
+            expected = ((count - 1) / lam1) ** 2
+            assert self._value(count) == pytest.approx(expected, rel=1e-14, abs=0.0)
             assert far_field_normalization(angles, D1_CENTER, k_clear) == count - 1
             assert far_field_normalization(angles, (0.0, 0.0), k) == count - 1
+            scene = make_scene(1, count=count)
+            lossless = replace(scene, background=clear)
+            assert th.c_identity_check(lossless, k_clear) == pytest.approx(1.0, abs=1e-15)
 
     def test_origin_anomaly_is_exact(self):
         base = make_scene(1)
@@ -394,14 +406,15 @@ class TestCIdentity:
             frequency=base.frequency,
         )
         k_bw = scene.background_wavenumber()
-        mat = fw.scattering_matrix(scene, k_bw, fw.ASYMPTOTIC)
-        tau1 = float(mu.svd_leading(mat)[0][0])
-        assert th.c_identity_check(scene, k_bw, tau1) == pytest.approx(1.0, abs=1e-10)
+        assert th.c_identity_check(scene, k_bw) == pytest.approx(1.0, abs=1e-15)
+        assert c_identity_svd(scene, k_bw) == pytest.approx(1.0, abs=1e-10)
 
     def test_scale_invariance_in_anomaly_radius(self):
+        # the anomaly's radius scales coef and tau_1 alike, so the SVD form
+        # does not see it, and the secular equation has no radius in it
         base = make_scene(1)
         k_bw = base.background_wavenumber()
-        vals = []
+        expected = th.c_identity_check(base, k_bw)
         for alpha in (0.01, 0.02):
             scene = sc.Scene(
                 background=base.background,
@@ -410,14 +423,9 @@ class TestCIdentity:
                 anomalies=(sc.Anomaly((0.01, 0.03), alpha, base.anomalies[0].medium),),
                 frequency=base.frequency,
             )
-            mat = fw.scattering_matrix(scene, k_bw, fw.ASYMPTOTIC)
-            tau1 = float(mu.svd_leading(mat)[0][0])
-            vals.append(th.c_identity_check(scene, k_bw, tau1))
-        assert abs(vals[1] - vals[0]) <= 1e-6 * vals[0]
+            assert th.c_identity_check(scene, k_bw) == expected
+            assert c_identity_svd(scene, k_bw) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
-    def test_errors(self, single_scene, double_scene):
-        k_bw = single_scene.background_wavenumber()
-        with pytest.raises(DegenerateDataError):
-            th.c_identity_check(single_scene, k_bw, 0.0)
+    def test_errors(self, double_scene):
         with pytest.raises(DomainError):
-            th.c_identity_check(double_scene, k_bw, 1.0)
+            th.c_identity_check(double_scene, double_scene.background_wavenumber())
